@@ -3,8 +3,7 @@
 Results are emitted as JSON (rationals always as "num/den"), CSV for the
 convergence experiment, or plain text for distributions.  Exit codes: 0 on
 success or all-pass, 1 when a check fails or the scan finds a violation, 2 on
-usage or validation errors.  A fixed --seed yields byte-identical output at a
-fixed thread count.
+usage or validation errors.  A fixed --seed yields byte-identical output.
 """
 
 from __future__ import annotations
@@ -18,7 +17,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from . import gaps, gauss, verify
-from .dist import IntDist, format_fraction
+from .dist import IntDist, as_fraction, format_fraction
 from .domination import dominates
 from .extremal import AlphaSeq, nu, t_oracle, t_oracle_curve, tse_report_json_obj, tsebal
 from .gaps import SymGAP, connected_decomposition, gap_cover, gap_fit_rank1, gap_is_proper, gap_sumset
@@ -420,35 +419,35 @@ def _dist_from_obj(obj) -> IntDist:
 def _check_from_instance(name: str, inst: dict) -> verify.CheckReport:
     if name == "thm_tse":
         return verify.thm_tse_check(
-            AlphaSeq(Fraction(a) for a in inst["alphas"]),
-            Fraction(str(inst["delta"])),
+            AlphaSeq(inst["alphas"]),
+            as_fraction(inst["delta"]),
             tuple(inst["window"]),
         )
     if name == "logconcmode":
-        return verify.logconcmode_check(_dist_from_obj(inst["mu"]), int(inst["i"]), Fraction(str(inst["gamma"])))
+        return verify.logconcmode_check(_dist_from_obj(inst["mu"]), int(inst["i"]), as_fraction(inst["gamma"]))
     if name == "logconcdomination":
         return verify.logconcdomination_check(
-            _dist_from_obj(inst["x"]), _dist_from_obj(inst["y"]), Fraction(str(inst["eps"]))
+            _dist_from_obj(inst["x"]), _dist_from_obj(inst["y"]), as_fraction(inst["eps"])
         )
     if name == "few_dropped":
         return verify.few_dropped_check(
-            AlphaSeq(Fraction(a) for a in inst["alphas"]),
+            AlphaSeq(inst["alphas"]),
             int(inst["k"]),
             int(inst["K"]),
-            Fraction(str(inst["delta"])),
+            as_fraction(inst["delta"]),
             inst.get("signs"),
         )
     if name == "balanced_continuous":
         return verify.balanced_continuous_check(
-            AlphaSeq(Fraction(a) for a in inst["alphas"]),
-            Fraction(str(inst["alpha"])),
-            Fraction(str(inst["alpha_prime"])),
+            AlphaSeq(inst["alphas"]),
+            as_fraction(inst["alpha"]),
+            as_fraction(inst["alpha_prime"]),
         )
     if name == "midsize_alpha_continuity":
         return verify.midsize_continuity_check(
             int(inst["K"]),
-            AlphaSeq(Fraction(a) for a in inst["alphas"]),
-            AlphaSeq(Fraction(a) for a in inst["alphas_prime"]),
+            AlphaSeq(inst["alphas"]),
+            AlphaSeq(inst["alphas_prime"]),
             _dist_from_obj(inst["y"]),
         )
     if name == "balanced_continuity_large":
@@ -458,7 +457,7 @@ def _check_from_instance(name: str, inst: dict) -> verify.CheckReport:
             _dist_from_obj(inst["x"]),
             [_dist_from_obj(y) for y in inst["ys"]],
             _dist_from_obj(inst["z"]),
-            Fraction(str(inst["eps"])),
+            as_fraction(inst["eps"]),
         )
     if name == "peakednessl2":
         return verify.peakedness2_check(
@@ -466,10 +465,10 @@ def _check_from_instance(name: str, inst: dict) -> verify.CheckReport:
             _dist_from_obj(inst["y"]),
             _dist_from_obj(inst["x_prime"]),
             _dist_from_obj(inst["y_prime"]),
-            Fraction(str(inst["eps"])),
+            as_fraction(inst["eps"]),
         )
     if name == "odlyzko_richmond":
-        return verify.odlyzko_richmond_check(_dist_from_obj(inst["p"]), int(inst["n"]), Fraction(str(inst["delta"])))
+        return verify.odlyzko_richmond_check(_dist_from_obj(inst["p"]), int(inst["n"]), as_fraction(inst["delta"]))
     raise CliError(f"unknown lemma {name!r}")
 
 
@@ -494,7 +493,7 @@ def cmd_scan(args) -> int:
     lines = []
     violations = 0
     count = 0
-    for record in conjecture_scan(cfg, threads=max(1, args.threads)):
+    for record in conjecture_scan(cfg):
         count += 1
         if record.violation:
             violations += 1
@@ -531,8 +530,11 @@ def cmd_report(args) -> int:
         if "outcome" in obj and "name" in obj:
             reports.append(obj)
     counts: dict[str, dict[str, int]] = {}
+    outcomes = (verify.PASS, verify.FAIL, verify.NOT_APPLICABLE, verify.INDETERMINATE)
     for obj in reports:
-        bucket = counts.setdefault(obj["name"], {k: 0 for k in (verify.PASS, verify.FAIL, verify.NOT_APPLICABLE, verify.INDETERMINATE)})
+        if obj["outcome"] not in outcomes:
+            raise CliError(f"{args.input}: unknown outcome {obj['outcome']!r}")
+        bucket = counts.setdefault(obj["name"], {k: 0 for k in outcomes})
         bucket[obj["outcome"]] += 1
     emit(args, counts)
     failed = any(bucket[verify.FAIL] for bucket in counts.values())
@@ -546,7 +548,6 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--out", help="also write the result to this path")
     parser.add_argument("--format", choices=("json", "csv", "text"), default="json")
     parser.add_argument("--seed", type=int, default=None)
-    parser.add_argument("--threads", type=int, default=1)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -20,7 +20,12 @@ def as_fraction(value) -> Fraction:
     """Coerce ints, Fractions and 'num/den' strings to Fraction."""
     if isinstance(value, float):
         raise TypeError("floating-point masses are not accepted; use exact rationals")
-    return Fraction(value)
+    if isinstance(value, bool):
+        raise TypeError("boolean masses are not accepted; use exact rationals")
+    try:
+        return Fraction(value)
+    except ZeroDivisionError as exc:
+        raise ValueError(f"zero denominator in {value!r}") from exc
 
 
 def format_fraction(f: Fraction) -> str:
@@ -133,7 +138,10 @@ class IntDist:
     def from_json_obj(obj: dict) -> "IntDist":
         if not isinstance(obj, dict) or "atoms" not in obj:
             raise ValueError("distribution JSON must be an object with an 'atoms' key")
-        return IntDist((site, Fraction(str(mass))) for site, mass in obj["atoms"])
+        try:
+            return IntDist((site, as_fraction(mass)) for site, mass in obj["atoms"])
+        except TypeError as exc:
+            raise ValueError(str(exc)) from exc
 
     @staticmethod
     def from_json(text: str) -> "IntDist":
@@ -178,6 +186,20 @@ def uniform_interval(lo: int, hi: int) -> IntDist:
 # -- operations ------------------------------------------------------------
 
 
+def _convolve_numerators(a: IntDist, b: IntDist) -> tuple[dict[int, int], int]:
+    """Integer numerators of the convolution of a and b over the product of
+    their common denominators: the one convolution kernel of this module."""
+    da, db = a.denominator(), b.denominator()
+    na = [(s, m.numerator * (da // m.denominator)) for s, m in a.atoms]
+    nb = [(s, m.numerator * (db // m.denominator)) for s, m in b.atoms]
+    out: dict[int, int] = {}
+    for sa, wa in na:
+        for sb, wb in nb:
+            key = sa + sb
+            out[key] = out.get(key, 0) + wa * wb
+    return out, da * db
+
+
 def convolve(a: IntDist, b: IntDist) -> IntDist:
     """Exact distribution of the sum of independent draws from a and b.
 
@@ -185,16 +207,20 @@ def convolve(a: IntDist, b: IntDist) -> IntDist:
     common denominators, so only one gcd normalization happens per output
     atom instead of one per term.
     """
-    da, db = a.denominator(), b.denominator()
-    na = [(s, int(m * da)) for s, m in a.atoms]
-    nb = [(s, int(m * db)) for s, m in b.atoms]
-    out: dict[int, int] = {}
-    for sa, wa in na:
-        for sb, wb in nb:
-            key = sa + sb
-            out[key] = out.get(key, 0) + wa * wb
-    den = da * db
+    out, den = _convolve_numerators(a, b)
     return IntDist((s, Fraction(w, den)) for s, w in out.items())
+
+
+def q_max_convolve(a: IntDist, b: IntDist) -> Fraction:
+    """q_max(convolve(a, b)) without building the convolution's IntDist.
+
+    The mass check stays exact: the numerators must sum to the denominator.
+    """
+    out, den = _convolve_numerators(a, b)
+    total = sum(out.values())
+    if total != den:
+        raise ValueError(f"masses sum to {Fraction(total, den)}, expected 1")
+    return Fraction(max(out.values()), den)
 
 
 def convolve_all(dists: Sequence[IntDist]) -> IntDist:
@@ -218,7 +244,6 @@ def convolve_power(mu: IntDist, n: int) -> IntDist:
         n >>= 1
         if n:
             base = convolve(base, base)
-    assert result is not None
     return result
 
 

@@ -6,7 +6,7 @@ puts mass alpha on 0..floor(1/alpha)-1 and the residue on the next site; it
 has minimum variance among integer distributions whose largest atom is at
 most alpha.  This module provides nu, its closed-form variance, the
 extremal/standard-extremal predicates, the balanced-sequence machinery, and
-the sign-search / windowed brute-force functionals over these families.
+the exact sign-search and windowed optima over these families.
 """
 
 from __future__ import annotations
@@ -19,10 +19,12 @@ from typing import Iterable, Sequence
 from .dist import (
     IntDist,
     as_fraction,
+    convolve,
     convolve_all,
     format_fraction,
     negate,
     q_max,
+    q_max_convolve,
     shift,
 )
 
@@ -216,13 +218,51 @@ def tsebal(alphas: AlphaSeq) -> Fraction:
     """Mass at 0 of the convolution of a balanced standard extremal sequence.
 
     The value does not depend on which balanced sequence is chosen; this is
-    asserted by evaluating a second, differently paired sequence.
+    checked by evaluating a second, differently paired sequence, and a
+    disagreement raises RuntimeError.
     """
     seq = balanced_sequence(alphas)
     value = convolve_all(seq).mass(0)
     alt = convolve_all(balanced_sequence(alphas, flip=True)).mass(0)
-    assert alt == value, "balanced value must be pairing-independent"
+    if alt != value:
+        raise RuntimeError(f"balanced value is not pairing-independent: {value} != {alt}")
     return value
+
+
+def _max_q_search(
+    root: IntDist | None, levels: Sequence[Sequence[IntDist]], tied: Sequence[bool]
+) -> tuple[Fraction, tuple[int, ...]]:
+    """Maximum of q_max(root + one option law per level) with the option
+    indices attaining it.
+
+    Index tuples are visited depth first in itertools.product order, skipping
+    those whose index decreases from a level to the next level when that
+    level is tied to its predecessor.  The convolution of each prefix is built
+    once and shared by everything below it, so a leaf costs one convolution;
+    the best value is replaced only on a strictly larger one, so the first
+    maximiser in visiting order wins.  A None root stands for the point mass
+    at 0, and there must be at least one level.
+    """
+    best: Fraction | None = None
+    best_path: tuple[int, ...] = ()
+    path = [0] * len(levels)
+    last = len(levels) - 1
+
+    def visit(level: int, prefix: IntDist | None) -> None:
+        nonlocal best, best_path
+        options = levels[level]
+        for j in range(path[level - 1] if tied[level] else 0, len(options)):
+            path[level] = j
+            law = options[j]
+            if level < last:
+                visit(level + 1, law if prefix is None else convolve(prefix, law))
+                continue
+            value = q_max(law) if prefix is None else q_max_convolve(prefix, law)
+            if best is None or value > best:
+                best, best_path = value, tuple(path)
+
+    visit(0, root)
+    return best, best_path
 
 
 def tse(alphas: AlphaSeq) -> tuple[Fraction, SESelection]:
@@ -230,27 +270,36 @@ def tse(alphas: AlphaSeq) -> tuple[Fraction, SESelection]:
 
     Indices whose cap has an integer inverse are pruned from the sign search
     (the reflection of a uniform distribution is one of its translates, and
-    translating any summand does not change the concentration of the sum).
-    Ties resolve to the lexicographically smallest sign vector; shifts are
-    reported as 0 since the value is translation invariant.
+    translating any summand does not change the concentration of the sum);
+    their sum is convolved once as the root of the search.  Summands with
+    equal caps commute, so in a run of c equal free caps only the number of
+    minus signs matters: each free cap chooses between its reflected and its
+    plain nu, tied to the previous cap when the caps are equal, so the search
+    visits prod(c + 1) sign patterns over the runs, not 2**free, and each
+    costs about one convolution (prefix sums are shared).  Ties resolve to
+    the lexicographically smallest sign vector.  That vector has its minus
+    signs first within each run, and the tied search visits exactly these
+    representatives in lexicographic order.  Shifts are reported as 0 since
+    the value is translation invariant.
     """
-    base = [nu(a) for a in alphas]
-    free = [i for i, a in enumerate(alphas) if (1 / a).denominator != 1]
-    best: Fraction | None = None
-    best_signs: tuple[int, ...] = ()
-    for pattern in itertools.product((-1, 1), repeat=len(free)):
-        signs = [1] * len(base)
-        for i, s in zip(free, pattern):
-            signs[i] = s
-        value = q_max(convolve_all([negate(d) if s < 0 else d for d, s in zip(base, signs)]))
-        if best is None or value > best:
-            best = value
-            best_signs = tuple(signs)
-    assert best is not None
-    return best, SESelection(best_signs, (0,) * len(base))
+    caps = alphas.alphas
+    root: IntDist | None = None
+    for a in caps:
+        if (1 / a).denominator == 1:
+            root = nu(a) if root is None else convolve(root, nu(a))
+    free = [i for i, a in enumerate(caps) if (1 / a).denominator != 1]
+    signs = [1] * len(caps)
+    if not free:
+        return q_max(root), SESelection(tuple(signs), (0,) * len(caps))
+    levels = [(negate(nu(caps[i])), nu(caps[i])) for i in free]
+    tied = [k > 0 and caps[i] == caps[free[k - 1]] for k, i in enumerate(free)]
+    best, path = _max_q_search(root, levels, tied)
+    for i, j in zip(free, path):
+        signs[i] = -1 if j == 0 else 1
+    return best, SESelection(tuple(signs), (0,) * len(caps))
 
 
-# -- windowed brute-force oracle ---------------------------------------------
+# -- windowed oracle -----------------------------------------------------------
 
 
 def _window_sites(window: tuple[int, int]) -> list[int]:
@@ -288,19 +337,21 @@ def t_oracle(alphas: AlphaSeq, window: tuple[int, int]) -> tuple[Fraction, list[
     """Exact maximum of q_max over tuples of window-supported extremal
     measures, one per cap, with a witness tuple attaining it.
 
+    Tuples are walked in itertools.product order of the extremal choices, and
+    the witness is the first maximiser in that order.  Summands with equal
+    caps commute and share their choice list, so within a run of equal caps
+    only tuples with nondecreasing choice indices are visited: the first
+    maximiser is one of them.  Prefix sums are shared, so each visited tuple
+    costs about one convolution.
+
     Exact only relative to the window class; callers report the window along
     with the value.
     """
-    choices = [extremal_enumerate(a, window) for a in alphas]
-    best: Fraction | None = None
-    witness: list[IntDist] = []
-    for combo in itertools.product(*choices):
-        value = q_max(convolve_all(list(combo)))
-        if best is None or value > best:
-            best = value
-            witness = list(combo)
-    assert best is not None
-    return best, witness
+    caps = alphas.alphas
+    choices = [extremal_enumerate(a, window) for a in caps]
+    tied = [i > 0 and caps[i] == caps[i - 1] for i in range(len(caps))]
+    best, path = _max_q_search(None, choices, tied)
+    return best, [options[j] for options, j in zip(choices, path)]
 
 
 def t_oracle_curve(alphas: AlphaSeq, windows: Sequence[tuple[int, int]]) -> list[dict]:

@@ -279,7 +279,8 @@ def connected_decomposition(mu: IntDist) -> Decomposition:
     pair_counts: dict[tuple[int, int], int] = {}
     for i in range(half):
         a, b = unit_sites[i], unit_sites[i + half]
-        assert a != b, "largest atom at most 1/2 forbids equal pairs"
+        if a == b:
+            raise RuntimeError("largest atom at most 1/2 forbids equal pairs")
         key = (a, b) if a < b else (b, a)
         pair_counts[key] = pair_counts.get(key, 0) + 1
 
@@ -411,7 +412,8 @@ def integer_span_basis(vectors: Sequence[Sequence[int]]) -> LatticeBasis:
     ok = all(sum(c * c for c in coord) <= bound_sq for coord in coords.values())
     basis = LatticeBasis(matrix, coords, rank, bound_sq, ok)
     for v, c in coords.items():
-        assert basis.apply(c) == v
+        if basis.apply(c) != v:
+            raise RuntimeError(f"basis coordinates {c} do not reproduce {v}")
     return basis
 
 
@@ -446,7 +448,8 @@ def rademacher_q(multipliers: Sequence[int]) -> Fraction:
     """Exact largest atom of sum(v_i * xi_i) for independent signs xi_i.
 
     Computed by convolving the two-point laws; the classical central-binomial
-    bound C(n, floor(n/2)) / 2**n is asserted on the result.
+    bound C(n, floor(n/2)) / 2**n is checked on the result (RuntimeError if
+    it fails).
     """
     vs = [int(v) for v in multipliers]
     if not vs:
@@ -457,5 +460,7 @@ def rademacher_q(multipliers: Sequence[int]) -> Fraction:
     dists = [IntDist([(-abs(v), half), (abs(v), half)]) for v in vs]
     value = q_max(convolve_all(dists))
     n = len(vs)
-    assert value <= Fraction(comb(n, n // 2), 2**n)
+    bound = Fraction(comb(n, n // 2), 2**n)
+    if value > bound:
+        raise RuntimeError(f"largest atom {value} exceeds the central-binomial bound {bound}")
     return value

@@ -159,7 +159,6 @@ def pow_conv(a: LatticeDist, m: int) -> LatticeDist:
         m >>= 1
         if m:
             base = lconv(base, base)
-    assert result is not None
     return result
 
 

@@ -327,7 +327,8 @@ def dominating_coupling(mu: IntDist, mu_prime: IntDist, eps) -> JointCoupling:
         big_n *= 2
         doublings += 1
     big_k = big_n * c
-    assert big_k.denominator == 1
+    if big_k.denominator != 1:
+        raise RuntimeError(f"K = {big_k} is not an integer")
     if int(big_k) % 2 == 1:
         big_n *= 2
         doublings += 1

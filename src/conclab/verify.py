@@ -16,8 +16,6 @@ import hashlib
 import itertools
 import json
 import random
-import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterator, Optional, Sequence
@@ -36,6 +34,7 @@ from .dist import (
     negate,
     q_k,
     q_max,
+    q_max_convolve,
     shift,
     uniform_interval,
     variance,
@@ -190,14 +189,11 @@ def _min_profile_slack(mu1: IntDist, mu2: IntDist, eps: Fraction) -> tuple[int, 
     p1 = q_profile(mu1).values
     p2 = q_profile(mu2).values
     one = Fraction(1)
-    best = None
-    for j in range(1, max(len(p1), len(p2)) + 1):
-        lhs = p1[j - 1] if j <= len(p1) else one
-        rhs = (1 + eps) * (p2[j - 1] if j <= len(p2) else one)
-        if best is None or rhs - lhs < best[2] - best[1]:
-            best = (j, lhs, rhs)
-    assert best is not None
-    return best
+    rows = (
+        (j, p1[j - 1] if j <= len(p1) else one, (1 + eps) * (p2[j - 1] if j <= len(p2) else one))
+        for j in range(1, max(len(p1), len(p2)) + 1)
+    )
+    return min(rows, key=lambda row: row[2] - row[1])
 
 
 # -- the conjecture scan ---------------------------------------------------------
@@ -275,34 +271,20 @@ def quantized_extremal_measures(denominator: int, window: tuple[int, int]) -> li
     return out
 
 
-def conjecture_scan(cfg: ScanConfig, threads: int = 1) -> Iterator[ScanRecord]:
+def conjecture_scan(cfg: ScanConfig) -> Iterator[ScanRecord]:
     """Compare q_max of extremal-tuple sums against the sign-search optimum.
 
     Exhaustive over unordered tuples when their count fits the budget,
     otherwise a deterministic seeded sample of budget tuples (`scan_mode`
-    reports which).  Records stream in instance-index order regardless of the
-    worker count.  Any violation is a counterexample candidate and must fail
-    the build loudly.
+    reports which).  Records stream in instance-index order.  The last
+    convolution of each tuple sum only yields q_max.  Any violation is a
+    counterexample candidate and must fail the build loudly.
     """
     measures = quantized_extremal_measures(cfg.denominator, cfg.window)
     if not measures:
         return
     total = _multiset_count(len(measures), cfg.n)
     tse_cache: dict[tuple[Fraction, ...], Fraction] = {}
-    lock = threading.Lock()
-
-    def record(item: tuple[int, tuple[IntDist, ...]]) -> ScanRecord:
-        idx, combo = item
-        alphas = tuple(sorted((q_max(m) for m in combo), reverse=True))
-        with lock:
-            cached = tse_cache.get(alphas)
-        if cached is None:
-            cached = tse(AlphaSeq(alphas))[0]
-            with lock:
-                tse_cache[alphas] = cached
-        lhs = q_max(convolve_all(list(combo)))
-        return ScanRecord(idx, alphas, lhs, cached, lhs > cached, combo)
-
     if total <= cfg.budget:
         items = enumerate(itertools.combinations_with_replacement(measures, cfg.n))
     else:
@@ -310,12 +292,16 @@ def conjecture_scan(cfg: ScanConfig, threads: int = 1) -> Iterator[ScanRecord]:
         items = (
             (idx, tuple(rng.choice(measures) for _ in range(cfg.n))) for idx in range(cfg.budget)
         )
-    if threads <= 1:
-        for item in items:
-            yield record(item)
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            yield from pool.map(record, items)
+    for idx, combo in items:
+        alphas = tuple(sorted((q_max(m) for m in combo), reverse=True))
+        rhs = tse_cache.get(alphas)
+        if rhs is None:
+            rhs = tse_cache[alphas] = tse(AlphaSeq(alphas))[0]
+        if cfg.n > 1:
+            lhs = q_max_convolve(convolve_all(combo[:-1]), combo[-1])
+        else:
+            lhs = q_max(combo[0])
+        yield ScanRecord(idx, alphas, lhs, rhs, lhs > rhs, combo)
 
 
 def scan_mode(cfg: ScanConfig) -> str:
@@ -580,14 +566,8 @@ def odlyzko_richmond_check(p: IntDist, n: int, delta) -> CheckReport:
     k_hi = k_hi_f.numerator // k_hi_f.denominator
     if k_hi < k_lo:
         return _na("odlyzko_richmond", instance, "empty window")
-    worst = None
-    for k in range(k_lo, k_hi + 1):
-        lhs = conv.mass(k - 1) * conv.mass(k + 1)
-        rhs = conv.mass(k) ** 2
-        if worst is None or rhs - lhs < worst[2] - worst[1]:
-            worst = (k, lhs, rhs)
-    assert worst is not None
-    k, lhs, rhs = worst
+    rows = ((k, conv.mass(k - 1) * conv.mass(k + 1), conv.mass(k) ** 2) for k in range(k_lo, k_hi + 1))
+    k, lhs, rhs = min(rows, key=lambda row: row[2] - row[1])
     return _exact("odlyzko_richmond", instance, lhs, rhs, {"k": k, "window": [k_lo, k_hi]})
 
 

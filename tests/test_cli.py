@@ -229,3 +229,37 @@ def test_seeded_scan_byte_identical(tmp_path):
     assert run(args + ["--out", str(a)]) == 0
     assert run(args + ["--out", str(b)]) == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+@pytest.mark.parametrize(
+    "content",
+    ['{"atoms": [[0, 0.5], [1, 0.5]]}', '{"atoms": [[0, "1/0"], [1, "1/2"]]}'],
+    ids=["float_mass", "zero_denominator"],
+)
+def test_bad_mass_exits_2(tmp_path, capsys, content):
+    path = tmp_path / "bad.json"
+    path.write_text(content)
+    assert run(["dist", "stats", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_report_unknown_outcome_exits_2(tmp_path, capsys):
+    path = tmp_path / "rows.jsonl"
+    path.write_text(json.dumps({"name": "thm_tse", "outcome": "maybe"}) + "\n")
+    assert run(["report", str(path)]) == 2
+    assert "unknown outcome 'maybe'" in capsys.readouterr().err
+
+
+def test_check_zero_denominator_exits_2(tmp_path):
+    path = tmp_path / "inst.json"
+    path.write_text(json.dumps({"alphas": ["1/2"], "delta": "1/0", "window": [0, 1]}))
+    assert run(["check", "thm_tse", "--instance", str(path)]) == 2
+
+
+@pytest.mark.parametrize("field, value", [("delta", 0.5), ("alphas", [0.5])])
+def test_check_float_scalar_exits_2(tmp_path, field, value):
+    instance = {"alphas": ["1/2"], "delta": "0", "window": [0, 1]}
+    instance[field] = value
+    path = tmp_path / "inst.json"
+    path.write_text(json.dumps(instance))
+    assert run(["check", "thm_tse", "--instance", str(path)]) == 2

@@ -202,3 +202,13 @@ def test_json_rejects_bad_input():
         IntDist.from_text("0: 1/2\n0: 1/2\n")
     with pytest.raises(ValueError):
         IntDist.from_text("0, 1/2\n")
+
+
+def test_json_masses_are_exact_rationals():
+    with pytest.raises(ValueError):
+        IntDist.from_json_obj({"atoms": [[0, 0.5], [1, 0.5]]})
+    with pytest.raises(ValueError):
+        IntDist.from_json_obj({"atoms": [[0, "1/0"], [1, "1/2"]]})
+    with pytest.raises(ValueError):
+        IntDist.from_json_obj({"atoms": [[0, True]]})
+    assert IntDist.from_json_obj({"atoms": [[0, 1]]}) == IntDist([(0, F(1))])

@@ -1,0 +1,208 @@
+"""The prefix-shared, symmetry-reduced searches against brute force.
+
+`brute_tse` and `brute_t_oracle` are the plain enumerations over
+itertools.product that `tse` and `t_oracle` replace.  The fast paths must
+return the same value and the same tie-broken witness on every case.
+"""
+
+import itertools
+import random
+from fractions import Fraction as F
+from math import comb
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from conclab.dist import IntDist, convolve, convolve_all, delta, negate, q_max, q_max_convolve
+from conclab.extremal import AlphaSeq, extremal_enumerate, nu, t_oracle, tse
+from conclab.verify import ScanConfig, ScanRecord, conjecture_scan, quantized_extremal_measures
+
+
+def brute_tse(alphas: AlphaSeq) -> tuple[F, tuple[int, ...]]:
+    """Every sign pattern of the free caps, first strict maximum wins."""
+    base = [nu(a) for a in alphas]
+    free = [i for i, a in enumerate(alphas) if (1 / a).denominator != 1]
+    best, best_signs = None, ()
+    for pattern in itertools.product((-1, 1), repeat=len(free)):
+        signs = [1] * len(base)
+        for i, s in zip(free, pattern):
+            signs[i] = s
+        value = q_max(convolve_all([negate(d) if s < 0 else d for d, s in zip(base, signs)]))
+        if best is None or value > best:
+            best, best_signs = value, tuple(signs)
+    return best, best_signs
+
+
+def brute_t_oracle(alphas: AlphaSeq, window: tuple[int, int]) -> tuple[F, list[IntDist]]:
+    """Every tuple of window-supported extremal measures, first strict
+    maximum wins."""
+    choices = [extremal_enumerate(a, window) for a in alphas]
+    best, witness = None, []
+    for combo in itertools.product(*choices):
+        value = q_max(convolve_all(list(combo)))
+        if best is None or value > best:
+            best, witness = value, list(combo)
+    return best, witness
+
+
+def brute_scan(cfg: ScanConfig) -> list[ScanRecord]:
+    measures = quantized_extremal_measures(cfg.denominator, cfg.window)
+    if comb(len(measures) + cfg.n - 1, cfg.n) <= cfg.budget:
+        items = enumerate(itertools.combinations_with_replacement(measures, cfg.n))
+    else:
+        rng = random.Random(cfg.seed)
+        items = ((i, tuple(rng.choice(measures) for _ in range(cfg.n))) for i in range(cfg.budget))
+    out = []
+    for idx, combo in items:
+        alphas = tuple(sorted((q_max(m) for m in combo), reverse=True))
+        rhs = brute_tse(AlphaSeq(alphas))[0]
+        lhs = q_max(convolve_all(list(combo)))
+        out.append(ScanRecord(idx, alphas, lhs, rhs, lhs > rhs, combo))
+    return out
+
+
+def caps(denominator: int) -> list[F]:
+    return [F(j, denominator) for j in range(1, denominator + 1)]
+
+
+def assert_tse_matches(alphas: AlphaSeq) -> None:
+    value, sel = tse(alphas)
+    assert (value, sel.signs) == brute_tse(alphas), alphas
+    assert sel.shifts == (0,) * len(alphas)
+
+
+def assert_oracle_matches(alphas: AlphaSeq, window: tuple[int, int]) -> None:
+    assert t_oracle(alphas, window) == brute_t_oracle(alphas, window), (alphas, window)
+
+
+# -- tse -----------------------------------------------------------------------
+
+
+def test_tse_matches_brute_force_up_to_three_caps():
+    for d in range(2, 9):
+        for n in (1, 2, 3):
+            for combo in itertools.combinations_with_replacement(caps(d), n):
+                assert_tse_matches(AlphaSeq(combo))
+
+
+def test_tse_matches_brute_force_four_caps():
+    for d in range(2, 7):
+        for combo in itertools.combinations_with_replacement(caps(d), 4):
+            assert_tse_matches(AlphaSeq(combo))
+
+
+@pytest.mark.parametrize("d", range(2, 9))
+def test_tse_matches_brute_force_four_to_six_tied_caps(d):
+    """Every multiset of 4 to 6 caps drawn from at most three caps j/d: the
+    smallest and largest with a non-integer inverse, and 1/d."""
+    free = [a for a in caps(d) if (1 / a).denominator != 1]
+    pool = [*free[:1], *free[-1:], F(1, d)] if free else [F(1, d), F(1)]
+    for n in (4, 5, 6):
+        for combo in itertools.combinations_with_replacement(sorted(set(pool)), n):
+            assert_tse_matches(AlphaSeq(combo))
+
+
+def test_tse_matches_brute_force_six_distinct_caps():
+    cases = [
+        [F(j, 8) for j in (1, 3, 5, 6, 7, 8)],
+        [F(j, 7) for j in range(2, 8)],
+        [F(2, 5), F(3, 7), F(5, 8), F(2, 3), F(3, 4), F(5, 6)],
+    ]
+    for combo in cases:
+        assert_tse_matches(AlphaSeq(combo))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(st.integers(1, 8), st.integers(1, 8)), min_size=1, max_size=6))
+def test_tse_matches_brute_force_property(pairs):
+    assert_tse_matches(AlphaSeq(F(min(j, d), d) for j, d in pairs))
+
+
+# -- t_oracle --------------------------------------------------------------------
+
+
+def window_caps(window: tuple[int, int], denominators=range(1, 7)) -> list[F]:
+    """Caps j/d whose extremal measures fit in the window."""
+    width = window[1] - window[0] + 1
+    out = set()
+    for d in denominators:
+        for a in caps(d):
+            k = int(1 / a)
+            if k + (1 if a * k != 1 else 0) <= width:
+                out.add(a)
+    return sorted(out)
+
+
+def test_t_oracle_matches_brute_force_window_0_2():
+    pool = window_caps((0, 2), range(1, 5))
+    for n in (1, 2, 3):
+        for combo in itertools.combinations_with_replacement(pool, n):
+            assert_oracle_matches(AlphaSeq(combo), (0, 2))
+
+
+def test_t_oracle_matches_brute_force_window_0_3():
+    pool = window_caps((0, 3))
+    for n in (1, 2):
+        for combo in itertools.combinations_with_replacement(pool, n):
+            assert_oracle_matches(AlphaSeq(combo), (0, 3))
+    tied = [[F(1, 2)] * 3, [F(2, 3), F(2, 3), F(1, 4)], [F(3, 4), F(1, 3), F(1, 3)], [F(5, 6), F(1, 2), F(2, 5)]]
+    for combo in tied:
+        assert_oracle_matches(AlphaSeq(combo), (0, 3))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.sampled_from(window_caps((0, 2))), min_size=1, max_size=3), st.integers(-2, 2))
+def test_t_oracle_matches_brute_force_property(alphas, lo):
+    assert_oracle_matches(AlphaSeq(alphas), (lo, lo + 2))
+
+
+# -- q_max_convolve and the scan -------------------------------------------------------
+
+
+def small_laws() -> list[IntDist]:
+    laws = [delta(0), delta(-3)]
+    for d in range(2, 6):
+        laws += [law for a in caps(d) for law in extremal_enumerate(a, (-1, 3))]
+    return laws
+
+
+def test_q_max_convolve_matches_convolve():
+    laws = small_laws()
+    for a in laws[::3]:
+        for b in laws[::2]:
+            assert q_max_convolve(a, b) == q_max(convolve(a, b))
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.lists(st.tuples(st.integers(-6, 6), st.integers(1, 9)), min_size=1, max_size=5, unique_by=lambda t: t[0]),
+    st.lists(st.tuples(st.integers(-6, 6), st.integers(1, 9)), min_size=1, max_size=5, unique_by=lambda t: t[0]),
+)
+def test_q_max_convolve_matches_convolve_property(xs, ys):
+    def law(pairs):
+        total = sum(w for _, w in pairs)
+        return IntDist((s, F(w, total)) for s, w in pairs)
+
+    a, b = law(xs), law(ys)
+    assert q_max_convolve(a, b) == q_max(convolve(a, b))
+
+
+def test_q_max_convolve_checks_mass():
+    broken = object.__new__(IntDist)
+    object.__setattr__(broken, "_atoms", ((0, F(1, 2)), (1, F(1, 3))))
+    with pytest.raises(ValueError):
+        q_max_convolve(broken, delta(0))
+
+
+@pytest.mark.parametrize(
+    "cfg",
+    [
+        ScanConfig(4, (0, 3), 3),
+        ScanConfig(5, (0, 3), 2),
+        ScanConfig(6, (0, 4), 3, seed=5, budget=60),
+        ScanConfig(7, (0, 5), 4, seed=2, budget=40),
+    ],
+)
+def test_conjecture_scan_matches_brute_force(cfg):
+    assert list(conjecture_scan(cfg)) == brute_scan(cfg)
