@@ -79,7 +79,7 @@ def load_lattice(path: str) -> LatticeDist:
         return LatticeDist.from_json_obj(json.loads(raw))
     except json.JSONDecodeError as exc:
         raise CliError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
-    except (ValueError, KeyError) as exc:
+    except ValueError as exc:
         raise CliError(f"{path}: {exc}") from exc
 
 
@@ -412,64 +412,62 @@ def cmd_be_gap(args) -> int:
 # -- verify ------------------------------------------------------------------------
 
 
-def _dist_from_obj(obj) -> IntDist:
-    return IntDist.from_json_obj(obj)
+def _json_int(value) -> int:
+    """An integer field of a JSON instance: floats and booleans are rejected,
+    never truncated."""
+    if type(value) is not int:
+        raise ValueError(f"expected a JSON integer, got {value!r}")
+    return value
+
+
+# instance field -> parser of its JSON value
+_FIELD_PARSERS = {
+    "alphas": AlphaSeq,
+    "alphas_prime": AlphaSeq,
+    "alpha": as_fraction,
+    "alpha_prime": as_fraction,
+    "delta": as_fraction,
+    "eps": as_fraction,
+    "gamma": as_fraction,
+    "window": tuple,
+    "signs": lambda value: value,
+    "i": _json_int,
+    "k": _json_int,
+    "K": _json_int,
+    "n": _json_int,
+    "ks": lambda value: [_json_int(k) for k in value],
+    **dict.fromkeys(("mu", "p", "x", "y", "z", "x_prime", "y_prime"), IntDist.from_json_obj),
+    "ys": lambda value: [IntDist.from_json_obj(y) for y in value],
+}
+
+# lemma -> (checker in conclab.verify, instance fields in argument order).
+# The README's "Checker instance files" table lists the same fields; a
+# field in _OPTIONAL_FIELDS passes None when the instance omits it.
+_LEMMAS = {
+    "thm_tse": ("thm_tse_check", ("alphas", "delta", "window")),
+    "logconcmode": ("logconcmode_check", ("mu", "i", "gamma")),
+    "logconcdomination": ("logconcdomination_check", ("x", "y", "eps")),
+    "few_dropped": ("few_dropped_check", ("alphas", "k", "K", "delta", "signs")),
+    "balanced_continuous": ("balanced_continuous_check", ("alphas", "alpha", "alpha_prime")),
+    "midsize_alpha_continuity": ("midsize_continuity_check", ("K", "alphas", "alphas_prime", "y")),
+    "balanced_continuity_large": ("large_continuity_check", ("K", "ks", "y")),
+    "peakednessl1": ("peakedness1_check", ("x", "ys", "z", "eps")),
+    "peakednessl2": ("peakedness2_check", ("x", "y", "x_prime", "y_prime", "eps")),
+    "odlyzko_richmond": ("odlyzko_richmond_check", ("p", "n", "delta")),
+}
+_OPTIONAL_FIELDS = {"signs"}
 
 
 def _check_from_instance(name: str, inst: dict) -> verify.CheckReport:
-    if name == "thm_tse":
-        return verify.thm_tse_check(
-            AlphaSeq(inst["alphas"]),
-            as_fraction(inst["delta"]),
-            tuple(inst["window"]),
-        )
-    if name == "logconcmode":
-        return verify.logconcmode_check(_dist_from_obj(inst["mu"]), int(inst["i"]), as_fraction(inst["gamma"]))
-    if name == "logconcdomination":
-        return verify.logconcdomination_check(
-            _dist_from_obj(inst["x"]), _dist_from_obj(inst["y"]), as_fraction(inst["eps"])
-        )
-    if name == "few_dropped":
-        return verify.few_dropped_check(
-            AlphaSeq(inst["alphas"]),
-            int(inst["k"]),
-            int(inst["K"]),
-            as_fraction(inst["delta"]),
-            inst.get("signs"),
-        )
-    if name == "balanced_continuous":
-        return verify.balanced_continuous_check(
-            AlphaSeq(inst["alphas"]),
-            as_fraction(inst["alpha"]),
-            as_fraction(inst["alpha_prime"]),
-        )
-    if name == "midsize_alpha_continuity":
-        return verify.midsize_continuity_check(
-            int(inst["K"]),
-            AlphaSeq(inst["alphas"]),
-            AlphaSeq(inst["alphas_prime"]),
-            _dist_from_obj(inst["y"]),
-        )
-    if name == "balanced_continuity_large":
-        return verify.large_continuity_check(int(inst["K"]), [int(k) for k in inst["ks"]], _dist_from_obj(inst["y"]))
-    if name == "peakednessl1":
-        return verify.peakedness1_check(
-            _dist_from_obj(inst["x"]),
-            [_dist_from_obj(y) for y in inst["ys"]],
-            _dist_from_obj(inst["z"]),
-            as_fraction(inst["eps"]),
-        )
-    if name == "peakednessl2":
-        return verify.peakedness2_check(
-            _dist_from_obj(inst["x"]),
-            _dist_from_obj(inst["y"]),
-            _dist_from_obj(inst["x_prime"]),
-            _dist_from_obj(inst["y_prime"]),
-            as_fraction(inst["eps"]),
-        )
-    if name == "odlyzko_richmond":
-        return verify.odlyzko_richmond_check(_dist_from_obj(inst["p"]), int(inst["n"]), as_fraction(inst["delta"]))
-    raise CliError(f"unknown lemma {name!r}")
+    if name not in _LEMMAS:
+        raise CliError(f"unknown lemma {name!r}")
+    checker, fields = _LEMMAS[name]
+    args = [
+        None if field in _OPTIONAL_FIELDS and field not in inst else _FIELD_PARSERS[field](inst[field])
+        for field in fields
+    ]
+    # looked up at call time, so a wrapper installed on the verify module applies
+    return getattr(verify, checker)(*args)
 
 
 def cmd_check(args) -> int:
@@ -519,23 +517,26 @@ def cmd_scan(args) -> int:
     return CHECK_FAILED if violations else 0
 
 
-def cmd_report(args) -> int:
-    reports = []
-    raw = Path(args.input).read_text()
-    for line in raw.splitlines():
+def _report_results(path: str):
+    """(name, outcome) of every report record in a JSON-lines stream."""
+    for lineno, line in enumerate(Path(path).read_text().splitlines(), 1):
         line = line.strip()
         if not line:
             continue
         obj = json.loads(line)
+        if not isinstance(obj, dict):
+            raise CliError(f"{path}:{lineno}: a report line must be a JSON object")
         if "outcome" in obj and "name" in obj:
-            reports.append(obj)
-    counts: dict[str, dict[str, int]] = {}
-    outcomes = (verify.PASS, verify.FAIL, verify.NOT_APPLICABLE, verify.INDETERMINATE)
-    for obj in reports:
-        if obj["outcome"] not in outcomes:
-            raise CliError(f"{args.input}: unknown outcome {obj['outcome']!r}")
-        bucket = counts.setdefault(obj["name"], {k: 0 for k in outcomes})
-        bucket[obj["outcome"]] += 1
+            if not isinstance(obj["name"], str):
+                raise CliError(f"{path}:{lineno}: the lemma name must be a string")
+            yield obj["name"], obj["outcome"]
+
+
+def cmd_report(args) -> int:
+    try:
+        counts = verify.summarize(_report_results(args.input))
+    except ValueError as exc:
+        raise CliError(f"{args.input}: {exc}") from exc
     emit(args, counts)
     failed = any(bucket[verify.FAIL] for bucket in counts.values())
     return CHECK_FAILED if failed else 0

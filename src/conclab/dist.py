@@ -1,5 +1,8 @@
 """Exact finite probability distributions on the integers.
 
+:class:`FiniteMeasure` is the one atom container of the package: validation,
+storage, lookup, serialization and the convolution kernel live here, and
+``rearrange.IntMeasure`` and ``gauss.LatticeDist`` are thin subclasses of it.
 The central type is :class:`IntDist`: an immutable list of (site, mass) atoms
 with strictly increasing integer sites and positive rational masses summing to
 exactly one.  Every probabilistic quantity in this package (concentration
@@ -10,9 +13,10 @@ exact rational arithmetic on these values; floating point never enters.
 from __future__ import annotations
 
 import json
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import Iterable, Sequence
 
 
@@ -50,20 +54,32 @@ class SpanResult:
 INFINITE_SPAN = SpanResult(None)
 
 
-class IntDist:
-    """Finite probability distribution on Z with exact rational masses.
+_ZERO = Fraction(0)
 
-    Immutable value type: all operations return fresh instances.  Atoms are
-    stored as a tuple of (site, mass) pairs with sites strictly increasing,
-    every mass positive, and the masses summing to exactly 1.
+
+class FiniteMeasure:
+    """Finite measure with exact positive rational masses: the one atom
+    container of the package.
+
+    Immutable value type.  Atoms are stored as a tuple of (site, mass) pairs
+    with sites strictly increasing and every mass positive, next to a
+    site -> mass dict, so ``mass()`` is a dict lookup.  A subclass sets what
+    differs: ``_site`` coerces one input site, ``_add_sites`` adds two sites
+    in the convolution kernel, and ``_normalized`` requires the masses to sum
+    to exactly 1.  The integer site type is the default.
     """
 
-    __slots__ = ("_atoms",)
+    __slots__ = ("_atoms", "_index")
 
-    def __init__(self, atoms: Iterable[tuple[int, object]]):
-        merged: dict[int, Fraction] = {}
+    _site = int
+    _add_sites = operator.add
+    _normalized = True
+
+    def __init__(self, atoms: Iterable[tuple[object, object]]):
+        site_of = self._site
+        merged: dict = {}
         for site, mass in atoms:
-            site = int(site)
+            site = site_of(site)
             mass = as_fraction(mass)
             if mass < 0:
                 raise ValueError(f"negative mass {mass} at site {site}")
@@ -73,75 +89,80 @@ class IntDist:
                 merged[site] = mass
         if not merged:
             raise ValueError("empty distribution")
-        total = sum(merged.values())
-        if total != 1:
-            raise ValueError(f"masses sum to {total}, expected 1")
+        if self._normalized:
+            total = sum(merged.values())
+            if total != 1:
+                raise ValueError(f"masses sum to {total}, expected 1")
         object.__setattr__(self, "_atoms", tuple(sorted(merged.items())))
+        object.__setattr__(self, "_index", merged)
 
     # -- basic accessors -------------------------------------------------
 
     @property
-    def atoms(self) -> tuple[tuple[int, Fraction], ...]:
+    def atoms(self) -> tuple[tuple[object, Fraction], ...]:
         return self._atoms
 
     @property
-    def sites(self) -> tuple[int, ...]:
+    def sites(self) -> tuple:
         return tuple(s for s, _ in self._atoms)
 
     @property
     def masses(self) -> tuple[Fraction, ...]:
         return tuple(m for _, m in self._atoms)
 
-    def mass(self, site: int) -> Fraction:
-        for s, m in self._atoms:
-            if s == site:
-                return m
-            if s > site:
-                break
-        return Fraction(0)
+    def mass(self, site) -> Fraction:
+        return self._index.get(site, _ZERO)
 
     def __len__(self) -> int:
         return len(self._atoms)
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, IntDist) and self._atoms == other._atoms
+        return type(other) is type(self) and self._atoms == other._atoms
 
     def __hash__(self) -> int:
         return hash(self._atoms)
 
     def __repr__(self) -> str:
         inner = ", ".join(f"{s}: {format_fraction(m)}" for s, m in self._atoms)
-        return f"IntDist({{{inner}}})"
+        return f"{type(self).__name__}({{{inner}}})"
 
     def __setattr__(self, name, value):
-        raise AttributeError("IntDist is immutable")
+        raise AttributeError(f"{type(self).__name__} is immutable")
 
     def denominator(self) -> int:
         """Least common denominator of all masses."""
-        d = 1
-        for m in self.masses:
-            d = d * m.denominator // gcd(d, m.denominator)
-        return d
+        return lcm(*(m.denominator for _, m in self._atoms))
+
+    def _compatible(self, other) -> bool:
+        """Whether the sites of self and other can be added."""
+        return type(other) is type(self)
 
     # -- serialization ---------------------------------------------------
 
     def to_json_obj(self) -> dict:
         return {"atoms": [[s, format_fraction(m)] for s, m in self._atoms]}
 
+    @classmethod
+    def from_json_obj(cls, obj):
+        if not isinstance(obj, dict) or "atoms" not in obj:
+            raise ValueError("distribution JSON must be an object with an 'atoms' key")
+        try:
+            return cls(obj["atoms"])
+        except TypeError as exc:
+            raise ValueError(str(exc)) from exc
+
+
+class IntDist(FiniteMeasure):
+    """Finite probability distribution on Z with exact rational masses
+    summing to exactly 1."""
+
+    __slots__ = ()
+
     def to_json(self) -> str:
         return json.dumps(self.to_json_obj())
 
     def to_text(self) -> str:
         return "\n".join(f"{s}: {format_fraction(m)}" for s, m in self._atoms) + "\n"
-
-    @staticmethod
-    def from_json_obj(obj: dict) -> "IntDist":
-        if not isinstance(obj, dict) or "atoms" not in obj:
-            raise ValueError("distribution JSON must be an object with an 'atoms' key")
-        try:
-            return IntDist((site, as_fraction(mass)) for site, mass in obj["atoms"])
-        except TypeError as exc:
-            raise ValueError(str(exc)) from exc
 
     @staticmethod
     def from_json(text: str) -> "IntDist":
@@ -186,29 +207,34 @@ def uniform_interval(lo: int, hi: int) -> IntDist:
 # -- operations ------------------------------------------------------------
 
 
-def _convolve_numerators(a: IntDist, b: IntDist) -> tuple[dict[int, int], int]:
+def _convolve_numerators(a: FiniteMeasure, b: FiniteMeasure) -> tuple[dict, int]:
     """Integer numerators of the convolution of a and b over the product of
-    their common denominators: the one convolution kernel of this module."""
+    their common denominators: the one convolution kernel of the package,
+    for integer and lattice sites alike."""
+    if not a._compatible(b):
+        raise ValueError(f"cannot convolve {type(a).__name__} and {type(b).__name__}: site types or dimensions differ")
     da, db = a.denominator(), b.denominator()
     na = [(s, m.numerator * (da // m.denominator)) for s, m in a.atoms]
     nb = [(s, m.numerator * (db // m.denominator)) for s, m in b.atoms]
-    out: dict[int, int] = {}
+    add = a._add_sites
+    out: dict = {}
     for sa, wa in na:
         for sb, wb in nb:
-            key = sa + sb
+            key = add(sa, sb)
             out[key] = out.get(key, 0) + wa * wb
     return out, da * db
 
 
-def convolve(a: IntDist, b: IntDist) -> IntDist:
-    """Exact distribution of the sum of independent draws from a and b.
+def convolve(a: FiniteMeasure, b: FiniteMeasure) -> FiniteMeasure:
+    """Exact law of the sum of independent draws from a and b, of the same
+    container type as a.
 
     Masses are accumulated as integer numerators over the product of the two
     common denominators, so only one gcd normalization happens per output
     atom instead of one per term.
     """
     out, den = _convolve_numerators(a, b)
-    return IntDist((s, Fraction(w, den)) for s, w in out.items())
+    return type(a)((s, Fraction(w, den)) for s, w in out.items())
 
 
 def q_max_convolve(a: IntDist, b: IntDist) -> Fraction:
@@ -232,11 +258,11 @@ def convolve_all(dists: Sequence[IntDist]) -> IntDist:
     return acc
 
 
-def convolve_power(mu: IntDist, n: int) -> IntDist:
+def convolve_power(mu: FiniteMeasure, n: int) -> FiniteMeasure:
     """n-fold self-convolution by binary exponentiation."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    result: IntDist | None = None
+    result: FiniteMeasure | None = None
     base = mu
     while n:
         if n & 1:

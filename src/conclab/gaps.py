@@ -198,10 +198,6 @@ class Decomposition:
 
     parts: tuple[tuple[Fraction, tuple[int, int]], ...]
 
-    @property
-    def graph_edges(self) -> tuple[tuple[int, int], ...]:
-        return tuple(pair for _, pair in self.parts)
-
     def reconstruct(self) -> IntDist:
         masses: dict[int, Fraction] = {}
         for w, (a, b) in self.parts:

@@ -10,6 +10,7 @@ error-aware: (value + err) against (other - err).
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
@@ -17,7 +18,7 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 from scipy.integrate import quad
 
-from .dist import IntDist, as_fraction, format_fraction
+from .dist import FiniteMeasure, IntDist, convolve, convolve_power
 
 
 def norm_cdf(z: float) -> float:
@@ -29,67 +30,37 @@ def norm_sf(z: float) -> float:
     return 0.5 * math.erfc(z / math.sqrt(2.0))
 
 
-class LatticeDist:
-    """Finite distribution on integer vectors with exact rational masses."""
+def _int_vector(site: Sequence[int]) -> tuple[int, ...]:
+    return tuple(int(v) for v in site)
 
-    __slots__ = ("_atoms", "_dim")
+
+def _add_vectors(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
+    return tuple(map(operator.add, a, b))
+
+
+class LatticeDist(FiniteMeasure):
+    """Finite probability distribution on integer vectors of one dimension
+    with exact rational masses."""
+
+    __slots__ = ()
+
+    _site = staticmethod(_int_vector)
+    _add_sites = staticmethod(_add_vectors)
 
     def __init__(self, atoms: Iterable[tuple[Sequence[int], object]]):
-        merged: dict[tuple[int, ...], Fraction] = {}
-        dim = None
-        for site, mass in atoms:
-            key = tuple(int(v) for v in site)
-            if dim is None:
-                dim = len(key)
-            elif len(key) != dim:
-                raise ValueError("mixed dimensions")
-            mass = as_fraction(mass)
-            if mass < 0:
-                raise ValueError(f"negative mass at {key}")
-            if key in merged:
-                raise ValueError(f"duplicate site {key}")
-            if mass > 0:
-                merged[key] = mass
-        if not merged:
-            raise ValueError("empty distribution")
-        if sum(merged.values()) != 1:
-            raise ValueError("masses must sum to 1")
-        object.__setattr__(self, "_atoms", tuple(sorted(merged.items())))
-        object.__setattr__(self, "_dim", dim)
-
-    @property
-    def atoms(self) -> tuple[tuple[tuple[int, ...], Fraction], ...]:
-        return self._atoms
+        super().__init__(atoms)
+        if len({len(s) for s, _ in self._atoms}) != 1:
+            raise ValueError("mixed dimensions")
 
     @property
     def dim(self) -> int:
-        return self._dim
+        return len(self._atoms[0][0])
 
-    def mass(self, site: Sequence[int]) -> Fraction:
-        key = tuple(int(v) for v in site)
-        for s, m in self._atoms:
-            if s == key:
-                return m
-        return Fraction(0)
-
-    def __len__(self) -> int:
-        return len(self._atoms)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, LatticeDist) and self._atoms == other._atoms
-
-    def __hash__(self) -> int:
-        return hash(self._atoms)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("LatticeDist is immutable")
-
-    def __repr__(self) -> str:
-        inner = ", ".join(f"{s}: {format_fraction(m)}" for s, m in self._atoms)
-        return f"LatticeDist({{{inner}}})"
+    def _compatible(self, other) -> bool:
+        return super()._compatible(other) and other.dim == self.dim
 
     def mean(self) -> tuple[Fraction, ...]:
-        d = self._dim
+        d = self.dim
         out = [Fraction(0)] * d
         for s, m in self._atoms:
             for i in range(d):
@@ -97,7 +68,7 @@ class LatticeDist:
         return tuple(out)
 
     def cov(self) -> tuple[tuple[Fraction, ...], ...]:
-        d = self._dim
+        d = self.dim
         mu = self.mean()
         out = [[Fraction(0)] * d for _ in range(d)]
         for s, m in self._atoms:
@@ -108,19 +79,8 @@ class LatticeDist:
         return tuple(tuple(row) for row in out)
 
     def shifted(self, vector: Sequence[int]) -> "LatticeDist":
-        v = tuple(int(x) for x in vector)
-        return LatticeDist((tuple(a + b for a, b in zip(s, v)), m) for s, m in self._atoms)
-
-    def to_json_obj(self) -> dict:
-        return {"atoms": [[list(s), format_fraction(m)] for s, m in self._atoms]}
-
-    @staticmethod
-    def from_json_obj(obj: dict) -> "LatticeDist":
-        return LatticeDist((site, Fraction(str(mass))) for site, mass in obj["atoms"])
-
-    @staticmethod
-    def from_dist(mu: IntDist) -> "LatticeDist":
-        return LatticeDist(((s,), m) for s, m in mu.atoms)
+        v = _int_vector(vector)
+        return LatticeDist((_add_vectors(s, v), m) for s, m in self._atoms)
 
 
 def lattice_delta(site: Sequence[int]) -> LatticeDist:
@@ -128,38 +88,17 @@ def lattice_delta(site: Sequence[int]) -> LatticeDist:
 
 
 def lconv(a: LatticeDist, b: LatticeDist) -> LatticeDist:
-    if a.dim != b.dim:
-        raise ValueError("dimension mismatch")
-    da = 1
-    for _, m in a.atoms:
-        da = da * m.denominator // math.gcd(da, m.denominator)
-    db = 1
-    for _, m in b.atoms:
-        db = db * m.denominator // math.gcd(db, m.denominator)
-    na = [(s, int(m * da)) for s, m in a.atoms]
-    nb = [(s, int(m * db)) for s, m in b.atoms]
-    out: dict[tuple[int, ...], int] = {}
-    for sa, wa in na:
-        for sb, wb in nb:
-            key = tuple(x + y for x, y in zip(sa, sb))
-            out[key] = out.get(key, 0) + wa * wb
-    den = da * db
-    return LatticeDist((s, Fraction(w, den)) for s, w in out.items())
+    """Convolution of two lattice distributions.
+
+    A function of its own rather than an alias of ``dist.convolve``, so that
+    a profiler or tracer can tell lattice convolutions from integer ones.
+    """
+    return convolve(a, b)
 
 
 def pow_conv(a: LatticeDist, m: int) -> LatticeDist:
     """m-fold convolution by binary exponentiation."""
-    if m < 1:
-        raise ValueError("m must be >= 1")
-    result: Optional[LatticeDist] = None
-    base = a
-    while m:
-        if m & 1:
-            result = base if result is None else lconv(result, base)
-        m >>= 1
-        if m:
-            base = lconv(base, base)
-    return result
+    return convolve_power(a, m)
 
 
 def tv_exact(a: LatticeDist, b: LatticeDist) -> Fraction:
@@ -317,12 +256,6 @@ class TVResult:
     tail_bound: float
     spec: GaussSpec
 
-    def upper(self) -> float:
-        return self.value + self.err
-
-    def lower(self) -> float:
-        return self.value - self.err
-
 
 def fit_gauss_spec(s: LatticeDist) -> GaussSpec:
     mean = tuple(float(x) for x in s.mean())
@@ -351,7 +284,7 @@ def tv_to_discretized_gaussian(s: LatticeDist, tol: float = 1e-6) -> TVResult:
     if d > 2:
         raise ValueError("exact side supported only for d <= 2")
     spec = fit_gauss_spec(s)
-    sites = [site for site, _ in s.atoms]
+    sites = s.sites
     box = []
     for j in range(d):
         sd = math.sqrt(spec.cov[j][j])

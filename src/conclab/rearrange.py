@@ -13,69 +13,28 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd
-from typing import Iterable, Optional
+from math import lcm
+from typing import Optional
 
-from .dist import IntDist, as_fraction, format_fraction, q_k
+from .dist import FiniteMeasure, IntDist, as_fraction, format_fraction, q_k
 
 
-class IntMeasure:
+class IntMeasure(FiniteMeasure):
     """Finite nonnegative measure on Z with exact rational masses.
 
     Unlike :class:`IntDist` the total mass may be any positive rational.
     """
 
-    __slots__ = ("_atoms", "_total")
+    __slots__ = ()
 
-    def __init__(self, atoms: Iterable[tuple[int, object]]):
-        merged: dict[int, Fraction] = {}
-        for site, mass in atoms:
-            site = int(site)
-            mass = as_fraction(mass)
-            if mass < 0:
-                raise ValueError(f"negative mass {mass} at site {site}")
-            if site in merged:
-                raise ValueError(f"duplicate site {site}")
-            if mass > 0:
-                merged[site] = mass
-        if not merged:
-            raise ValueError("zero measure")
-        object.__setattr__(self, "_atoms", tuple(sorted(merged.items())))
-        object.__setattr__(self, "_total", sum(merged.values()))
-
-    @property
-    def atoms(self) -> tuple[tuple[int, Fraction], ...]:
-        return self._atoms
-
-    @property
-    def total(self) -> Fraction:
-        return self._total
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, IntMeasure) and self._atoms == other._atoms
-
-    def __hash__(self) -> int:
-        return hash(self._atoms)
-
-    def __repr__(self) -> str:
-        inner = ", ".join(f"{s}: {format_fraction(m)}" for s, m in self._atoms)
-        return f"IntMeasure({{{inner}}})"
-
-    def __setattr__(self, name, value):
-        raise AttributeError("IntMeasure is immutable")
-
-    @staticmethod
-    def from_dist(mu: IntDist) -> "IntMeasure":
-        return IntMeasure(mu.atoms)
+    _normalized = False
 
     def scaled_integer_atoms(self) -> tuple[list[tuple[int, int]], int]:
         """Atoms with masses scaled by the common denominator to integers.
 
         Returns (list of (site, count), scale) with count = scale * mass.
         """
-        scale = 1
-        for _, m in self._atoms:
-            scale = scale * m.denominator // gcd(scale, m.denominator)
+        scale = self.denominator()
         return [(s, int(m * scale)) for s, m in self._atoms], scale
 
 
@@ -150,10 +109,6 @@ class BallFunction:
             if v == value:
                 return span
         raise KeyError(f"value {value} not in range")
-
-    @property
-    def size(self) -> int:
-        return self.domain[1] - self.domain[0] + 1
 
     def to_json_obj(self) -> dict:
         return {
@@ -290,10 +245,6 @@ def is_symmetric_unimodal(mu: IntDist) -> bool:
     return is_unimodal(mu)
 
 
-def _lcm(a: int, b: int) -> int:
-    return a * b // gcd(a, b)
-
-
 def dominating_coupling(mu: IntDist, mu_prime: IntDist, eps) -> JointCoupling:
     """Couple Z ~ plus_rearrange(mu) with X' ~ mu_prime on a shared uniform
     index.
@@ -315,12 +266,7 @@ def dominating_coupling(mu: IntDist, mu_prime: IntDist, eps) -> JointCoupling:
 
     c = 1 / (1 + eps)
     plus = plus_rearrange(mu)
-    n_den = 1
-    for _, m in plus.atoms:
-        n_den = _lcm(n_den, m.denominator)
-        n_den = _lcm(n_den, (c * m).denominator)
-    for _, m in mu_prime.atoms:
-        n_den = _lcm(n_den, m.denominator)
+    n_den = lcm(plus.denominator(), mu_prime.denominator(), *((c * m).denominator for _, m in plus.atoms))
     doublings = 0
     big_n = n_den
     if big_n % 2 == 1:

@@ -108,12 +108,3 @@ def power_interval(q, num: int, den: int, digits: int = DIGITS) -> Interval:
         return Interval.exact(1)
     return root_interval(q**num, den, digits)
 
-
-def compare_to_interval(value, iv: Interval) -> int:
-    """Sign of (value - iv) when decidable: 1, -1, or 0 for 'straddles'."""
-    value = Fraction(value)
-    if value >= iv.hi:
-        return 1
-    if value < iv.lo:
-        return -1
-    return 0

@@ -18,7 +18,7 @@ import json
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterator, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .dist import (
     IntDist,
@@ -170,12 +170,16 @@ def _interval(name: str, instance, lhs: Interval, rhs: Interval, details=None) -
     )
 
 
-def summarize(reports: Sequence[CheckReport]) -> dict:
-    """Counts per lemma name over the four outcomes."""
+def summarize(results: Iterable[tuple[str, str]]) -> dict:
+    """Counts per lemma name over the four outcomes, from (name, outcome)
+    pairs; an unknown outcome raises ValueError."""
+    outcomes = (PASS, FAIL, NOT_APPLICABLE, INDETERMINATE)
     out: dict[str, dict[str, int]] = {}
-    for r in reports:
-        bucket = out.setdefault(r.name, {PASS: 0, FAIL: 0, NOT_APPLICABLE: 0, INDETERMINATE: 0})
-        bucket[r.outcome] += 1
+    for name, outcome in results:
+        if outcome not in outcomes:
+            raise ValueError(f"unknown outcome {outcome!r}")
+        bucket = out.setdefault(name, dict.fromkeys(outcomes, 0))
+        bucket[outcome] += 1
     return out
 
 

@@ -263,3 +263,34 @@ def test_check_float_scalar_exits_2(tmp_path, field, value):
     path = tmp_path / "inst.json"
     path.write_text(json.dumps(instance))
     assert run(["check", "thm_tse", "--instance", str(path)]) == 2
+
+
+@pytest.mark.parametrize(
+    "content",
+    [
+        '{"atoms": [[[0], 0.5], [[1], 0.5]]}',
+        '{"atoms": [[[0], "1/0"], [[1], "1/2"]]}',
+        '{"atoms": [[0, "1/2"], [[1], "1/2"]]}',
+        '{"atoms": 3}',
+        '[[[0], "1/2"], [[1], "1/2"]]',
+    ],
+    ids=["float_mass", "zero_denominator", "integer_site", "atoms_not_a_list", "top_level_list"],
+)
+@pytest.mark.parametrize("action", ["terms", "tv"])
+def test_bad_lattice_exits_2(tmp_path, capsys, content, action):
+    path = tmp_path / "lattice.json"
+    path.write_text(content)
+    assert run(["gauss", action, str(path)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize(
+    "line",
+    ["5", json.dumps({"name": ["x"], "outcome": "pass"})],
+    ids=["not_an_object", "name_not_a_string"],
+)
+def test_report_bad_record_exits_2(tmp_path, capsys, line):
+    path = tmp_path / "rows.jsonl"
+    path.write_text(json.dumps({"name": "thm_tse", "outcome": "pass"}) + "\n" + line + "\n")
+    assert run(["report", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")

@@ -1,7 +1,9 @@
 """CLI `check` dispatch: one instance file per lemma."""
 
 import json
+import re
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
@@ -85,3 +87,34 @@ def test_check_bad_instance_exits_two(tmp_path, capsys):
     path = tmp_path / "inst.json"
     path.write_text(json.dumps({"alphas": ["1/2"]}))
     assert run(["check", "few_dropped", "--instance", str(path)]) == 2
+
+
+@pytest.mark.parametrize(
+    "lemma, changes",
+    [
+        ("odlyzko_richmond", {"n": 20.7}),
+        ("few_dropped", {"k": True, "K": 3.9}),
+        ("logconcmode", {"i": "3"}),
+        ("balanced_continuity_large", {"ks": [3, 5.0]}),
+    ],
+    ids=["float_n", "bool_k_float_K", "string_i", "float_in_ks"],
+)
+def test_check_integer_fields_must_be_json_integers(lemma, changes, tmp_path, capsys):
+    instance = {**INSTANCES[lemma][0], **changes}
+    path = tmp_path / "inst.json"
+    path.write_text(json.dumps(instance))
+    assert run(["check", lemma, "--instance", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("error: bad instance")
+
+
+def test_readme_instance_table_matches_the_parsers():
+    from conclab.cli import _FIELD_PARSERS, _LEMMAS, _OPTIONAL_FIELDS
+
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("### Checker instance files", 1)[1]
+    rows = re.findall(r"^\| `(\w+)` \| (.*) \|$", section, flags=re.MULTILINE)
+    documented = {lemma: re.findall(r"`([A-Za-z_]\w*)`", fields) for lemma, fields in rows}
+    assert documented == {lemma: list(fields) for lemma, (_, fields) in _LEMMAS.items()}
+    optional = {name for _, fields in rows for name in re.findall(r"optional `(\w+)`", fields)}
+    assert optional == _OPTIONAL_FIELDS
+    assert {name for _, fields in _LEMMAS.values() for name in fields} == set(_FIELD_PARSERS)

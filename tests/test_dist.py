@@ -1,9 +1,12 @@
 """Core distribution type and concentration functionals."""
 
+import itertools
 from fractions import Fraction as F
 from math import gcd
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conclab.dist import (
     IntDist,
@@ -27,6 +30,7 @@ from conclab.dist import (
     variance,
 )
 from conclab.extremal import nu
+from conclab.gauss import LatticeDist
 from conclab.verify import random_instance
 
 
@@ -212,3 +216,29 @@ def test_json_masses_are_exact_rationals():
     with pytest.raises(ValueError):
         IntDist.from_json_obj({"atoms": [[0, True]]})
     assert IntDist.from_json_obj({"atoms": [[0, 1]]}) == IntDist([(0, F(1))])
+
+
+@st.composite
+def _weighted_sites(draw):
+    sites = draw(st.lists(st.integers(-6, 6), min_size=1, max_size=7, unique=True))
+    weights = draw(st.lists(st.integers(1, 9), min_size=len(sites), max_size=len(sites)))
+    return [(s, F(w, sum(weights))) for s, w in zip(sites, weights)]
+
+
+def _scan_mass(container, site):
+    for s, m in container.atoms:
+        if s == site:
+            return m
+    return F(0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_weighted_sites())
+def test_mass_agrees_with_linear_scan(atoms):
+    mu = IntDist(atoms)
+    lo, hi = mu.sites[0], mu.sites[-1]
+    for site in range(lo - 2, hi + 3):
+        assert mu.mass(site) == _scan_mass(mu, site)
+    lattice = LatticeDist(((s, s * s % 5), m) for s, m in atoms)
+    for site in itertools.product(range(lo - 2, hi + 3), range(-1, 6)):
+        assert lattice.mass(site) == _scan_mass(lattice, site)

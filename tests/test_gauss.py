@@ -5,7 +5,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from conclab.dist import uniform
+from conclab.dist import IntDist, convolve, convolve_power, uniform
 from conclab.gauss import (
     GaussSpec,
     LatticeDist,
@@ -23,6 +23,7 @@ from conclab.gauss import (
     tv_exact,
     tv_to_discretized_gaussian,
 )
+from conclab.rearrange import IntMeasure
 
 SQUARE = LatticeDist(
     [((0, 0), F(1, 4)), ((1, 0), F(1, 4)), ((0, 1), F(1, 4)), ((1, 1), F(1, 4))]
@@ -216,3 +217,29 @@ def test_berry_esseen_zero_variance():
 
     with pytest.raises(ValueError):
         berry_esseen_gap([delta(3)])
+
+
+def test_one_dimensional_lattice_convolution_matches_int_dist():
+    mu = IntDist([(-1, F(1, 3)), (0, F(1, 6)), (2, F(1, 2))])
+    other = IntDist([(0, F(1, 4)), (5, F(3, 4))])
+
+    def lift(d):
+        return LatticeDist(((s,), m) for s, m in d.atoms)
+
+    def lifted_atoms(d):
+        return tuple(((s,), m) for s, m in d.atoms)
+
+    assert lconv(lift(mu), lift(other)).atoms == lifted_atoms(convolve(mu, other))
+    for n in (1, 2, 5, 8):
+        assert pow_conv(lift(mu), n).atoms == lifted_atoms(convolve_power(mu, n))
+
+
+def test_convolution_rejects_mixed_site_types_and_dimensions():
+    with pytest.raises(ValueError):
+        convolve(uniform([0, 1]), lattice_delta((0,)))
+    with pytest.raises(ValueError):
+        lconv(lattice_delta((0,)), uniform([0, 1]))
+    with pytest.raises(ValueError):
+        convolve(uniform([0, 1]), IntMeasure([(0, 2)]))
+    with pytest.raises(ValueError):
+        lconv(SQUARE, lattice_delta((0,)))

@@ -4,7 +4,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from conclab.dist import IntDist, delta, q_k, uniform
+from conclab.dist import IntDist, convolve, delta, q_k, uniform
 from conclab.extremal import nu
 from conclab.rearrange import (
     IntMeasure,
@@ -193,3 +193,16 @@ def test_measure_validation():
     measure = IntMeasure([(0, F(1, 3)), (2, F(1, 6))])
     scaled, scale = measure.scaled_integer_atoms()
     assert scale == 6 and scaled == [(0, 2), (2, 1)]
+
+
+def test_measure_keeps_total_other_than_one():
+    measure = IntMeasure([(0, 2), (3, F(1, 2))])
+    assert sum(measure.masses) == F(5, 2)
+    assert measure.mass(3) == F(1, 2) and measure.mass(1) == 0
+    assert measure.denominator() == 2
+    assert IntMeasure.from_json_obj(measure.to_json_obj()) == measure
+    square = convolve(measure, measure)
+    assert type(square) is IntMeasure and sum(square.masses) == F(25, 4)
+    assert IntMeasure([(0, 1)]) != delta(0)
+    with pytest.raises(ValueError):
+        IntDist(measure.atoms)

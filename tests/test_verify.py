@@ -260,9 +260,11 @@ def test_summarize_counts():
         few_dropped_check(AlphaSeq([F(1, 2)] * 40), 0, 2, F(1, 2)),
         few_dropped_check(AlphaSeq([F(1, 2)] * 4), 1, 2, F(1, 2)),
     ]
-    counts = summarize(reports)
+    counts = summarize((r.name, r.outcome) for r in reports)
     assert counts["few_dropped"][PASS] == 1
     assert counts["few_dropped"][NOT_APPLICABLE] == 1
+    with pytest.raises(ValueError, match="unknown outcome 'maybe'"):
+        summarize([("few_dropped", "maybe")])
 
 
 def test_random_instance_determinism_and_kinds():
