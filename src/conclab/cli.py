@@ -12,12 +12,13 @@ import argparse
 import csv
 import io
 import json
+import re
 import sys
 from fractions import Fraction
 from pathlib import Path
 
 from . import gaps, gauss, verify
-from .dist import IntDist, as_fraction, format_fraction
+from .dist import IntDist, as_fraction, format_fraction, json_int
 from .domination import dominates
 from .extremal import AlphaSeq, nu, t_oracle, t_oracle_curve, tse_report_json_obj, tsebal
 from .gaps import SymGAP, connected_decomposition, gap_cover, gap_fit_rank1, gap_is_proper, gap_sumset
@@ -29,79 +30,73 @@ USAGE_ERROR = 2
 CHECK_FAILED = 1
 
 
-class CliError(Exception):
-    pass
-
-
 def require(args, name: str):
     """Fetch an option that the chosen action needs; exit 2 when absent."""
     value = getattr(args, name.replace("-", "_"), None)
     if value is None:
-        raise CliError(f"--{name} is required for this action")
+        raise ValueError(f"--{name} is required for this action")
     return value
 
 
 def parse_fraction(text: str) -> Fraction:
     try:
         return Fraction(text)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise CliError(f"bad rational {text!r}: {exc}") from exc
+    except ZeroDivisionError as exc:
+        raise ValueError(f"bad rational {text!r}: {exc}") from exc
 
 
 def parse_window(text: str) -> tuple[int, int]:
-    try:
-        lo, hi = text.split("..")
-        return int(lo), int(hi)
-    except ValueError as exc:
-        raise CliError(f"bad window {text!r}; expected a..b") from exc
+    match = re.fullmatch(r"\s*([+-]?\d+)\s*\.\.\s*([+-]?\d+)\s*", text)
+    if match is None:
+        raise ValueError(f"bad window {text!r}; expected a..b")
+    return int(match[1]), int(match[2])
 
 
 def parse_alphas(text: str) -> AlphaSeq:
     return AlphaSeq(parse_fraction(part) for part in text.split(","))
 
 
-def load_dist(path: str) -> IntDist:
-    raw = Path(path).read_text()
+def _load(path: str, parse):
+    """parse(text of the file); a ValueError names the file, and a JSON
+    syntax error also its line and column."""
     try:
-        if raw.lstrip().startswith("{"):
-            try:
-                return IntDist.from_json(raw)
-            except json.JSONDecodeError as exc:
-                raise CliError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
-        return IntDist.from_text(raw)
+        return parse(Path(path).read_text())
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
     except ValueError as exc:
-        raise CliError(f"{path}: {exc}") from exc
+        raise ValueError(f"{path}: {exc}") from exc
+
+
+def load_dist(path: str) -> IntDist:
+    return _load(
+        path, lambda raw: IntDist.from_json(raw) if raw.lstrip().startswith("{") else IntDist.from_text(raw)
+    )
 
 
 def load_lattice(path: str) -> LatticeDist:
-    raw = Path(path).read_text()
-    try:
-        return LatticeDist.from_json_obj(json.loads(raw))
-    except json.JSONDecodeError as exc:
-        raise CliError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
-    except ValueError as exc:
-        raise CliError(f"{path}: {exc}") from exc
+    return _load(path, lambda raw: LatticeDist.from_json_obj(json.loads(raw)))
 
 
-def load_json(path: str) -> dict:
-    try:
-        return json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
-        raise CliError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
+def load_json(path: str):
+    return _load(path, json.loads)
 
 
 def emit(args, payload, text: str | None = None) -> None:
-    """Write the result to stdout and to --out when given."""
+    """Render the result as JSON, or as text under --format text, and write it."""
     if getattr(args, "seed", None) is not None and isinstance(payload, dict):
         payload.setdefault("seed", args.seed)
     if getattr(args, "format", "json") == "text" and text is not None:
         rendered = text
     else:
         rendered = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    _write(args, rendered)
+
+
+def _write(args, rendered: str) -> None:
+    """Write rendered output to stdout and to --out when given."""
     sys.stdout.write(rendered)
-    out = getattr(args, "out", None)
-    if out:
-        Path(out).write_text(rendered)
+    if args.out:
+        Path(args.out).write_text(rendered)
 
 
 # -- dist ------------------------------------------------------------------
@@ -168,26 +163,15 @@ def cmd_extremal(args) -> int:
         emit(args, tse_report_json_obj(parse_alphas(require(args, "alphas"))))
     elif args.action == "tsebal":
         alphas = parse_alphas(require(args, "alphas"))
-        try:
-            value = tsebal(alphas)
-        except ValueError as exc:
-            raise CliError(str(exc)) from exc
-        emit(args, {"alphas": [format_fraction(a) for a in alphas], "tsebal": format_fraction(value)})
+        emit(args, {"alphas": [format_fraction(a) for a in alphas], "tsebal": format_fraction(tsebal(alphas))})
     elif args.action == "oracle":
         alphas = parse_alphas(require(args, "alphas"))
         if args.windows:
             windows = [parse_window(part) for part in args.windows.split(",")]
-            try:
-                curve = t_oracle_curve(alphas, windows)
-            except ValueError as exc:
-                raise CliError(str(exc)) from exc
-            emit(args, {"alphas": [format_fraction(a) for a in alphas], "curve": curve})
+            emit(args, {"alphas": [format_fraction(a) for a in alphas], "curve": t_oracle_curve(alphas, windows)})
             return 0
         window = parse_window(require(args, "window"))
-        try:
-            value, witness = t_oracle(alphas, window)
-        except ValueError as exc:
-            raise CliError(str(exc)) from exc
+        value, witness = t_oracle(alphas, window)
         emit(
             args,
             {
@@ -210,10 +194,7 @@ def cmd_dominate(args) -> int:
 
 
 def cmd_couple(args) -> int:
-    try:
-        coupling = dominating_coupling(load_dist(args.mu), load_dist(args.mu_prime), parse_fraction(args.eps))
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
+    coupling = dominating_coupling(load_dist(args.mu), load_dist(args.mu_prime), parse_fraction(args.eps))
     payload = json.loads(coupling.to_json())
     payload["prob_A"] = format_fraction(coupling.prob_a())
     emit(args, payload)
@@ -221,10 +202,7 @@ def cmd_couple(args) -> int:
 
 
 def cmd_decompose(args) -> int:
-    try:
-        decomposition = connected_decomposition(load_dist(args.mu))
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
+    decomposition = connected_decomposition(load_dist(args.mu))
     payload = decomposition.to_json_obj()
     payload["connected"] = decomposition.is_connected()
     emit(args, payload)
@@ -235,26 +213,20 @@ def cmd_decompose(args) -> int:
 
 
 def _load_gap(path: str) -> SymGAP:
-    try:
-        return SymGAP.from_json_obj(load_json(path))
-    except (ValueError, KeyError) as exc:
-        raise CliError(f"{path}: {exc}") from exc
+    return _load(path, lambda raw: SymGAP.from_json_obj(json.loads(raw)))
 
 
 def cmd_gap(args) -> int:
     if args.action == "sumset":
         if len(args.inputs) != 2:
-            raise CliError("sumset needs two progression files")
+            raise ValueError("sumset needs two progression files")
         result = gap_sumset(_load_gap(args.inputs[0]), _load_gap(args.inputs[1]))
         emit(args, result.to_json_obj())
     elif args.action == "proper":
         if not args.inputs:
-            raise CliError("proper needs a progression file")
+            raise ValueError("proper needs a progression file")
         gap = _load_gap(args.inputs[0])
-        try:
-            proper = gap_is_proper(gap, budget=args.budget)
-        except ValueError as exc:
-            raise CliError(str(exc)) from exc
+        proper = gap_is_proper(gap, budget=args.budget)
         emit(args, {"proper": proper, "volume": gap.volume(), "distinct": len(gap.elements(args.budget))})
     elif args.action == "fit":
         values = [int(v) for v in require(args, "values").split(",")]
@@ -262,28 +234,28 @@ def cmd_gap(args) -> int:
         emit(args, None if gap is None else gap.to_json_obj())
     elif args.action == "cover":
         if len(args.inputs) < 2:
-            raise CliError("cover needs a progression file and distributions")
+            raise ValueError("cover needs a progression file and distributions")
         gap = _load_gap(args.inputs[0])
         dists = [load_dist(p) for p in args.inputs[1:]]
-        try:
-            fraction_covered = gap_cover(gap, dists, budget=args.budget)
-        except ValueError as exc:
-            raise CliError(str(exc)) from exc
-        emit(args, {"cover": format_fraction(fraction_covered)})
+        emit(args, {"cover": format_fraction(gap_cover(gap, dists, budget=args.budget))})
     return 0
+
+
+def _int_vectors(obj) -> list:
+    """A JSON list of lists of integers, else a ValueError."""
+    if not isinstance(obj, list) or not all(isinstance(v, list) and all(type(x) is int for x in v) for v in obj):
+        raise ValueError("vectors must be a list of lists of integers")
+    return obj
 
 
 def cmd_lattice_basis(args) -> int:
     if args.vectors_file:
-        vectors = load_json(args.vectors_file)
+        vectors = _int_vectors(load_json(args.vectors_file))
     else:
         vectors = [
             [int(v) for v in part.split(",")] for part in require(args, "vectors").split(";")
         ]
-    try:
-        basis = gaps.integer_span_basis(vectors)
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
+    basis = gaps.integer_span_basis(vectors)
     emit(
         args,
         {
@@ -300,21 +272,14 @@ def cmd_lattice_basis(args) -> int:
 
 
 def _load_spec(path: str) -> GaussSpec:
-    obj = load_json(path)
-    try:
-        return GaussSpec(tuple(float(x) for x in obj["mean"]), tuple(tuple(float(v) for v in row) for row in obj["cov"]))
-    except (ValueError, KeyError) as exc:
-        raise CliError(f"{path}: {exc}") from exc
+    return _load(path, lambda raw: GaussSpec.from_json_obj(json.loads(raw)))
 
 
 def cmd_gauss(args) -> int:
     if args.action == "cells":
         spec = _load_spec(require(args, "spec"))
         box = [parse_window(part) for part in require(args, "box").split(",")]
-        try:
-            table = gauss.discretized_gaussian(spec, box, tol=args.tol, seed=args.seed or 0)
-        except ValueError as exc:
-            raise CliError(str(exc)) from exc
+        table = gauss.discretized_gaussian(spec, box, tol=args.tol, seed=args.seed or 0)
         emit(
             args,
             {
@@ -324,7 +289,7 @@ def cmd_gauss(args) -> int:
         )
     elif args.action == "tv":
         if not args.inputs:
-            raise CliError("tv needs a lattice distribution file")
+            raise ValueError("tv needs a lattice distribution file")
         s = load_lattice(args.inputs[0])
         if args.pow:
             ms = [int(m) for m in args.pow.split(",")]
@@ -334,25 +299,17 @@ def cmd_gauss(args) -> int:
                 writer = csv.DictWriter(buf, fieldnames=["m", "tv", "tv_err", "L", "chi", "s_tilde"])
                 writer.writeheader()
                 writer.writerows(rows)
-                sys.stdout.write(buf.getvalue())
-                if args.out:
-                    Path(args.out).write_text(buf.getvalue())
+                _write(args, buf.getvalue())
             else:
                 emit(args, {"curve": rows})
         else:
-            try:
-                result = gauss.tv_to_discretized_gaussian(s, tol=args.tol)
-            except ValueError as exc:
-                raise CliError(str(exc)) from exc
+            result = gauss.tv_to_discretized_gaussian(s, tol=args.tol)
             emit(args, {"tv": result.value, "err": result.err, "cells": result.cells, "tail_bound": result.tail_bound})
     elif args.action == "terms":
         if not args.inputs:
-            raise CliError("terms needs at least one lattice distribution file")
+            raise ValueError("terms needs at least one lattice distribution file")
         ys = [load_lattice(p) for p in args.inputs]
-        try:
-            terms = gauss.llt_terms(ys)
-        except ValueError as exc:
-            raise CliError(str(exc)) from exc
+        terms = gauss.llt_terms(ys)
         emit(
             args,
             {
@@ -379,11 +336,7 @@ def cmd_gauss(args) -> int:
                 },
             )
             return 0 if report.holds else CHECK_FAILED
-        try:
-            bound = gauss.gaussian_tail_bound(cov, t_value)
-        except ValueError as exc:
-            raise CliError(str(exc)) from exc
-        emit(args, {"bound": bound})
+        emit(args, {"bound": gauss.gaussian_tail_bound(cov, t_value)})
     return 0
 
 
@@ -391,10 +344,7 @@ def cmd_be_gap(args) -> int:
     mus = [load_dist(p) for p in args.inputs]
     if args.repeat > 1:
         mus = mus * args.repeat
-    try:
-        report = gauss.berry_esseen_gap(mus)
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
+    report = gauss.berry_esseen_gap(mus)
     emit(
         args,
         {
@@ -412,15 +362,14 @@ def cmd_be_gap(args) -> int:
 # -- verify ------------------------------------------------------------------------
 
 
-def _json_int(value) -> int:
-    """An integer field of a JSON instance: floats and booleans are rejected,
-    never truncated."""
-    if type(value) is not int:
-        raise ValueError(f"expected a JSON integer, got {value!r}")
-    return value
+def _json_ints(value, length: int | None = None) -> list[int]:
+    if not isinstance(value, list) or length not in (None, len(value)):
+        raise TypeError(f"expected a list of {length or 'any number of'} JSON integers, got {value!r}")
+    return [json_int(v) for v in value]
 
 
-# instance field -> parser of its JSON value
+# instance field -> parser of its JSON value; a value of the wrong JSON type is
+# a TypeError, which cmd_check reports as a bad instance
 _FIELD_PARSERS = {
     "alphas": AlphaSeq,
     "alphas_prime": AlphaSeq,
@@ -429,13 +378,13 @@ _FIELD_PARSERS = {
     "delta": as_fraction,
     "eps": as_fraction,
     "gamma": as_fraction,
-    "window": tuple,
-    "signs": lambda value: value,
-    "i": _json_int,
-    "k": _json_int,
-    "K": _json_int,
-    "n": _json_int,
-    "ks": lambda value: [_json_int(k) for k in value],
+    "window": lambda value: tuple(_json_ints(value, 2)),
+    "signs": _json_ints,
+    "i": json_int,
+    "k": json_int,
+    "K": json_int,
+    "n": json_int,
+    "ks": _json_ints,
     **dict.fromkeys(("mu", "p", "x", "y", "z", "x_prime", "y_prime"), IntDist.from_json_obj),
     "ys": lambda value: [IntDist.from_json_obj(y) for y in value],
 }
@@ -458,24 +407,18 @@ _LEMMAS = {
 _OPTIONAL_FIELDS = {"signs"}
 
 
-def _check_from_instance(name: str, inst: dict) -> verify.CheckReport:
-    if name not in _LEMMAS:
-        raise CliError(f"unknown lemma {name!r}")
-    checker, fields = _LEMMAS[name]
-    args = [
-        None if field in _OPTIONAL_FIELDS and field not in inst else _FIELD_PARSERS[field](inst[field])
-        for field in fields
-    ]
-    # looked up at call time, so a wrapper installed on the verify module applies
-    return getattr(verify, checker)(*args)
-
-
 def cmd_check(args) -> int:
     inst = load_json(args.instance)
+    checker, fields = _LEMMAS[args.lemma]
     try:
-        report = _check_from_instance(args.lemma, inst)
-    except (KeyError, ValueError, TypeError) as exc:
-        raise CliError(f"bad instance: {exc}") from exc
+        values = [
+            None if field in _OPTIONAL_FIELDS and field not in inst else _FIELD_PARSERS[field](inst[field])
+            for field in fields
+        ]
+    except (KeyError, TypeError) as exc:
+        raise ValueError(f"bad instance: {exc}") from exc
+    # looked up at call time, so a wrapper installed on the verify module applies
+    report = getattr(verify, checker)(*values)
     emit(args, report.to_json_obj())
     return 0 if report.outcome != verify.FAIL else CHECK_FAILED
 
@@ -510,10 +453,7 @@ def cmd_scan(args) -> int:
         "instances": count,
         "violations": violations,
     }
-    body = "\n".join(lines) + ("\n" if lines else "") + json.dumps(summary, sort_keys=True) + "\n"
-    sys.stdout.write(body)
-    if args.out:
-        Path(args.out).write_text(body)
+    _write(args, "\n".join(lines) + ("\n" if lines else "") + json.dumps(summary, sort_keys=True) + "\n")
     return CHECK_FAILED if violations else 0
 
 
@@ -525,18 +465,15 @@ def _report_results(path: str):
             continue
         obj = json.loads(line)
         if not isinstance(obj, dict):
-            raise CliError(f"{path}:{lineno}: a report line must be a JSON object")
+            raise ValueError(f"{path}:{lineno}: a report line must be a JSON object")
         if "outcome" in obj and "name" in obj:
             if not isinstance(obj["name"], str):
-                raise CliError(f"{path}:{lineno}: the lemma name must be a string")
+                raise ValueError(f"{path}:{lineno}: the lemma name must be a string")
             yield obj["name"], obj["outcome"]
 
 
 def cmd_report(args) -> int:
-    try:
-        counts = verify.summarize(_report_results(args.input))
-    except ValueError as exc:
-        raise CliError(f"{args.input}: {exc}") from exc
+    counts = verify.summarize(_report_results(args.input))
     emit(args, counts)
     failed = any(bucket[verify.FAIL] for bucket in counts.values())
     return CHECK_FAILED if failed else 0
@@ -626,7 +563,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_be_gap)
 
     p = sub.add_parser("check", help="run one lemma checker on an instance file")
-    p.add_argument("lemma")
+    p.add_argument("lemma", choices=sorted(_LEMMAS))
     p.add_argument("--instance", required=True)
     _add_common(p)
     p.set_defaults(func=cmd_check)
@@ -649,6 +586,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def run(argv=None) -> int:
+    """Run one command.  Bad input (a ValueError, or an OSError for a file
+    that cannot be read) exits 2 with "error: ..." on stderr, here and only
+    here; any other exception is a program fault and stays a traceback."""
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
@@ -656,10 +596,7 @@ def run(argv=None) -> int:
         return USAGE_ERROR if exc.code not in (0, None) else 0
     try:
         return args.func(args)
-    except CliError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return USAGE_ERROR
-    except (OSError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return USAGE_ERROR
 

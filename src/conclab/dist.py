@@ -32,6 +32,13 @@ def as_fraction(value) -> Fraction:
         raise ValueError(f"zero denominator in {value!r}") from exc
 
 
+def json_int(value) -> int:
+    """An integer field of a JSON input; a float or a boolean is a TypeError."""
+    if type(value) is not int:
+        raise TypeError(f"expected a JSON integer, got {value!r}")
+    return value
+
+
 def format_fraction(f: Fraction) -> str:
     return f"{f.numerator}/{f.denominator}"
 
@@ -64,14 +71,14 @@ class FiniteMeasure:
     Immutable value type.  Atoms are stored as a tuple of (site, mass) pairs
     with sites strictly increasing and every mass positive, next to a
     site -> mass dict, so ``mass()`` is a dict lookup.  A subclass sets what
-    differs: ``_site`` coerces one input site, ``_add_sites`` adds two sites
-    in the convolution kernel, and ``_normalized`` requires the masses to sum
-    to exactly 1.  The integer site type is the default.
+    differs: ``_site`` converts one input site, rejecting floats, ``_add_sites``
+    adds two sites in the convolution kernel, and ``_normalized`` requires the
+    masses to sum to exactly 1.  The integer site type is the default.
     """
 
     __slots__ = ("_atoms", "_index")
 
-    _site = int
+    _site = operator.index
     _add_sites = operator.add
     _normalized = True
 
@@ -245,7 +252,7 @@ def q_max_convolve(a: IntDist, b: IntDist) -> Fraction:
     out, den = _convolve_numerators(a, b)
     total = sum(out.values())
     if total != den:
-        raise ValueError(f"masses sum to {Fraction(total, den)}, expected 1")
+        raise RuntimeError(f"masses sum to {Fraction(total, den)}, expected 1")
     return Fraction(max(out.values()), den)
 
 

@@ -15,7 +15,7 @@ from fractions import Fraction
 from math import comb, isqrt
 from typing import Optional, Sequence
 
-from .dist import IntDist, as_fraction, convolve_all, format_fraction, q_max
+from .dist import IntDist, as_fraction, convolve_all, format_fraction, json_int, q_max
 
 DEFAULT_ENUM_BUDGET = 10**6
 
@@ -94,11 +94,18 @@ class SymGAP:
         return {"rank": self.rank, "dims": list(self.dims), "generators": gens}
 
     @staticmethod
-    def from_json_obj(obj: dict) -> "SymGAP":
-        gens = []
-        for g in obj["generators"]:
-            gens.append(tuple(int(v) for v in g) if isinstance(g, list) else Fraction(str(g)))
-        return SymGAP(tuple(int(m) for m in obj["dims"]), tuple(gens))
+    def from_json_obj(obj) -> "SymGAP":
+        """Generators are "num/den" strings or integers (scalars) or lists of
+        integers (vectors); dims are integers.  Anything else is a ValueError."""
+        if not isinstance(obj, dict) or not all(isinstance(obj.get(k), list) for k in ("dims", "generators")):
+            raise ValueError("a progression must be an object with 'dims' and 'generators' lists")
+        try:
+            gens = tuple(
+                tuple(map(json_int, g)) if isinstance(g, list) else as_fraction(g) for g in obj["generators"]
+            )
+            return SymGAP(tuple(map(json_int, obj["dims"])), gens)
+        except TypeError as exc:
+            raise ValueError(str(exc)) from exc
 
 
 def gap_dilate(a: SymGAP, t: int) -> SymGAP:

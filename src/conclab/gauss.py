@@ -31,7 +31,7 @@ def norm_sf(z: float) -> float:
 
 
 def _int_vector(site: Sequence[int]) -> tuple[int, ...]:
-    return tuple(int(v) for v in site)
+    return tuple(map(operator.index, site))
 
 
 def _add_vectors(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
@@ -112,6 +112,15 @@ def tv_exact(a: LatticeDist, b: LatticeDist) -> Fraction:
 # -- discretized Gaussian ------------------------------------------------------
 
 
+def _float_array(value, ndim: int) -> np.ndarray:
+    """value as a float array of shape (d,) * ndim; a ragged or non-square
+    array, a string, a boolean or a non-finite number is a ValueError."""
+    arr = np.asarray(value)
+    if arr.dtype.kind not in "iuf" or arr.ndim != ndim or len(set(arr.shape)) != 1 or not np.isfinite(arr).all():
+        raise ValueError(f"expected a {'square matrix' if ndim == 2 else 'list'} of finite numbers")
+    return arr.astype(float)
+
+
 @dataclass(frozen=True)
 class GaussSpec:
     """Mean vector and symmetric positive-definite covariance."""
@@ -131,6 +140,13 @@ class GaussSpec:
     @property
     def dim(self) -> int:
         return len(self.mean)
+
+    @staticmethod
+    def from_json_obj(obj) -> "GaussSpec":
+        if not isinstance(obj, dict) or "mean" not in obj or "cov" not in obj:
+            raise ValueError("a Gaussian spec must be an object with 'mean' and 'cov'")
+        mean, cov = _float_array(obj["mean"], 1), _float_array(obj["cov"], 2)
+        return GaussSpec(tuple(mean.tolist()), tuple(map(tuple, cov.tolist())))
 
 
 def _cell_prob_1d(mu: float, sigma: float, x: int) -> tuple[float, float]:
@@ -420,7 +436,7 @@ def singular_lower_bound(a) -> SingularBoundReport:
 def gaussian_tail_bound(sigma, t: float) -> float:
     """exp(-t / (4 sigma_1)) bound for P(|X|^2 >= t), valid when the
     dimension is at most t / (16 sigma_1)."""
-    mat = np.asarray(sigma, dtype=float)
+    mat = _float_array(sigma, 2)
     d = mat.shape[0]
     sigma1 = float(np.linalg.eigvalsh(mat).max())
     if sigma1 <= 0:
@@ -445,6 +461,8 @@ def gaussian_tail_check(sigma, t: float, samples: int, seed: int = 0) -> TailChe
 
     Verifies empirical <= bound + 3 binomial standard errors (computed at the
     bound, the null rate)."""
+    if samples < 1:
+        raise ValueError("samples must be positive")
     bound = gaussian_tail_bound(sigma, t)
     mat = np.asarray(sigma, dtype=float)
     rng = np.random.default_rng(seed)

@@ -1,11 +1,17 @@
 """CLI surface: round-trips, exit codes, seeded reproducibility."""
 
+import contextlib
+import io
 import json
+import math
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conclab.cli import run
+from conclab import verify
+from conclab.cli import _FIELD_PARSERS, _LEMMAS, run
 from conclab.dist import IntDist, uniform
 
 
@@ -294,3 +300,181 @@ def test_report_bad_record_exits_2(tmp_path, capsys, line):
     path.write_text(json.dumps({"name": "thm_tse", "outcome": "pass"}) + "\n" + line + "\n")
     assert run(["report", str(path)]) == 2
     assert capsys.readouterr().err.startswith("error: ")
+
+
+# -- the bad-input contract: exit 2, "error: ..." on stderr, never a traceback --
+
+
+LATTICE = json.dumps({"atoms": [[[0, 0], "1/4"], [[1, 0], "1/4"], [[0, 1], "1/4"], [[1, 1], "1/4"]]})
+
+
+@pytest.mark.parametrize(
+    "argv, content",
+    [
+        (["gauss", "tv", "{f}", "--pow", "0"], LATTICE),
+        (["gauss", "tv", "{f}", "--pow", "x"], LATTICE),
+        (["gap", "fit", "--values", "1,x"], None),
+        (["gap", "proper", "{f}"], "[1, 2]"),
+        (["gap", "sumset", "{f}", "{f}"], "[1, 2]"),
+        (["gap", "cover", "{f}", "{f}"], "[1, 2]"),
+        (["gauss", "cells", "--spec", "{f}", "--box", "0..1"], "[1, 2]"),
+        (["gauss", "tail", "--cov", "{f}", "--t", "32"], '{"atoms": []}'),
+        (["gauss", "tail", "--cov", "{f}", "--t", "32"], "NaN"),
+        (["gauss", "tail", "--cov", "{f}", "--t", "32"], "[[NaN]]"),
+        (["gauss", "tail", "--cov", "{f}", "--t", "32", "--samples", "-5"], "[[1.0]]"),
+        (["lattice-basis", "--vectors", "1,x"], None),
+        (["lattice-basis", "--vectors-file", "{f}"], "[-6, 1, -6]"),
+        (["lattice-basis", "--vectors-file", "{f}"], "null"),
+        (["scan-conjecture", "--denominator", "1", "--window", "0..2", "--n", "2"], None),
+        (["scan-conjecture", "--denominator", "4", "--window", "2..0", "--n", "2"], None),
+        (["extremal", "nu", "--alpha", "2"], None),
+        (["extremal", "nu", "--alpha", "0"], None),
+        (["extremal", "tse", "--alphas", "0"], None),
+    ],
+    ids=[
+        "tv_pow_zero",
+        "tv_pow_not_an_int",
+        "gap_fit_values_not_ints",
+        "gap_proper_list",
+        "gap_sumset_list",
+        "gap_cover_list",
+        "gauss_cells_spec_list",
+        "gauss_tail_cov_object",
+        "gauss_tail_cov_nan",
+        "gauss_tail_cov_nan_entry",
+        "gauss_tail_negative_samples",
+        "lattice_basis_vectors_not_ints",
+        "lattice_basis_flat_list",
+        "lattice_basis_null",
+        "scan_denominator_1",
+        "scan_empty_window",
+        "extremal_nu_alpha_2",
+        "extremal_nu_alpha_0",
+        "extremal_tse_alpha_0",
+    ],
+)
+def test_bad_input_exits_2_without_traceback(tmp_path, capsys, argv, content):
+    path = tmp_path / "input.json"
+    if content is not None:
+        path.write_text(content)
+    assert run([arg.replace("{f}", str(path)) for arg in argv]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize(
+    "argv, content",
+    [
+        (["dist", "stats"], '{"atoms": [[0.5, "1/2"], [1.7, "1/2"]]}'),
+        (["dist", "stats"], '{"atoms": [["0", "1/2"], [1, "1/2"]]}'),
+        (["gauss", "tv"], '{"atoms": [[[0.5, 1], "1/2"], [[1, 1], "1/2"], [[0, 0], "0"]]}'),
+        (["gauss", "tv"], '{"atoms": [[["0", 1], "1/2"], [[1, 1], "1/2"]]}'),
+    ],
+    ids=["dist_float_site", "dist_string_site", "lattice_float_site", "lattice_string_site"],
+)
+def test_non_integer_site_exits_2(tmp_path, capsys, argv, content):
+    path = tmp_path / "input.json"
+    path.write_text(content)
+    assert run(argv + [str(path)]) == 2
+    assert "input.json: " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "content",
+    [
+        {"dims": [2.5], "generators": ["1/2"]},
+        {"dims": [2], "generators": [0.5]},
+        {"dims": [1], "generators": [[1, 0.5]]},
+        {"dims": [1]},
+        {"dims": 1, "generators": ["1/2"]},
+    ],
+    ids=["float_dim", "float_generator", "float_vector_entry", "no_generators", "dims_not_a_list"],
+)
+def test_bad_progression_exits_2(tmp_path, capsys, content):
+    path = tmp_path / "gap.json"
+    path.write_text(json.dumps(content))
+    assert run(["gap", "proper", str(path)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {path}: ")
+
+
+@pytest.mark.parametrize(
+    "content",
+    [{"mean": [0]}, {"mean": ["0"], "cov": [[1]]}, {"mean": [0], "cov": [[1, 0]]}, {"mean": [0], "cov": [[True]]}],
+    ids=["no_cov", "string_mean", "non_square_cov", "boolean_cov"],
+)
+def test_bad_gaussian_spec_exits_2(tmp_path, capsys, content):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(content))
+    assert run(["gauss", "cells", "--spec", str(path), "--box", "0..1"]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {path}: ")
+
+
+@pytest.mark.parametrize("content", ["[1, 2]", '"alphas"', "5"], ids=["list", "string", "number"])
+def test_instance_not_an_object_exits_2(tmp_path, capsys, content):
+    path = tmp_path / "inst.json"
+    path.write_text(content)
+    assert run(["check", "thm_tse", "--instance", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("error: bad instance: ")
+
+
+def test_checker_fault_is_a_traceback(files, monkeypatch):
+    def broken(*args):
+        raise TypeError("a fault inside the checker")
+
+    monkeypatch.setattr(verify, "few_dropped_check", broken)
+    with pytest.raises(TypeError, match="a fault inside the checker"):
+        run(["check", "few_dropped", "--instance", files["inst.json"]])
+
+
+# Every command that reads a file, with {f} standing for that file.
+FILE_COMMANDS = [
+    ["dist", "conv", "{f}", "{f}"],
+    ["dist", "stats", "{f}"],
+    ["dist", "rearrange", "{f}", "--kind", "sym"],
+    ["dist", "squeeze", "{f}"],
+    ["dist", "span", "{f}"],
+    ["dominate", "{f}", "{f}", "--eps", "1/2"],
+    ["couple", "{f}", "{f}", "--eps", "1/2"],
+    ["decompose", "{f}"],
+    ["gap", "sumset", "{f}", "{f}"],
+    ["gap", "proper", "{f}"],
+    ["gap", "cover", "{f}", "{f}"],
+    ["lattice-basis", "--vectors-file", "{f}"],
+    ["gauss", "cells", "--spec", "{f}", "--box", "0..1"],
+    ["gauss", "tv", "{f}"],
+    ["gauss", "tv", "{f}", "--pow", "2"],
+    ["gauss", "terms", "{f}"],
+    ["gauss", "tail", "--cov", "{f}", "--t", "32"],
+    ["gauss", "tail", "--cov", "{f}", "--t", "32", "--samples", "50"],
+    ["be-gap", "{f}"],
+    ["report", "{f}"],
+    *(["check", lemma, "--instance", "{f}"] for lemma in sorted(_LEMMAS)),
+]
+
+# Keys the loaders and the instance parsers look up, so random objects get past them.
+FUZZ_KEYS = sorted({"atoms", "dims", "generators", "mean", "cov", "name", "outcome", *_FIELD_PARSERS})
+
+# Small values only, so that no example can start a long computation.
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-6, 6) | st.sampled_from([0.5, math.nan, "1/2", "1/0", "x"]),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.sampled_from(FUZZ_KEYS), inner, max_size=3),
+    max_leaves=8,
+)
+FILE_CONTENTS = st.one_of(
+    JSON_VALUES.map(lambda value: json.dumps(value).encode()),
+    st.text(alphabet="0123456789:/-# \n", max_size=20).map(str.encode),
+    st.binary(max_size=20),
+)
+
+
+@pytest.fixture(scope="module")
+def fuzz_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz") / "input"
+
+
+@pytest.mark.parametrize("argv", FILE_COMMANDS, ids=[" ".join(a for a in argv if a != "{f}") for argv in FILE_COMMANDS])
+@settings(derandomize=True, max_examples=30, deadline=None)
+@given(content=FILE_CONTENTS)
+def test_any_file_content_exits_0_1_or_2(fuzz_path, argv, content):
+    fuzz_path.write_bytes(content)
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        assert run([arg.replace("{f}", str(fuzz_path)) for arg in argv]) in (0, 1, 2)

@@ -96,8 +96,23 @@ def test_check_bad_instance_exits_two(tmp_path, capsys):
         ("few_dropped", {"k": True, "K": 3.9}),
         ("logconcmode", {"i": "3"}),
         ("balanced_continuity_large", {"ks": [3, 5.0]}),
+        ("thm_tse", {"window": "ab"}),
+        ("thm_tse", {"window": [0, 1, 2]}),
+        ("thm_tse", {"window": [0, 1.5]}),
+        ("few_dropped", {"signs": "ab"}),
+        ("few_dropped", {"signs": [1, 0.5]}),
     ],
-    ids=["float_n", "bool_k_float_K", "string_i", "float_in_ks"],
+    ids=[
+        "float_n",
+        "bool_k_float_K",
+        "string_i",
+        "float_in_ks",
+        "string_window",
+        "three_int_window",
+        "float_in_window",
+        "string_signs",
+        "float_in_signs",
+    ],
 )
 def test_check_integer_fields_must_be_json_integers(lemma, changes, tmp_path, capsys):
     instance = {**INSTANCES[lemma][0], **changes}

@@ -1,5 +1,6 @@
 """Checks that results depend on are explicit exceptions, not `assert`
-statements, which `python -O` strips."""
+statements, which `python -O` strips; and the CLI decides "bad input, exit 2"
+in one place."""
 
 import ast
 from fractions import Fraction as F
@@ -22,6 +23,32 @@ def test_no_assert_statements_in_src():
             if isinstance(node, ast.Assert):
                 found.append(f"{path.name}:{node.lineno}")
     assert found == []
+
+
+def _handler_names(handler: ast.ExceptHandler) -> set[str]:
+    types = handler.type.elts if isinstance(handler.type, ast.Tuple) else [handler.type]
+    return {ast.unparse(t) for t in types if t is not None}
+
+
+def test_cli_turns_bad_input_into_exit_2_only_in_run_and_load():
+    tree = ast.parse((SRC / "cli.py").read_text())
+    functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+
+    def value_error_handlers(root):
+        return {
+            node.lineno
+            for node in ast.walk(root)
+            if isinstance(node, ast.ExceptHandler) and "ValueError" in _handler_names(node)
+        }
+
+    allowed = value_error_handlers(functions["_load"]) | value_error_handlers(functions["run"])
+    assert value_error_handlers(tree) == allowed
+    assert not any(isinstance(node, ast.ClassDef) and node.name == "CliError" for node in ast.walk(tree))
+    run = functions["run"]
+    caught = set().union(*(_handler_names(node) for node in ast.walk(run) if isinstance(node, ast.ExceptHandler)))
+    assert "ValueError" in caught
+    assert not caught & {"Exception", "BaseException", "TypeError", "KeyError"}
+    assert all(node.type is not None for node in ast.walk(run) if isinstance(node, ast.ExceptHandler))
 
 
 def test_tsebal_raises_when_pairings_disagree(monkeypatch):
