@@ -12,6 +12,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import re
 import sys
 from fractions import Fraction
@@ -43,6 +44,14 @@ def parse_fraction(text: str) -> Fraction:
         return Fraction(text)
     except ZeroDivisionError as exc:
         raise ValueError(f"bad rational {text!r}: {exc}") from exc
+
+
+def finite_float(text: str) -> float:
+    """A float flag; nan and +-inf are rejected, so argparse exits 2."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"not a finite number: {text!r}")
+    return value
 
 
 def parse_window(text: str) -> tuple[int, int]:
@@ -549,16 +558,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--box")
     p.add_argument("--pow")
     p.add_argument("--cov")
-    p.add_argument("--t", type=float)
+    p.add_argument("--t", type=finite_float)
     p.add_argument("--samples", type=int)
-    p.add_argument("--tol", type=float, default=1e-6)
+    p.add_argument("--tol", type=finite_float, default=1e-6)
     _add_common(p)
     p.set_defaults(func=cmd_gauss)
 
     p = sub.add_parser("be-gap", help="exact CDF gap against the normal")
     p.add_argument("inputs", nargs="+")
     p.add_argument("--repeat", type=int, default=1)
-    p.add_argument("--c-be", type=float, default=0.56)
+    p.add_argument("--c-be", type=finite_float, default=0.56)
     _add_common(p)
     p.set_defaults(func=cmd_be_gap)
 

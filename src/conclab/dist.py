@@ -8,10 +8,21 @@ with strictly increasing integer sites and positive rational masses summing to
 exactly one.  Every probabilistic quantity in this package (concentration
 functionals, moments, rearrangements, structural predicates) is computed in
 exact rational arithmetic on these values; floating point never enters.
+
+Convolution has one kernel (``_convolve_numerators``) behind ``convolve``,
+``convolve_all``, ``convolve_power`` and ``q_max_convolve``.  It works on
+integer numerators over each law's common denominator and has two branches.
+Large dense supports use Kronecker substitution: each law is packed into one
+Python int with a fixed-width slot per point of the result's bounding box,
+CPython's big-int multiply (or ``pow``) does the convolution, and one pass
+over the slots unpacks the result, already in site order.  Small or sparse
+supports use a pairwise loop over dicts.  ``_packs`` chooses between them from
+atom counts and box slot counts alone.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import operator
 from dataclasses import dataclass
@@ -214,22 +225,183 @@ def uniform_interval(lo: int, hi: int) -> IntDist:
 # -- operations ------------------------------------------------------------
 
 
-def _convolve_numerators(a: FiniteMeasure, b: FiniteMeasure) -> tuple[dict, int]:
-    """Integer numerators of the convolution of a and b over the product of
-    their common denominators: the one convolution kernel of the package,
-    for integer and lattice sites alike."""
-    if not a._compatible(b):
-        raise ValueError(f"cannot convolve {type(a).__name__} and {type(b).__name__}: site types or dimensions differ")
-    da, db = a.denominator(), b.denominator()
-    na = [(s, m.numerator * (da // m.denominator)) for s, m in a.atoms]
-    nb = [(s, m.numerator * (db // m.denominator)) for s, m in b.atoms]
-    add = a._add_sites
+def _box(pairs: list) -> list[tuple[int, int]]:
+    """Bounding box of the sites of (site, numerator) pairs in site order:
+    one (lo, hi) per coordinate; an integer site has one coordinate."""
+    if not isinstance(pairs[0][0], tuple):
+        return [(pairs[0][0], pairs[-1][0])]
+    return [(min(col), max(col)) for col in zip(*(s for s, _ in pairs))]
+
+
+def _slots(extents: Iterable[int]) -> int:
+    """Number of lattice points in a box with the given coordinate extents."""
+    n = 1
+    for e in extents:
+        n *= e + 1
+    return n
+
+
+# Costs of the packed kernel in units of one pairwise numerator product: a
+# fixed part, each input atom packed and each result slot unpacked.  The
+# crossover table behind them is in CHANGES.md.
+_PACK_FIXED = 128
+_PACK_PER_ATOM = 2
+_PACK_PER_SLOT = 3
+
+
+def _packs(parts: Sequence[list], n: int) -> bool:
+    """Whether the packed kernel should compute the product of the laws
+    ``parts`` raised to the n-th power, rather than the pairwise loop.
+
+    Only atom counts and box slot counts enter.  The pairwise work is
+    estimated as a left fold over the factors (a power as n equal factors),
+    each step costing the product of its operands' atom counts.  A partial
+    sum's atom count lies between a lower bound (|A + B| >= |A| + |B| - 1)
+    and an upper bound (the product of the counts, at most the slots of its
+    box).  Packing must cost less than the upper estimate, and the result
+    may have at most as many slots as the lower estimate has products: so a
+    sparse support (sites {0, 10**12}) never packs, and a wrong guess costs
+    at most a constant factor over the pairwise loop.
+    """
+    if n == 1 and len(parts) == 2:
+        na, nb = len(parts[0]), len(parts[1])
+        if na * nb <= _PACK_FIXED + _PACK_PER_ATOM * (na + nb):
+            return False  # the cost below without its slot term
+    atoms = sum(map(len, parts))
+    boxes = [_box(p) for p in parts]
+    slots = _slots(n * sum(b[j][1] - b[j][0] for b in boxes) for j in range(len(boxes[0])))
+    cost = _PACK_FIXED + _PACK_PER_ATOM * atoms + _PACK_PER_SLOT * slots
+    ext = [hi - lo for lo, hi in boxes[0]]
+    size_hi = size_lo = len(parts[0])
+    work_hi = work_lo = 0
+    for i in range(1, len(parts) * n):
+        count, box = len(parts[i % len(parts)]), boxes[i % len(parts)]
+        work_hi += size_hi * count
+        work_lo += size_lo * count
+        if work_hi > cost and work_lo >= slots:
+            return True
+        ext = [e + hi - lo for e, (lo, hi) in zip(ext, box)]
+        size_hi = min(size_hi * count, _slots(ext))
+        size_lo += count - 1
+    return False
+
+
+def _times(x: Iterable, y: Iterable, add) -> dict:
+    """Site -> numerator of the product of two (site, numerator) iterables:
+    the pairwise loop."""
     out: dict = {}
-    for sa, wa in na:
-        for sb, wb in nb:
+    for sa, wa in x:
+        for sb, wb in y:
             key = add(sa, sb)
             out[key] = out.get(key, 0) + wa * wb
-    return out, da * db
+    return out
+
+
+def _convolve_pairwise(parts: Sequence[list], n: int, add) -> dict:
+    """Site -> numerator of the product of the laws ``parts`` raised to the
+    n-th power: the pairwise loop folded left, then binary exponentiation.
+    The branch for small or sparse supports."""
+    acc, out = parts[0], None
+    for p in parts[1:]:
+        out = _times(acc, p, add)
+        acc = out.items()
+    base = dict(acc) if out is None else out
+    if n == 1:
+        return base
+    result = None
+    while n:
+        if n & 1:
+            result = base if result is None else _times(result.items(), base.items(), add)
+        n >>= 1
+        if n:
+            base = _times(base.items(), base.items(), add)
+    return result
+
+
+def _convolve_packed(parts: Sequence[list], n: int) -> dict:
+    """Site -> numerator, in site order, of the product of the laws
+    ``parts`` raised to the n-th power, by Kronecker substitution.
+
+    Each law becomes one integer with a slot of w bytes per point of the
+    result's bounding box, its numerator at the slot of its site.  Lattice
+    sites use row-major strides of the summed box, so coordinates never carry
+    into each other.  A result numerator is at most the product of the input
+    numerator sums, which fits in w bytes, so the big-int product holds every
+    result numerator in its own slot.
+    """
+    boxes = [_box(p) for p in parts]
+    lo = [n * sum(b[j][0] for b in boxes) for j in range(len(boxes[0]))]
+    ext = [n * sum(b[j][1] - b[j][0] for b in boxes) for j in range(len(boxes[0]))]
+    strides = [1] * len(ext)
+    for j in range(len(ext) - 1, 0, -1):
+        strides[j - 1] = strides[j] * (ext[j] + 1)
+    total = 1
+    for p in parts:
+        total *= sum(c for _, c in p)
+    w = ((total**n).bit_length() + 7) // 8
+
+    vector = isinstance(parts[0][0][0], tuple)
+    values = []
+    for p, box in zip(parts, boxes):
+        buf = bytearray(w * (1 + sum((hi - l) * st for (l, hi), st in zip(box, strides))))
+        for s, c in p:
+            if vector:
+                k = sum((x - l) * st for x, (l, _), st in zip(s, box, strides))
+            else:
+                k = s - box[0][0]
+            buf[k * w : k * w + w] = c.to_bytes(w, "little")
+        values.append(int.from_bytes(buf, "little"))
+    while len(values) > 1:  # a balanced product tree keeps the operands even
+        values = [values[i] * values[i + 1] if i + 1 < len(values) else values[i] for i in range(0, len(values), 2)]
+    value = pow(values[0], n)
+
+    slots = _slots(ext)
+    data = value.to_bytes(slots * w, "little")
+    if vector:
+        sites = itertools.product(*(range(l, l + e + 1) for l, e in zip(lo, ext)))
+    else:
+        sites = range(lo[0], lo[0] + ext[0] + 1)
+    from_bytes = int.from_bytes
+    coefficients = [from_bytes(data[k : k + w], "little") for k in range(0, slots * w, w)]
+    return {s: c for s, c in zip(sites, coefficients) if c}
+
+
+def _convolve_numerators(laws: Sequence[FiniteMeasure], n: int = 1):
+    """Integer numerators of the law of the sum of one draw from each of
+    ``laws``, all of it n times over, and their common denominator: the one
+    convolution kernel of the package, for integer and lattice sites alike.
+
+    Returns (out, den): a site -> numerator dict, not necessarily in site
+    order, over den, the product of the inputs' common denominators to the
+    n-th power.  ``_packs`` picks the branch.  The numerators must sum to the
+    product of the inputs' numerator sums (their denominators for normalized
+    laws); anything else is a broken input or a kernel fault.
+    """
+    first = laws[0]
+    parts, den, total = [], 1, 1
+    for mu in laws:
+        if not first._compatible(mu):
+            raise ValueError(
+                f"cannot convolve {type(first).__name__} and {type(mu).__name__}: site types or dimensions differ"
+            )
+        d = mu.denominator()
+        pairs = [(s, m.numerator * (d // m.denominator)) for s, m in mu._atoms]
+        parts.append(pairs)
+        den *= d
+        total *= d if mu._normalized else sum(c for _, c in pairs)
+    if n > 1:
+        den, total = den**n, total**n
+    if _packs(parts, n):
+        out = _convolve_packed(parts, n)
+    else:
+        out = _convolve_pairwise(parts, n, first._add_sites)
+    if sum(out.values()) != total:
+        raise RuntimeError("convolution numerators do not sum to the product of the input sums")
+    return out, den
+
+
+def _from_numerators(cls, out: dict, den: int) -> FiniteMeasure:
+    return cls((s, Fraction(c, den)) for s, c in out.items())
 
 
 def convolve(a: FiniteMeasure, b: FiniteMeasure) -> FiniteMeasure:
@@ -238,46 +410,53 @@ def convolve(a: FiniteMeasure, b: FiniteMeasure) -> FiniteMeasure:
 
     Masses are accumulated as integer numerators over the product of the two
     common denominators, so only one gcd normalization happens per output
-    atom instead of one per term.
+    atom instead of one per term.  Large dense supports go through the
+    Kronecker-substitution kernel (one big-int product), small or sparse ones
+    through the pairwise loop; see ``_packs``.
     """
-    out, den = _convolve_numerators(a, b)
-    return type(a)((s, Fraction(w, den)) for s, w in out.items())
+    out, den = _convolve_numerators((a, b))
+    return _from_numerators(type(a), out, den)
 
 
 def q_max_convolve(a: IntDist, b: IntDist) -> Fraction:
     """q_max(convolve(a, b)) without building the convolution's IntDist.
 
-    The mass check stays exact: the numerators must sum to the denominator.
+    The mass check stays exact: the input numerators must sum to their
+    denominators and the output numerators to the product of those sums.
     """
-    out, den = _convolve_numerators(a, b)
-    total = sum(out.values())
-    if total != den:
-        raise RuntimeError(f"masses sum to {Fraction(total, den)}, expected 1")
+    out, den = _convolve_numerators((a, b))
     return Fraction(max(out.values()), den)
 
 
-def convolve_all(dists: Sequence[IntDist]) -> IntDist:
+def convolve_all(dists: Sequence[FiniteMeasure]) -> FiniteMeasure:
+    """Exact law of the sum of independent draws from each of dists, of the
+    container type of dists[0].
+
+    The whole product is one kernel call: packed, the laws are multiplied as
+    big integers and unpacked once; pairwise, the numerator dicts are folded
+    left.  No intermediate law is built.
+    """
     if not dists:
         raise ValueError("empty convolution")
-    acc = dists[0]
-    for d in dists[1:]:
-        acc = convolve(acc, d)
-    return acc
+    if len(dists) == 1:
+        return dists[0]
+    out, den = _convolve_numerators(dists)
+    return _from_numerators(type(dists[0]), out, den)
 
 
 def convolve_power(mu: FiniteMeasure, n: int) -> FiniteMeasure:
-    """n-fold self-convolution by binary exponentiation."""
+    """n-fold self-convolution.
+
+    Packed, this is ``pow`` of one big integer and one unpack; pairwise,
+    binary exponentiation of the numerator dict.  Either way no intermediate
+    law is built and only the output atoms are reduced to lowest terms.
+    """
     if n < 1:
         raise ValueError("n must be >= 1")
-    result: FiniteMeasure | None = None
-    base = mu
-    while n:
-        if n & 1:
-            result = base if result is None else convolve(result, base)
-        n >>= 1
-        if n:
-            base = convolve(base, base)
-    return result
+    if n == 1:
+        return mu
+    out, den = _convolve_numerators((mu,), n)
+    return _from_numerators(type(mu), out, den)
 
 
 def q_max(mu: IntDist) -> Fraction:

@@ -10,6 +10,7 @@ total.  Budget overflow raises; it is never silently approximated.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, isqrt
@@ -40,7 +41,7 @@ class SymGAP:
     def __post_init__(self):
         if len(self.dims) != len(self.generators):
             raise ValueError("dims and generators must have equal length")
-        if any(int(m) <= 0 for m in self.dims):
+        if any(operator.index(m) <= 0 for m in self.dims):
             raise ValueError("dims must be positive integers")
         kinds = {self._kind_of(g) for g in self.generators}
         if len(kinds) > 1:
@@ -133,7 +134,7 @@ def gap_is_proper(a: SymGAP, budget: int = DEFAULT_ENUM_BUDGET) -> bool:
 
 def gap_contains(a: SymGAP, x, budget: int = DEFAULT_ENUM_BUDGET) -> bool:
     if isinstance(x, (list, tuple)):
-        x = tuple(int(v) for v in x)
+        x = tuple(map(operator.index, x))
     else:
         x = as_fraction(x)
     return x in a.elements(budget)
@@ -158,7 +159,7 @@ def gap_fit_rank1(values: Sequence[int], eps=0) -> Optional[SymGAP]:
     When the needed quorum consists of zeros alone the rank-0 GAP {0} is
     returned.
     """
-    values = [int(v) for v in values]
+    values = [operator.index(v) for v in values]
     if not values:
         return None
     eps = as_fraction(eps)
@@ -379,7 +380,7 @@ def integer_span_basis(vectors: Sequence[Sequence[int]]) -> LatticeBasis:
     exact back-substitution, and matrix @ coords(x) == x is checked for every
     input vector.
     """
-    vecs = [tuple(int(v) for v in x) for x in vectors]
+    vecs = [tuple(map(operator.index, x)) for x in vectors]
     if not vecs:
         raise ValueError("empty vector set")
     d = len(vecs[0])
@@ -436,7 +437,7 @@ def max_span_vec(mu) -> VecSpanResult:
     mu is any object exposing vector atoms (site tuples); differences are
     taken from the lexicographically smallest support point.
     """
-    sites = sorted(tuple(int(v) for v in s) for s, _ in mu.atoms)
+    sites = sorted(tuple(map(operator.index, s)) for s, _ in mu.atoms)
     if len(sites) == 1:
         return VecSpanResult(True, None)
     base = sites[0]
@@ -454,7 +455,7 @@ def rademacher_q(multipliers: Sequence[int]) -> Fraction:
     bound C(n, floor(n/2)) / 2**n is checked on the result (RuntimeError if
     it fails).
     """
-    vs = [int(v) for v in multipliers]
+    vs = [operator.index(v) for v in multipliers]
     if not vs:
         raise ValueError("empty multiplier list")
     if any(v == 0 for v in vs):

@@ -9,6 +9,7 @@ error-aware: (value + err) against (other - err).
 
 from __future__ import annotations
 
+import itertools
 import math
 import operator
 from dataclasses import dataclass
@@ -97,7 +98,7 @@ def lconv(a: LatticeDist, b: LatticeDist) -> LatticeDist:
 
 
 def pow_conv(a: LatticeDist, m: int) -> LatticeDist:
-    """m-fold convolution by binary exponentiation."""
+    """m-fold self-convolution (``dist.convolve_power``)."""
     return convolve_power(a, m)
 
 
@@ -252,13 +253,17 @@ def discretized_gaussian(
         chol = np.linalg.cholesky(np.asarray(spec.cov))
         draws = rng.standard_normal((n, 3)) @ chol.T + np.asarray(spec.mean)
         rounded = np.floor(draws + 0.5).astype(int)
-        for x0 in range(box[0][0], box[0][1] + 1):
-            for x1 in range(box[1][0], box[1][1] + 1):
-                for x2 in range(box[2][0], box[2][1] + 1):
-                    hits = np.all(rounded == (x0, x1, x2), axis=1).sum()
-                    p = hits / n
-                    half = 3 * math.sqrt(max(p * (1 - p), 1.0 / n) / n)
-                    cells[(x0, x1, x2)] = (p, half)
+        del draws  # so the binning below needs less memory than the rounding
+        rounded -= [lo for lo, _ in box]  # offsets into the box
+        shape = tuple(max(hi - lo + 1, 0) for lo, hi in box)
+        inside = np.all((rounded >= 0) & (rounded < shape), axis=1)
+        counts = np.bincount(np.ravel_multi_index(rounded[inside].T, shape), minlength=math.prod(shape))
+        # itertools.product walks the box in row-major order, the order of
+        # the flat counts
+        for cell, hits in zip(itertools.product(*(range(lo, hi + 1) for lo, hi in box)), counts):
+            p = hits / n
+            half = 3 * math.sqrt(max(p * (1 - p), 1.0 / n) / n)
+            cells[cell] = (p, half)
     else:
         raise ValueError("dimension above 3 unsupported")
     return CellTable(cells, _tail_bound_outside_box(spec, box), spec)
@@ -351,28 +356,38 @@ def llt_terms(ys: Sequence[LatticeDist]) -> LLTTerms:
         raise ValueError("dimension mismatch")
     m = len(ys)
 
-    u_exact = []
+    # u, the chi terms and the covariance trace depend on the summand alone,
+    # so each distinct summand is worked out once.
+    per: dict = {}
     for y in ys:
+        if y in per:
+            continue
         shifts = []
         for j in range(d):
             e = [0] * d
             e[j] = 1
             shifts.append(1 - tv_exact(y, y.shifted(e)))
-        u_exact.append(min(shifts))
-    s_tilde_exact = sum(u_exact, Fraction(0)) - max(u_exact)
-
-    chi = 0.0
-    for y in ys:
+        terms = []
         for sa, ma in y.atoms:
             for sb, mb in y.atoms:
                 dist_sq = sum((a - b) ** 2 for a, b in zip(sa, sb))
-                chi += float(ma * mb) * dist_sq**1.5
+                terms.append(float(ma * mb) * dist_sq**1.5)
+        c = y.cov()
+        per[y] = (min(shifts), terms, sum(c[i][i] for i in range(d)))
+
+    u_exact = [per[y][0] for y in ys]
+    s_tilde_exact = sum(u_exact, Fraction(0)) - max(u_exact)
+
+    # The float terms are added one by one in the original summand order, so
+    # chi is the same float as a sum over every summand's atom pairs (a
+    # per-summand sum() or a multiple of it would round differently).
+    chi = 0.0
+    for y in ys:
+        for term in per[y][1]:
+            chi += term
     chi /= m
 
-    trace = Fraction(0)
-    for y in ys:
-        c = y.cov()
-        trace += sum(c[i][i] for i in range(d))
+    trace = sum((per[y][2] for y in ys), Fraction(0))
     denom = (2.0 * float(trace) / m) ** 1.5
     big_l = (chi / math.sqrt(m)) / denom if denom > 0 else math.inf
 

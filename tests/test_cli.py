@@ -309,6 +309,28 @@ LATTICE = json.dumps({"atoms": [[[0, 0], "1/4"], [[1, 0], "1/4"], [[0, 1], "1/4"
 
 
 @pytest.mark.parametrize(
+    "argv",
+    [
+        ["gauss", "tail", "--cov", "{f}", "--t", "nan"],
+        ["gauss", "tail", "--cov", "{f}", "--t", "inf"],
+        ["gauss", "cells", "--spec", "{f}", "--box", "0..1", "--tol", "nan"],
+        ["gauss", "tv", "{f}", "--tol=-inf"],
+        ["be-gap", "{f}", "--c-be", "nan"],
+        ["be-gap", "{f}", "--c-be=-Infinity"],
+    ],
+    ids=["tail_t_nan", "tail_t_inf", "cells_tol_nan", "tv_tol_minus_inf", "be_gap_c_be_nan", "be_gap_c_be_minus_inf"],
+)
+def test_non_finite_float_flag_exits_2(tmp_path, capsys, argv):
+    """argparse rejects the flag, so the message is its usage error."""
+    path = tmp_path / "input.json"
+    path.write_text("[[1.0]]")
+    assert run([arg.replace("{f}", str(path)) for arg in argv]) == 2
+    err = capsys.readouterr().err
+    flag = argv[-1].split("=")[0] if "=" in argv[-1] else argv[-2]
+    assert f"error: argument {flag}: invalid finite_float value" in err
+
+
+@pytest.mark.parametrize(
     "argv, content",
     [
         (["gauss", "tv", "{f}", "--pow", "0"], LATTICE),

@@ -2,7 +2,7 @@
 
 import itertools
 from fractions import Fraction as F
-from math import gcd
+from math import comb, gcd
 
 import pytest
 from hypothesis import given, settings
@@ -10,6 +10,9 @@ from hypothesis import strategies as st
 
 from conclab.dist import (
     IntDist,
+    _convolve_packed,
+    _convolve_pairwise,
+    _packs,
     convolve,
     convolve_all,
     convolve_power,
@@ -24,6 +27,7 @@ from conclab.dist import (
     q_interval,
     q_k,
     q_max,
+    q_max_convolve,
     shift,
     squeeze,
     uniform,
@@ -31,6 +35,7 @@ from conclab.dist import (
 )
 from conclab.extremal import nu
 from conclab.gauss import LatticeDist
+from conclab.rearrange import IntMeasure
 from conclab.verify import random_instance
 
 
@@ -242,3 +247,124 @@ def test_mass_agrees_with_linear_scan(atoms):
     lattice = LatticeDist(((s, s * s % 5), m) for s, m in atoms)
     for site in itertools.product(range(lo - 2, hi + 3), range(-1, 6)):
         assert lattice.mass(site) == _scan_mass(lattice, site)
+
+
+# -- the packed (Kronecker) and pairwise branches of the convolution kernel ----
+
+
+def _parts(laws):
+    """(site, numerator) pairs of each law over its common denominator: the
+    kernel's input form."""
+    out = []
+    for mu in laws:
+        d = mu.denominator()
+        out.append([(s, m.numerator * (d // m.denominator)) for s, m in mu.atoms])
+    return out
+
+
+def _reference_convolve(a, b):
+    """Two-law convolution in plain Fraction arithmetic, independent of the
+    kernel."""
+    out = {}
+    for sa, ma in a.atoms:
+        for sb, mb in b.atoms:
+            key = a._add_sites(sa, sb)
+            out[key] = out.get(key, F(0)) + ma * mb
+    return type(a)(out.items())
+
+
+_KINDS = ("int", "measure", "lattice1", "lattice2", "lattice3")
+
+
+def _site(kind):
+    if kind in ("int", "measure"):
+        return st.integers(-9, 9)
+    dim = int(kind[-1])
+    reach = {1: 6, 2: 2, 3: 1}[dim]
+    return st.tuples(*[st.integers(-reach, reach)] * dim)
+
+
+@st.composite
+def _law(draw, kind, max_atoms=6):
+    """A law of the given container kind: negative and gapped sites, single
+    atoms, uneven denominators; a measure's total is rarely 1."""
+    sites = draw(st.lists(_site(kind), min_size=1, max_size=max_atoms, unique=True))
+    weights = draw(st.lists(st.integers(1, 40), min_size=len(sites), max_size=len(sites)))
+    if kind == "measure":
+        den = draw(st.integers(1, 7))
+        return IntMeasure((s, F(w, den)) for s, w in zip(sites, weights))
+    atoms = [(s, F(w, sum(weights))) for s, w in zip(sites, weights)]
+    return IntDist(atoms) if kind == "int" else LatticeDist(atoms)
+
+
+@st.composite
+def _laws(draw, max_laws=4):
+    kind = draw(st.sampled_from(_KINDS))
+    return draw(st.lists(_law(kind), min_size=1, max_size=max_laws))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_laws(max_laws=3), st.integers(1, 3))
+def test_packed_branch_matches_pairwise_branch(laws, n):
+    parts = _parts(laws)
+    packed = _convolve_packed(parts, n)
+    pairwise = _convolve_pairwise(parts, n, laws[0]._add_sites)
+    assert packed == pairwise
+    assert list(packed) == sorted(packed)  # unpacked in site order
+    assert all(c > 0 for c in packed.values())
+
+
+@settings(max_examples=60, deadline=None)
+@given(_laws(max_laws=5))
+def test_convolve_all_matches_left_fold(laws):
+    expected = laws[0]
+    for mu in laws[1:]:
+        expected = _reference_convolve(expected, mu)
+    assert convolve_all(laws) == expected
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(_KINDS).flatmap(_law), st.integers(1, 9))
+def test_convolve_power_matches_repeated_convolution(mu, n):
+    expected = mu
+    for _ in range(n - 1):
+        expected = _reference_convolve(expected, mu)
+    assert convolve_power(mu, n) == expected
+
+
+@settings(max_examples=60, deadline=None)
+@given(_law("int", max_atoms=30), _law("int", max_atoms=30))
+def test_q_max_convolve_matches_q_max_of_convolve(a, b):
+    assert q_max_convolve(a, b) == q_max(_reference_convolve(a, b))
+
+
+def test_large_dense_laws_take_the_packed_branch():
+    mu = IntDist((s, F(s + 1, 5050)) for s in range(100))
+    assert _packs(_parts([mu, mu]), 1)
+    assert _packs(_parts([uniform([0, 1, 3])]), 128)
+    assert convolve(mu, mu) == _reference_convolve(mu, mu)
+    square = LatticeDist(((x, y), F(1, 4)) for x in (0, 1) for y in (0, 1))
+    assert _packs(_parts([square]), 16)
+    assert convolve_power(square, 16) == convolve_all([square] * 16)
+
+
+def test_small_laws_stay_pairwise():
+    laws = [uniform(range(k)) for k in range(1, 11)]
+    assert not any(_packs(_parts([a, b]), 1) for a in laws for b in laws)
+
+
+def test_sparse_power_stays_pairwise():
+    mu = IntDist([(0, F(1, 2)), (10**12, F(1, 2))])
+    assert not _packs(_parts([mu]), 64)
+    assert not _packs(_parts([mu] * 64), 1)
+    expected = IntDist((k * 10**12, F(comb(64, k), 2**64)) for k in range(65))
+    assert convolve_power(mu, 64) == expected
+    assert convolve_all([mu] * 64) == expected
+
+
+def test_kernel_keeps_measure_totals():
+    a = IntMeasure([(0, F(3, 2)), (2, F(5, 3))])
+    b = IntMeasure([(-1, 4), (1, F(1, 7))])
+    c = convolve(a, b)
+    assert sum(c.masses) == sum(a.masses) * sum(b.masses)
+    assert convolve_power(a, 40) == convolve_all([a] * 40)

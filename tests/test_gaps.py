@@ -162,6 +162,31 @@ def test_integer_span_basis_examples():
     assert b.rank == 2 and b.matrix == ((1, 0), (0, 1))
 
 
+
+@pytest.mark.parametrize("vectors", [[[0, 0], [0.5, 1]], [(0, 0), (1, 2.0)], [[0, 0], ["1", 0]]])
+def test_integer_span_basis_rejects_non_integer_entries(vectors):
+    with pytest.raises(TypeError):
+        integer_span_basis(vectors)
+
+
+def test_gap_contains_rejects_non_integer_vectors():
+    plane = SymGAP((1, 1), ((1, 0), (0, 1)))
+    assert gap_contains(plane, [1, -1])
+    assert not gap_contains(plane, (2, 0))
+    with pytest.raises(TypeError):
+        gap_contains(plane, [0.5, 0])
+    with pytest.raises(TypeError):
+        gap_contains(plane, (1, 1.0))
+
+
+def test_integer_inputs_are_not_truncated():
+    with pytest.raises(TypeError):
+        gap_fit_rank1([0, 1.5])
+    with pytest.raises(TypeError):
+        rademacher_q([1, 2.5])
+    with pytest.raises(TypeError):
+        SymGAP((2.5,), (F(1),))
+
 def _pivot_product(basis):
     rows = [tuple(basis.matrix[i][j] for i in range(len(basis.matrix))) for j in range(basis.rank)]
     product = 1

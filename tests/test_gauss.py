@@ -3,12 +3,16 @@
 import math
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conclab.dist import IntDist, convolve, convolve_power, uniform
 from conclab.gauss import (
     GaussSpec,
     LatticeDist,
+    LLTTerms,
     berry_esseen_gap,
     discretized_gaussian,
     fit_gauss_spec,
@@ -243,3 +247,106 @@ def test_convolution_rejects_mixed_site_types_and_dimensions():
         convolve(uniform([0, 1]), IntMeasure([(0, 2)]))
     with pytest.raises(ValueError):
         lconv(SQUARE, lattice_delta((0,)))
+
+
+# -- llt_terms once per distinct summand ---------------------------------------
+
+
+def _llt_terms_reference(ys):
+    """llt_terms as it was before summands were deduplicated: every summand
+    worked out in full."""
+    d = ys[0].dim
+    m = len(ys)
+    u_exact = []
+    for y in ys:
+        shifts = []
+        for j in range(d):
+            e = [0] * d
+            e[j] = 1
+            shifts.append(1 - tv_exact(y, y.shifted(e)))
+        u_exact.append(min(shifts))
+    s_tilde_exact = sum(u_exact, F(0)) - max(u_exact)
+    chi = 0.0
+    for y in ys:
+        for sa, ma in y.atoms:
+            for sb, mb in y.atoms:
+                dist_sq = sum((a - b) ** 2 for a, b in zip(sa, sb))
+                chi += float(ma * mb) * dist_sq**1.5
+    chi /= m
+    trace = F(0)
+    for y in ys:
+        c = y.cov()
+        trace += sum(c[i][i] for i in range(d))
+    denom = (2.0 * float(trace) / m) ** 1.5
+    big_l = (chi / math.sqrt(m)) / denom if denom > 0 else math.inf
+    return LLTTerms(
+        L=big_l,
+        chi=chi,
+        s_tilde=float(s_tilde_exact),
+        u=tuple(float(x) for x in u_exact),
+        applicable=s_tilde_exact > 0,
+    )
+
+
+@st.composite
+def _summand_mix(draw):
+    dim = draw(st.integers(1, 2))
+    site = st.tuples(*[st.integers(-2, 2)] * dim)
+    pool = []
+    for _ in range(draw(st.integers(1, 3))):
+        sites = draw(st.lists(site, min_size=1, max_size=5, unique=True))
+        weights = draw(st.lists(st.integers(1, 9), min_size=len(sites), max_size=len(sites)))
+        pool.append(LatticeDist((s, F(w, sum(weights))) for s, w in zip(sites, weights)))
+    picks = draw(st.lists(st.integers(0, len(pool) - 1), min_size=1, max_size=12))
+    return [pool[i] for i in picks]
+
+
+@settings(max_examples=100, deadline=None)
+@given(_summand_mix())
+def test_llt_terms_matches_per_summand_reference(ys):
+    assert llt_terms(ys) == _llt_terms_reference(ys)
+
+
+def test_llt_terms_repeated_base_matches_reference():
+    base = LatticeDist([((0,), F(5, 13)), ((1,), F(6, 13)), ((3,), F(2, 13))])
+    for m in (1, 2, 7, 64):
+        assert llt_terms([base] * m) == _llt_terms_reference([base] * m)
+    assert llt_terms([SQUARE] * 16) == _llt_terms_reference([SQUARE] * 16)
+
+
+# -- d = 3 Monte Carlo cells binned in one pass --------------------------------
+
+
+def _cells_by_scan(spec, box, n, seed):
+    """The d = 3 cell table as it was computed before binning: one scan of
+    all samples per cell."""
+    rng = np.random.default_rng(seed)
+    chol = np.linalg.cholesky(np.asarray(spec.cov))
+    draws = rng.standard_normal((n, 3)) @ chol.T + np.asarray(spec.mean)
+    rounded = np.floor(draws + 0.5).astype(int)
+    cells = {}
+    for x0 in range(box[0][0], box[0][1] + 1):
+        for x1 in range(box[1][0], box[1][1] + 1):
+            for x2 in range(box[2][0], box[2][1] + 1):
+                hits = np.all(rounded == (x0, x1, x2), axis=1).sum()
+                p = hits / n
+                half = 3 * math.sqrt(max(p * (1 - p), 1.0 / n) / n)
+                cells[(x0, x1, x2)] = (p, half)
+    return cells
+
+
+@pytest.mark.parametrize("seed", [0, 3, 17])
+@pytest.mark.parametrize(
+    "box",
+    [
+        [(-2, 2), (-2, 2), (-2, 2)],
+        [(-1, 1), (0, 2), (-3, 0)],
+        [(4, 5), (0, 0), (-1, 1)],  # mostly outside the mass
+        [(1, 0), (0, 1), (0, 1)],  # an empty range
+    ],
+)
+def test_monte_carlo_binning_matches_per_cell_scan(seed, box):
+    spec = GaussSpec((0.1, -0.2, 0.3), ((1.2, 0.1, 0.0), (0.1, 1.0, -0.2), (0.0, -0.2, 1.4)))
+    table = discretized_gaussian(spec, box, tol=1e-2, seed=seed, samples=20000)
+    expected = _cells_by_scan(spec, box, 20000, seed)
+    assert list(table.cells.items()) == list(expected.items())
