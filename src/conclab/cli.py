@@ -4,12 +4,17 @@ Results are emitted as JSON (rationals always as "num/den"), CSV for the
 convergence experiment, or plain text for distributions.  Exit codes: 0 on
 success or all-pass, 1 when a check fails or the scan finds a violation, 2 on
 usage or validation errors.  A fixed --seed yields byte-identical output.
+
+Only the gauss and be-gap commands import the Gaussian layer, and with it
+numpy (scipy only for a d = 2 cell table).  The parser is built once per
+process.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
@@ -17,15 +22,18 @@ import re
 import sys
 from fractions import Fraction
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-from . import gaps, gauss, verify
+from . import gaps, verify
 from .dist import IntDist, as_fraction, format_fraction, json_int
 from .domination import dominates
 from .extremal import AlphaSeq, nu, t_oracle, t_oracle_curve, tse_report_json_obj, tsebal
 from .gaps import SymGAP, connected_decomposition, gap_cover, gap_fit_rank1, gap_is_proper, gap_sumset
-from .gauss import GaussSpec, LatticeDist
 from .rearrange import dominating_coupling, minus_rearrange, plus_rearrange, sym_rearrange
 from .verify import ScanConfig, conjecture_scan, scan_mode
+
+if TYPE_CHECKING:
+    from .gauss import GaussSpec, LatticeDist
 
 USAGE_ERROR = 2
 CHECK_FAILED = 1
@@ -83,6 +91,8 @@ def load_dist(path: str) -> IntDist:
 
 
 def load_lattice(path: str) -> LatticeDist:
+    from .gauss import LatticeDist
+
     return _load(path, lambda raw: LatticeDist.from_json_obj(json.loads(raw)))
 
 
@@ -281,10 +291,14 @@ def cmd_lattice_basis(args) -> int:
 
 
 def _load_spec(path: str) -> GaussSpec:
+    from .gauss import GaussSpec
+
     return _load(path, lambda raw: GaussSpec.from_json_obj(json.loads(raw)))
 
 
 def cmd_gauss(args) -> int:
+    from . import gauss
+
     if args.action == "cells":
         spec = _load_spec(require(args, "spec"))
         box = [parse_window(part) for part in require(args, "box").split(",")]
@@ -350,6 +364,8 @@ def cmd_gauss(args) -> int:
 
 
 def cmd_be_gap(args) -> int:
+    from . import gauss
+
     mus = [load_dist(p) for p in args.inputs]
     if args.repeat > 1:
         mus = mus * args.repeat
@@ -497,8 +513,15 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", type=int, default=None)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="conclab", description=__doc__)
+    """The argparse tree, built once: parse_args makes a fresh Namespace on
+    every call and every default in the tree is immutable, so one parser
+    serves every run in the process."""
+    # --help shows the module docstring's first two paragraphs (none under
+    # -OO); the third is about the code, not its use
+    description = __doc__ and "\n\n".join(__doc__.split("\n\n")[:2])
+    parser = argparse.ArgumentParser(prog="conclab", description=description)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("dist", help="distribution operations")

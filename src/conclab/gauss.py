@@ -17,7 +17,6 @@ from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
-from scipy.integrate import quad
 
 from .dist import FiniteMeasure, IntDist, convolve, convolve_power
 
@@ -60,24 +59,30 @@ class LatticeDist(FiniteMeasure):
     def _compatible(self, other) -> bool:
         return super()._compatible(other) and other.dim == self.dim
 
+    def _moment_sums(self) -> tuple[int, list[tuple[int, ...]], list[list[int]]]:
+        """(den, axes, weighted): the common denominator of the masses, the
+        site coordinates axis by axis, and each axis times the integer
+        numerators n = mass * den, so that mean and cov are integer sums."""
+        den = self.denominator()
+        nums = [m.numerator * (den // m.denominator) for _, m in self._atoms]
+        axes = list(zip(*(s for s, _ in self._atoms)))
+        return den, axes, [list(map(operator.mul, nums, axis)) for axis in axes]
+
     def mean(self) -> tuple[Fraction, ...]:
-        d = self.dim
-        out = [Fraction(0)] * d
-        for s, m in self._atoms:
-            for i in range(d):
-                out[i] += m * s[i]
-        return tuple(out)
+        den, _, weighted = self._moment_sums()
+        return tuple(Fraction(sum(w), den) for w in weighted)
 
     def cov(self) -> tuple[tuple[Fraction, ...], ...]:
-        d = self.dim
-        mu = self.mean()
-        out = [[Fraction(0)] * d for _ in range(d)]
-        for s, m in self._atoms:
-            c = [Fraction(s[i]) - mu[i] for i in range(d)]
-            for i in range(d):
-                for j in range(d):
-                    out[i][j] += m * c[i] * c[j]
-        return tuple(tuple(row) for row in out)
+        # (den * sum n x_i x_j - sum n x_i * sum n x_j) / den**2: one Fraction per entry
+        den, axes, weighted = self._moment_sums()
+        first = [sum(w) for w in weighted]
+        return tuple(
+            tuple(
+                Fraction(den * sum(map(operator.mul, w, axis)) - f * g, den * den)
+                for axis, g in zip(axes, first)
+            )
+            for w, f in zip(weighted, first)
+        )
 
     def shifted(self, vector: Sequence[int]) -> "LatticeDist":
         v = _int_vector(vector)
@@ -156,6 +161,9 @@ def _cell_prob_1d(mu: float, sigma: float, x: int) -> tuple[float, float]:
 
 
 def _cell_prob_2d(spec: GaussSpec, x: tuple[int, int], epsabs: float) -> tuple[float, float]:
+    # imported here, its only use, so that importing this module leaves scipy out
+    from scipy.integrate import quad
+
     m1, m2 = spec.mean
     s11 = spec.cov[0][0]
     s12 = spec.cov[0][1]

@@ -690,13 +690,16 @@ def _gen_split_admissible(rng: random.Random, max_len: int = 6, offset: int = 10
 
 
 def _gen_integer_matrix(rng: random.Random, max_rows: int = 4, max_cols: int = 3, entry: int = 9):
-    import numpy as np
+    """Random integer matrix of full column rank, decided exactly as the rank
+    of the lattice its columns span."""
+    from .gaps import integer_span_basis
 
     while True:
         n = rng.randint(1, max_cols)
         m = rng.randint(n, max_rows)
         mat = [[rng.randint(-entry, entry) for _ in range(n)] for _ in range(m)]
-        if np.linalg.matrix_rank(np.asarray(mat, dtype=float)) == n:
+        columns = [[0] * m, *([row[j] for row in mat] for j in range(n))]
+        if integer_span_basis(columns).rank == n:
             return mat
 
 

@@ -1,5 +1,6 @@
 """CLI surface: round-trips, exit codes, seeded reproducibility."""
 
+import argparse
 import contextlib
 import io
 import json
@@ -11,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conclab import verify
-from conclab.cli import _FIELD_PARSERS, _LEMMAS, run
+from conclab.cli import _FIELD_PARSERS, _LEMMAS, build_parser, run
 from conclab.dist import IntDist, uniform
 
 
@@ -500,3 +501,80 @@ def test_any_file_content_exits_0_1_or_2(fuzz_path, argv, content):
     fuzz_path.write_bytes(content)
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         assert run([arg.replace("{f}", str(fuzz_path)) for arg in argv]) in (0, 1, 2)
+
+
+# -- one parser per process ---------------------------------------------------------
+
+
+def _capture(call, argv):
+    """(exit code, stdout, stderr) of call(argv); a SystemExit is its code."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = call(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+def test_build_parser_is_built_once():
+    assert build_parser() is build_parser()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["dist", "stats", "{mu.json}"],
+        ["dist", "conv", "{u01.json}", "{u01.json}", "--seed", "3"],
+        ["extremal", "tse", "--alphas", "3/5,3/5"],
+        ["dominate", "{mu.json}", "{mup.json}"],
+        ["dist", "stats", "{malformed.json}"],
+        ["dist", "stats"],
+        ["nonsense"],
+    ],
+)
+def test_same_argv_twice_same_result(files, argv):
+    argv = [files[arg[1:-1]] if arg.startswith("{") else arg for arg in argv]
+    assert _capture(run, argv) == _capture(run, argv)
+
+
+def test_parse_carries_nothing_over(files, tmp_path):
+    out = tmp_path / "conv.json"
+    first = ["dist", "conv", files["u01.json"], files["mu.json"], "--seed", "7", "--out", str(out)]
+    assert _capture(run, first)[0] == 0
+    out.unlink()
+
+    stats = ["dist", "stats", files["u01.json"]]
+    args = build_parser().parse_args(stats)
+    assert (args.inputs, args.seed, args.out) == ([files["u01.json"]], None, None)
+    code, stdout, _ = _capture(run, stats)
+    assert code == 0
+    assert "seed" not in json.loads(stdout)
+    assert not out.exists()
+    fresh = build_parser.__wrapped__().parse_args(stats)
+    assert stdout == _capture(fresh.func, fresh)[1]
+
+
+def test_usage_errors_and_parses_interleave(files):
+    good = ["dist", "stats", files["mu.json"]]
+    expected = _capture(run, good)
+    assert expected[0] == 0
+    for bad in (["dist", "stats"], ["dist", "nope", files["mu.json"]], ["check", "thm_tse"], ["--no-such-flag"]):
+        code, stdout, stderr = _capture(run, bad)
+        assert (code, stdout) == (2, "")
+        assert "usage: conclab" in stderr
+        assert _capture(run, good) == expected
+
+
+def _subcommands() -> list[str]:
+    (sub,) = [a for a in build_parser.__wrapped__()._actions if isinstance(a, argparse._SubParsersAction)]
+    return sorted(sub.choices)
+
+
+@pytest.mark.parametrize("argv", [["--help"]] + [[name, "--help"] for name in _subcommands()])
+def test_help_matches_a_fresh_parser(argv):
+    cached = _capture(run, argv)
+    fresh = _capture(build_parser.__wrapped__().parse_args, argv)
+    assert cached[1:] == fresh[1:]
+    assert cached[0] == 0 and fresh[0] == 0
+    assert cached[1].startswith("usage: conclab")

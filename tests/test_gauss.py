@@ -249,6 +249,57 @@ def test_convolution_rejects_mixed_site_types_and_dimensions():
         lconv(SQUARE, lattice_delta((0,)))
 
 
+# -- mean and covariance as integer sums ----------------------------------------
+
+
+def _mean_reference(s):
+    """LatticeDist.mean as a loop over the atoms in Fractions."""
+    d = s.dim
+    out = [F(0)] * d
+    for site, m in s.atoms:
+        for i in range(d):
+            out[i] += m * site[i]
+    return tuple(out)
+
+
+def _cov_reference(s):
+    """LatticeDist.cov as a loop over the atoms in Fractions."""
+    d = s.dim
+    mu = _mean_reference(s)
+    out = [[F(0)] * d for _ in range(d)]
+    for site, m in s.atoms:
+        c = [F(site[i]) - mu[i] for i in range(d)]
+        for i in range(d):
+            for j in range(d):
+                out[i][j] += m * c[i] * c[j]
+    return tuple(tuple(row) for row in out)
+
+
+@st.composite
+def _lattice_law(draw):
+    """A law in d = 1, 2 or 3 with negative and gapped sites and masses whose
+    denominators differ once reduced."""
+    dim = draw(st.integers(1, 3))
+    coord = st.one_of(st.integers(-3, 3), st.integers(-(10**9), 10**9))
+    sites = draw(st.lists(st.tuples(*[coord] * dim), min_size=1, max_size=12, unique=True))
+    weights = draw(st.lists(st.integers(1, 60), min_size=len(sites), max_size=len(sites)))
+    return LatticeDist((site, F(w, sum(weights))) for site, w in zip(sites, weights))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_lattice_law())
+def test_mean_and_cov_match_fraction_loops(s):
+    assert s.mean() == _mean_reference(s)
+    assert s.cov() == _cov_reference(s)
+
+
+def test_mean_and_cov_of_powers_match_fraction_loops():
+    skew = LatticeDist([((0, 0, 0), F(1, 7)), ((2, 0, -1), F(2, 7)), ((0, -3, 5), F(4, 7))])
+    for s in (pow_conv(SQUARE, 32), pow_conv(skew, 6)):
+        assert s.mean() == _mean_reference(s)
+        assert s.cov() == _cov_reference(s)
+
+
 # -- llt_terms once per distinct summand ---------------------------------------
 
 

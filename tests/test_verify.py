@@ -292,3 +292,30 @@ def test_random_instance_alpha_grid():
     seq = random_instance(3, "alpha-grid", denominator=8, n=5)
     assert len(seq) == 5
     assert all(a.denominator <= 8 for a in seq)
+
+
+def _integer_matrix_float_rank(rng, max_rows=4, max_cols=3, entry=9):
+    """The integer-matrix generator as it was, deciding full column rank in
+    floats; also returns how many draws it rejected."""
+    import numpy as np
+
+    rejected = 0
+    while True:
+        n = rng.randint(1, max_cols)
+        m = rng.randint(n, max_rows)
+        mat = [[rng.randint(-entry, entry) for _ in range(n)] for _ in range(m)]
+        if np.linalg.matrix_rank(np.asarray(mat, dtype=float)) == n:
+            return mat, rejected
+        rejected += 1
+
+
+@pytest.mark.parametrize("entry", [9, 1])
+def test_integer_matrix_exact_rank_matches_float_rank(entry):
+    import random
+
+    rejected = 0
+    for seed in range(200):
+        expected, r = _integer_matrix_float_rank(random.Random(f"integer-matrix#{seed}"), entry=entry)
+        rejected += r
+        assert random_instance(seed, "integer-matrix", entry=entry) == expected
+    assert rejected > 0  # the rank test decided something
