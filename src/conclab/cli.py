@@ -62,6 +62,14 @@ def finite_float(text: str) -> float:
     return value
 
 
+def positive_int(text: str) -> int:
+    """A count flag; zero and negative counts are rejected, so argparse exits 2."""
+    value = int(text)
+    if value < 1:
+        raise ValueError(f"not a positive integer: {text!r}")
+    return value
+
+
 def parse_window(text: str) -> tuple[int, int]:
     match = re.fullmatch(r"\s*([+-]?\d+)\s*\.\.\s*([+-]?\d+)\s*", text)
     if match is None:
@@ -346,7 +354,7 @@ def cmd_gauss(args) -> int:
     elif args.action == "tail":
         cov = load_json(require(args, "cov"))
         t_value = require(args, "t")
-        if args.samples:
+        if args.samples is not None:
             report = gauss.gaussian_tail_check(cov, t_value, args.samples, seed=args.seed or 0)
             emit(
                 args,
@@ -366,9 +374,7 @@ def cmd_gauss(args) -> int:
 def cmd_be_gap(args) -> int:
     from . import gauss
 
-    mus = [load_dist(p) for p in args.inputs]
-    if args.repeat > 1:
-        mus = mus * args.repeat
+    mus = [load_dist(p) for p in args.inputs] * args.repeat
     report = gauss.berry_esseen_gap(mus)
     emit(
         args,
@@ -582,14 +588,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pow")
     p.add_argument("--cov")
     p.add_argument("--t", type=finite_float)
-    p.add_argument("--samples", type=int)
+    p.add_argument("--samples", type=positive_int)
     p.add_argument("--tol", type=finite_float, default=1e-6)
     _add_common(p)
     p.set_defaults(func=cmd_gauss)
 
     p = sub.add_parser("be-gap", help="exact CDF gap against the normal")
     p.add_argument("inputs", nargs="+")
-    p.add_argument("--repeat", type=int, default=1)
+    p.add_argument("--repeat", type=positive_int, default=1)
     p.add_argument("--c-be", type=finite_float, default=0.56)
     _add_common(p)
     p.set_defaults(func=cmd_be_gap)

@@ -3,15 +3,17 @@
 :class:`FiniteMeasure` is the one atom container of the package: validation,
 storage, lookup, serialization and the convolution kernel live here, and
 ``rearrange.IntMeasure`` and ``gauss.LatticeDist`` are thin subclasses of it.
-The central type is :class:`IntDist`: an immutable list of (site, mass) atoms
-with strictly increasing integer sites and positive rational masses summing to
-exactly one.  Every probabilistic quantity in this package (concentration
-functionals, moments, rearrangements, structural predicates) is computed in
-exact rational arithmetic on these values; floating point never enters.
+The central type is :class:`IntDist`: strictly increasing integer sites with
+positive rational masses summing to exactly one, stored as one integer
+numerator per site over one common denominator.  Every probabilistic quantity
+in this package (concentration functionals, moments, rearrangements,
+structural predicates) is computed exactly on these integers, and Fractions
+are built only where masses leave the container; floating point never enters.
 
 Convolution has one kernel (``_convolve_numerators``) behind ``convolve``,
-``convolve_all``, ``convolve_power`` and ``q_max_convolve``.  It works on
-integer numerators over each law's common denominator and has two branches.
+``convolve_all``, ``convolve_power`` and ``q_max_convolve``.  It works on the
+stored numerators and has two branches, and its result enters the container
+through ``_from_integers``, reduced by one gcd.
 Large dense supports use Kronecker substitution: each law is packed into one
 Python int with a fixed-width slot per point of the result's bounding box,
 CPython's big-int multiply (or ``pow``) does the convolution, and one pass
@@ -72,22 +74,21 @@ class SpanResult:
 INFINITE_SPAN = SpanResult(None)
 
 
-_ZERO = Fraction(0)
-
-
 class FiniteMeasure:
     """Finite measure with exact positive rational masses: the one atom
     container of the package.
 
-    Immutable value type.  Atoms are stored as a tuple of (site, mass) pairs
-    with sites strictly increasing and every mass positive, next to a
-    site -> mass dict, so ``mass()`` is a dict lookup.  A subclass sets what
-    differs: ``_site`` converts one input site, rejecting floats, ``_add_sites``
-    adds two sites in the convolution kernel, and ``_normalized`` requires the
-    masses to sum to exactly 1.  The integer site type is the default.
+    Immutable value type: a dict of positive integer numerators in increasing
+    site order over one denominator, the least common one of the masses.
+    ``sites``, ``numerators``, ``numerator()`` and ``denominator()`` are the
+    read-only integer view; ``atoms``, ``masses``, ``mass()``, JSON, text and
+    ``repr`` build Fractions from it.  A subclass sets what differs: ``_site``
+    converts one input site, rejecting floats, ``_add_sites`` adds two sites
+    in the convolution kernel, and ``_normalized`` requires the masses to sum
+    to exactly 1.  The integer site type is the default.
     """
 
-    __slots__ = ("_atoms", "_index")
+    __slots__ = ("_nums", "_den")
 
     _site = operator.index
     _add_sites = operator.add
@@ -107,49 +108,76 @@ class FiniteMeasure:
                 merged[site] = mass
         if not merged:
             raise ValueError("empty distribution")
-        if self._normalized:
-            total = sum(merged.values())
-            if total != 1:
-                raise ValueError(f"masses sum to {total}, expected 1")
-        object.__setattr__(self, "_atoms", tuple(sorted(merged.items())))
-        object.__setattr__(self, "_index", merged)
+        den = lcm(*(m.denominator for m in merged.values()))
+        nums = {s: m.numerator * (den // m.denominator) for s, m in merged.items()}
+        if self._normalized and sum(nums.values()) != den:
+            raise ValueError(f"masses sum to {Fraction(sum(nums.values()), den)}, expected 1")
+        self._store(nums, den)
 
-    # -- basic accessors -------------------------------------------------
+    @classmethod
+    def _from_integers(cls, out: dict, den: int):
+        """The law with mass out[s] / den at each site s: the way in for exact
+        results (the kernel's, a shift's), which skips the per-atom checks and
+        reduces once, by the gcd of den and every numerator."""
+        if den <= 0 or min(out.values()) <= 0:
+            raise RuntimeError("an exact result has a non-positive numerator or denominator")
+        g = gcd(den, *out.values())
+        mu = object.__new__(cls)
+        mu._store(out if g == 1 else {s: n // g for s, n in out.items()}, den // g)
+        return mu
 
-    @property
-    def atoms(self) -> tuple[tuple[object, Fraction], ...]:
-        return self._atoms
+    def _store(self, nums: dict, den: int) -> None:
+        object.__setattr__(self, "_nums", {s: nums[s] for s in sorted(nums)})
+        object.__setattr__(self, "_den", den)
+
+    # -- the integer view and the Fraction edges --------------------------
 
     @property
     def sites(self) -> tuple:
-        return tuple(s for s, _ in self._atoms)
+        return tuple(self._nums)
+
+    @property
+    def numerators(self) -> tuple[int, ...]:
+        """Mass numerators over ``denominator()``, in site order."""
+        return tuple(self._nums.values())
+
+    def numerator(self, site) -> int:
+        """Numerator of the mass at site; 0 off the support."""
+        return self._nums.get(site, 0)
+
+    def denominator(self) -> int:
+        """Least common denominator of all masses."""
+        return self._den
+
+    @property
+    def atoms(self) -> tuple[tuple[object, Fraction], ...]:
+        den = self._den
+        return tuple((s, Fraction(n, den)) for s, n in self._nums.items())
 
     @property
     def masses(self) -> tuple[Fraction, ...]:
-        return tuple(m for _, m in self._atoms)
+        den = self._den
+        return tuple(Fraction(n, den) for n in self._nums.values())
 
     def mass(self, site) -> Fraction:
-        return self._index.get(site, _ZERO)
+        return Fraction(self.numerator(site), self._den)
 
     def __len__(self) -> int:
-        return len(self._atoms)
+        return len(self._nums)
 
     def __eq__(self, other) -> bool:
-        return type(other) is type(self) and self._atoms == other._atoms
+        # both dicts are in site order, so equal dicts are equal sequences
+        return type(other) is type(self) and self._den == other._den and self._nums == other._nums
 
     def __hash__(self) -> int:
-        return hash(self._atoms)
+        return hash((self._den, *self._nums.items()))
 
     def __repr__(self) -> str:
-        inner = ", ".join(f"{s}: {format_fraction(m)}" for s, m in self._atoms)
+        inner = ", ".join(f"{s}: {format_fraction(m)}" for s, m in self.atoms)
         return f"{type(self).__name__}({{{inner}}})"
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
-
-    def denominator(self) -> int:
-        """Least common denominator of all masses."""
-        return lcm(*(m.denominator for _, m in self._atoms))
 
     def _compatible(self, other) -> bool:
         """Whether the sites of self and other can be added."""
@@ -158,7 +186,7 @@ class FiniteMeasure:
     # -- serialization ---------------------------------------------------
 
     def to_json_obj(self) -> dict:
-        return {"atoms": [[s, format_fraction(m)] for s, m in self._atoms]}
+        return {"atoms": [[s, format_fraction(m)] for s, m in self.atoms]}
 
     @classmethod
     def from_json_obj(cls, obj):
@@ -180,7 +208,7 @@ class IntDist(FiniteMeasure):
         return json.dumps(self.to_json_obj())
 
     def to_text(self) -> str:
-        return "\n".join(f"{s}: {format_fraction(m)}" for s, m in self._atoms) + "\n"
+        return "\n".join(f"{s}: {format_fraction(m)}" for s, m in self.atoms) + "\n"
 
     @staticmethod
     def from_json(text: str) -> "IntDist":
@@ -384,11 +412,9 @@ def _convolve_numerators(laws: Sequence[FiniteMeasure], n: int = 1):
             raise ValueError(
                 f"cannot convolve {type(first).__name__} and {type(mu).__name__}: site types or dimensions differ"
             )
-        d = mu.denominator()
-        pairs = [(s, m.numerator * (d // m.denominator)) for s, m in mu._atoms]
-        parts.append(pairs)
-        den *= d
-        total *= d if mu._normalized else sum(c for _, c in pairs)
+        parts.append(list(mu._nums.items()))
+        den *= mu._den
+        total *= mu._den if mu._normalized else sum(mu._nums.values())
     if n > 1:
         den, total = den**n, total**n
     if _packs(parts, n):
@@ -400,22 +426,17 @@ def _convolve_numerators(laws: Sequence[FiniteMeasure], n: int = 1):
     return out, den
 
 
-def _from_numerators(cls, out: dict, den: int) -> FiniteMeasure:
-    return cls((s, Fraction(c, den)) for s, c in out.items())
-
-
 def convolve(a: FiniteMeasure, b: FiniteMeasure) -> FiniteMeasure:
     """Exact law of the sum of independent draws from a and b, of the same
     container type as a.
 
     Masses are accumulated as integer numerators over the product of the two
-    common denominators, so only one gcd normalization happens per output
-    atom instead of one per term.  Large dense supports go through the
-    Kronecker-substitution kernel (one big-int product), small or sparse ones
-    through the pairwise loop; see ``_packs``.
+    common denominators, and the result is reduced by one gcd.  Large dense
+    supports go through the Kronecker-substitution kernel (one big-int
+    product), small or sparse ones through the pairwise loop; see ``_packs``.
     """
     out, den = _convolve_numerators((a, b))
-    return _from_numerators(type(a), out, den)
+    return type(a)._from_integers(out, den)
 
 
 def q_max_convolve(a: IntDist, b: IntDist) -> Fraction:
@@ -441,7 +462,7 @@ def convolve_all(dists: Sequence[FiniteMeasure]) -> FiniteMeasure:
     if len(dists) == 1:
         return dists[0]
     out, den = _convolve_numerators(dists)
-    return _from_numerators(type(dists[0]), out, den)
+    return type(dists[0])._from_integers(out, den)
 
 
 def convolve_power(mu: FiniteMeasure, n: int) -> FiniteMeasure:
@@ -449,27 +470,26 @@ def convolve_power(mu: FiniteMeasure, n: int) -> FiniteMeasure:
 
     Packed, this is ``pow`` of one big integer and one unpack; pairwise,
     binary exponentiation of the numerator dict.  Either way no intermediate
-    law is built and only the output atoms are reduced to lowest terms.
+    law is built and only the result is reduced, by one gcd.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     if n == 1:
         return mu
     out, den = _convolve_numerators((mu,), n)
-    return _from_numerators(type(mu), out, den)
+    return type(mu)._from_integers(out, den)
 
 
 def q_max(mu: IntDist) -> Fraction:
     """Largest single atom mass."""
-    return max(mu.masses)
+    return Fraction(max(mu.numerators), mu.denominator())
 
 
 def q_k(mu: IntDist, k: int) -> Fraction:
     """Sum of the k largest masses (1 once k reaches the atom count)."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    ranked = sorted(mu.masses, reverse=True)
-    return sum(ranked[:k], Fraction(0))
+    return Fraction(sum(sorted(mu.numerators, reverse=True)[:k]), mu.denominator())
 
 
 def q_interval(mu: IntDist, t: int) -> Fraction:
@@ -481,42 +501,40 @@ def q_interval(mu: IntDist, t: int) -> Fraction:
     """
     if t < 1:
         raise ValueError("t must be >= 1")
-    sites = mu.sites
-    masses = mu.masses
-    best = Fraction(0)
-    j = 0
-    window = Fraction(0)
+    sites, nums = mu.sites, mu.numerators
+    best = window = j = 0
     for i in range(len(sites)):
-        window += masses[i]
+        window += nums[i]
         while sites[i] - sites[j] >= t:
-            window -= masses[j]
+            window -= nums[j]
             j += 1
-        if window > best:
-            best = window
-    return best
+        best = max(best, window)
+    return Fraction(best, mu.denominator())
 
 
 def mean(mu: IntDist) -> Fraction:
-    return sum((Fraction(s) * m for s, m in mu.atoms), Fraction(0))
+    return Fraction(sum(map(operator.mul, mu.sites, mu.numerators)), mu.denominator())
 
 
 def variance(mu: IntDist) -> Fraction:
     mu1 = mean(mu)
-    return sum((m * (Fraction(s) - mu1) ** 2 for s, m in mu.atoms), Fraction(0))
+    return Fraction(sum(n * s * s for s, n in zip(mu.sites, mu.numerators)), mu.denominator()) - mu1 * mu1
 
 
 def third_abs_moment(mu: IntDist) -> Fraction:
     """E|X - EX|**3, exact (used by the normal-approximation bound)."""
-    mu1 = mean(mu)
-    return sum((m * abs(Fraction(s) - mu1) ** 3 for s, m in mu.atoms), Fraction(0))
+    # sum n |den s - sum n s|**3 / den**4
+    den, first = mu.denominator(), sum(map(operator.mul, mu.sites, mu.numerators))
+    return Fraction(sum(n * abs(den * s - first) ** 3 for s, n in zip(mu.sites, mu.numerators)), den**4)
 
 
 def shift(mu: IntDist, c: int) -> IntDist:
-    return IntDist((s + c, m) for s, m in mu.atoms)
+    c = operator.index(c)
+    return type(mu)._from_integers({s + c: n for s, n in zip(mu.sites, mu.numerators)}, mu.denominator())
 
 
 def negate(mu: IntDist) -> IntDist:
-    return IntDist((-s, m) for s, m in mu.atoms)
+    return type(mu)._from_integers({-s: n for s, n in zip(mu.sites, mu.numerators)}, mu.denominator())
 
 
 def has_contiguous_support(mu: IntDist) -> bool:
@@ -533,8 +551,8 @@ def is_log_concave(mu: IntDist) -> bool:
     """
     if not has_contiguous_support(mu):
         return False
-    ms = mu.masses
-    return all(ms[i] ** 2 >= ms[i - 1] * ms[i + 1] for i in range(1, len(ms) - 1))
+    ns = mu.numerators
+    return all(ns[i] ** 2 >= ns[i - 1] * ns[i + 1] for i in range(1, len(ns) - 1))
 
 
 def is_unimodal(mu: IntDist) -> bool:
@@ -543,19 +561,19 @@ def is_unimodal(mu: IntDist) -> bool:
         return True
     if not has_contiguous_support(mu):
         return False
-    ms = mu.masses
+    ns = mu.numerators
     i = 0
-    while i + 1 < len(ms) and ms[i + 1] >= ms[i]:
+    while i + 1 < len(ns) and ns[i + 1] >= ns[i]:
         i += 1
-    while i + 1 < len(ms) and ms[i + 1] <= ms[i]:
+    while i + 1 < len(ns) and ns[i + 1] <= ns[i]:
         i += 1
-    return i == len(ms) - 1
+    return i == len(ns) - 1
 
 
 def modes(mu: IntDist) -> list[int]:
     """All sites carrying the maximal mass."""
-    peak = q_max(mu)
-    return [s for s, m in mu.atoms if m == peak]
+    peak = max(mu.numerators)
+    return [s for s, n in zip(mu.sites, mu.numerators) if n == peak]
 
 
 def max_span(mu: IntDist) -> SpanResult:
@@ -577,9 +595,8 @@ def squeeze(mu: IntDist) -> IntDist:
     moves to position j - 1 - floor((N-1)/2), so an N-atom distribution lands
     on {-floor((N-1)/2), ..., ceil((N-1)/2)}.
     """
-    n = len(mu)
-    start = -((n - 1) // 2)
-    return IntDist((start + j, m) for j, (_, m) in enumerate(mu.atoms))
+    start = -((len(mu) - 1) // 2)
+    return type(mu)._from_integers({start + j: n for j, n in enumerate(mu.numerators)}, mu.denominator())
 
 
 def is_sharp_log_concave(mu: IntDist) -> bool:

@@ -10,6 +10,7 @@ corresponding entry of the second.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -32,13 +33,8 @@ class QProfile:
 
 
 def q_profile(mu: IntDist) -> QProfile:
-    ranked = sorted(mu.masses, reverse=True)
-    acc = Fraction(0)
-    values = []
-    for m in ranked:
-        acc += m
-        values.append(acc)
-    return QProfile(tuple(values))
+    den = mu.denominator()
+    return QProfile(tuple(Fraction(acc, den) for acc in itertools.accumulate(sorted(mu.numerators, reverse=True))))
 
 
 @dataclass(frozen=True)

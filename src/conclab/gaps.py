@@ -274,11 +274,11 @@ def connected_decomposition(mu: IntDist) -> Decomposition:
     if q_max(mu) > Fraction(1, 2):
         raise ValueError("largest atom exceeds 1/2")
     n = mu.denominator()
-    if n % 2 == 1:
-        n *= 2
+    scale = 2 if n % 2 == 1 else 1
+    n *= scale
     unit_sites: list[int] = []
-    for site, mass in mu.atoms:
-        unit_sites.extend([site] * int(mass * n))
+    for site, count in zip(mu.sites, mu.numerators):
+        unit_sites.extend([site] * (count * scale))
     half = n // 2
     pair_counts: dict[tuple[int, int], int] = {}
     for i in range(half):
@@ -291,7 +291,7 @@ def connected_decomposition(mu: IntDist) -> Decomposition:
     weights: dict[tuple[int, int], Fraction] = {
         pair: Fraction(2 * count, n) for pair, count in pair_counts.items()
     }
-    support = {s for s, _ in mu.atoms}
+    support = set(mu.sites)
     comps = _components(support, list(weights))
     if len(comps) > 1:
         reps = []

@@ -49,24 +49,21 @@ class LatticeDist(FiniteMeasure):
 
     def __init__(self, atoms: Iterable[tuple[Sequence[int], object]]):
         super().__init__(atoms)
-        if len({len(s) for s, _ in self._atoms}) != 1:
+        if len(set(map(len, self.sites))) != 1:
             raise ValueError("mixed dimensions")
 
     @property
     def dim(self) -> int:
-        return len(self._atoms[0][0])
+        return len(self.sites[0])
 
     def _compatible(self, other) -> bool:
         return super()._compatible(other) and other.dim == self.dim
 
     def _moment_sums(self) -> tuple[int, list[tuple[int, ...]], list[list[int]]]:
-        """(den, axes, weighted): the common denominator of the masses, the
-        site coordinates axis by axis, and each axis times the integer
-        numerators n = mass * den, so that mean and cov are integer sums."""
-        den = self.denominator()
-        nums = [m.numerator * (den // m.denominator) for _, m in self._atoms]
-        axes = list(zip(*(s for s, _ in self._atoms)))
-        return den, axes, [list(map(operator.mul, nums, axis)) for axis in axes]
+        """(den, axes, weighted): the denominator, the site coordinates axis by
+        axis, and each axis times the numerators: mean and cov as integer sums."""
+        axes = list(zip(*self.sites))
+        return self.denominator(), axes, [list(map(operator.mul, self.numerators, axis)) for axis in axes]
 
     def mean(self) -> tuple[Fraction, ...]:
         den, _, weighted = self._moment_sums()
@@ -86,7 +83,8 @@ class LatticeDist(FiniteMeasure):
 
     def shifted(self, vector: Sequence[int]) -> "LatticeDist":
         v = _int_vector(vector)
-        return LatticeDist((_add_vectors(s, v), m) for s, m in self._atoms)
+        moved = {_add_vectors(s, v): n for s, n in zip(self.sites, self.numerators)}
+        return LatticeDist._from_integers(moved, self.denominator())
 
 
 def lattice_delta(site: Sequence[int]) -> LatticeDist:
@@ -111,8 +109,10 @@ def tv_exact(a: LatticeDist, b: LatticeDist) -> Fraction:
     """Half the L1 distance between the mass functions, exact."""
     if a.dim != b.dim:
         raise ValueError("dimension mismatch")
-    keys = {s for s, _ in a.atoms} | {s for s, _ in b.atoms}
-    return sum((abs(a.mass(s) - b.mass(s)) for s in keys), Fraction(0)) / 2
+    # sum |na db - nb da| / (2 da db) over the union of the supports
+    da, db = a.denominator(), b.denominator()
+    keys = set(a.sites) | set(b.sites)
+    return Fraction(sum(abs(a.numerator(s) * db - b.numerator(s) * da) for s in keys), 2 * da * db)
 
 
 # -- discretized Gaussian ------------------------------------------------------
@@ -324,10 +324,11 @@ def tv_to_discretized_gaussian(s: LatticeDist, tol: float = 1e-6) -> TVResult:
     for lo, hi in box:
         ncells *= hi - lo + 1
     table = discretized_gaussian(spec, box, tol=max(tol / ncells, 1e-13))
+    den = s.denominator()
     half_l1 = 0.0
     err_sum = 0.0
     for site, (p, err) in table.cells.items():
-        half_l1 += abs(float(s.mass(site)) - p)
+        half_l1 += abs(s.numerator(site) / den - p)
         err_sum += err
     tail = table.tail_bound
     value = 0.5 * half_l1 + 0.25 * tail
@@ -376,10 +377,11 @@ def llt_terms(ys: Sequence[LatticeDist]) -> LLTTerms:
             e[j] = 1
             shifts.append(1 - tv_exact(y, y.shifted(e)))
         terms = []
-        for sa, ma in y.atoms:
-            for sb, mb in y.atoms:
+        den_sq = y.denominator() ** 2
+        for sa, na in zip(y.sites, y.numerators):
+            for sb, nb in zip(y.sites, y.numerators):
                 dist_sq = sum((a - b) ** 2 for a, b in zip(sa, sb))
-                terms.append(float(ma * mb) * dist_sq**1.5)
+                terms.append(na * nb / den_sq * dist_sq**1.5)
         c = y.cov()
         per[y] = (min(shifts), terms, sum(c[i][i] for i in range(d)))
 
@@ -520,11 +522,12 @@ def berry_esseen_gap(mus: Sequence[IntDist]) -> BEGapReport:
     bound = float(m3) / float(var) ** 1.5
     mu1 = float(mean(total))
     sd = math.sqrt(float(var))
-    acc = Fraction(0)
+    den = total.denominator()
+    acc = 0
     gap = 0.0
-    for site, mass in total.atoms:
+    for site, n in zip(total.sites, total.numerators):
         phi = norm_cdf((site - mu1) / sd)
-        gap = max(gap, abs(float(acc) - phi))
-        acc += mass
-        gap = max(gap, abs(float(acc) - phi))
+        gap = max(gap, abs(acc / den - phi))
+        acc += n
+        gap = max(gap, abs(acc / den - phi))
     return BEGapReport(gap, bound, m3, var)

@@ -16,7 +16,7 @@ from fractions import Fraction
 from math import lcm
 from typing import Optional
 
-from .dist import FiniteMeasure, IntDist, as_fraction, format_fraction, q_k
+from .dist import FiniteMeasure, IntDist, as_fraction, format_fraction, is_unimodal, negate, q_k
 
 
 class IntMeasure(FiniteMeasure):
@@ -29,14 +29,6 @@ class IntMeasure(FiniteMeasure):
 
     _normalized = False
 
-    def scaled_integer_atoms(self) -> tuple[list[tuple[int, int]], int]:
-        """Atoms with masses scaled by the common denominator to integers.
-
-        Returns (list of (site, count), scale) with count = scale * mass.
-        """
-        scale = self.denominator()
-        return [(s, int(m * scale)) for s, m in self._atoms], scale
-
 
 # -- rearrangements --------------------------------------------------------
 
@@ -46,27 +38,17 @@ def _plus_position(rank: int) -> int:
     return (rank + 1) // 2 if rank % 2 == 1 else -(rank // 2)
 
 
-def _ranked_atoms(atoms) -> list[tuple[int, Fraction]]:
-    """Atoms sorted by decreasing mass; ties broken by ascending site."""
-    return sorted(atoms, key=lambda a: (-a[1], a[0]))
-
-
 def plus_rearrange(mu: IntDist) -> IntDist:
-    """Masses sorted descending, placed at 0, 1, -1, 2, -2, ...
-
-    Among equal masses, original sites are placed in ascending site order;
-    all quantities consumed downstream (q_k profiles, masses of centered
-    intervals) are invariant under this tie-break.
-    """
-    ranked = _ranked_atoms(mu.atoms)
-    return IntDist((_plus_position(r), m) for r, (_, m) in enumerate(ranked))
+    """Masses sorted descending, placed at 0, 1, -1, 2, -2, ...; equal masses
+    are interchangeable, so no tie-break is needed.  An IntMeasure stays one."""
+    ranked = sorted(mu.numerators, reverse=True)
+    return type(mu)._from_integers({_plus_position(r): n for r, n in enumerate(ranked)}, mu.denominator())
 
 
 def minus_rearrange(mu: IntDist) -> IntDist:
     """Mirror layout 0, -1, 1, -2, 2, ...; pointwise the reflection of
     plus_rearrange."""
-    ranked = _ranked_atoms(mu.atoms)
-    return IntDist((-_plus_position(r), m) for r, (_, m) in enumerate(ranked))
+    return negate(plus_rearrange(mu))
 
 
 def sym_rearrange(mu: IntDist) -> Optional[IntDist]:
@@ -76,12 +58,7 @@ def sym_rearrange(mu: IntDist) -> Optional[IntDist]:
     distributions; returns None otherwise.
     """
     plus = plus_rearrange(mu)
-    return plus if plus == minus_rearrange(mu) else None
-
-
-def measure_plus_rearrange(nu: IntMeasure) -> IntMeasure:
-    ranked = _ranked_atoms(nu.atoms)
-    return IntMeasure((_plus_position(r), m) for r, (_, m) in enumerate(ranked))
+    return plus if plus == negate(plus) else None
 
 
 # -- ball functions and medians ---------------------------------------------
@@ -135,9 +112,8 @@ def ball_function(nu: IntMeasure) -> BallFunction:
     the domain is {1, ..., N}.  The layout is the unique nondecreasing
     function whose level-set sizes match the scaled plus-rearranged masses.
     """
-    plus = measure_plus_rearrange(nu)
-    scaled, _ = plus.scaled_integer_atoms()
-    return _layout(scaled, 1)
+    plus = plus_rearrange(nu)
+    return _layout(list(zip(plus.sites, plus.numerators)), 1)
 
 
 def centered_interval(j: int) -> tuple[int, int]:
@@ -237,12 +213,7 @@ class JointCoupling:
 
 def is_symmetric_unimodal(mu: IntDist) -> bool:
     """Symmetric about 0 and unimodal."""
-    from .dist import is_unimodal
-
-    for s, m in mu.atoms:
-        if mu.mass(-s) != m:
-            return False
-    return is_unimodal(mu)
+    return negate(mu) == mu and is_unimodal(mu)
 
 
 def dominating_coupling(mu: IntDist, mu_prime: IntDist, eps) -> JointCoupling:
@@ -281,10 +252,11 @@ def dominating_coupling(mu: IntDist, mu_prime: IntDist, eps) -> JointCoupling:
         big_k = big_n * c
     big_k = int(big_k)
 
-    scaled_z = [(s, int(m * c * big_n)) for s, m in plus.atoms]
-    f = _layout(scaled_z, -(big_k // 2) + 1)
-    scaled_x = [(s, int(m * big_n)) for s, m in mu_prime.atoms]
-    f_prime = _layout(scaled_x, -(big_n // 2) + 1)
+    # ball counts N c mass = K mass and N mass: every K mass is an integer and
+    # the numerators over D have no common factor with D, so D divides K
+    kz, kx = big_k // plus.denominator(), big_n // mu_prime.denominator()
+    f = _layout([(s, n * kz) for s, n in zip(plus.sites, plus.numerators)], -(big_k // 2) + 1)
+    f_prime = _layout([(s, n * kx) for s, n in zip(mu_prime.sites, mu_prime.numerators)], -(big_n // 2) + 1)
 
     # Merge the two run partitions instead of walking every index: the cell
     # mass is the overlap length over N, so the work is quadratic in the atom

@@ -570,8 +570,11 @@ def odlyzko_richmond_check(p: IntDist, n: int, delta) -> CheckReport:
     k_hi = k_hi_f.numerator // k_hi_f.denominator
     if k_hi < k_lo:
         return _na("odlyzko_richmond", instance, "empty window")
-    rows = ((k, conv.mass(k - 1) * conv.mass(k + 1), conv.mass(k) ** 2) for k in range(k_lo, k_hi + 1))
-    k, lhs, rhs = min(rows, key=lambda row: row[2] - row[1])
+    # compared as numerators over den**2; min reports the first k of least slack
+    num = conv.numerator
+    k = min(range(k_lo, k_hi + 1), key=lambda k: num(k) ** 2 - num(k - 1) * num(k + 1))
+    den_sq = conv.denominator() ** 2
+    lhs, rhs = Fraction(num(k - 1) * num(k + 1), den_sq), Fraction(num(k) ** 2, den_sq)
     return _exact("odlyzko_richmond", instance, lhs, rhs, {"k": k, "window": [k_lo, k_hi]})
 
 

@@ -334,6 +334,28 @@ def test_non_finite_float_flag_exits_2(tmp_path, capsys, argv):
 @pytest.mark.parametrize(
     "argv, content",
     [
+        (["be-gap", "{f}", "--repeat", "0"], '{"atoms": [[0, "1/2"], [1, "1/2"]]}'),
+        (["be-gap", "{f}", "--repeat=-3"], '{"atoms": [[0, "1/2"], [1, "1/2"]]}'),
+        (["gauss", "tail", "--cov", "{f}", "--t", "100", "--samples", "0"], "[[1.0]]"),
+        (["gauss", "tail", "--cov", "{f}", "--t", "100", "--samples", "-5"], "[[1.0]]"),
+    ],
+    ids=["be_gap_repeat_zero", "be_gap_repeat_negative", "tail_samples_zero", "tail_samples_negative"],
+)
+def test_non_positive_count_flag_exits_2(tmp_path, capsys, argv, content):
+    """A zero or negative count is a usage error, not a run with one repeat
+    or with the Monte Carlo check skipped."""
+    path = tmp_path / "input.json"
+    path.write_text(content)
+    assert run([arg.replace("{f}", str(path)) for arg in argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    flag = argv[-1].split("=")[0] if "=" in argv[-1] else argv[-2]
+    assert f"error: argument {flag}: invalid positive_int value" in captured.err
+
+
+@pytest.mark.parametrize(
+    "argv, content",
+    [
         (["gauss", "tv", "{f}", "--pow", "0"], LATTICE),
         (["gauss", "tv", "{f}", "--pow", "x"], LATTICE),
         (["gap", "fit", "--values", "1,x"], None),
@@ -344,7 +366,6 @@ def test_non_finite_float_flag_exits_2(tmp_path, capsys, argv):
         (["gauss", "tail", "--cov", "{f}", "--t", "32"], '{"atoms": []}'),
         (["gauss", "tail", "--cov", "{f}", "--t", "32"], "NaN"),
         (["gauss", "tail", "--cov", "{f}", "--t", "32"], "[[NaN]]"),
-        (["gauss", "tail", "--cov", "{f}", "--t", "32", "--samples", "-5"], "[[1.0]]"),
         (["lattice-basis", "--vectors", "1,x"], None),
         (["lattice-basis", "--vectors-file", "{f}"], "[-6, 1, -6]"),
         (["lattice-basis", "--vectors-file", "{f}"], "null"),
@@ -365,7 +386,6 @@ def test_non_finite_float_flag_exits_2(tmp_path, capsys, argv):
         "gauss_tail_cov_object",
         "gauss_tail_cov_nan",
         "gauss_tail_cov_nan_entry",
-        "gauss_tail_negative_samples",
         "lattice_basis_vectors_not_ints",
         "lattice_basis_flat_list",
         "lattice_basis_null",

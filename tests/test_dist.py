@@ -1,13 +1,15 @@
 """Core distribution type and concentration functionals."""
 
+import functools
 import itertools
 from fractions import Fraction as F
-from math import comb, gcd
+from math import comb, gcd, lcm
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conclab import dist
 from conclab.dist import (
     IntDist,
     _convolve_packed,
@@ -30,6 +32,7 @@ from conclab.dist import (
     q_max_convolve,
     shift,
     squeeze,
+    third_abs_moment,
     uniform,
     variance,
 )
@@ -368,3 +371,171 @@ def test_kernel_keeps_measure_totals():
     c = convolve(a, b)
     assert sum(c.masses) == sum(a.masses) * sum(b.masses)
     assert convolve_power(a, 40) == convolve_all([a] * 40)
+
+
+# -- the integer storage: kernel results against the validating constructor ---
+
+
+@pytest.mark.parametrize("packed", [True, False], ids=["packed", "pairwise"])
+@settings(max_examples=80, deadline=None)
+@given(laws=_laws(max_laws=3), n=st.integers(2, 3))
+def test_kernel_results_equal_validated_laws(packed, laws, n):
+    """A law built from kernel numerators is the law the validating
+    constructor builds from the same atoms, on either kernel branch: the same
+    reduced integers, so the same ==, hash, denominator, atoms and JSON."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(dist, "_packs", lambda parts, n: packed)
+        built = [(convolve_power(laws[0], n), [laws[0]] * n)]
+        if len(laws) > 1:
+            built.append((convolve_all(laws), laws))
+    for mu, factors in built:
+        validated = functools.reduce(_reference_convolve, factors)
+        assert type(mu) is type(laws[0])
+        assert mu == validated and hash(mu) == hash(validated)
+        assert mu.denominator() == validated.denominator() == lcm(*(m.denominator for m in mu.masses))
+        assert mu.atoms == validated.atoms
+        assert mu.sites == validated.sites and mu.numerators == validated.numerators
+        assert mu.to_json_obj() == validated.to_json_obj()
+        assert repr(mu) == repr(validated)
+
+
+def test_integer_view():
+    mu = IntDist([(4, F(1, 6)), (-2, F(1, 2)), (0, F(1, 3))])
+    assert (mu.sites, mu.numerators, mu.denominator()) == ((-2, 0, 4), (3, 2, 1), 6)
+    assert mu.numerator(0) == 2 and mu.numerator(1) == 0
+    assert mu.mass(4) == F(1, 6) and mu.mass(1) == 0
+    assert mu.atoms == ((-2, F(1, 2)), (0, F(1, 3)), (4, F(1, 6)))
+    with pytest.raises(AttributeError):
+        mu.numerators = (1,)
+
+
+def test_shift_takes_integer_offsets_only():
+    with pytest.raises(TypeError):
+        shift(uniform([0, 1]), F(1, 2))
+    with pytest.raises(TypeError):
+        shift(uniform([0, 1]), 1.0)
+
+
+def test_exact_results_are_reduced_once_and_sign_checked():
+    halves = IntDist._from_integers({1: 6, 0: 6}, 12)
+    assert halves == uniform([0, 1]) and halves.denominator() == 2 and halves.sites == (0, 1)
+    with pytest.raises(RuntimeError):
+        IntDist._from_integers({0: 2, 1: 0}, 2)
+    with pytest.raises(RuntimeError):
+        IntDist._from_integers({0: 3, 1: -1}, 2)
+    with pytest.raises(RuntimeError):
+        IntDist._from_integers({0: -1}, -1)
+
+
+# -- functionals on the integer view against their Fraction bodies ----------
+
+
+def _q_max_reference(mu):
+    return max(mu.masses)
+
+
+def _q_k_reference(mu, k):
+    return sum(sorted(mu.masses, reverse=True)[:k], F(0))
+
+
+def _q_interval_reference(mu, t):
+    sites, masses = mu.sites, mu.masses
+    best = window = F(0)
+    j = 0
+    for i in range(len(sites)):
+        window += masses[i]
+        while sites[i] - sites[j] >= t:
+            window -= masses[j]
+            j += 1
+        if window > best:
+            best = window
+    return best
+
+
+def _mean_reference(mu):
+    return sum((F(s) * m for s, m in mu.atoms), F(0))
+
+
+def _variance_reference(mu):
+    mu1 = _mean_reference(mu)
+    return sum((m * (F(s) - mu1) ** 2 for s, m in mu.atoms), F(0))
+
+
+def _third_abs_moment_reference(mu):
+    mu1 = _mean_reference(mu)
+    return sum((m * abs(F(s) - mu1) ** 3 for s, m in mu.atoms), F(0))
+
+
+def _is_log_concave_reference(mu):
+    sites, ms = mu.sites, mu.masses
+    if sites[-1] - sites[0] + 1 != len(sites):
+        return False
+    return all(ms[i] ** 2 >= ms[i - 1] * ms[i + 1] for i in range(1, len(ms) - 1))
+
+
+def _is_unimodal_reference(mu):
+    sites, ms = mu.sites, mu.masses
+    if len(ms) == 1:
+        return True
+    if sites[-1] - sites[0] + 1 != len(sites):
+        return False
+    i = 0
+    while i + 1 < len(ms) and ms[i + 1] >= ms[i]:
+        i += 1
+    while i + 1 < len(ms) and ms[i + 1] <= ms[i]:
+        i += 1
+    return i == len(ms) - 1
+
+
+def _modes_reference(mu):
+    peak = _q_max_reference(mu)
+    return [s for s, m in mu.atoms if m == peak]
+
+
+def _squeeze_reference(mu):
+    start = -((len(mu) - 1) // 2)
+    return IntDist((start + j, m) for j, (_, m) in enumerate(mu.atoms))
+
+
+@st.composite
+def _int_law(draw):
+    """A law on a run of integers or on scattered ones, with weights that
+    make log-concave and unimodal laws common."""
+    if draw(st.booleans()):
+        start = draw(st.integers(-9, 9))
+        sites = list(range(start, start + draw(st.integers(1, 8))))
+    else:
+        sites = draw(st.lists(st.integers(-12, 12), min_size=1, max_size=8, unique=True))
+    weights = draw(st.lists(st.sampled_from([1, 2, 3, 4, 6, 8, 12]), min_size=len(sites), max_size=len(sites)))
+    if draw(st.booleans()):
+        weights.sort()
+        weights = weights[: len(weights) // 2] + sorted(weights[len(weights) // 2 :], reverse=True)
+    return IntDist((s, F(w, sum(weights))) for s, w in zip(sites, weights))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_int_law(), st.integers(1, 9), st.integers(-20, 20))
+def test_functionals_match_fraction_bodies(mu, k, c):
+    assert q_max(mu) == _q_max_reference(mu)
+    assert q_k(mu, k) == _q_k_reference(mu, k)
+    assert q_interval(mu, k) == _q_interval_reference(mu, k)
+    assert mean(mu) == _mean_reference(mu)
+    assert variance(mu) == _variance_reference(mu)
+    assert third_abs_moment(mu) == _third_abs_moment_reference(mu)
+    assert is_log_concave(mu) == _is_log_concave_reference(mu)
+    assert is_unimodal(mu) == _is_unimodal_reference(mu)
+    assert modes(mu) == _modes_reference(mu)
+    assert shift(mu, c) == IntDist((s + c, m) for s, m in mu.atoms)
+    assert negate(mu) == IntDist((-s, m) for s, m in mu.atoms)
+    assert squeeze(mu) == _squeeze_reference(mu)
+
+
+def test_functionals_match_fraction_bodies_on_seeded_laws():
+    for seed in range(40):
+        for kind in ("log-concave", "sharp-log-concave", "symmetric-unimodal", "distribution"):
+            mu = random_instance(seed, kind)
+            assert is_log_concave(mu) == _is_log_concave_reference(mu)
+            assert is_unimodal(mu) == _is_unimodal_reference(mu)
+            assert is_sharp_log_concave(mu) == _is_log_concave_reference(_squeeze_reference(mu))
+            assert variance(mu) == _variance_reference(mu)
+            assert third_abs_moment(mu) == _third_abs_moment_reference(mu)

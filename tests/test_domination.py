@@ -18,6 +18,23 @@ def test_q_profile_examples():
     assert q_profile(uniform([0, 1, 2, 3])).values == (F(1, 4), F(1, 2), F(3, 4), F(1))
 
 
+def _q_profile_reference(mu):
+    """q_profile's Fraction body: partial sums of the sorted masses."""
+    acc = F(0)
+    values = []
+    for m in sorted(mu.masses, reverse=True):
+        acc += m
+        values.append(acc)
+    return tuple(values)
+
+
+def test_q_profile_matches_fraction_body():
+    for seed in range(60):
+        for kind in ("distribution", "log-concave", "symmetric-unimodal"):
+            mu = random_instance(seed, kind)
+            assert q_profile(mu).values == _q_profile_reference(mu)
+
+
 def test_q_profile_concave_differences():
     for seed in range(30):
         mu = random_instance(seed, "distribution")

@@ -8,7 +8,9 @@ import pytest
 
 from conclab.dist import IntDist, uniform
 from conclab.gaps import (
+    Decomposition,
     SymGAP,
+    _components,
     connected_decomposition,
     gap_contains,
     gap_cover,
@@ -141,6 +143,40 @@ def test_decomposition_seeded():
         assert d.reconstruct() == mu
         assert d.is_connected()
         assert all(w > 0 and a != b for w, (a, b) in d.parts)
+
+
+def _decomposition_reference(mu):
+    """connected_decomposition's Fraction body: unit counts mass * N."""
+    n = mu.denominator()
+    if n % 2 == 1:
+        n *= 2
+    unit_sites = []
+    for site, mass in mu.atoms:
+        unit_sites.extend([site] * int(mass * n))
+    half = n // 2
+    pair_counts = {}
+    for i in range(half):
+        a, b = unit_sites[i], unit_sites[i + half]
+        key = (a, b) if a < b else (b, a)
+        pair_counts[key] = pair_counts.get(key, 0) + 1
+    weights = {pair: F(2 * count, n) for pair, count in pair_counts.items()}
+    comps = _components({s for s, _ in mu.atoms}, list(weights))
+    if len(comps) > 1:
+        reps = [sorted(pair for pair in weights if pair[0] in comp)[0] for comp in comps]
+        for l in range(len(reps)):
+            weights[reps[l]] -= F(1, n)
+            y, z = reps[l][0], reps[(l + 1) % len(reps)][1]
+            key = (y, z) if y < z else (z, y)
+            weights[key] = weights.get(key, F(0)) + F(1, n)
+    return Decomposition(tuple(sorted((w, pair) for pair, w in weights.items() if w > 0)))
+
+
+def test_decomposition_matches_fraction_body():
+    laws = [random_instance(seed, "split-admissible") for seed in range(200)]
+    laws.append(IntDist([(0, F(1, 3)), (1, F(1, 3)), (5, F(1, 3))]))
+    laws.append(IntDist([(-4, F(1, 6)), (0, F(1, 6)), (3, F(1, 3)), (9, F(1, 3))]))
+    for mu in laws:
+        assert connected_decomposition(mu) == _decomposition_reference(mu)
 
 
 def test_decomposition_odd_denominator_doubles():

@@ -8,11 +8,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conclab.dist import IntDist, convolve, convolve_power, uniform
+from conclab.dist import IntDist, convolve, convolve_all, convolve_power, uniform
 from conclab.gauss import (
+    BEGapReport,
     GaussSpec,
     LatticeDist,
     LLTTerms,
+    TVResult,
     berry_esseen_gap,
     discretized_gaussian,
     fit_gauss_spec,
@@ -401,3 +403,96 @@ def test_monte_carlo_binning_matches_per_cell_scan(seed, box):
     table = discretized_gaussian(spec, box, tol=1e-2, seed=seed, samples=20000)
     expected = _cells_by_scan(spec, box, 20000, seed)
     assert list(table.cells.items()) == list(expected.items())
+
+
+# -- functions on the integer view against their Fraction bodies -------------
+
+
+def _tv_exact_reference(a, b):
+    keys = {s for s, _ in a.atoms} | {s for s, _ in b.atoms}
+    return sum((abs(a.mass(s) - b.mass(s)) for s in keys), F(0)) / 2
+
+
+def _tv_to_gaussian_reference(s, tol=1e-6):
+    """tv_to_discretized_gaussian's body with the exact side read through
+    float(mass)."""
+    spec = fit_gauss_spec(s)
+    box = []
+    for j in range(s.dim):
+        sd = math.sqrt(spec.cov[j][j])
+        lo = min(min(x[j] for x in s.sites), math.floor(spec.mean[j] - 6.5 * sd))
+        hi = max(max(x[j] for x in s.sites), math.ceil(spec.mean[j] + 6.5 * sd))
+        box.append((lo, hi))
+    ncells = math.prod(hi - lo + 1 for lo, hi in box)
+    table = discretized_gaussian(spec, box, tol=max(tol / ncells, 1e-13))
+    half_l1 = err_sum = 0.0
+    for site, (p, err) in table.cells.items():
+        half_l1 += abs(float(s.mass(site)) - p)
+        err_sum += err
+    tail = table.tail_bound
+    return TVResult(0.5 * half_l1 + 0.25 * tail, 0.5 * err_sum + 0.25 * tail + 1e-12, ncells, tail, spec)
+
+
+def _berry_esseen_reference(mus):
+    """berry_esseen_gap's body in Fractions, the CDF accumulated as one."""
+
+    def central(mu, k):
+        mu1 = sum((F(s) * m for s, m in mu.atoms), F(0))
+        return mu1, sum((m * abs(F(s) - mu1) ** k for s, m in mu.atoms), F(0))
+
+    total = convolve_all(list(mus))
+    mu1, var = central(total, 2)
+    m3 = sum((central(mu, 3)[1] for mu in mus), F(0))
+    sd = math.sqrt(float(var))
+    acc, gap = F(0), 0.0
+    for site, mass in total.atoms:
+        phi = norm_cdf((site - float(mu1)) / sd)
+        gap = max(gap, abs(float(acc) - phi))
+        acc += mass
+        gap = max(gap, abs(float(acc) - phi))
+    return BEGapReport(gap, float(m3) / float(var) ** 1.5, m3, var)
+
+
+@st.composite
+def _lattice_pair(draw):
+    """Two laws of one dimension, on overlapping small boxes."""
+    dim = draw(st.integers(1, 3))
+    site = st.tuples(*[st.integers(-2, 2)] * dim)
+
+    def law():
+        sites = draw(st.lists(site, min_size=1, max_size=8, unique=True))
+        weights = draw(st.lists(st.integers(1, 30), min_size=len(sites), max_size=len(sites)))
+        return LatticeDist((s, F(w, sum(weights))) for s, w in zip(sites, weights))
+
+    return law(), law()
+
+
+@settings(max_examples=200, deadline=None)
+@given(_lattice_pair(), st.integers(-3, 3))
+def test_tv_exact_and_shifted_match_fraction_bodies(pair, step):
+    a, b = pair
+    assert tv_exact(a, b) == _tv_exact_reference(a, b)
+    v = tuple(step * (j + 1) for j in range(a.dim))
+    moved = a.shifted(v)
+    assert moved == LatticeDist((tuple(x + y for x, y in zip(s, v)), m) for s, m in a.atoms)
+    assert tv_exact(a, moved) == _tv_exact_reference(a, moved)
+
+
+@pytest.mark.parametrize(
+    "law",
+    [
+        pow_conv(LatticeDist([((0,), F(1, 2)), ((1,), F(1, 2))]), 8),
+        pow_conv(LatticeDist([((-1,), F(1, 6)), ((0,), F(1, 3)), ((2,), F(1, 2))]), 5),
+        LatticeDist([((-3,), F(1, 7)), ((0,), F(2, 7)), ((1,), F(4, 7))]),
+        pow_conv(SQUARE, 3),
+    ],
+    ids=["coin_8", "skew_5", "gapped", "square_3"],
+)
+def test_tv_to_gaussian_matches_fraction_body(law):
+    assert tv_to_discretized_gaussian(law) == _tv_to_gaussian_reference(law)
+
+
+def test_berry_esseen_gap_matches_fraction_body():
+    skew = IntDist([(-1, F(1, 6)), (0, F(1, 3)), (2, F(1, 2))])
+    for mus in ([uniform([0, 1])] * 64, [skew] * 7, [skew, uniform([0, 3]), uniform([-2, 5, 9])], [uniform([5, 6])]):
+        assert berry_esseen_gap(mus) == _berry_esseen_reference(mus)

@@ -1,16 +1,21 @@
 """Rearrangements, ball functions, nested medians, dominating coupling."""
 
 from fractions import Fraction as F
+from math import lcm
 
 import pytest
 
-from conclab.dist import IntDist, convolve, delta, q_k, uniform
+from conclab.dist import IntDist, convolve, delta, is_unimodal, q_k, uniform
 from conclab.extremal import nu
 from conclab.rearrange import (
     IntMeasure,
+    JointCoupling,
+    _layout,
+    _plus_position,
     ball_function,
     centered_interval,
     dominating_coupling,
+    is_symmetric_unimodal,
     minus_rearrange,
     nested_medians,
     plus_rearrange,
@@ -191,8 +196,7 @@ def test_measure_validation():
     with pytest.raises(ValueError):
         IntMeasure([(0, F(-1, 2))])
     measure = IntMeasure([(0, F(1, 3)), (2, F(1, 6))])
-    scaled, scale = measure.scaled_integer_atoms()
-    assert scale == 6 and scaled == [(0, 2), (2, 1)]
+    assert measure.denominator() == 6 and measure.numerators == (2, 1)
 
 
 def test_measure_keeps_total_other_than_one():
@@ -206,3 +210,86 @@ def test_measure_keeps_total_other_than_one():
     assert IntMeasure([(0, 1)]) != delta(0)
     with pytest.raises(ValueError):
         IntDist(measure.atoms)
+
+
+# -- functions on the integer view against their Fraction bodies -------------
+
+
+def _ranked_masses(mu):
+    """Masses by decreasing mass, ties by ascending site."""
+    return [m for _, m in sorted(mu.atoms, key=lambda a: (-a[1], a[0]))]
+
+
+def _plus_reference(mu):
+    return type(mu)((_plus_position(r), m) for r, m in enumerate(_ranked_masses(mu)))
+
+
+def _minus_reference(mu):
+    return type(mu)((-_plus_position(r), m) for r, m in enumerate(_ranked_masses(mu)))
+
+
+def _ball_function_reference(nu_):
+    plus = _plus_reference(nu_)
+    scale = plus.denominator()
+    return _layout([(s, int(m * scale)) for s, m in plus.atoms], 1)
+
+
+def _is_symmetric_unimodal_reference(mu):
+    return all(mu.mass(-s) == m for s, m in mu.atoms) and is_unimodal(mu)
+
+
+def _coupling_reference(mu, mu_prime, eps):
+    """dominating_coupling's Fraction body, for inputs it accepts."""
+    c = 1 / (1 + eps)
+    plus = _plus_reference(mu)
+    n_den = lcm(plus.denominator(), mu_prime.denominator(), *((c * m).denominator for _, m in plus.atoms))
+    doublings = 0
+    big_n = n_den
+    if big_n % 2 == 1:
+        big_n *= 2
+        doublings += 1
+    big_k = big_n * c
+    if int(big_k) % 2 == 1:
+        big_n *= 2
+        doublings += 1
+        big_k = big_n * c
+    big_k = int(big_k)
+    f = _layout([(s, int(m * c * big_n)) for s, m in plus.atoms], -(big_k // 2) + 1)
+    f_prime = _layout([(s, int(m * big_n)) for s, m in mu_prime.atoms], -(big_n // 2) + 1)
+    cells = {}
+    for z, (zlo, zhi) in f.groups:
+        for x, (xlo, xhi) in f_prime.groups:
+            lo, hi = max(zlo, xlo), min(zhi, xhi)
+            if lo <= hi:
+                cells[(z, x, True)] = cells.get((z, x, True), F(0)) + F(hi - lo + 1, big_n)
+    for clo, chi in [(-(big_n // 2) + 1, -(big_k // 2)), (big_k // 2 + 1, big_n // 2)]:
+        if chi < clo:
+            continue
+        for x, (xlo, xhi) in f_prime.groups:
+            lo, hi = max(clo, xlo), min(chi, xhi)
+            if lo <= hi:
+                for z, w in plus.atoms:
+                    cells[(z, x, False)] = cells.get((z, x, False), F(0)) + F(hi - lo + 1, big_n) * w
+    ordered = tuple(
+        (z, x, flag, m) for (z, x, flag), m in sorted(cells.items(), key=lambda kv: (not kv[0][2], kv[0][0], kv[0][1]))
+    )
+    return JointCoupling(ordered, {"N": big_n, "K": big_k, "epsilon": eps, "doublings": doublings})
+
+
+def test_rearrangements_match_fraction_bodies():
+    for seed in range(80):
+        for kind in ("distribution", "log-concave", "symmetric-unimodal"):
+            mu = random_instance(seed, kind)
+            assert plus_rearrange(mu) == _plus_reference(mu)
+            assert minus_rearrange(mu) == _minus_reference(mu)
+            assert is_symmetric_unimodal(mu) == _is_symmetric_unimodal_reference(mu)
+        measure = random_instance(seed, "integer-measure")
+        assert ball_function(measure) == _ball_function_reference(measure)
+        thirds = IntMeasure((s, m / 3) for s, m in measure.atoms)
+        assert ball_function(thirds) == _ball_function_reference(thirds)
+
+
+def test_coupling_matches_fraction_body():
+    for seed in range(120):
+        mu, mu_prime, eps = random_instance(seed, "coupling-pair")
+        assert dominating_coupling(mu, mu_prime, eps).to_json() == _coupling_reference(mu, mu_prime, eps).to_json()

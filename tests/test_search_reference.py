@@ -190,7 +190,7 @@ def test_q_max_convolve_matches_convolve_property(xs, ys):
 
 def test_q_max_convolve_checks_mass():
     broken = object.__new__(IntDist)
-    object.__setattr__(broken, "_atoms", ((0, F(1, 2)), (1, F(1, 3))))
+    broken._store({0: 3, 1: 2}, 6)  # masses 1/2 and 1/3, summing to 5/6
     with pytest.raises(RuntimeError):
         q_max_convolve(broken, delta(0))
 

@@ -1,10 +1,11 @@
 """Lemma checkers, the conjecture scan, and instance generators."""
 
+import math
 from fractions import Fraction as F
 
 import pytest
 
-from conclab.dist import IntDist, convolve, delta, is_log_concave, q_max, uniform, variance
+from conclab.dist import IntDist, convolve, convolve_power, delta, is_log_concave, q_max, uniform, variance
 from conclab.extremal import AlphaSeq, nu, tsebal
 from conclab.verify import (
     FAIL,
@@ -240,6 +241,36 @@ def test_odlyzko_richmond_below_threshold_is_observational():
     report = odlyzko_richmond_check(uniform([0, 1, 3]), 20, F(3, 10))
     assert report.outcome == FAIL
     assert report.preconditions_ok
+
+
+def _odlyzko_richmond_reference(p, n, delta):
+    """odlyzko_richmond_check's Fraction body, for an instance whose
+    preconditions hold."""
+    base = IntDist((s - p.sites[0], m) for s, m in p.atoms)
+    conv = convolve_power(base, n)
+    k_lo = -((-(delta * n).numerator) // (delta * n).denominator)
+    k_hi = math.floor((base.sites[-1] - delta) * n)
+    rows = ((k, conv.mass(k - 1) * conv.mass(k + 1), conv.mass(k) ** 2) for k in range(k_lo, k_hi + 1))
+    k, lhs, rhs = min(rows, key=lambda row: row[2] - row[1])
+    return k, [k_lo, k_hi], lhs, rhs
+
+
+@pytest.mark.parametrize(
+    "p, n, delta",
+    [
+        (uniform([0, 1, 2]), 20, F(1, 10)),
+        (uniform([0, 1, 3]), 60, F(3, 10)),
+        (uniform([0, 1, 3]), 20, F(3, 10)),
+        (uniform([-2, -1, 4]), 3, F(1, 10)),
+        (IntDist([(0, F(1, 6)), (1, F(1, 2)), (5, F(1, 3))]), 4, F(1, 7)),
+        (IntDist([(3, F(2, 5)), (4, F(3, 5))]), 30, F(1, 4)),
+    ],
+)
+def test_odlyzko_richmond_matches_fraction_body(p, n, delta):
+    report = odlyzko_richmond_check(p, n, delta)
+    k, window, lhs, rhs = _odlyzko_richmond_reference(p, n, delta)
+    assert (report.details, report.lhs, report.rhs) == ({"k": k, "window": window}, lhs, rhs)
+    assert report.outcome == (PASS if rhs >= lhs else FAIL)
 
 
 def test_report_serialization_deterministic():
