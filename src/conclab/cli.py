@@ -30,7 +30,7 @@ from .domination import dominates
 from .extremal import AlphaSeq, nu, t_oracle, t_oracle_curve, tse_report_json_obj, tsebal
 from .gaps import SymGAP, connected_decomposition, gap_cover, gap_fit_rank1, gap_is_proper, gap_sumset
 from .rearrange import dominating_coupling, minus_rearrange, plus_rearrange, sym_rearrange
-from .verify import ScanConfig, conjecture_scan, scan_mode
+from .verify import ScanConfig, conjecture_scan, quantized_extremal_measures, scan_mode
 
 if TYPE_CHECKING:
     from .gauss import GaussSpec, LatticeDist
@@ -462,10 +462,11 @@ def cmd_scan(args) -> int:
         seed=args.seed or 0,
         budget=args.budget,
     )
+    measures = quantized_extremal_measures(cfg.denominator, cfg.window)
     lines = []
     violations = 0
     count = 0
-    for record in conjecture_scan(cfg):
+    for record in conjecture_scan(cfg, measures):
         count += 1
         if record.violation:
             violations += 1
@@ -480,7 +481,7 @@ def cmd_scan(args) -> int:
             "seed": cfg.seed,
             "budget": cfg.budget,
         },
-        "mode": scan_mode(cfg),
+        "mode": scan_mode(cfg, measures),
         "instances": count,
         "violations": violations,
     }

@@ -13,7 +13,9 @@ are built only where masses leave the container; floating point never enters.
 Convolution has one kernel (``_convolve_numerators``) behind ``convolve``,
 ``convolve_all``, ``convolve_power`` and ``q_max_convolve``.  It works on the
 stored numerators and has two branches, and its result enters the container
-through ``_from_integers``, reduced by one gcd.
+through ``_from_integers``, reduced by one gcd.  JSON, text and ``repr``
+are formatted from the integers too: each mass is its numerator and the
+denominator divided by their gcd, so no Fraction is built on the way out.
 Large dense supports use Kronecker substitution: each law is packed into one
 Python int with a fixed-width slot per point of the result's bounding box,
 CPython's big-int multiply (or ``pow``) does the convolution, and one pass
@@ -30,7 +32,7 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 
 def as_fraction(value) -> Fraction:
@@ -81,8 +83,9 @@ class FiniteMeasure:
     Immutable value type: a dict of positive integer numerators in increasing
     site order over one denominator, the least common one of the masses.
     ``sites``, ``numerators``, ``numerator()`` and ``denominator()`` are the
-    read-only integer view; ``atoms``, ``masses``, ``mass()``, JSON, text and
-    ``repr`` build Fractions from it.  A subclass sets what differs: ``_site``
+    read-only integer view; ``atoms``, ``masses`` and ``mass()`` build
+    Fractions from it, and JSON, text and ``repr`` format each mass from its
+    numerator with one gcd.  A subclass sets what differs: ``_site``
     converts one input site, rejecting floats, ``_add_sites`` adds two sites
     in the convolution kernel, and ``_normalized`` requires the masses to sum
     to exactly 1.  The integer site type is the default.
@@ -172,8 +175,16 @@ class FiniteMeasure:
     def __hash__(self) -> int:
         return hash((self._den, *self._nums.items()))
 
+    def _formatted(self) -> Iterator[tuple[object, str]]:
+        """(site, 'num/den') per atom in site order, each mass reduced by one
+        gcd: the text that format_fraction gives for the mass."""
+        den = self._den
+        for s, n in self._nums.items():
+            g = gcd(n, den)
+            yield s, f"{n // g}/{den // g}"
+
     def __repr__(self) -> str:
-        inner = ", ".join(f"{s}: {format_fraction(m)}" for s, m in self.atoms)
+        inner = ", ".join(f"{s}: {m}" for s, m in self._formatted())
         return f"{type(self).__name__}({{{inner}}})"
 
     def __setattr__(self, name, value):
@@ -186,7 +197,7 @@ class FiniteMeasure:
     # -- serialization ---------------------------------------------------
 
     def to_json_obj(self) -> dict:
-        return {"atoms": [[s, format_fraction(m)] for s, m in self.atoms]}
+        return {"atoms": [[s, m] for s, m in self._formatted()]}
 
     @classmethod
     def from_json_obj(cls, obj):
@@ -208,7 +219,7 @@ class IntDist(FiniteMeasure):
         return json.dumps(self.to_json_obj())
 
     def to_text(self) -> str:
-        return "\n".join(f"{s}: {format_fraction(m)}" for s, m in self.atoms) + "\n"
+        return "\n".join(f"{s}: {m}" for s, m in self._formatted()) + "\n"
 
     @staticmethod
     def from_json(text: str) -> "IntDist":
@@ -439,14 +450,21 @@ def convolve(a: FiniteMeasure, b: FiniteMeasure) -> FiniteMeasure:
     return type(a)._from_integers(out, den)
 
 
-def q_max_convolve(a: IntDist, b: IntDist) -> Fraction:
-    """q_max(convolve(a, b)) without building the convolution's IntDist.
+def _q_max_pair(a: IntDist, b: IntDist) -> tuple[int, int]:
+    """q_max(convolve(a, b)) as (numerator, denominator), not reduced: the
+    kernel's largest numerator over the product of the input denominators.
+    Searches compare these pairs by cross-multiplication.
 
     The mass check stays exact: the input numerators must sum to their
     denominators and the output numerators to the product of those sums.
     """
     out, den = _convolve_numerators((a, b))
-    return Fraction(max(out.values()), den)
+    return max(out.values()), den
+
+
+def q_max_convolve(a: IntDist, b: IntDist) -> Fraction:
+    """q_max(convolve(a, b)) without building the convolution's IntDist."""
+    return Fraction(*_q_max_pair(a, b))
 
 
 def convolve_all(dists: Sequence[FiniteMeasure]) -> FiniteMeasure:

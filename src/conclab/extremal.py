@@ -18,13 +18,13 @@ from typing import Iterable, Sequence
 
 from .dist import (
     IntDist,
+    _q_max_pair,
     as_fraction,
     convolve,
     convolve_all,
     format_fraction,
     negate,
     q_max,
-    q_max_convolve,
     shift,
 )
 
@@ -98,7 +98,27 @@ def _validate_alpha(alpha: Fraction) -> Fraction:
 
 
 def inverse_floor(alpha: Fraction) -> int:
-    return int(Fraction(1) / alpha)
+    """floor(1/alpha) for a positive alpha."""
+    return alpha.denominator // alpha.numerator
+
+
+def _extremal_law(alpha: Fraction, support: Sequence[int], residue_site: int | None = None) -> IntDist:
+    """Mass alpha at each site of support and the residue 1 - |support|*alpha
+    at residue_site (None when there is no residue atom), as integer
+    numerators over alpha.denominator.
+
+    The laws of the searches are built here, past the validating
+    constructor, so the numerators are checked as integers: they must sum to
+    the denominator, which also rules out a repeated site; ``_from_integers``
+    rejects a non-positive residue.
+    """
+    p, q = alpha.numerator, alpha.denominator
+    nums = dict.fromkeys(support, p)
+    if residue_site is not None:
+        nums[residue_site] = q - len(support) * p
+    if sum(nums.values()) != q:
+        raise RuntimeError(f"extremal numerators over {q} do not sum to {q}")
+    return IntDist._from_integers(nums, q)
 
 
 def nu(alpha) -> IntDist:
@@ -106,11 +126,7 @@ def nu(alpha) -> IntDist:
     k = floor(1/alpha)."""
     alpha = _validate_alpha(as_fraction(alpha))
     k = inverse_floor(alpha)
-    atoms = [(i, alpha) for i in range(k)]
-    residue = 1 - k * alpha
-    if residue > 0:
-        atoms.append((k, residue))
-    return IntDist(atoms)
+    return _extremal_law(alpha, range(k), k if k * alpha.numerator < alpha.denominator else None)
 
 
 def nu_centered(alpha) -> IntDist:
@@ -243,13 +259,15 @@ def _max_q_search(
     maximiser in visiting order wins.  A None root stands for the point mass
     at 0, and there must be at least one level.
     """
-    best: Fraction | None = None
+    # the best value as an unreduced (numerator, denominator) pair; a leaf
+    # n/d beats it when n * best_den > best_num * d
+    best_num, best_den = -1, 1
     best_path: tuple[int, ...] = ()
     path = [0] * len(levels)
     last = len(levels) - 1
 
     def visit(level: int, prefix: IntDist | None) -> None:
-        nonlocal best, best_path
+        nonlocal best_num, best_den, best_path
         options = levels[level]
         for j in range(path[level - 1] if tied[level] else 0, len(options)):
             path[level] = j
@@ -257,12 +275,15 @@ def _max_q_search(
             if level < last:
                 visit(level + 1, law if prefix is None else convolve(prefix, law))
                 continue
-            value = q_max(law) if prefix is None else q_max_convolve(prefix, law)
-            if best is None or value > best:
-                best, best_path = value, tuple(path)
+            if prefix is None:
+                num, den = max(law.numerators), law.denominator()
+            else:
+                num, den = _q_max_pair(prefix, law)
+            if num * best_den > best_num * den:
+                best_num, best_den, best_path = num, den, tuple(path)
 
     visit(0, root)
-    return best, best_path
+    return Fraction(best_num, best_den), best_path
 
 
 def tse(alphas: AlphaSeq) -> tuple[Fraction, SESelection]:
@@ -283,15 +304,16 @@ def tse(alphas: AlphaSeq) -> tuple[Fraction, SESelection]:
     the value is translation invariant.
     """
     caps = alphas.alphas
+    # a cap in (0, 1] in lowest terms has an integer inverse iff its numerator is 1
     root: IntDist | None = None
     for a in caps:
-        if (1 / a).denominator == 1:
+        if a.numerator == 1:
             root = nu(a) if root is None else convolve(root, nu(a))
-    free = [i for i, a in enumerate(caps) if (1 / a).denominator != 1]
+    free = [i for i, a in enumerate(caps) if a.numerator != 1]
     signs = [1] * len(caps)
     if not free:
         return q_max(root), SESelection(tuple(signs), (0,) * len(caps))
-    levels = [(negate(nu(caps[i])), nu(caps[i])) for i in free]
+    levels = [(negate(law), law) for law in map(nu, (caps[i] for i in free))]
     tied = [k > 0 and caps[i] == caps[free[k - 1]] for k, i in enumerate(free)]
     best, path = _max_q_search(root, levels, tied)
     for i, j in zip(free, path):
@@ -317,19 +339,19 @@ def extremal_enumerate(alpha, window: tuple[int, int]) -> list[IntDist]:
     """
     alpha = _validate_alpha(as_fraction(alpha))
     k = inverse_floor(alpha)
-    residue = 1 - k * alpha
+    has_residue = k * alpha.numerator < alpha.denominator
     sites = _window_sites(window)
-    needed = k + (1 if residue > 0 else 0)
+    needed = k + (1 if has_residue else 0)
     if len(sites) < needed:
         raise ValueError(f"window holds {len(sites)} sites; {needed} needed for alpha={alpha}")
     out = []
     for support in itertools.combinations(sites, k):
-        if residue == 0:
-            out.append(IntDist((s, alpha) for s in support))
+        if not has_residue:
+            out.append(_extremal_law(alpha, support))
             continue
         for b in sites:
             if b not in support:
-                out.append(IntDist([*((s, alpha) for s in support), (b, residue)]))
+                out.append(_extremal_law(alpha, support, b))
     return out
 
 

@@ -42,6 +42,7 @@ from .dist import (
 from .domination import dominates
 from .extremal import (
     AlphaSeq,
+    _extremal_law,
     balanced_sequence,
     inverse_floor,
     is_balanced,
@@ -258,24 +259,23 @@ def quantized_extremal_measures(denominator: int, window: tuple[int, int]) -> li
     for j in range(1, denominator):
         alpha = Fraction(j, denominator)
         k = inverse_floor(alpha)
-        residue = 1 - k * alpha
-        if k + (1 if residue > 0 else 0) > width + 1:
+        has_residue = k * alpha.numerator < alpha.denominator
+        if k + (1 if has_residue else 0) > width + 1:
             continue
         offsets = range(width + 1)
-        if residue == 0:
-            for support in itertools.combinations(offsets, k):
+        for support in itertools.combinations(offsets, k):
+            sites = [lo + s for s in support]
+            if not has_residue:
                 if support[0] == 0:
-                    out.append(IntDist((lo + s, alpha) for s in support))
-        else:
-            for support in itertools.combinations(offsets, k):
-                for b in offsets:
-                    if b in support or min(support[0], b) != 0:
-                        continue
-                    out.append(IntDist([*((lo + s, alpha) for s in support), (lo + b, residue)]))
+                    out.append(_extremal_law(alpha, sites))
+                continue
+            for b in offsets:
+                if b not in support and min(support[0], b) == 0:
+                    out.append(_extremal_law(alpha, sites, lo + b))
     return out
 
 
-def conjecture_scan(cfg: ScanConfig) -> Iterator[ScanRecord]:
+def conjecture_scan(cfg: ScanConfig, measures: Optional[list[IntDist]] = None) -> Iterator[ScanRecord]:
     """Compare q_max of extremal-tuple sums against the sign-search optimum.
 
     Exhaustive over unordered tuples when their count fits the budget,
@@ -283,33 +283,49 @@ def conjecture_scan(cfg: ScanConfig) -> Iterator[ScanRecord]:
     reports which).  Records stream in instance-index order.  The last
     convolution of each tuple sum only yields q_max.  Any violation is a
     counterexample candidate and must fail the build loudly.
+
+    ``measures`` is ``quantized_extremal_measures(cfg.denominator,
+    cfg.window)`` when the caller has already built it.  Tuples are drawn as
+    indices into it (``rng.choice(range(m))`` consumes the same draws as
+    ``rng.choice(measures)``), each measure's cap is computed once, and the
+    sign-search optimum is cached per sorted tuple of cap classes.
     """
-    measures = quantized_extremal_measures(cfg.denominator, cfg.window)
-    if not measures:
+    if measures is None:
+        measures = quantized_extremal_measures(cfg.denominator, cfg.window)
+    m = len(measures)
+    if not m:
         return
-    total = _multiset_count(len(measures), cfg.n)
-    tse_cache: dict[tuple[Fraction, ...], Fraction] = {}
-    if total <= cfg.budget:
-        items = enumerate(itertools.combinations_with_replacement(measures, cfg.n))
+    caps = [q_max(mu) for mu in measures]
+    # class 0 is the largest cap, so sorted class indices list the caps nonincreasing
+    classes = sorted(set(caps), reverse=True)
+    class_of = [classes.index(a) for a in caps]
+    tse_cache: dict[tuple[int, ...], tuple[tuple[Fraction, ...], Fraction]] = {}
+    if _multiset_count(m, cfg.n) <= cfg.budget:
+        items = enumerate(itertools.combinations_with_replacement(range(m), cfg.n))
     else:
         rng = random.Random(cfg.seed)
-        items = (
-            (idx, tuple(rng.choice(measures) for _ in range(cfg.n))) for idx in range(cfg.budget)
-        )
-    for idx, combo in items:
-        alphas = tuple(sorted((q_max(m) for m in combo), reverse=True))
-        rhs = tse_cache.get(alphas)
-        if rhs is None:
-            rhs = tse_cache[alphas] = tse(AlphaSeq(alphas))[0]
+        choices = range(m)
+        items = ((idx, tuple(rng.choice(choices) for _ in range(cfg.n))) for idx in range(cfg.budget))
+    for idx, picks in items:
+        key = tuple(sorted(class_of[i] for i in picks))
+        cached = tse_cache.get(key)
+        if cached is None:
+            alphas = tuple(classes[c] for c in key)
+            cached = tse_cache[key] = (alphas, tse(AlphaSeq(alphas))[0])
+        alphas, rhs = cached
+        combo = tuple(measures[i] for i in picks)
         if cfg.n > 1:
             lhs = q_max_convolve(convolve_all(combo[:-1]), combo[-1])
         else:
-            lhs = q_max(combo[0])
+            lhs = caps[picks[0]]
         yield ScanRecord(idx, alphas, lhs, rhs, lhs > rhs, combo)
 
 
-def scan_mode(cfg: ScanConfig) -> str:
-    measures = quantized_extremal_measures(cfg.denominator, cfg.window)
+def scan_mode(cfg: ScanConfig, measures: Optional[list[IntDist]] = None) -> str:
+    """'exhaustive', or 'sampled(budget of total)' when the tuples outnumber
+    the budget; ``measures`` as in ``conjecture_scan``."""
+    if measures is None:
+        measures = quantized_extremal_measures(cfg.denominator, cfg.window)
     total = _multiset_count(len(measures), cfg.n)
     return "exhaustive" if total <= cfg.budget else f"sampled({cfg.budget} of {total})"
 

@@ -6,7 +6,7 @@ from fractions import Fraction as F
 from math import comb, gcd, lcm
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conclab import dist
@@ -19,6 +19,7 @@ from conclab.dist import (
     convolve_all,
     convolve_power,
     delta,
+    format_fraction,
     is_log_concave,
     is_sharp_log_concave,
     is_unimodal,
@@ -539,3 +540,29 @@ def test_functionals_match_fraction_bodies_on_seeded_laws():
             assert is_sharp_log_concave(mu) == _is_log_concave_reference(_squeeze_reference(mu))
             assert variance(mu) == _variance_reference(mu)
             assert third_abs_moment(mu) == _third_abs_moment_reference(mu)
+
+
+# -- JSON, text and repr from the integers against the Fraction formatting ----
+
+
+def _formatting_reference(mu):
+    """(to_json_obj, repr) as they were built from the Fraction atoms."""
+    json_obj = {"atoms": [[s, format_fraction(m)] for s, m in mu.atoms]}
+    inner = ", ".join(f"{s}: {format_fraction(m)}" for s, m in mu.atoms)
+    return json_obj, f"{type(mu).__name__}({{{inner}}})"
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(("int", "measure", "lattice2")).flatmap(_law))
+@example(IntMeasure([(-3, F(3, 2)), (0, F(5, 6)), (4, 2)]))
+@example(IntDist([(0, F(1, 6)), (1, F(1, 3)), (2, F(1, 2))]))
+@example(LatticeDist([((0, -1), F(1, 4)), ((1, 2), F(3, 4))]))
+def test_integer_formatting_matches_fraction_formatting(mu):
+    """Each mass printed from its numerator and the common denominator over
+    their gcd is the reduced Fraction's text, for the three container types
+    and measures whose total is not 1."""
+    json_obj, text = _formatting_reference(mu)
+    assert mu.to_json_obj() == json_obj
+    assert repr(mu) == text
+    if isinstance(mu, IntDist):
+        assert mu.to_text() == "".join(f"{s}: {format_fraction(m)}\n" for s, m in mu.atoms)

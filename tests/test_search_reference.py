@@ -2,7 +2,10 @@
 
 `brute_tse` and `brute_t_oracle` are the plain enumerations over
 itertools.product that `tse` and `t_oracle` replace.  The fast paths must
-return the same value and the same tie-broken witness on every case.
+return the same value and the same tie-broken witness on every case.  The
+brute-force searches build their laws with the `reference_*` builders: the
+Fraction bodies of `nu`, `extremal_enumerate` and
+`quantized_extremal_measures`, through the validating constructor.
 """
 
 import itertools
@@ -14,14 +17,64 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conclab.dist import IntDist, convolve, convolve_all, delta, negate, q_max, q_max_convolve
-from conclab.extremal import AlphaSeq, extremal_enumerate, nu, t_oracle, tse
+from conclab.dist import FiniteMeasure, IntDist, convolve, convolve_all, delta, negate, q_max, q_max_convolve, uniform
+from conclab.extremal import AlphaSeq, _extremal_law, _max_q_search, extremal_enumerate, nu, t_oracle, tse
 from conclab.verify import ScanConfig, ScanRecord, conjecture_scan, quantized_extremal_measures
+
+
+def reference_nu(alpha: F) -> IntDist:
+    k = int(F(1) / alpha)
+    atoms = [(i, alpha) for i in range(k)]
+    residue = 1 - k * alpha
+    if residue > 0:
+        atoms.append((k, residue))
+    return IntDist(atoms)
+
+
+def reference_extremal_enumerate(alpha: F, window: tuple[int, int]) -> list[IntDist]:
+    k = int(F(1) / alpha)
+    residue = 1 - k * alpha
+    sites = list(range(window[0], window[1] + 1))
+    if len(sites) < k + (1 if residue > 0 else 0):
+        raise ValueError("window too small")
+    out = []
+    for support in itertools.combinations(sites, k):
+        if residue == 0:
+            out.append(IntDist((s, alpha) for s in support))
+            continue
+        for b in sites:
+            if b not in support:
+                out.append(IntDist([*((s, alpha) for s in support), (b, residue)]))
+    return out
+
+
+def reference_quantized_extremal_measures(denominator: int, window: tuple[int, int]) -> list[IntDist]:
+    lo, hi = window
+    width = hi - lo
+    out = []
+    for j in range(1, denominator):
+        alpha = F(j, denominator)
+        k = int(F(1) / alpha)
+        residue = 1 - k * alpha
+        if k + (1 if residue > 0 else 0) > width + 1:
+            continue
+        offsets = range(width + 1)
+        if residue == 0:
+            for support in itertools.combinations(offsets, k):
+                if support[0] == 0:
+                    out.append(IntDist((lo + s, alpha) for s in support))
+        else:
+            for support in itertools.combinations(offsets, k):
+                for b in offsets:
+                    if b in support or min(support[0], b) != 0:
+                        continue
+                    out.append(IntDist([*((lo + s, alpha) for s in support), (lo + b, residue)]))
+    return out
 
 
 def brute_tse(alphas: AlphaSeq) -> tuple[F, tuple[int, ...]]:
     """Every sign pattern of the free caps, first strict maximum wins."""
-    base = [nu(a) for a in alphas]
+    base = [reference_nu(a) for a in alphas]
     free = [i for i, a in enumerate(alphas) if (1 / a).denominator != 1]
     best, best_signs = None, ()
     for pattern in itertools.product((-1, 1), repeat=len(free)):
@@ -37,7 +90,7 @@ def brute_tse(alphas: AlphaSeq) -> tuple[F, tuple[int, ...]]:
 def brute_t_oracle(alphas: AlphaSeq, window: tuple[int, int]) -> tuple[F, list[IntDist]]:
     """Every tuple of window-supported extremal measures, first strict
     maximum wins."""
-    choices = [extremal_enumerate(a, window) for a in alphas]
+    choices = [reference_extremal_enumerate(a, window) for a in alphas]
     best, witness = None, []
     for combo in itertools.product(*choices):
         value = q_max(convolve_all(list(combo)))
@@ -47,7 +100,7 @@ def brute_t_oracle(alphas: AlphaSeq, window: tuple[int, int]) -> tuple[F, list[I
 
 
 def brute_scan(cfg: ScanConfig) -> list[ScanRecord]:
-    measures = quantized_extremal_measures(cfg.denominator, cfg.window)
+    measures = reference_quantized_extremal_measures(cfg.denominator, cfg.window)
     if comb(len(measures) + cfg.n - 1, cfg.n) <= cfg.budget:
         items = enumerate(itertools.combinations_with_replacement(measures, cfg.n))
     else:
@@ -64,6 +117,44 @@ def brute_scan(cfg: ScanConfig) -> list[ScanRecord]:
 
 def caps(denominator: int) -> list[F]:
     return [F(j, denominator) for j in range(1, denominator + 1)]
+
+
+# -- the integer builders against their Fraction bodies -------------------------
+
+
+BUILDER_WINDOWS = [(offset, offset + width) for width in range(7) for offset in (0, -3)]
+
+
+def test_nu_matches_reference():
+    for d in range(1, 13):
+        for a in caps(d):
+            assert nu(a) == reference_nu(a), a
+
+
+def test_extremal_enumerate_matches_reference():
+    for d in range(1, 13):
+        for a in caps(d):
+            for window in BUILDER_WINDOWS:
+                try:
+                    expected = reference_extremal_enumerate(a, window)
+                except ValueError:
+                    with pytest.raises(ValueError):
+                        extremal_enumerate(a, window)
+                    continue
+                assert extremal_enumerate(a, window) == expected, (a, window)
+
+
+def test_extremal_law_checks_its_numerators():
+    assert _extremal_law(F(2, 5), (3, 4), 6) == IntDist([(3, F(2, 5)), (4, F(2, 5)), (6, F(1, 5))])
+    for support, residue_site in [((0, 0), 1), ((0, 1), 0), ((0, 1, 2), None), ((0, 1), None)]:
+        with pytest.raises(RuntimeError):
+            _extremal_law(F(2, 5), support, residue_site)
+
+
+def test_quantized_extremal_measures_match_reference():
+    for d in range(2, 13):
+        for window in BUILDER_WINDOWS:
+            assert quantized_extremal_measures(d, window) == reference_quantized_extremal_measures(d, window), (d, window)
 
 
 def assert_tse_matches(alphas: AlphaSeq) -> None:
@@ -117,6 +208,22 @@ def test_tse_matches_brute_force_six_distinct_caps():
 @given(st.lists(st.tuples(st.integers(1, 8), st.integers(1, 8)), min_size=1, max_size=6))
 def test_tse_matches_brute_force_property(pairs):
     assert_tse_matches(AlphaSeq(F(min(j, d), d) for j, d in pairs))
+
+
+def test_max_q_search_tie_keeps_first_maximiser():
+    """Leaves of equal value, one as the reduced pair 1/2 and one as the
+    kernel's unreduced 2/4, tie: the first in visiting order wins either way,
+    and only a strictly larger leaf replaces it."""
+    coin = uniform([0, 1])
+    reduced, unreduced = delta(0), coin  # coin + delta(0): 1/2; coin + coin: 2/4
+    assert q_max_convolve(coin, reduced) == q_max_convolve(coin, unreduced) == F(1, 2)
+    for options in ([reduced, unreduced], [unreduced, reduced]):
+        assert _max_q_search(None, [[coin], options], [False, False]) == (F(1, 2), (0, 0))
+        assert _max_q_search(coin, [options], [False]) == (F(1, 2), (0,))
+        assert _max_q_search(None, [options, [coin]], [False, False]) == (F(1, 2), (0, 0))
+    wider = IntDist([(0, F(1, 4)), (1, F(1, 4)), (2, F(1, 2))])  # 2/4 alone, 1/2 reduced
+    assert _max_q_search(None, [[wider, coin]], [False]) == (F(1, 2), (0,))
+    assert _max_q_search(None, [[coin, wider, delta(3)]], [False]) == (F(1), (2,))
 
 
 # -- t_oracle --------------------------------------------------------------------
@@ -195,14 +302,38 @@ def test_q_max_convolve_checks_mass():
         q_max_convolve(broken, delta(0))
 
 
-@pytest.mark.parametrize(
-    "cfg",
-    [
-        ScanConfig(4, (0, 3), 3),
-        ScanConfig(5, (0, 3), 2),
-        ScanConfig(6, (0, 4), 3, seed=5, budget=60),
-        ScanConfig(7, (0, 5), 4, seed=2, budget=40),
-    ],
-)
+SCAN_CONFIGS = [
+    ScanConfig(4, (0, 3), 3),
+    ScanConfig(5, (0, 3), 2),
+    ScanConfig(6, (0, 4), 3, seed=5, budget=60),
+    ScanConfig(7, (0, 5), 4, seed=2, budget=40),
+]
+
+
+@pytest.mark.parametrize("cfg", SCAN_CONFIGS)
 def test_conjecture_scan_matches_brute_force(cfg):
     assert list(conjecture_scan(cfg)) == brute_scan(cfg)
+
+
+def test_searches_bypass_the_validating_constructor(monkeypatch):
+    """tse, t_oracle and the scan build every law from integers: with
+    FiniteMeasure.__init__ raising they return what they returned before."""
+    tse_cases = [AlphaSeq([F(2, 5), F(3, 7), F(1, 3), F(3, 4)]), AlphaSeq([F(2, 3)] * 3 + [F(1, 5)])]
+    oracle_case = AlphaSeq([F(1, 2), F(2, 3), F(2, 3)])
+
+    def run():
+        return (
+            [tse(a) for a in tse_cases],
+            t_oracle(oracle_case, (-1, 2)),
+            [list(conjecture_scan(cfg)) for cfg in SCAN_CONFIGS[1:3]],
+        )
+
+    expected = run()
+
+    def refuse(self, atoms):
+        raise RuntimeError("FiniteMeasure.__init__ called")
+
+    monkeypatch.setattr(FiniteMeasure, "__init__", refuse)
+    with pytest.raises(RuntimeError):
+        IntDist([(0, 1)])
+    assert run() == expected
