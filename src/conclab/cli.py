@@ -468,11 +468,12 @@ def cmd_scan(args) -> int:
     count = 0
     for record in conjecture_scan(cfg, measures):
         count += 1
+        if record.violation or not args.violations_only:
+            line = json.dumps(record.to_json_obj(), sort_keys=True)
+            lines.append(line)
         if record.violation:
             violations += 1
-            sys.stderr.write(f"VIOLATION: {json.dumps(record.to_json_obj(), sort_keys=True)}\n")
-        if record.violation or not args.violations_only:
-            lines.append(json.dumps(record.to_json_obj(), sort_keys=True))
+            sys.stderr.write(f"VIOLATION: {line}\n")
     summary = {
         "config": {
             "denominator": cfg.denominator,

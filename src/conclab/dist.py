@@ -12,16 +12,20 @@ are built only where masses leave the container; floating point never enters.
 
 Convolution has one kernel (``_convolve_numerators``) behind ``convolve``,
 ``convolve_all``, ``convolve_power`` and ``q_max_convolve``.  It works on the
-stored numerators and has two branches, and its result enters the container
+stored numerators and has three branches, and its result enters the container
 through ``_from_integers``, reduced by one gcd.  JSON, text and ``repr``
 are formatted from the integers too: each mass is its numerator and the
 denominator divided by their gcd, so no Fraction is built on the way out.
 Large dense supports use Kronecker substitution: each law is packed into one
 Python int with a fixed-width slot per point of the result's bounding box,
 CPython's big-int multiply (or ``pow``) does the convolution, and one pass
-over the slots unpacks the result, already in site order.  Small or sparse
-supports use a pairwise loop over dicts.  ``_packs`` chooses between them from
-atom counts and box slot counts alone.
+over the slots unpacks the result, already in site order.  The power of one
+dense law can instead use the same slot numbers as exponents of a polynomial
+and J. C. P. Miller's recurrence, one small multiply-add per result slot and
+input atom, where the big-int ``pow`` grows like Karatsuba in slots times slot
+width.  Small or sparse supports use a pairwise loop over dicts.
+``_branch`` chooses from atom counts, box slot counts and the slot width
+alone; ``tools/kernel_crossover.py`` prints the table behind its constants.
 """
 
 from __future__ import annotations
@@ -31,7 +35,7 @@ import json
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import comb, gcd, inf, lcm
 from typing import Iterable, Iterator, Sequence
 
 
@@ -280,49 +284,150 @@ def _slots(extents: Iterable[int]) -> int:
     return n
 
 
-# Costs of the packed kernel in units of one pairwise numerator product: a
-# fixed part, each input atom packed and each result slot unpacked.  The
-# crossover table behind them is in CHANGES.md.
+def _layout(boxes: list, n: int) -> tuple[list[int], list[int], list[int]]:
+    """(lo, ext, strides) of the result box of the product of laws with the
+    given boxes, all of it n times over: its lowest corner, its extent per
+    coordinate and the row-major strides that number its points 0, 1, ...,
+    so the first coordinate varies slowest and coordinates never carry into
+    each other."""
+    lo = [n * sum(b[j][0] for b in boxes) for j in range(len(boxes[0]))]
+    ext = [n * sum(b[j][1] - b[j][0] for b in boxes) for j in range(len(boxes[0]))]
+    strides = [1] * len(ext)
+    for j in range(len(ext) - 1, 0, -1):
+        strides[j - 1] = strides[j] * (ext[j] + 1)
+    return lo, ext, strides
+
+
+def _offsets(p: list, box: list, strides: list[int]) -> list[int]:
+    """The point number of each site of (site, numerator) pairs p relative to
+    the corner of box; increasing, as p is in site order."""
+    if not isinstance(p[0][0], tuple):
+        return [s - box[0][0] for s, _ in p]
+    return [sum((x - l) * st for x, (l, _), st in zip(s, box, strides)) for s, _ in p]
+
+
+def _box_sites(lo: list[int], ext: list[int], vector: bool) -> Iterable:
+    """The points of a box in row-major order, the order of their numbers."""
+    if vector:
+        return itertools.product(*(range(l, l + e + 1) for l, e in zip(lo, ext)))
+    return range(lo[0], lo[0] + ext[0] + 1)
+
+
+def _slot_bytes(parts: Sequence[list], n: int) -> int:
+    """Bytes per slot of the packed kernel: enough for the product of the
+    input numerator sums to the n-th power, which bounds every result
+    numerator."""
+    total = 1
+    for p in parts:
+        total *= sum(c for _, c in p)
+    return ((total**n).bit_length() + 7) // 8
+
+
+# Cost estimates in units of one pairwise numerator product of integer sites.
+# A product of lattice sites adds them coordinate by coordinate and costs
+# _PAIR_VECTOR units.  The packed kernel costs a fixed part, each input atom
+# packed and each result slot unpacked, plus the big-int product of slots * w
+# bytes, which CPython multiplies by Karatsuba.  The recurrence costs a fixed
+# part plus, per exponent of the result, one division and one multiply-add
+# per input atom after the first, each longer by w bytes.  The crossover
+# table behind the constants is in CHANGES.md (tools/kernel_crossover.py).
+_PAIR_VECTOR = 5
 _PACK_FIXED = 128
 _PACK_PER_ATOM = 2
 _PACK_PER_SLOT = 3
+_PACK_KARATSUBA = 300  # (slots * w) ** 1.585 / _PACK_KARATSUBA
+_REC_FIXED = 128
+_REC_PER_SLOT = 1
+_REC_PER_TERM = 1.5
+_REC_BYTES = 80  # a slot or a term costs (1 + w / _REC_BYTES) times its base
+# a Kronecker branch must cost at most _GUARD times the least pairwise work
+_GUARD = 3
+
+
+def _affine_dim(sites: Sequence[tuple[int, ...]]) -> int:
+    """Dimension of the affine hull of lattice sites: the rank of their
+    differences from the first, by fraction-free elimination."""
+    rows: list[tuple[int, list[int]]] = []  # (pivot, row); each row is zero at the earlier pivots
+    base = sites[0]
+    for s in sites[1:]:
+        v = [x - b for x, b in zip(s, base)]
+        for p, r in rows:
+            if v[p]:
+                v = [r[p] * x - v[p] * y for x, y in zip(v, r)]
+        pivot = next((j for j, x in enumerate(v) if x), None)
+        if pivot is not None:
+            rows.append((pivot, v))
+            if len(rows) == len(base):
+                break
+    return len(rows)
+
+
+def _dense_costs(parts: Sequence[list], boxes: list, n: int) -> tuple[float, float]:
+    """(packed, recurrence) cost estimates of the product of the laws
+    ``parts`` raised to the n-th power; the recurrence's is infinite unless
+    that is the power (n > 1) of one law."""
+    ext, strides = _layout(boxes, n)[1:]
+    slots, w = _slots(ext), _slot_bytes(parts, n)
+    atoms = sum(map(len, parts))
+    packed = _PACK_FIXED + _PACK_PER_ATOM * atoms + _PACK_PER_SLOT * slots + (slots * w) ** 1.585 / _PACK_KARATSUBA
+    if n == 1 or len(parts) > 1:
+        return packed, inf
+    (p,) = parts
+    first, last = _offsets([p[0], p[-1]], boxes[0], strides)
+    steps = n * (last - first) * (_REC_PER_SLOT + _REC_PER_TERM * (len(p) - 1))
+    return packed, _REC_FIXED + steps * (1 + w / _REC_BYTES)
 
 
 def _packs(parts: Sequence[list], n: int) -> bool:
-    """Whether the packed kernel should compute the product of the laws
-    ``parts`` raised to the n-th power, rather than the pairwise loop.
+    """Whether a Kronecker branch, packed or recurrence, should compute the
+    product of the laws ``parts`` raised to the n-th power, rather than the
+    pairwise loop.
 
-    Only atom counts and box slot counts enter.  The pairwise work is
-    estimated as a left fold over the factors (a power as n equal factors),
-    each step costing the product of its operands' atom counts.  A partial
-    sum's atom count lies between a lower bound (|A + B| >= |A| + |B| - 1)
-    and an upper bound (the product of the counts, at most the slots of its
-    box).  Packing must cost less than the upper estimate, and the result
-    may have at most as many slots as the lower estimate has products: so a
+    Only atom counts, box slot counts, the slot width and, for a lattice
+    power, the dimension of its law enter.  The pairwise work is estimated
+    as a left fold over the factors (a power as n equal factors), each step
+    costing the product of its operands' atom counts.  A partial sum's atom
+    count lies between a lower bound and an upper bound (the product of the
+    counts, at most the slots of its box).  The lower bound is
+    |A + B| >= |A| + |B| - 1; for i copies of one lattice law whose sites
+    span an affine space of dimension d it is also C(i + d, d), the distinct
+    sums of i of d + 1 affinely independent sites: quadratic in i for a 2-D
+    law, cubic for a 3-D one.  The cheaper Kronecker branch must cost less
+    than the upper estimate and at most _GUARD times the lower one, so a
     sparse support (sites {0, 10**12}) never packs, and a wrong guess costs
     at most a constant factor over the pairwise loop.
     """
+    unit = _PAIR_VECTOR if isinstance(parts[0][0][0], tuple) else 1
     if n == 1 and len(parts) == 2:
         na, nb = len(parts[0]), len(parts[1])
-        if na * nb <= _PACK_FIXED + _PACK_PER_ATOM * (na + nb):
-            return False  # the cost below without its slot term
-    atoms = sum(map(len, parts))
+        if unit * na * nb <= _PACK_FIXED + _PACK_PER_ATOM * (na + nb):
+            return False  # the packed cost without its slot terms
     boxes = [_box(p) for p in parts]
-    slots = _slots(n * sum(b[j][1] - b[j][0] for b in boxes) for j in range(len(boxes[0])))
-    cost = _PACK_FIXED + _PACK_PER_ATOM * atoms + _PACK_PER_SLOT * slots
+    cost = min(_dense_costs(parts, boxes, n))
+    dim = _affine_dim([s for s, _ in parts[0]]) if unit > 1 and len(parts) == 1 else 0
     ext = [hi - lo for lo, hi in boxes[0]]
     size_hi = size_lo = len(parts[0])
     work_hi = work_lo = 0
     for i in range(1, len(parts) * n):
         count, box = len(parts[i % len(parts)]), boxes[i % len(parts)]
-        work_hi += size_hi * count
-        work_lo += size_lo * count
-        if work_hi > cost and work_lo >= slots:
+        work_hi += unit * size_hi * count
+        work_lo += unit * size_lo * count
+        if work_hi > cost and _GUARD * work_lo >= cost:
             return True
         ext = [e + hi - lo for e, (lo, hi) in zip(ext, box)]
         size_hi = min(size_hi * count, _slots(ext))
-        size_lo += count - 1
+        size_lo = max(size_lo + count - 1, comb(i + 1 + dim, dim))
     return False
+
+
+def _branch(parts: Sequence[list], n: int) -> str:
+    """The kernel branch for the product of the laws ``parts`` raised to the
+    n-th power: 'pairwise' unless ``_packs``, else the cheaper of 'packed'
+    and, for the power of one law, 'recurrence'."""
+    if not _packs(parts, n):
+        return "pairwise"
+    packed, recurrence = _dense_costs(parts, [_box(p) for p in parts], n)
+    return "recurrence" if recurrence < packed else "packed"
 
 
 def _times(x: Iterable, y: Iterable, add) -> dict:
@@ -369,25 +474,12 @@ def _convolve_packed(parts: Sequence[list], n: int) -> dict:
     result numerator in its own slot.
     """
     boxes = [_box(p) for p in parts]
-    lo = [n * sum(b[j][0] for b in boxes) for j in range(len(boxes[0]))]
-    ext = [n * sum(b[j][1] - b[j][0] for b in boxes) for j in range(len(boxes[0]))]
-    strides = [1] * len(ext)
-    for j in range(len(ext) - 1, 0, -1):
-        strides[j - 1] = strides[j] * (ext[j] + 1)
-    total = 1
-    for p in parts:
-        total *= sum(c for _, c in p)
-    w = ((total**n).bit_length() + 7) // 8
-
-    vector = isinstance(parts[0][0][0], tuple)
+    lo, ext, strides = _layout(boxes, n)
+    w = _slot_bytes(parts, n)
     values = []
     for p, box in zip(parts, boxes):
         buf = bytearray(w * (1 + sum((hi - l) * st for (l, hi), st in zip(box, strides))))
-        for s, c in p:
-            if vector:
-                k = sum((x - l) * st for x, (l, _), st in zip(s, box, strides))
-            else:
-                k = s - box[0][0]
+        for k, (_, c) in zip(_offsets(p, box, strides), p):
             buf[k * w : k * w + w] = c.to_bytes(w, "little")
         values.append(int.from_bytes(buf, "little"))
     while len(values) > 1:  # a balanced product tree keeps the operands even
@@ -396,13 +488,51 @@ def _convolve_packed(parts: Sequence[list], n: int) -> dict:
 
     slots = _slots(ext)
     data = value.to_bytes(slots * w, "little")
-    if vector:
-        sites = itertools.product(*(range(l, l + e + 1) for l, e in zip(lo, ext)))
-    else:
-        sites = range(lo[0], lo[0] + ext[0] + 1)
     from_bytes = int.from_bytes
     coefficients = [from_bytes(data[k : k + w], "little") for k in range(0, slots * w, w)]
+    sites = _box_sites(lo, ext, isinstance(parts[0][0][0], tuple))
     return {s: c for s, c in zip(sites, coefficients) if c}
+
+
+def _convolve_recurrence(p: list, n: int) -> dict:
+    """Site -> numerator, in site order, of the law with (site, numerator)
+    pairs p raised to the n-th power, by J. C. P. Miller's recurrence
+    (Knuth, TAOCP vol. 2, section 4.7).
+
+    Sites become exponents by the row-major strides of ``_convolve_packed``,
+    so the law is a polynomial P whose n-th power is the result.  The
+    exponents are shifted so that the first site, the smallest in site order
+    and so in exponent, is exponent 0: its numerator p_0 is positive even
+    when the box corner carries no mass.  From P (P^n)' = n P' P^n the
+    coefficients a_k of P^n satisfy
+
+        p_0 k a_k = sum_{j >= 1} ((n + 1) j - k) p_j a_{k-j},
+
+    one small-by-big multiply-add per (result slot, input atom) and one exact
+    division per slot.  A remainder means a fault and raises RuntimeError.
+    """
+    box = _box(p)
+    lo, ext, strides = _layout([box], n)
+    offsets = _offsets(p, box, strides)
+    e0, p0 = offsets[0], p[0][1]
+    # (j, (n + 1) j p_j, p_j) in increasing j, so a slot stops at the first j > k
+    terms = [(e - e0, (n + 1) * (e - e0) * c, c) for e, (_, c) in zip(offsets[1:], p[1:])]
+    top = n * (offsets[-1] - e0)
+    a = [p0**n]
+    for k in range(1, top + 1):
+        acc = 0
+        for j, cj, pj in terms:
+            if j > k:
+                break
+            x = a[k - j]
+            if x:
+                acc += (cj - k * pj) * x
+        q, r = divmod(acc, k * p0)
+        if r:
+            raise RuntimeError("Miller's recurrence left a remainder")
+        a.append(q)
+    sites = itertools.islice(_box_sites(lo, ext, isinstance(p[0][0], tuple)), n * e0, None)
+    return {s: c for s, c in zip(sites, a) if c}
 
 
 def _convolve_numerators(laws: Sequence[FiniteMeasure], n: int = 1):
@@ -412,9 +542,11 @@ def _convolve_numerators(laws: Sequence[FiniteMeasure], n: int = 1):
 
     Returns (out, den): a site -> numerator dict, not necessarily in site
     order, over den, the product of the inputs' common denominators to the
-    n-th power.  ``_packs`` picks the branch.  The numerators must sum to the
-    product of the inputs' numerator sums (their denominators for normalized
-    laws); anything else is a broken input or a kernel fault.
+    n-th power.  ``_branch`` picks the branch: the pairwise loop, the packed
+    big-int product, or, for the power of one law (``convolve_power``),
+    Miller's recurrence.  The numerators must sum to the product of the
+    inputs' numerator sums (their denominators for normalized laws); anything
+    else is a broken input or a kernel fault.
     """
     first = laws[0]
     parts, den, total = [], 1, 1
@@ -428,7 +560,10 @@ def _convolve_numerators(laws: Sequence[FiniteMeasure], n: int = 1):
         total *= mu._den if mu._normalized else sum(mu._nums.values())
     if n > 1:
         den, total = den**n, total**n
-    if _packs(parts, n):
+    branch = _branch(parts, n)
+    if branch == "recurrence":
+        out = _convolve_recurrence(parts[0], n)
+    elif branch == "packed":
         out = _convolve_packed(parts, n)
     else:
         out = _convolve_pairwise(parts, n, first._add_sites)
@@ -444,7 +579,7 @@ def convolve(a: FiniteMeasure, b: FiniteMeasure) -> FiniteMeasure:
     Masses are accumulated as integer numerators over the product of the two
     common denominators, and the result is reduced by one gcd.  Large dense
     supports go through the Kronecker-substitution kernel (one big-int
-    product), small or sparse ones through the pairwise loop; see ``_packs``.
+    product), small or sparse ones through the pairwise loop; see ``_branch``.
     """
     out, den = _convolve_numerators((a, b))
     return type(a)._from_integers(out, den)
@@ -486,9 +621,10 @@ def convolve_all(dists: Sequence[FiniteMeasure]) -> FiniteMeasure:
 def convolve_power(mu: FiniteMeasure, n: int) -> FiniteMeasure:
     """n-fold self-convolution.
 
-    Packed, this is ``pow`` of one big integer and one unpack; pairwise,
-    binary exponentiation of the numerator dict.  Either way no intermediate
-    law is built and only the result is reduced, by one gcd.
+    By recurrence, one pass over the result's exponents; packed, ``pow`` of
+    one big integer and one unpack; pairwise, binary exponentiation of the
+    numerator dict.  Either way no intermediate law is built and only the
+    result is reduced, by one gcd.
     """
     if n < 1:
         raise ValueError("n must be >= 1")

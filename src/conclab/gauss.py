@@ -14,7 +14,7 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -160,27 +160,43 @@ def _cell_prob_1d(mu: float, sigma: float, x: int) -> tuple[float, float]:
     return max(p, 0.0), 1e-14
 
 
-def _cell_prob_2d(spec: GaussSpec, x: tuple[int, int], epsabs: float) -> tuple[float, float]:
+def _cell_integrator_2d(spec: GaussSpec, epsabs: float) -> Callable[[tuple[int, int]], tuple[float, float]]:
+    """The 2-D cell probability x -> (p, err): the Gaussian density of the
+    first coordinate times the conditional probability of the second cell,
+    integrated over the first by ``quad``.
+
+    What depends only on the spec is computed once per table.  The integrand
+    inlines ``norm_cdf`` with the same operations in the same order, so every
+    value, and so ``quad``'s result, is the float that a per-cell evaluation
+    gives.
+    """
     # imported here, its only use, so that importing this module leaves scipy out
     from scipy.integrate import quad
 
+    exp, erf = math.exp, math.erf
     m1, m2 = spec.mean
     s11 = spec.cov[0][0]
     s12 = spec.cov[0][1]
     s22 = spec.cov[1][1]
     sd1 = math.sqrt(s11)
-    cond_var = s22 - s12 * s12 / s11
-    cond_sd = math.sqrt(cond_var)
-    a1, b1 = x[0] - 0.5, x[0] + 0.5
-    a2, b2 = x[1] - 0.5, x[1] + 0.5
+    cond_sd = math.sqrt(s22 - s12 * s12 / s11)
+    scale = sd1 * math.sqrt(2 * math.pi)
+    slope = s12 / s11
+    sqrt2 = math.sqrt(2.0)
 
-    def integrand(t: float) -> float:
-        density = math.exp(-0.5 * ((t - m1) / sd1) ** 2) / (sd1 * math.sqrt(2 * math.pi))
-        c = m2 + s12 / s11 * (t - m1)
-        return density * (norm_cdf((b2 - c) / cond_sd) - norm_cdf((a2 - c) / cond_sd))
+    def cell(x: tuple[int, int]) -> tuple[float, float]:
+        a2, b2 = x[1] - 0.5, x[1] + 0.5
 
-    value, err = quad(integrand, a1, b1, epsabs=epsabs, limit=200)
-    return max(value, 0.0), max(err, 1e-15)
+        def integrand(t: float) -> float:
+            c = m2 + slope * (t - m1)
+            upper = 0.5 * (1.0 + erf((b2 - c) / cond_sd / sqrt2))
+            lower = 0.5 * (1.0 + erf((a2 - c) / cond_sd / sqrt2))
+            return exp(-0.5 * ((t - m1) / sd1) ** 2) / scale * (upper - lower)
+
+        value, err = quad(integrand, x[0] - 0.5, x[0] + 0.5, epsabs=epsabs, limit=200)
+        return max(value, 0.0), max(err, 1e-15)
+
+    return cell
 
 
 def _tail_bound_outside_box(spec: GaussSpec, box: Sequence[tuple[int, int]]) -> float:
@@ -219,7 +235,7 @@ class CellTable:
     spec: GaussSpec
 
     def prob(self, site: Sequence[int]) -> tuple[float, float]:
-        return self.cells.get(tuple(int(v) for v in site), (0.0, 0.0))
+        return self.cells.get(_int_vector(site), (0.0, 0.0))
 
 
 def discretized_gaussian(
@@ -247,9 +263,10 @@ def discretized_gaussian(
         for x in range(box[0][0], box[0][1] + 1):
             cells[(x,)] = _cell_prob_1d(mu, sigma, x)
     elif d == 2:
+        cell = _cell_integrator_2d(spec, epsabs=min(tol / 10, 1e-11))
         for x0 in range(box[0][0], box[0][1] + 1):
             for x1 in range(box[1][0], box[1][1] + 1):
-                p, err = _cell_prob_2d(spec, (x0, x1), epsabs=min(tol / 10, 1e-11))
+                p, err = cell((x0, x1))
                 if err > tol:
                     raise ValueError(f"quadrature error {err} exceeds tol {tol} at {(x0, x1)}")
                 cells[(x0, x1)] = (p, err)

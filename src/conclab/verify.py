@@ -227,14 +227,20 @@ class ScanConfig:
 
 @dataclass(frozen=True)
 class ScanRecord:
+    """One tuple of a conjecture scan.  ``instance_json``, when given, holds
+    the JSON objects of the instance laws, shared between the records of one
+    scan, so each law is formatted once per scan; it takes no part in ==."""
+
     index: int
     alphas: tuple[Fraction, ...]
     lhs: Fraction
     rhs: Fraction
     violation: bool
     instance: tuple[IntDist, ...]
+    instance_json: Optional[tuple[dict, ...]] = field(default=None, compare=False, repr=False)
 
     def to_json_obj(self) -> dict:
+        laws = self.instance_json if self.instance_json is not None else (d.to_json_obj() for d in self.instance)
         return {
             "index": self.index,
             "alphas": [format_fraction(a) for a in self.alphas],
@@ -242,7 +248,7 @@ class ScanRecord:
             "rhs": format_fraction(self.rhs),
             "margin": format_fraction(self.rhs - self.lhs),
             "violation": self.violation,
-            "instance": [d.to_json_obj() for d in self.instance],
+            "instance": list(laws),
         }
 
 
@@ -287,8 +293,9 @@ def conjecture_scan(cfg: ScanConfig, measures: Optional[list[IntDist]] = None) -
     ``measures`` is ``quantized_extremal_measures(cfg.denominator,
     cfg.window)`` when the caller has already built it.  Tuples are drawn as
     indices into it (``rng.choice(range(m))`` consumes the same draws as
-    ``rng.choice(measures)``), each measure's cap is computed once, and the
-    sign-search optimum is cached per sorted tuple of cap classes.
+    ``rng.choice(measures)``), each measure's cap and JSON object are
+    computed once, and the sign-search optimum is cached per sorted tuple of
+    cap classes.
     """
     if measures is None:
         measures = quantized_extremal_measures(cfg.denominator, cfg.window)
@@ -296,6 +303,7 @@ def conjecture_scan(cfg: ScanConfig, measures: Optional[list[IntDist]] = None) -
     if not m:
         return
     caps = [q_max(mu) for mu in measures]
+    laws_json = [mu.to_json_obj() for mu in measures]
     # class 0 is the largest cap, so sorted class indices list the caps nonincreasing
     classes = sorted(set(caps), reverse=True)
     class_of = [classes.index(a) for a in caps]
@@ -318,7 +326,7 @@ def conjecture_scan(cfg: ScanConfig, measures: Optional[list[IntDist]] = None) -
             lhs = q_max_convolve(convolve_all(combo[:-1]), combo[-1])
         else:
             lhs = caps[picks[0]]
-        yield ScanRecord(idx, alphas, lhs, rhs, lhs > rhs, combo)
+        yield ScanRecord(idx, alphas, lhs, rhs, lhs > rhs, combo, tuple(laws_json[i] for i in picks))
 
 
 def scan_mode(cfg: ScanConfig, measures: Optional[list[IntDist]] = None) -> str:

@@ -2,8 +2,12 @@
 
 import functools
 import itertools
+import operator
+import subprocess
+import sys
 from fractions import Fraction as F
 from math import comb, gcd, lcm
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -372,6 +376,98 @@ def test_kernel_keeps_measure_totals():
     c = convolve(a, b)
     assert sum(c.masses) == sum(a.masses) * sum(b.masses)
     assert convolve_power(a, 40) == convolve_all([a] * 40)
+
+
+# -- the recurrence branch (Miller's recurrence for the power of one law) ------
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(_KINDS).flatmap(_law), st.integers(1, 9))
+@example(LatticeDist([((0, 1), F(2, 5)), ((1, 0), F(3, 5))]), 7)  # no atom at the box corner
+@example(LatticeDist([((1, 0, 0), F(1, 3)), ((0, 1, 1), F(2, 3))]), 4)
+@example(IntMeasure([(-3, F(7, 2)), (4, F(1, 3))]), 5)  # negative, gapped, total other than 1
+@example(IntDist([(-2, F(1))]), 9)  # single atom
+def test_recurrence_branch_matches_pairwise_branch(mu, n):
+    (p,) = _parts([mu])
+    recurrence = dist._convolve_recurrence(p, n)
+    assert recurrence == _convolve_pairwise([p], n, mu._add_sites)
+    assert list(recurrence) == sorted(recurrence)  # built in site order
+    assert all(c > 0 for c in recurrence.values())
+
+
+def test_large_dense_powers_take_the_recurrence_branch():
+    assert dist._branch(_parts([uniform([0, 1, 3])]), 320) == "recurrence"
+    assert dist._branch(_parts([uniform([0, 1, 2])]), 128) == "recurrence"
+    line5 = IntDist((s, F(w, 19)) for s, w in enumerate([3, 5, 4, 2, 5]))
+    assert dist._branch(_parts([line5]), 160) == "recurrence"
+    assert dist._branch(_parts([IntDist([(0, F(1, 2)), (10**12, F(1, 2))])]), 64) == "pairwise"
+    # a product of laws has no recurrence, however dense
+    mu = IntDist((s, F(s + 1, 5050)) for s in range(100))
+    assert dist._branch(_parts([mu, mu]), 1) == "packed"
+    mu = IntMeasure([(0, 2), (1, F(1, 3)), (3, 5)])
+    assert convolve_power(mu, 200) == convolve_all([mu] * 200)
+
+
+def test_lattice_branch_rule():
+    square = LatticeDist(((x, y), F(1, 4)) for x in (0, 1) for y in (0, 1))
+    assert dist._branch(_parts([square]), 2) == "pairwise"
+    assert dist._branch(_parts([square]), 4) == "packed"
+    # the lower bound from the affine dimension: 32 copies of the cube have at
+    # least C(35, 3) atoms, so the pairwise loop cannot be cheap
+    cube = LatticeDist((s, F(1, 8)) for s in itertools.product((0, 1), repeat=3))
+    assert dist._branch(_parts([cube]), 32) != "pairwise"
+    # a diagonal law is 1-dimensional: its power has few atoms in a large box
+    diagonal = LatticeDist([((0, 0), F(1, 2)), ((1000, 1000), F(1, 2))])
+    assert dist._branch(_parts([diagonal]), 64) == "pairwise"
+    assert convolve_power(diagonal, 64) == LatticeDist(
+        ((1000 * k, 1000 * k), F(comb(64, k), 2**64)) for k in range(65)
+    )
+
+
+def test_affine_dim():
+    assert dist._affine_dim([(3, 4)]) == 0
+    assert dist._affine_dim([(k, 2 * k, -k) for k in range(5)]) == 1
+    assert dist._affine_dim([(0, 0), (1, 1), (2, 2), (5, 5)]) == 1
+    assert dist._affine_dim([(0, 0), (1, 1), (1, 0)]) == 2
+    assert dist._affine_dim([(0, 0, 0), (1, 1, 0), (2, 2, 0), (0, 1, 0)]) == 2
+    assert dist._affine_dim([(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1)]) == 3
+    assert dist._affine_dim(list(itertools.product((0, 1), repeat=3))) == 3
+
+
+class _BadPower(int):
+    """A numerator whose powers are off by one: a corrupted p_0."""
+
+    def __pow__(self, n):
+        return int(self) ** n + 1
+
+
+class _BadStep(int):
+    """An exponent whose successor is off by one: a corrupted step (n + 1) j."""
+
+    def __add__(self, other):
+        return int(self) + other + 1
+
+
+def test_recurrence_remainder_raises():
+    with pytest.raises(RuntimeError, match="remainder"):
+        dist._convolve_recurrence([(0, _BadPower(2)), (1, 3)], 5)
+    with pytest.raises(RuntimeError, match="remainder"):
+        dist._convolve_recurrence([(0, 2), (1, 3), (2, 5)], _BadStep(5))
+    assert dist._convolve_recurrence([(0, 2), (1, 3), (2, 5)], 5) == _convolve_pairwise(
+        [[(0, 2), (1, 3), (2, 5)]], 5, operator.add
+    )
+
+
+def test_kernel_crossover_script_runs():
+    script = Path(__file__).resolve().parent.parent / "tools" / "kernel_crossover.py"
+    run = subprocess.run(
+        [sys.executable, str(script), "--repeat", "1", "3x3", "sq^2"],
+        capture_output=True, text=True, timeout=120, check=True,
+    )
+    rows = run.stdout.splitlines()[1:]
+    assert [row.split()[0] for row in rows] == ["3x3", "sq^2"]
+    assert all(row.split()[-2] in ("pairwise", "packed", "recurrence") for row in rows)
+    assert rows[1].split()[-4] != "-"  # a power of one law times the recurrence too
 
 
 # -- the integer storage: kernel results against the validating constructor ---

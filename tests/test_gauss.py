@@ -496,3 +496,59 @@ def test_berry_esseen_gap_matches_fraction_body():
     skew = IntDist([(-1, F(1, 6)), (0, F(1, 3)), (2, F(1, 2))])
     for mus in ([uniform([0, 1])] * 64, [skew] * 7, [skew, uniform([0, 3]), uniform([-2, 5, 9])], [uniform([5, 6])]):
         assert berry_esseen_gap(mus) == _berry_esseen_reference(mus)
+
+
+def _cell_prob_2d_reference(spec, x, epsabs):
+    """The per-cell 2-D body before the table-level integrator: every
+    spec-derived value recomputed per cell, norm_cdf called per node."""
+    from scipy.integrate import quad
+
+    m1, m2 = spec.mean
+    s11 = spec.cov[0][0]
+    s12 = spec.cov[0][1]
+    s22 = spec.cov[1][1]
+    sd1 = math.sqrt(s11)
+    cond_var = s22 - s12 * s12 / s11
+    cond_sd = math.sqrt(cond_var)
+    a1, b1 = x[0] - 0.5, x[0] + 0.5
+    a2, b2 = x[1] - 0.5, x[1] + 0.5
+
+    def integrand(t):
+        density = math.exp(-0.5 * ((t - m1) / sd1) ** 2) / (sd1 * math.sqrt(2 * math.pi))
+        c = m2 + s12 / s11 * (t - m1)
+        return density * (norm_cdf((b2 - c) / cond_sd) - norm_cdf((a2 - c) / cond_sd))
+
+    value, err = quad(integrand, a1, b1, epsabs=epsabs, limit=200)
+    return max(value, 0.0), max(err, 1e-15)
+
+
+@pytest.mark.parametrize(
+    "mean, cov, box, tol",
+    [
+        ((0.0, 0.0), ((1.0, 0.3), (0.3, 1.0)), [(-4, 4), (-4, 4)], 1e-8),
+        ((0.25, -0.4), ((2.5, -0.7), (-0.7, 1.2)), [(-5, 5), (-3, 4)], 1e-9),
+        ((-1.3, 2.2), ((8.0, 5.5), (5.5, 9.0)), [(-8, 6), (-4, 9)], 1e-6),
+        ((0.0, 0.0), ((0.05, 0.0), (0.0, 30.0)), [(-2, 2), (-12, 12)], 1e-7),
+    ],
+)
+def test_cell_table_2d_matches_per_cell_body(mean, cov, box, tol):
+    spec = GaussSpec(mean, cov)
+    table = discretized_gaussian(spec, box, tol=tol)
+    epsabs = min(tol / 10, 1e-11)
+    expected = {
+        (x0, x1): _cell_prob_2d_reference(spec, (x0, x1), epsabs)
+        for x0 in range(box[0][0], box[0][1] + 1)
+        for x1 in range(box[1][0], box[1][1] + 1)
+    }
+    assert table.cells == expected  # float for float, in the same order
+    assert list(table.cells) == list(expected)
+
+
+def test_cell_table_prob_rejects_float_sites():
+    table = discretized_gaussian(GaussSpec((0.0, 0.0), ((1.0, 0.0), (0.0, 1.0))), [(-1, 1), (-1, 1)], tol=1e-8)
+    assert table.prob((0, 1)) == table.cells[(0, 1)]
+    assert table.prob([np.int64(0), 1]) == table.cells[(0, 1)]
+    assert table.prob((5, 5)) == (0.0, 0.0)
+    for site in [(0.5, 1), (0.0, 1), (1, 1.0)]:
+        with pytest.raises(TypeError):
+            table.prob(site)

@@ -1,5 +1,7 @@
 """Lemma checkers, the conjecture scan, and instance generators."""
 
+import dataclasses
+import json
 import math
 from fractions import Fraction as F
 
@@ -53,6 +55,20 @@ def test_scan_d4_exhaustive_no_violation():
     records = list(conjecture_scan(cfg))
     assert len(records) == 55
     assert not any(r.violation for r in records)
+
+
+@pytest.mark.parametrize("cfg", [ScanConfig(denominator=5, window=(0, 3), n=3), ScanConfig(denominator=4, window=(0, 3), n=3, budget=40, seed=2)])
+def test_scan_json_built_once_per_measure(cfg):
+    """Records share one JSON object per measure and serialize to the bytes
+    of the per-record formatting."""
+    records = list(conjecture_scan(cfg))
+    for r in records:
+        assert json.dumps(r.to_json_obj(), sort_keys=True) == json.dumps(
+            dataclasses.replace(r, instance_json=None).to_json_obj(), sort_keys=True
+        )
+        assert r == dataclasses.replace(r, instance_json=None)
+    shared = {id(law) for r in records for law in r.to_json_obj()["instance"]}
+    assert len(shared) <= len(quantized_extremal_measures(cfg.denominator, cfg.window))
 
 
 def test_scan_budget_sampling_deterministic():
