@@ -6,8 +6,10 @@ success or all-pass, 1 when a check fails or the scan finds a violation, 2 on
 usage or validation errors.  A fixed --seed yields byte-identical output.
 
 Only the gauss and be-gap commands import the Gaussian layer, and with it
-numpy (scipy only for a d = 2 cell table).  The parser is built once per
-process.
+numpy; no command imports scipy.  The gauss commands label their error
+terms with err_kind: "certified" for bounds that are not statistical (the
+d <= 2 cells and TV, the tail bound), "3-sigma" for Monte Carlo half-widths
+(the d = 3 cells, the tail check).  The parser is built once per process.
 """
 
 from __future__ import annotations
@@ -316,6 +318,7 @@ def cmd_gauss(args) -> int:
             {
                 "cells": [[list(site), p, err] for site, (p, err) in sorted(table.cells.items())],
                 "tail_bound": table.tail_bound,
+                "err_kind": table.err_kind,
             },
         )
     elif args.action == "tv":
@@ -335,7 +338,16 @@ def cmd_gauss(args) -> int:
                 emit(args, {"curve": rows})
         else:
             result = gauss.tv_to_discretized_gaussian(s, tol=args.tol)
-            emit(args, {"tv": result.value, "err": result.err, "cells": result.cells, "tail_bound": result.tail_bound})
+            emit(
+                args,
+                {
+                    "tv": result.value,
+                    "err": result.err,
+                    "cells": result.cells,
+                    "tail_bound": result.tail_bound,
+                    "err_kind": result.err_kind,
+                },
+            )
     elif args.action == "terms":
         if not args.inputs:
             raise ValueError("terms needs at least one lattice distribution file")
@@ -364,10 +376,11 @@ def cmd_gauss(args) -> int:
                     "std_err": report.std_err,
                     "holds": report.holds,
                     "samples": report.samples,
+                    "err_kind": "3-sigma",
                 },
             )
             return 0 if report.holds else CHECK_FAILED
-        emit(args, {"bound": gauss.gaussian_tail_bound(cov, t_value)})
+        emit(args, {"bound": gauss.gaussian_tail_bound(cov, t_value), "err_kind": "certified"})
     return 0
 
 

@@ -9,12 +9,15 @@ error-aware: (value + err) against (other - err).
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import operator
+from collections import Counter
 from dataclasses import dataclass
+from decimal import Decimal, localcontext
 from fractions import Fraction
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -155,48 +158,219 @@ class GaussSpec:
         return GaussSpec(tuple(mean.tolist()), tuple(map(tuple, cov.tolist())))
 
 
+# -- certified cells ---------------------------------------------------------------
+#
+# The d <= 2 cell errors are proven under this float model:
+#   - IEEE 754 binary64 arithmetic rounding to nearest: +, -, *, / and sqrt
+#     carry a relative error of at most _U = 2**-53 (densities below
+#     exp(-700), where results may leave the normal range, are charged whole);
+#   - math.exp and math.erf are within 4 ulp: |computed - exact| <= _LIBM |exact|;
+#   - box coordinates are integers below 2**52 in magnitude, so x +- 1/2 is exact.
+# Each first-order error term below carries at least 1% of slack, which also
+# covers the roundings made while the bound itself is evaluated.
+
+_U = 2.0**-53
+_LIBM = 2.0**-50
+_ERF_SLOPE = 1.1284  # max |erf'| = 2 / sqrt(pi) = 1.12838, rounded up
+_ERF_REL = 0.49  # |erf(w (1 + e)) - erf(w)| <= _ERF_REL |e|: 2 / sqrt(2 pi e) = 0.48394, plus slack
+_COORD_LIMIT = 2**52
+
+# One norm_cdf value: five roundings of its argument, erf's own error and
+# 1 + erf; a 1-D cell is the difference of two values, rounded once more.
+_PHI_ERR = (_ERF_REL * 5.1 * _U + _LIBM + 2.1 * _U) / 2
+_D1_CELL_ERR = 2 * _PHI_ERR + 1.1 * _U
+
+_CRAMER = 1.086435  # |He_k(x)| exp(-x^2/4) <= _CRAMER sqrt(k!)  (A&S 22.14.17)
+_MAX_NODES = 64
+_MAX_COLUMN_NODES = 100_000
+_LOG_FACT = [math.lgamma(k + 1) for k in range(2 * _MAX_NODES + 1)]
+_SAFE = 1 + 1e-8  # covers the log-space evaluation of the remainder bound
+
+
 def _cell_prob_1d(mu: float, sigma: float, x: int) -> tuple[float, float]:
     p = norm_cdf((x + 0.5 - mu) / sigma) - norm_cdf((x - 0.5 - mu) / sigma)
-    return max(p, 0.0), 1e-14
+    return max(p, 0.0), _D1_CELL_ERR
 
 
-def _cell_integrator_2d(spec: GaussSpec, epsabs: float) -> Callable[[tuple[int, int]], tuple[float, float]]:
-    """The 2-D cell probability x -> (p, err): the Gaussian density of the
-    first coordinate times the conditional probability of the second cell,
-    integrated over the first by ``quad``.
+@functools.lru_cache(maxsize=None)
+def _gauss_legendre(n: int) -> tuple[tuple[float, ...], tuple[float, ...]]:
+    """Nodes and weights of the n-point Gauss-Legendre rule on [-1, 1].
 
-    What depends only on the spec is computed once per table.  The integrand
-    inlines ``norm_cdf`` with the same operations in the same order, so every
-    value, and so ``quad``'s result, is the float that a per-cell evaluation
-    gives.
+    numpy's ``leggauss`` nodes start Newton's iteration on P_n in 40-digit
+    decimal arithmetic, which runs until a step is below 1e-35; the weight is
+    2 / ((1 - x^2) P_n'(x)^2).  Each float is then the nearest one to a value
+    good to far more than 53 bits, so a node is within _U and a weight within
+    _U relative of the exact one.  (``leggauss``'s own weights are off by up
+    to 4e-12 relative for n <= 80.)
     """
-    # imported here, its only use, so that importing this module leaves scipy out
-    from scipy.integrate import quad
+    with localcontext() as ctx:
+        ctx.prec = 40
+        one, tiny = Decimal(1), Decimal("1e-35")
 
-    exp, erf = math.exp, math.erf
+        def legendre(x: Decimal) -> tuple[Decimal, Decimal]:
+            p0, p1 = one, x
+            for k in range(2, n + 1):
+                p0, p1 = p1, ((2 * k - 1) * x * p1 - (k - 1) * p0) / k
+            return p1, n * (x * p1 - p0) / (x * x - one)
+
+        nodes, weights = [], []
+        start, _ = np.polynomial.legendre.leggauss(n)
+        for guess in start[: (n + 1) // 2]:  # the nodes up to 0; the rest mirror them
+            x = Decimal(0) if 2 * len(nodes) + 1 == n else Decimal(float(guess))
+            for _ in range(8):
+                p, dp = legendre(x)
+                step = p / dp
+                x -= step
+                if abs(step) < tiny:
+                    break
+            else:
+                raise RuntimeError(f"Gauss-Legendre node {len(nodes)} of {n} did not converge")
+            dp = legendre(x)[1]
+            nodes.append(float(x))
+            weights.append(float(2 / ((one - x * x) * dp * dp)))
+    half = n // 2
+    return tuple(nodes + [-x for x in reversed(nodes[:half])]), tuple(weights + weights[:half][::-1])
+
+
+@dataclass(frozen=True)
+class _GLPlan:
+    """How every column of a 2-D table is integrated: `pieces` equal pieces of
+    `nodes`-point Gauss-Legendre.  `offsets` are the node positions relative
+    to the column's centre, piece by piece, and `weights` the rule's weights
+    times half a piece.  `remainder` bounds the quadrature error of any cell
+    and `deriv` bounds |f'|, both before the column factor exp(-v^2/4)."""
+
+    pieces: int
+    nodes: int
+    remainder: float
+    deriv: float
+    offsets: np.ndarray
+    weights: np.ndarray
+
+
+def _log_deriv_bound(order: int, sd1: float, r: float) -> float:
+    """log of a bound on |f^(order)(t)| exp((t - m1)^2 / (4 sd1^2)) for
+    f(t) = phi1(t) [Phi(beta(t)) - Phi(alpha(t))], with phi1 the N(m1, sd1^2)
+    density and alpha, beta of slope r in absolute value.
+
+    Leibniz's rule splits f^(N) into C(N, j) phi1^(N-j) g^(j), g the bracket.
+    Cramer's inequality gives |phi1^(k)| <= K sqrt(k!) e^(-v^2/4) /
+    (sqrt(2 pi) sd1^(k+1)), with v = (t - m1) / sd1; |g| <= 1; and for
+    j >= 1, |g^(j)| <= 2 r^j K sqrt((j-1)!) / sqrt(2 pi).
+    """
+    lf, n = _LOG_FACT, order
+    log_k = math.log(_CRAMER / math.sqrt(2 * math.pi))
+    log_sd = math.log(sd1)
+    logs = [0.5 * lf[n] - n * log_sd]
+    if r > 0:
+        log_r, log_2k = math.log(r), math.log(2.0) + log_k
+        logs += [
+            log_2k + lf[n] - lf[j] - 0.5 * lf[n - j] + 0.5 * lf[j - 1] + j * log_r - (n - j) * log_sd
+            for j in range(1, n + 1)
+        ]
+    top = max(logs)
+    return log_k - log_sd + top + math.log(sum(math.exp(x - top) for x in logs))
+
+
+def _gl_plan(sd1: float, r: float, epsabs: float) -> _GLPlan:
+    """The cheapest split of a unit column (pieces x nodes, fewest
+    evaluations) whose proven Gauss-Legendre remainder is at most epsabs.
+
+    On a piece of length h the n-point rule errs by
+    h^(2n+1) (n!)^4 / ((2n+1) ((2n)!)^3) max|f^(2n)|  (A&S 25.4.30), so P
+    pieces of a unit column err by c_n max|f^(2n)| / P^(2n) in all.
+    """
+    lf = _LOG_FACT
+    log_eps = math.log(epsabs)
+    best = None  # (evaluations, pieces, nodes, log remainder)
+    for n in range(1, _MAX_NODES + 1):
+        if best is not None and n >= best[0]:
+            break  # even one piece would cost more
+        log_bound = 4 * lf[n] - math.log(2 * n + 1) - 3 * lf[2 * n] + _log_deriv_bound(2 * n, sd1, r)
+        log_pieces = max((log_bound - log_eps) / (2 * n), 0.0)
+        if log_pieces > math.log(_MAX_COLUMN_NODES):
+            continue
+        pieces = max(1, math.ceil(math.exp(log_pieces)))
+        while log_bound - 2 * n * math.log(pieces) + math.log(_SAFE) > log_eps:
+            pieces += 1
+        if best is None or pieces * n < best[0]:
+            best = (pieces * n, pieces, n, log_bound - 2 * n * math.log(pieces))
+    if best is None or best[0] > _MAX_COLUMN_NODES:
+        raise ValueError(f"no Gauss-Legendre plan reaches {epsabs} within {_MAX_COLUMN_NODES} nodes a column")
+    _, pieces, n, log_rem = best
+    x, w = _gauss_legendre(n)
+    half = 0.5 / pieces
+    centres = (np.arange(pieces) + 0.5) / pieces - 0.5
+    offsets = (centres[:, None] + half * np.asarray(x)).ravel()
+    weights = np.tile(half * np.asarray(w), pieces)
+    deriv = math.exp(_log_deriv_bound(1, sd1, r)) * _SAFE
+    return _GLPlan(pieces, n, math.exp(log_rem) * _SAFE, deriv, offsets, weights)
+
+
+def _cell_table_2d(spec: GaussSpec, box: Sequence[tuple[int, int]], epsabs: float) -> dict:
+    """The 2-D cell table {(x0, x1): (p, err)} in row-major order.
+
+    A cell is the integral over its column t in [x0 - 1/2, x0 + 1/2] of
+    f(t) = phi1(t) [Phi(beta(t)) - Phi(alpha(t))]: the first coordinate's
+    density times the conditional probability of the cell's row.  Every
+    column is integrated by the one Gauss-Legendre plan of the spec
+    (``_gl_plan``).  At each node erf is evaluated once per row edge, and the
+    cells of the column take differences of adjacent edges.  Each cell's
+    terms are added node by node, as a loop over the nodes would add them.
+
+    err is the plan's proven remainder, plus the error from evaluating at
+    rounded nodes (|f'| times the node offset), plus the rounding of the
+    evaluation itself under the float model above, which scales with the
+    column's mass.
+    """
+    exp, erf, u = math.exp, math.erf, _U
+    (lo0, hi0), (lo1, hi1) = box
     m1, m2 = spec.mean
-    s11 = spec.cov[0][0]
-    s12 = spec.cov[0][1]
-    s22 = spec.cov[1][1]
+    s11, s12, s22 = spec.cov[0][0], spec.cov[0][1], spec.cov[1][1]
     sd1 = math.sqrt(s11)
-    cond_sd = math.sqrt(s22 - s12 * s12 / s11)
-    scale = sd1 * math.sqrt(2 * math.pi)
+    q = s12 * s12 / s11
+    cond_sd = math.sqrt(s22 - q)
     slope = s12 / s11
+    scale = sd1 * math.sqrt(2 * math.pi)
     sqrt2 = math.sqrt(2.0)
+    # relative error of cond_sd: s22 - q cancels as the correlation nears +-1
+    sigma = 1.01 * ((2.01 * u * q / (s22 - q) + 1.01 * u) / 2 + u)
+    if sigma > 1e-6:
+        raise ValueError("covariance too close to singular for certified cells")
+    plan = _gl_plan(sd1 * (1 - 2 * u), abs(slope) / cond_sd * (1 + 2 * sigma + 4 * u), epsabs)
+    nodes = len(plan.offsets)
+    gamma = nodes * u / (1 - nodes * u)  # a sum of `nodes` terms, added one by one
+    underflow = 1.02 * exp(-700.0) / scale  # covers every density below exp(-700)
+    edges = np.arange(lo1, hi1 + 2) - 0.5
+    cells: dict[tuple[int, int], tuple[float, float]] = {}
+    for x0 in range(lo0, hi0 + 1):
+        t = x0 + plan.offsets
+        d = t - m1
+        v = d / sd1
+        a = plan.weights * (np.array(list(map(exp, (-0.5 * (v * v)).tolist()))) / scale)
+        z = (edges - (m2 + slope * d)[:, None]) / cond_sd / sqrt2
+        e = np.array(list(map(erf, z.ravel().tolist()))).reshape(z.shape)
+        terms = (0.5 * a)[:, None] * (e[:, 1:] - e[:, :-1])
+        probs = np.add.accumulate(terms, axis=0)[-1]
 
-    def cell(x: tuple[int, int]) -> tuple[float, float]:
-        a2, b2 = x[1] - 0.5, x[1] + 0.5
-
-        def integrand(t: float) -> float:
-            c = m2 + slope * (t - m1)
-            upper = 0.5 * (1.0 + erf((b2 - c) / cond_sd / sqrt2))
-            lower = 0.5 * (1.0 + erf((a2 - c) / cond_sd / sqrt2))
-            return exp(-0.5 * ((t - m1) / sd1) ** 2) / scale * (upper - lower)
-
-        value, err = quad(integrand, x[0] - 0.5, x[0] + 0.5, epsabs=epsabs, limit=200)
-        return max(value, 0.0), max(err, 1e-15)
-
-    return cell
+        # the column's distance from m1, in sd1, less what node rounding can move
+        slack = 4 * u * (abs(x0) + abs(m1) + 2)
+        near = max(abs(x0 - m1) - 0.5 - slack, 0.0) / sd1 * (1 - 4 * u)
+        far = abs(x0 - m1) + 0.5 + slack
+        factor = min(1.0, exp(-near * near / 4) * (1 + _LIBM + u * (near * near + 4)))
+        # a node is within 4 U of its exact offset, and t = x0 + offset rounds once
+        misplaced = plan.deriv * factor * u * (abs(x0) + 6)
+        # the density: exp's error, five roundings, and the argument's (3.6 U v^2)
+        rho = _LIBM + 6.1 * u + 3.6 * u * min((far / sd1) ** 2 * (1 + 4 * u), 1400.0)
+        # a row edge: the rounded conditional mean, then four roundings and cond_sd
+        c_err = 1.01 * u * (abs(m2) + 4.1 * abs(slope) * far)
+        edge = _ERF_SLOPE * 1.02 * c_err / (cond_sd * sqrt2) + _ERF_REL * (4.1 * u + 1.01 * sigma) + _LIBM
+        diff = 2 * edge + 2.1 * u
+        mass = 1.01 * float(a.sum()) + underflow
+        err = plan.remainder * factor + misplaced + 1.02 * mass * (3.1 * u + 2 * u + rho + diff / 2 + gamma) + underflow
+        for x1, p in zip(range(lo1, hi1 + 1), probs.tolist()):
+            cells[(x0, x1)] = (max(p, 0.0), err)
+    return cells
 
 
 def _tail_bound_outside_box(spec: GaussSpec, box: Sequence[tuple[int, int]]) -> float:
@@ -227,12 +401,20 @@ def _tail_bound_outside_box(spec: GaussSpec, box: Sequence[tuple[int, int]]) -> 
 
 @dataclass(frozen=True)
 class CellTable:
-    """Rounded-Gaussian cell probabilities with per-cell certified errors and
-    a bound on the mass outside the box."""
+    """Rounded-Gaussian cell probabilities, each with an error bound, and a
+    bound on the mass outside the box.
+
+    err_kind says what the errors are.  "certified": proven bounds under the
+    float model of this module (IEEE binary64 rounding to nearest, math.exp
+    and math.erf within 4 ulp), for the closed form of d = 1 and the
+    Gauss-Legendre rule of d = 2.  "3-sigma": three standard errors of the
+    d = 3 Monte Carlo estimate, a statistical half-width.
+    """
 
     cells: dict
     tail_bound: float
     spec: GaussSpec
+    err_kind: str
 
     def prob(self, site: Sequence[int]) -> tuple[float, float]:
         return self.cells.get(_int_vector(site), (0.0, 0.0))
@@ -247,29 +429,35 @@ def discretized_gaussian(
 ) -> CellTable:
     """Cell probabilities P(rounded Gaussian = x) for x in the box.
 
-    d <= 2 uses quadrature (closed form in d = 1) with certified absolute
-    error at most tol per cell; d = 3 uses seeded Monte Carlo, reporting a
-    three-standard-error confidence half-width and requiring it to be at most
-    tol.  Larger d is unsupported by design.
+    d = 1 is the closed form, a difference of two erf values.  d = 2
+    integrates the first coordinate's density times the conditional
+    probability of the row by Gauss-Legendre, on a plan of pieces and nodes
+    whose remainder (A&S 25.4.30, with derivatives bounded by Leibniz's rule
+    and Cramer's inequality) is at most min(tol / 10, 1e-11).  Each d <= 2
+    error adds the rounding of the evaluation to the remainder, and is a
+    proven bound if +, -, *, /, sqrt round to nearest in IEEE binary64 and
+    math.exp and math.erf are within 4 ulp; a cell whose bound exceeds tol is
+    a ValueError.  Box coordinates must be below 2**52 in magnitude for
+    d <= 2.  d = 3 uses seeded Monte Carlo and reports three standard errors,
+    which must be at most tol.  Larger d is unsupported by design.
     """
     d = spec.dim
     if len(box) != d:
         raise ValueError("box dimension mismatch")
     if tol <= 0:
         raise ValueError("tol must be positive")
+    if d <= 2 and any(abs(v) >= _COORD_LIMIT for lo_hi in box for v in lo_hi):
+        raise ValueError("box coordinates must be below 2**52 in magnitude")
     cells: dict[tuple[int, ...], tuple[float, float]] = {}
     if d == 1:
         mu, sigma = spec.mean[0], math.sqrt(spec.cov[0][0])
         for x in range(box[0][0], box[0][1] + 1):
             cells[(x,)] = _cell_prob_1d(mu, sigma, x)
     elif d == 2:
-        cell = _cell_integrator_2d(spec, epsabs=min(tol / 10, 1e-11))
-        for x0 in range(box[0][0], box[0][1] + 1):
-            for x1 in range(box[1][0], box[1][1] + 1):
-                p, err = cell((x0, x1))
-                if err > tol:
-                    raise ValueError(f"quadrature error {err} exceeds tol {tol} at {(x0, x1)}")
-                cells[(x0, x1)] = (p, err)
+        cells = _cell_table_2d(spec, box, epsabs=min(tol / 10, 1e-11))
+        for site, (_, err) in cells.items():
+            if err > tol:
+                raise ValueError(f"quadrature error {err} exceeds tol {tol} at {site}")
     elif d == 3:
         n = samples if samples is not None else int(math.ceil((1.5 / tol) ** 2))
         if n > 5 * 10**7:
@@ -291,16 +479,19 @@ def discretized_gaussian(
             cells[cell] = (p, half)
     else:
         raise ValueError("dimension above 3 unsupported")
-    return CellTable(cells, _tail_bound_outside_box(spec, box), spec)
+    return CellTable(cells, _tail_bound_outside_box(spec, box), spec, "certified" if d <= 2 else "3-sigma")
 
 
 @dataclass(frozen=True)
 class TVResult:
+    """TV to the rounded Gaussian; err_kind labels err as CellTable does."""
+
     value: float
     err: float
     cells: int
     tail_bound: float
     spec: GaussSpec
+    err_kind: str = "certified"
 
 
 def fit_gauss_spec(s: LatticeDist) -> GaussSpec:
@@ -324,7 +515,8 @@ def tv_to_discretized_gaussian(s: LatticeDist, tol: float = 1e-6) -> TVResult:
 
     The sum runs over the support plus a 6.5-sigma box; outside that set the
     exact side is zero, so the remainder is at most half the Gaussian tail
-    bound and is folded into the reported error interval.
+    bound and is folded into the reported error interval, as are half the
+    cell errors and the rounding of the float sums (``_tv_rounding``).
     """
     d = s.dim
     if d > 2:
@@ -349,8 +541,22 @@ def tv_to_discretized_gaussian(s: LatticeDist, tol: float = 1e-6) -> TVResult:
         err_sum += err
     tail = table.tail_bound
     value = 0.5 * half_l1 + 0.25 * tail
-    err = 0.5 * err_sum + 0.25 * tail + 1e-12
-    return TVResult(value, err, ncells, tail, spec)
+    err = 0.5 * err_sum + 0.25 * tail + _tv_rounding(ncells, err_sum)
+    return TVResult(value, err, ncells, tail, spec, table.err_kind)
+
+
+def _tv_rounding(ncells: int, err_sum: float) -> float:
+    """Bound on the rounding in tv_to_discretized_gaussian's sums over ncells
+    cells, under the float model of the cell tables.
+
+    Each |n / den - p| rounds twice (2.1 U of a + p), and a sum of ncells
+    terms added one by one errs by at most gamma = ncells U / (1 - ncells U)
+    of the sum of their sizes.  The terms of half_l1 add up to at most
+    1 + sum(p) <= 2 + err_sum, and err_sum is rounded the same way; the last
+    three operations on value and err add 4 U.
+    """
+    gamma = ncells * _U / (1 - ncells * _U)
+    return 0.5 * (2.1 * _U + 1.01 * gamma) * (2 + err_sum) + 0.51 * gamma * err_sum + 4 * _U
 
 
 # -- local-CLT terms -----------------------------------------------------------
@@ -527,15 +733,19 @@ class BEGapReport:
 
 
 def berry_esseen_gap(mus: Sequence[IntDist]) -> BEGapReport:
+    """Exact CDF gap of the sum of mus against the normal of its mean and
+    variance.  Equal summands are grouped, so that each distinct law costs
+    one convolution power and one third moment."""
     from .dist import convolve_all, mean, third_abs_moment, variance
 
     if not mus:
         raise ValueError("empty summand list")
-    total = convolve_all(list(mus))
+    groups = Counter(mus)
+    total = convolve_all([convolve_power(mu, count) for mu, count in groups.items()])
     var = variance(total)
     if var == 0:
         raise ValueError("zero variance")
-    m3 = sum((third_abs_moment(mu) for mu in mus), Fraction(0))
+    m3 = sum((count * third_abs_moment(mu) for mu, count in groups.items()), Fraction(0))
     bound = float(m3) / float(var) ** 1.5
     mu1 = float(mean(total))
     sd = math.sqrt(float(var))

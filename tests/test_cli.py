@@ -149,6 +149,21 @@ def test_gauss_tail(files, capsys):
     assert obj["holds"] is True
 
 
+def test_gauss_outputs_label_their_errors(files, tmp_path, capsys):
+    def labels(argv):
+        assert run(argv) == 0
+        return json.loads(capsys.readouterr().out)["err_kind"]
+
+    spec2, spec3 = tmp_path / "spec2.json", tmp_path / "spec3.json"
+    spec2.write_text(json.dumps({"mean": [0, 0], "cov": [[1, 0.2], [0.2, 1]]}))
+    spec3.write_text(json.dumps({"mean": [0, 0, 0], "cov": [[1, 0, 0], [0, 1, 0], [0, 0, 1]]}))
+    assert labels(["gauss", "cells", "--spec", str(spec2), "--box=-1..1,-1..1"]) == "certified"
+    assert labels(["gauss", "cells", "--spec", str(spec3), "--box=-1..1,-1..1,-1..1", "--tol", "0.05"]) == "3-sigma"
+    assert labels(["gauss", "tv", files["base.json"]]) == "certified"
+    assert labels(["gauss", "tail", "--cov", files["cov1.json"], "--t", "32"]) == "certified"
+    assert labels(["gauss", "tail", "--cov", files["cov1.json"], "--t", "32", "--samples", "2000"]) == "3-sigma"
+
+
 def test_be_gap(files):
     assert run(["be-gap", files["u01.json"], "--repeat", "64"]) == 0
 

@@ -1,6 +1,7 @@
 """Lattice distributions, discretized Gaussian, TV distances, CLT terms."""
 
 import math
+from decimal import Decimal, localcontext
 from fractions import Fraction as F
 
 import numpy as np
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conclab import gauss
 from conclab.dist import IntDist, convolve, convolve_all, convolve_power, uniform
 from conclab.gauss import (
     BEGapReport,
@@ -129,6 +131,7 @@ def test_discretized_gaussian_3d_seeded():
     assert abs(p - exact_1d**3) <= 3 * half + 0.01
     again = discretized_gaussian(spec, [(-1, 1)] * 3, tol=0.02, seed=5)
     assert again.cells == table.cells
+    assert table.err_kind == "3-sigma"
 
 
 def test_fit_gauss_spec_degenerate():
@@ -430,7 +433,8 @@ def _tv_to_gaussian_reference(s, tol=1e-6):
         half_l1 += abs(float(s.mass(site)) - p)
         err_sum += err
     tail = table.tail_bound
-    return TVResult(0.5 * half_l1 + 0.25 * tail, 0.5 * err_sum + 0.25 * tail + 1e-12, ncells, tail, spec)
+    err = 0.5 * err_sum + 0.25 * tail + gauss._tv_rounding(ncells, err_sum)
+    return TVResult(0.5 * half_l1 + 0.25 * tail, err, ncells, tail, spec)
 
 
 def _berry_esseen_reference(mus):
@@ -498,28 +502,64 @@ def test_berry_esseen_gap_matches_fraction_body():
         assert berry_esseen_gap(mus) == _berry_esseen_reference(mus)
 
 
-def _cell_prob_2d_reference(spec, x, epsabs):
-    """The per-cell 2-D body before the table-level integrator: every
-    spec-derived value recomputed per cell, norm_cdf called per node."""
-    from scipy.integrate import quad
+# -- certified cells ----------------------------------------------------------
 
+
+_PI = Decimal("3.14159265358979323846264338327950288419716939937510582097494459230781640628620899862803")
+
+
+def _erf_decimal(x: Decimal) -> Decimal:
+    """erf to about 60 digits: the Maclaurin series, and +-1 beyond 7, where
+    erfc < 1e-22."""
+    if abs(x) > 7:
+        return Decimal(1).copy_sign(x)
+    with localcontext() as ctx:
+        ctx.prec = 90
+        term = total = x
+        x2, n = x * x, 0
+        while abs(term) > Decimal("1e-70"):
+            n += 1
+            term = -term * x2 / n
+            total += term / (2 * n + 1)
+        return total * 2 / _PI.sqrt()
+
+
+def _cell_exact_1d(mean: float, var: float, x: int) -> Decimal:
+    """P(x - 1/2 < N(mean, var) < x + 1/2) to about 60 digits, for the spec's
+    floats taken as exact."""
+    with localcontext() as ctx:
+        ctx.prec = 90
+        scale = (2 * Decimal(var)).sqrt()
+        return (_erf_decimal((x + Decimal("0.5") - Decimal(mean)) / scale)
+                - _erf_decimal((x - Decimal("0.5") - Decimal(mean)) / scale)) / 2
+
+
+def _cell_2d_by_nodes(spec, box, tol):
+    """The d = 2 cell values as a plain per-cell loop over the plan's nodes:
+    every node recomputed for every cell, and erf called for both edges."""
     m1, m2 = spec.mean
-    s11 = spec.cov[0][0]
-    s12 = spec.cov[0][1]
-    s22 = spec.cov[1][1]
+    s11, s12, s22 = spec.cov[0][0], spec.cov[0][1], spec.cov[1][1]
     sd1 = math.sqrt(s11)
-    cond_var = s22 - s12 * s12 / s11
-    cond_sd = math.sqrt(cond_var)
-    a1, b1 = x[0] - 0.5, x[0] + 0.5
-    a2, b2 = x[1] - 0.5, x[1] + 0.5
-
-    def integrand(t):
-        density = math.exp(-0.5 * ((t - m1) / sd1) ** 2) / (sd1 * math.sqrt(2 * math.pi))
-        c = m2 + s12 / s11 * (t - m1)
-        return density * (norm_cdf((b2 - c) / cond_sd) - norm_cdf((a2 - c) / cond_sd))
-
-    value, err = quad(integrand, a1, b1, epsabs=epsabs, limit=200)
-    return max(value, 0.0), max(err, 1e-15)
+    cond_sd = math.sqrt(s22 - s12 * s12 / s11)
+    slope = s12 / s11
+    scale = sd1 * math.sqrt(2 * math.pi)
+    u = 2.0**-53
+    sigma = 1.01 * ((2.01 * u * (s12 * s12 / s11) / (s22 - s12 * s12 / s11) + 1.01 * u) / 2 + u)
+    plan = gauss._gl_plan(sd1 * (1 - 2 * u), abs(slope) / cond_sd * (1 + 2 * sigma + 4 * u), min(tol / 10, 1e-11))
+    out = {}
+    for x0 in range(box[0][0], box[0][1] + 1):
+        for x1 in range(box[1][0], box[1][1] + 1):
+            acc = 0.0
+            for off, hw in zip(plan.offsets.tolist(), plan.weights.tolist()):
+                d = (x0 + off) - m1
+                v = d / sd1
+                a = hw * (math.exp(-0.5 * (v * v)) / scale)
+                c = m2 + slope * d
+                upper = math.erf(((x1 + 0.5) - c) / cond_sd / math.sqrt(2.0))
+                lower = math.erf(((x1 - 0.5) - c) / cond_sd / math.sqrt(2.0))
+                acc += (0.5 * a) * (upper - lower)
+            out[(x0, x1)] = max(acc, 0.0)
+    return out
 
 
 @pytest.mark.parametrize(
@@ -529,19 +569,117 @@ def _cell_prob_2d_reference(spec, x, epsabs):
         ((0.25, -0.4), ((2.5, -0.7), (-0.7, 1.2)), [(-5, 5), (-3, 4)], 1e-9),
         ((-1.3, 2.2), ((8.0, 5.5), (5.5, 9.0)), [(-8, 6), (-4, 9)], 1e-6),
         ((0.0, 0.0), ((0.05, 0.0), (0.0, 30.0)), [(-2, 2), (-12, 12)], 1e-7),
+        ((0.0, 0.0), ((1.0, 0.999), (0.999, 1.0)), [(-2, 2), (-2, 2)], 1e-9),
+        ((16.0, 16.0), ((8.0, 0.0), (0.0, 8.0)), [(-3, 35), (-3, 35)], 1e-13),
     ],
 )
 def test_cell_table_2d_matches_per_cell_body(mean, cov, box, tol):
     spec = GaussSpec(mean, cov)
     table = discretized_gaussian(spec, box, tol=tol)
+    expected = _cell_2d_by_nodes(spec, box, tol)
+    assert {site: p for site, (p, _) in table.cells.items()} == expected  # float for float
+    assert list(table.cells) == list(expected)  # row-major order
+    assert all(0 < err <= tol for _, err in table.cells.values())
+    assert table.err_kind == "certified"
+
+
+@pytest.mark.parametrize(
+    "mean, var, box, tol",
+    [
+        ((0.0, 0.0), (1.0, 1.0), [(-6, 6), (-6, 6)], 1e-12),
+        ((0.3, -1.7), (0.05, 30.0), [(-2, 2), (-18, 14)], 1e-9),
+        ((16.25, 3.5), (8.0, 2.0), [(0, 33), (-4, 11)], 1e-13),
+        ((0.0, 0.4), (1e-3, 1e2), [(-1, 1), (-3, 3)], 1e-9),
+        ((-0.5, 0.0), (1e2, 1e-3), [(-3, 3), (-1, 1)], 1e-9),
+    ],
+)
+def test_cell_table_2d_diagonal_within_err_of_closed_form(mean, var, box, tol):
+    # independent coordinates: a cell is a product of two 1-D cells
+    spec = GaussSpec(mean, ((var[0], 0.0), (0.0, var[1])))
+    table = discretized_gaussian(spec, box, tol=tol).cells
+    # with a remainder of 1e-20 the rounding terms carry the bound alone
+    fine = gauss._cell_table_2d(spec, box, epsabs=1e-20)
+    for (x0, x1), (p, err) in [*table.items(), *fine.items()]:
+        exact = _cell_exact_1d(mean[0], var[0], x0) * _cell_exact_1d(mean[1], var[1], x1)
+        assert abs(Decimal(p) - exact) <= Decimal(err), ((x0, x1), p, err, exact)
+
+
+def test_cell_table_1d_within_err_of_closed_form():
+    for mean, var in [(0.0, 1.0), (1.25, 2.25), (-3.7, 1e-3), (40.5, 900.0)]:
+        spec = GaussSpec((mean,), ((var,),))
+        sd = math.sqrt(var)
+        box = [(math.floor(mean - 9 * sd) - 1, math.ceil(mean + 9 * sd) + 1)]
+        table = discretized_gaussian(spec, box, tol=1e-12)
+        assert table.err_kind == "certified"
+        for (x,), (p, err) in table.cells.items():
+            assert abs(Decimal(p) - _cell_exact_1d(mean, var, x)) <= Decimal(err)
+
+
+def _quad_cell(spec, x):
+    """A d = 2 cell by scipy's quad, the column split where the density
+    peaks and where the conditional mean crosses the row's edges, so that a
+    narrow ridge is not missed; (value, quad's error estimate)."""
+    from scipy.integrate import quad
+
+    m1, m2 = spec.mean
+    s11, s12, s22 = spec.cov[0][0], spec.cov[0][1], spec.cov[1][1]
+    sd1, cond_sd, slope = math.sqrt(s11), math.sqrt(s22 - s12 * s12 / s11), s12 / s11
+
+    def f(t):
+        c = m2 + slope * (t - m1)
+        upper = norm_cdf((x[1] + 0.5 - c) / cond_sd)
+        lower = norm_cdf((x[1] - 0.5 - c) / cond_sd)
+        return math.exp(-0.5 * ((t - m1) / sd1) ** 2) / (sd1 * math.sqrt(2 * math.pi)) * (upper - lower)
+
+    a, b = x[0] - 0.5, x[0] + 0.5
+    points = [m1] + ([m1 + (x[1] + h - m2) / slope for h in (-0.5, 0.5)] if slope else [])
+    points = sorted(p for p in points if a < p < b)
+    return quad(f, a, b, epsabs=1e-13, epsrel=1e-13, limit=400, points=points or None)
+
+
+@st.composite
+def _spd_spec(draw):
+    var = [10 ** draw(st.floats(-3, 2)) for _ in range(2)]
+    rho = draw(st.floats(-0.999, 0.999))
+    mean = (draw(st.floats(-1, 1)), draw(st.floats(-1, 1)))
+    s12 = rho * math.sqrt(var[0] * var[1])
+    return GaussSpec(mean, ((var[0], s12), (s12, var[1])))
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(_spd_spec())
+def test_cell_table_2d_plan_and_quad_agree(spec):
+    tol = 1e-9
     epsabs = min(tol / 10, 1e-11)
-    expected = {
-        (x0, x1): _cell_prob_2d_reference(spec, (x0, x1), epsabs)
-        for x0 in range(box[0][0], box[0][1] + 1)
-        for x1 in range(box[1][0], box[1][1] + 1)
-    }
-    assert table.cells == expected  # float for float, in the same order
-    assert list(table.cells) == list(expected)
+    m1, m2 = spec.mean
+    s11, s12, s22 = spec.cov[0][0], spec.cov[0][1], spec.cov[1][1]
+    cond_sd = math.sqrt(s22 - s12 * s12 / s11)
+    plan = gauss._gl_plan(math.sqrt(s11), abs(s12 / s11) / cond_sd, epsabs)
+    assert plan.remainder <= epsabs
+    assert len(plan.offsets) == plan.pieces * plan.nodes
+    box = [(round(m1) - 1, round(m1) + 1), (round(m2) - 1, round(m2) + 1)]
+    table = discretized_gaussian(spec, box, tol=tol)
+    for site, (p, err) in table.cells.items():
+        value, quad_err = _quad_cell(spec, site)
+        assert abs(p - value) <= err + quad_err, (site, p, err, value, quad_err)
+
+
+def test_cell_table_2d_moderate_spec_meets_tol_1e_13():
+    spec = GaussSpec((0.3, -0.2), ((1.5, 0.4), (0.4, 2.0)))
+    table = discretized_gaussian(spec, [(-9, 9), (-10, 10)], tol=1e-13)
+    assert max(err for _, err in table.cells.values()) <= 1e-13
+    total = sum(p for p, _ in table.cells.values())
+    assert abs(total + table.tail_bound - 1) <= table.tail_bound + 1e-13 * len(table.cells)
+
+
+def test_gauss_legendre_nodes_integrate_polynomials_exactly():
+    # the n-point rule is exact for degree 2n - 1: sum w x^k = 2 / (k + 1) for even k
+    for n in (1, 2, 3, 7, 16, 33, 64):
+        x, w = gauss._gauss_legendre(n)
+        assert len(x) == len(w) == n and list(x) == sorted(x)
+        assert all(a == -b for a, b in zip(x, reversed(x)))
+        for k in range(0, 2 * n, 2):
+            assert math.fsum(wi * xi**k for xi, wi in zip(x, w)) == pytest.approx(2 / (k + 1), rel=1e-13)
 
 
 def test_cell_table_prob_rejects_float_sites():

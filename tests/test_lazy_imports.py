@@ -1,4 +1,5 @@
-"""Import cost: numpy and scipy load only where the Gaussian layer needs them.
+"""Import cost: numpy loads only where the Gaussian layer needs it, and no
+command loads scipy.
 
 Each test runs a fresh interpreter, since this test process has loaded both.
 """
@@ -65,3 +66,19 @@ def test_2d_cells_in_a_fresh_interpreter_match_in_process(tmp_path):
         assert run(argv) == 0
     assert fresh.stdout == out.getvalue()
     assert len(json.loads(fresh.stdout)["cells"]) == 9
+
+
+def test_gauss_commands_never_load_scipy(tmp_path):
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"mean": [0.5, 0.25], "cov": [[1.0, 0.3], [0.3, 0.8]]}))
+    law = tmp_path / "square.json"
+    law.write_text(json.dumps({"atoms": [[[0, 0], "1/4"], [[1, 0], "1/4"], [[0, 1], "1/4"], [[1, 1], "1/4"]]}))
+    code = (
+        "import contextlib, io, sys\n"
+        "from conclab.cli import run\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    codes = [run(['gauss', 'cells', '--spec', sys.argv[1], '--box=-2..2,-2..2']),\n"
+        "             run(['gauss', 'tv', sys.argv[2]]), run(['gauss', 'tv', sys.argv[2], '--pow', '2,3'])]\n"
+        "print(codes)"
+    )
+    assert _python(code + PROBE, str(spec), str(law)).stdout == '[0, 0, 0]\n["numpy"]\n'
