@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import functools
 import io
 import json
@@ -224,7 +225,7 @@ def cmd_dominate(args) -> int:
 
 def cmd_couple(args) -> int:
     coupling = dominating_coupling(load_dist(args.mu), load_dist(args.mu_prime), parse_fraction(args.eps))
-    payload = json.loads(coupling.to_json())
+    payload = coupling.to_json_obj()
     payload["prob_A"] = format_fraction(coupling.prob_a())
     emit(args, payload)
     return 0
@@ -387,8 +388,11 @@ def cmd_gauss(args) -> int:
 def cmd_be_gap(args) -> int:
     from . import gauss
 
+    if args.c_be <= 0:
+        raise ValueError(f"--c-be must be positive, got {args.c_be}")
     mus = [load_dist(p) for p in args.inputs] * args.repeat
     report = gauss.berry_esseen_gap(mus)
+    holds = report.max_cdf_gap <= args.c_be * report.bound
     emit(
         args,
         {
@@ -397,10 +401,10 @@ def cmd_be_gap(args) -> int:
             "third_moment": format_fraction(report.third_moment),
             "variance": format_fraction(report.variance),
             "c_be": args.c_be,
-            "holds": report.max_cdf_gap <= args.c_be * report.bound,
+            "holds": holds,
         },
     )
-    return 0 if report.max_cdf_gap <= args.c_be * report.bound else CHECK_FAILED
+    return 0 if holds else CHECK_FAILED
 
 
 # -- verify ------------------------------------------------------------------------
@@ -488,13 +492,7 @@ def cmd_scan(args) -> int:
             violations += 1
             sys.stderr.write(f"VIOLATION: {line}\n")
     summary = {
-        "config": {
-            "denominator": cfg.denominator,
-            "window": list(cfg.window),
-            "n": cfg.n,
-            "seed": cfg.seed,
-            "budget": cfg.budget,
-        },
+        "config": dataclasses.asdict(cfg),
         "mode": scan_mode(cfg, measures),
         "instances": count,
         "violations": violations,
@@ -509,7 +507,10 @@ def _report_results(path: str):
         line = line.strip()
         if not line:
             continue
-        obj = json.loads(line)
+        try:
+            obj = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"{path}:{lineno}:{exc.colno}: {exc.msg}") from exc
         if not isinstance(obj, dict):
             raise ValueError(f"{path}:{lineno}: a report line must be a JSON object")
         if "outcome" in obj and "name" in obj:

@@ -58,6 +58,13 @@ def json_int(value) -> int:
     return value
 
 
+def int_site(value) -> int:
+    """An integer site or lattice coordinate; a boolean is a TypeError."""
+    if isinstance(value, bool):
+        raise TypeError("boolean sites are not accepted; use integers")
+    return operator.index(value)
+
+
 def format_fraction(f: Fraction) -> str:
     return f"{f.numerator}/{f.denominator}"
 
@@ -90,14 +97,14 @@ class FiniteMeasure:
     read-only integer view; ``atoms``, ``masses`` and ``mass()`` build
     Fractions from it, and JSON, text and ``repr`` format each mass from its
     numerator with one gcd.  A subclass sets what differs: ``_site``
-    converts one input site, rejecting floats, ``_add_sites`` adds two sites
-    in the convolution kernel, and ``_normalized`` requires the masses to sum
-    to exactly 1.  The integer site type is the default.
+    converts one input site, rejecting floats and booleans, ``_add_sites``
+    adds two sites in the convolution kernel, and ``_normalized`` requires
+    the masses to sum to exactly 1.  The integer site type is the default.
     """
 
     __slots__ = ("_nums", "_den")
 
-    _site = operator.index
+    _site = staticmethod(int_site)
     _add_sites = operator.add
     _normalized = True
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from .dist import IntDist, as_fraction, convolve_all, format_fraction, q_max
 from .rearrange import is_symmetric_unimodal, minus_rearrange, plus_rearrange, sym_rearrange
@@ -37,6 +37,15 @@ def q_profile(mu: IntDist) -> QProfile:
     return QProfile(tuple(Fraction(acc, den) for acc in itertools.accumulate(sorted(mu.numerators, reverse=True))))
 
 
+def profile_rows(mu1: IntDist, mu2: IntDist, eps) -> Iterator[tuple[int, Fraction, Fraction]]:
+    """(j, Q_j(mu1), (1+eps) * Q_j(mu2)) for j = 1 .. max(atom counts).
+    Beyond that j both sides are constant (1 and 1+eps), so these rows
+    decide eps-domination for every j >= 1."""
+    p1, p2 = q_profile(mu1), q_profile(mu2)
+    for j in range(1, max(len(mu1), len(mu2)) + 1):
+        yield j, p1.entry(j), (1 + eps) * p2.entry(j)
+
+
 @dataclass(frozen=True)
 class DominationReport:
     holds: bool
@@ -56,18 +65,12 @@ class DominationReport:
 
 
 def dominates(mu1: IntDist, mu2: IntDist, eps=0) -> DominationReport:
-    """Check profile(mu1) <= (1+eps) * profile(mu2) entrywise.
-
-    Beyond j = max(atom counts) both profiles are constant (1 on the left,
-    (1+eps) >= 1 on the right), so the finite check over j up to that index
-    decides the full quantifier.
-    """
+    """Check profile(mu1) <= (1+eps) * profile(mu2) entrywise, on the rows of
+    ``profile_rows``; the first failing row is the violation."""
     eps = as_fraction(eps)
     if eps < 0:
         raise ValueError("epsilon must be nonnegative")
-    p1, p2 = q_profile(mu1), q_profile(mu2)
-    for j in range(1, max(len(mu1), len(mu2)) + 1):
-        lhs, rhs = p1.entry(j), (1 + eps) * p2.entry(j)
+    for j, lhs, rhs in profile_rows(mu1, mu2, eps):
         if lhs > rhs:
             return DominationReport(False, eps, (j, lhs, rhs))
     return DominationReport(True, eps, None)

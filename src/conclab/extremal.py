@@ -12,9 +12,10 @@ the exact sign-search and windowed optima over these families.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .dist import (
     IntDist,
@@ -39,12 +40,9 @@ class AlphaSeq:
     __slots__ = ("_alphas", "_perm")
 
     def __init__(self, alphas: Iterable[object]):
-        raw = [as_fraction(a) for a in alphas]
+        raw = [_validate_alpha(as_fraction(a)) for a in alphas]
         if not raw:
             raise ValueError("empty alpha sequence")
-        for a in raw:
-            if not (0 < a <= 1):
-                raise ValueError(f"alpha {a} outside (0, 1]")
         order = sorted(range(len(raw)), key=lambda i: (-raw[i], i))
         object.__setattr__(self, "_alphas", tuple(raw[i] for i in order))
         object.__setattr__(self, "_perm", tuple(order))
@@ -121,21 +119,34 @@ def _extremal_law(alpha: Fraction, support: Sequence[int], residue_site: int | N
     return IntDist._from_integers(nums, q)
 
 
+def _layouts(alpha: Fraction, sites: Sequence[int]) -> Iterator[tuple[tuple[int, ...], int | None]]:
+    """(support, residue_site) of every extremal law for alpha on the sites,
+    supports in combinations order and residue sites in site order; the
+    residue site is None when floor(1/alpha) * alpha = 1."""
+    k = inverse_floor(alpha)
+    has_residue = k * alpha.numerator < alpha.denominator
+    for support in itertools.combinations(sites, k):
+        if not has_residue:
+            yield support, None
+            continue
+        for b in sites:
+            if b not in support:
+                yield support, b
+
+
 def nu(alpha) -> IntDist:
     """Mass alpha on 0..k-1 plus the residue 1 - k*alpha at k (when positive),
-    k = floor(1/alpha)."""
+    k = floor(1/alpha): the first layout on the sites 0..k."""
     alpha = _validate_alpha(as_fraction(alpha))
-    k = inverse_floor(alpha)
-    return _extremal_law(alpha, range(k), k if k * alpha.numerator < alpha.denominator else None)
+    return _extremal_law(alpha, *next(_layouts(alpha, range(inverse_floor(alpha) + 1))))
 
 
 def nu_centered(alpha) -> IntDist:
     """nu(alpha) for alpha = 1/k with k odd, translated to be symmetric."""
     alpha = as_fraction(alpha)
-    k = inverse_floor(alpha)
-    if alpha * k != 1 or k % 2 == 0:
+    if not _has_odd_integer_inverse(alpha):
         raise ValueError("centered form needs alpha = 1/k with k odd")
-    return shift(nu(alpha), -(k - 1) // 2)
+    return shift(nu(alpha), -(inverse_floor(alpha) - 1) // 2)
 
 
 def variance_nu(alpha) -> Fraction:
@@ -156,17 +167,10 @@ def variance_slope_bracket(k: int) -> tuple[Fraction, Fraction]:
 
 def is_extremal(mu: IntDist, alpha) -> bool:
     """Exactly floor(1/alpha) atoms of mass alpha, plus one residual atom when
-    1 - alpha*floor(1/alpha) > 0; sites anywhere on Z."""
+    1 - alpha*floor(1/alpha) > 0; sites anywhere on Z.  These are the masses
+    of nu(alpha)."""
     alpha = as_fraction(alpha)
-    if not (0 < alpha <= 1):
-        return False
-    k = inverse_floor(alpha)
-    residue = 1 - k * alpha
-    big = [m for m in mu.masses if m == alpha]
-    small = [m for m in mu.masses if m == residue]
-    if residue > 0:
-        return len(big) == k and len(small) == 1 and len(mu) == k + 1
-    return len(big) == k and len(mu) == k
+    return 0 < alpha <= 1 and sorted(mu.masses) == sorted(nu(alpha).masses)
 
 
 def is_standard_extremal(mu: IntDist, alpha) -> bool:
@@ -179,13 +183,6 @@ def is_standard_extremal(mu: IntDist, alpha) -> bool:
     return mu == shift(base, lo) or mu == shift(negate(base), lo - negate(base).sites[0])
 
 
-def _alpha_counts(alphas: Sequence[Fraction]) -> dict[Fraction, int]:
-    counts: dict[Fraction, int] = {}
-    for a in alphas:
-        counts[a] = counts.get(a, 0) + 1
-    return counts
-
-
 def _has_odd_integer_inverse(alpha: Fraction) -> bool:
     inv = 1 / alpha
     return inv.denominator == 1 and inv.numerator % 2 == 1
@@ -196,13 +193,13 @@ def is_balanced(alphas: AlphaSeq) -> bool:
     of times."""
     return all(
         count % 2 == 0 or _has_odd_integer_inverse(a)
-        for a, count in _alpha_counts(alphas.alphas).items()
+        for a, count in Counter(alphas.alphas).items()
     )
 
 
 def is_strongly_balanced(alphas: AlphaSeq) -> bool:
     """Every value occurs an even number of times."""
-    return all(count % 2 == 0 for count in _alpha_counts(alphas.alphas).values())
+    return all(count % 2 == 0 for count in Counter(alphas.alphas).values())
 
 
 def balanced_sequence(alphas: AlphaSeq, flip: bool = False) -> list[IntDist]:
@@ -217,7 +214,7 @@ def balanced_sequence(alphas: AlphaSeq, flip: bool = False) -> list[IntDist]:
     if not is_balanced(alphas):
         raise ValueError("alpha sequence is not balanced")
     out: list[IntDist] = []
-    for a, count in sorted(_alpha_counts(alphas.alphas).items(), reverse=True):
+    for a, count in sorted(Counter(alphas.alphas).items(), reverse=True):
         pairs, leftover = divmod(count, 2)
         if flip and _has_odd_integer_inverse(a):
             out.extend(nu_centered(a) for _ in range(count))
@@ -338,21 +335,11 @@ def extremal_enumerate(alpha, window: tuple[int, int]) -> list[IntDist]:
     residual atom is present.
     """
     alpha = _validate_alpha(as_fraction(alpha))
-    k = inverse_floor(alpha)
-    has_residue = k * alpha.numerator < alpha.denominator
     sites = _window_sites(window)
-    needed = k + (1 if has_residue else 0)
+    needed = -(-alpha.denominator // alpha.numerator)  # ceil(1/alpha) atoms
     if len(sites) < needed:
         raise ValueError(f"window holds {len(sites)} sites; {needed} needed for alpha={alpha}")
-    out = []
-    for support in itertools.combinations(sites, k):
-        if not has_residue:
-            out.append(_extremal_law(alpha, support))
-            continue
-        for b in sites:
-            if b not in support:
-                out.append(_extremal_law(alpha, support, b))
-    return out
+    return [_extremal_law(alpha, support, b) for support, b in _layouts(alpha, sites)]
 
 
 def t_oracle(alphas: AlphaSeq, window: tuple[int, int]) -> tuple[Fraction, list[IntDist]]:

@@ -132,18 +132,29 @@ def gap_is_proper(a: SymGAP, budget: int = DEFAULT_ENUM_BUDGET) -> bool:
     return len(a.elements(budget)) == a.volume()
 
 
+def _require_kind(a: SymGAP, kind) -> None:
+    """ValueError when the GAP's generators are of a kind other than kind; a
+    rank-0 GAP has no generators and so no kind."""
+    if a.kind is not None and a.kind != kind:
+        name = {k: "scalar" if k == ("scalar",) else f"{k[1]}-vector" for k in (a.kind, kind)}
+        raise ValueError(f"a {name[a.kind]} progression cannot hold {name[kind]} elements")
+
+
 def gap_contains(a: SymGAP, x, budget: int = DEFAULT_ENUM_BUDGET) -> bool:
     if isinstance(x, (list, tuple)):
         x = tuple(map(operator.index, x))
     else:
         x = as_fraction(x)
+    _require_kind(a, SymGAP._kind_of(x))
     return x in a.elements(budget)
 
 
 def gap_cover(a: SymGAP, dists: Sequence[IntDist], budget: int = DEFAULT_ENUM_BUDGET) -> Fraction:
-    """Fraction of distributions whose whole support lies inside the GAP."""
+    """Fraction of distributions whose whole support lies inside the GAP,
+    which must have scalar generators (or none)."""
     if not dists:
         raise ValueError("empty distribution list")
+    _require_kind(a, ("scalar",))
     elems = a.elements(budget)
     covered = sum(1 for d in dists if all(Fraction(s) in elems for s in d.sites))
     return Fraction(covered, len(dists))
@@ -215,21 +226,7 @@ class Decomposition:
 
     def is_connected(self) -> bool:
         vertices = {v for _, pair in self.parts for v in pair}
-        if not vertices:
-            return False
-        adjacency: dict[int, set[int]] = {v: set() for v in vertices}
-        for _, (a, b) in self.parts:
-            adjacency[a].add(b)
-            adjacency[b].add(a)
-        seen = set()
-        stack = [next(iter(vertices))]
-        while stack:
-            v = stack.pop()
-            if v in seen:
-                continue
-            seen.add(v)
-            stack.extend(adjacency[v] - seen)
-        return seen == vertices
+        return bool(vertices) and len(_components(vertices, [pair for _, pair in self.parts])) == 1
 
     def to_json_obj(self) -> dict:
         return {"parts": [[format_fraction(w), list(pair)] for w, pair in self.parts]}
@@ -294,10 +291,7 @@ def connected_decomposition(mu: IntDist) -> Decomposition:
     support = set(mu.sites)
     comps = _components(support, list(weights))
     if len(comps) > 1:
-        reps = []
-        for comp in comps:
-            edges_in = sorted(pair for pair in weights if pair[0] in comp)
-            reps.append(edges_in[0])
+        reps = [min(pair for pair in weights if pair[0] in comp) for comp in comps]
         t = len(reps)
         for l in range(t):
             weights[reps[l]] -= Fraction(1, n)
@@ -344,9 +338,6 @@ def _row_hermite(rows: list[list[int]]) -> list[list[int]]:
     ncols = len(mat[0])
     top = 0
     for col in range(ncols):
-        live = [i for i in range(top, len(mat)) if mat[i][col] != 0]
-        if not live:
-            continue
         while True:
             live = [i for i in range(top, len(mat)) if mat[i][col] != 0]
             if len(live) <= 1:
@@ -356,7 +347,6 @@ def _row_hermite(rows: list[list[int]]) -> list[list[int]]:
             for i in live[1:]:
                 q = mat[i][col] // mat[pivot][col]
                 mat[i] = [a - q * b for a, b in zip(mat[i], mat[pivot])]
-        live = [i for i in range(top, len(mat)) if mat[i][col] != 0]
         if not live:
             continue
         pivot = live[0]

@@ -21,7 +21,7 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .dist import FiniteMeasure, IntDist, convolve, convolve_power
+from .dist import FiniteMeasure, IntDist, _affine_dim, convolve, convolve_power, int_site
 
 
 def norm_cdf(z: float) -> float:
@@ -34,7 +34,7 @@ def norm_sf(z: float) -> float:
 
 
 def _int_vector(site: Sequence[int]) -> tuple[int, ...]:
-    return tuple(map(operator.index, site))
+    return tuple(map(int_site, site))
 
 
 def _add_vectors(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
@@ -54,6 +54,8 @@ class LatticeDist(FiniteMeasure):
         super().__init__(atoms)
         if len(set(map(len, self.sites))) != 1:
             raise ValueError("mixed dimensions")
+        if not self.dim:
+            raise ValueError("lattice sites need dimension >= 1, got dimension 0")
 
     @property
     def dim(self) -> int:
@@ -379,7 +381,6 @@ def _tail_bound_outside_box(spec: GaussSpec, box: Sequence[tuple[int, int]]) -> 
     Uses the better of the quadratic-norm tail bound (when its dimension
     precondition holds) and the exact per-coordinate union bound.
     """
-    d = spec.dim
     union = 0.0
     radius = math.inf
     for j, (lo, hi) in enumerate(box):
@@ -387,16 +388,32 @@ def _tail_bound_outside_box(spec: GaussSpec, box: Sequence[tuple[int, int]]) -> 
         upper = (hi + 0.5 - spec.mean[j]) / sd
         lower = (spec.mean[j] - (lo - 0.5)) / sd
         union += norm_sf(upper) + norm_sf(lower)
+        radius = min(radius, hi + 0.5 - spec.mean[j], spec.mean[j] - (lo - 0.5))
     # a hair of inflation keeps the union a valid bound despite erfc rounding
     bound = min(union * (1 + 1e-12), 1.0)
-    for j, (lo, hi) in enumerate(box):
-        radius = min(radius, hi + 0.5 - spec.mean[j], spec.mean[j] - (lo - 0.5))
     if radius > 0:
-        t = radius * radius
-        sigma1 = float(np.linalg.eigvalsh(np.asarray(spec.cov)).max())
-        if d <= t / (16 * sigma1):
-            bound = min(bound, math.exp(-t / (4 * sigma1)))
+        norm_bound = _norm_tail_bound(np.asarray(spec.cov), radius * radius)[1]
+        if norm_bound is not None:
+            bound = min(bound, norm_bound)
     return bound
+
+
+def _norm_tail_bound(cov: np.ndarray, t: float) -> tuple[float, Optional[float]]:
+    """(sigma_1, bound): the largest eigenvalue of cov and the bound
+    exp(-t / (4 sigma_1)) on P(|X|^2 >= t), X ~ N(0, cov); the bound is None
+    unless sigma_1 > 0 and d <= t / (16 sigma_1)."""
+    sigma1 = float(np.linalg.eigvalsh(cov).max())
+    if sigma1 <= 0 or cov.shape[0] > t / (16 * sigma1):
+        return sigma1, None
+    return sigma1, math.exp(-t / (4 * sigma1))
+
+
+def _normal_draws(cov, n: int, seed: int) -> np.ndarray:
+    """n seeded draws of N(0, cov), one per row; a caller adds its mean to
+    the product."""
+    mat = np.asarray(cov, dtype=float)
+    rng = np.random.default_rng(seed)
+    return rng.standard_normal((n, mat.shape[0])) @ np.linalg.cholesky(mat).T
 
 
 @dataclass(frozen=True)
@@ -462,9 +479,7 @@ def discretized_gaussian(
         n = samples if samples is not None else int(math.ceil((1.5 / tol) ** 2))
         if n > 5 * 10**7:
             raise ValueError("tol too small for the Monte Carlo budget")
-        rng = np.random.default_rng(seed)
-        chol = np.linalg.cholesky(np.asarray(spec.cov))
-        draws = rng.standard_normal((n, 3)) @ chol.T + np.asarray(spec.mean)
+        draws = _normal_draws(spec.cov, n, seed) + np.asarray(spec.mean)
         rounded = np.floor(draws + 0.5).astype(int)
         del draws  # so the binning below needs less memory than the rounding
         rounded -= [lo for lo, _ in box]  # offsets into the box
@@ -495,18 +510,12 @@ class TVResult:
 
 
 def fit_gauss_spec(s: LatticeDist) -> GaussSpec:
-    mean = tuple(float(x) for x in s.mean())
-    cov_exact = s.cov()
-    d = s.dim
-    if d == 1:
-        degenerate = cov_exact[0][0] == 0
-    elif d == 2:
-        degenerate = cov_exact[0][0] * cov_exact[1][1] - cov_exact[0][1] ** 2 <= 0
-    else:
-        degenerate = np.linalg.matrix_rank(np.asarray(cov_exact, dtype=float)) < d
-    if degenerate:
+    """The Gaussian with the mean and covariance of s, as floats.  The masses
+    are positive, so the covariance has the rank of the support's affine
+    hull, which ``_affine_dim`` decides exactly."""
+    if _affine_dim(s.sites) < s.dim:
         raise ValueError("degenerate covariance: rank below dimension")
-    return GaussSpec(mean, tuple(tuple(float(v) for v in row) for row in cov_exact))
+    return GaussSpec(tuple(float(x) for x in s.mean()), tuple(tuple(float(v) for v in row) for row in s.cov()))
 
 
 def tv_to_discretized_gaussian(s: LatticeDist, tol: float = 1e-6) -> TVResult:
@@ -529,9 +538,7 @@ def tv_to_discretized_gaussian(s: LatticeDist, tol: float = 1e-6) -> TVResult:
         lo = min(min(x[j] for x in sites), math.floor(spec.mean[j] - 6.5 * sd))
         hi = max(max(x[j] for x in sites), math.ceil(spec.mean[j] + 6.5 * sd))
         box.append((lo, hi))
-    ncells = 1
-    for lo, hi in box:
-        ncells *= hi - lo + 1
+    ncells = math.prod(hi - lo + 1 for lo, hi in box)
     table = discretized_gaussian(spec, box, tol=max(tol / ncells, 1e-13))
     den = s.denominator()
     half_l1 = 0.0
@@ -685,13 +692,12 @@ def gaussian_tail_bound(sigma, t: float) -> float:
     """exp(-t / (4 sigma_1)) bound for P(|X|^2 >= t), valid when the
     dimension is at most t / (16 sigma_1)."""
     mat = _float_array(sigma, 2)
-    d = mat.shape[0]
-    sigma1 = float(np.linalg.eigvalsh(mat).max())
+    sigma1, bound = _norm_tail_bound(mat, t)
     if sigma1 <= 0:
         raise ValueError("covariance must be positive definite")
-    if d > t / (16 * sigma1):
-        raise ValueError(f"precondition fails: d={d} > t/(16 sigma_1)={t / (16 * sigma1)}")
-    return math.exp(-t / (4 * sigma1))
+    if bound is None:
+        raise ValueError(f"precondition fails: d={mat.shape[0]} > t/(16 sigma_1)={t / (16 * sigma1)}")
+    return bound
 
 
 @dataclass(frozen=True)
@@ -712,10 +718,7 @@ def gaussian_tail_check(sigma, t: float, samples: int, seed: int = 0) -> TailChe
     if samples < 1:
         raise ValueError("samples must be positive")
     bound = gaussian_tail_bound(sigma, t)
-    mat = np.asarray(sigma, dtype=float)
-    rng = np.random.default_rng(seed)
-    chol = np.linalg.cholesky(mat)
-    draws = rng.standard_normal((samples, mat.shape[0])) @ chol.T
+    draws = _normal_draws(sigma, samples, seed)
     exceed = float((np.sum(draws**2, axis=1) >= t).mean())
     se = math.sqrt(bound * (1 - bound) / samples)
     return TailCheckReport(bound, exceed, se, exceed <= bound + 3 * se, samples, seed)

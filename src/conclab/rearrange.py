@@ -16,7 +16,7 @@ from fractions import Fraction
 from math import lcm
 from typing import Optional
 
-from .dist import FiniteMeasure, IntDist, as_fraction, format_fraction, is_unimodal, negate, q_k
+from .dist import FiniteMeasure, IntDist, as_fraction, format_fraction, is_unimodal, negate
 
 
 class IntMeasure(FiniteMeasure):
@@ -202,13 +202,11 @@ class JointCoupling:
     def to_json_rows(self) -> list:
         return [[z, x, flag, format_fraction(m)] for z, x, flag, m in self.cells]
 
+    def to_json_obj(self) -> dict:
+        return {"cells": self.to_json_rows(), "audit": {k: str(v) for k, v in self.audit.items()}}
+
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "cells": self.to_json_rows(),
-                "audit": {k: str(v) for k, v in self.audit.items()},
-            }
-        )
+        return json.dumps(self.to_json_obj())
 
 
 def is_symmetric_unimodal(mu: IntDist) -> bool:
@@ -231,9 +229,11 @@ def dominating_coupling(mu: IntDist, mu_prime: IntDist, eps) -> JointCoupling:
         raise ValueError("epsilon must be nonnegative")
     if not is_symmetric_unimodal(mu_prime):
         raise ValueError("mu_prime must be symmetric about 0 and unimodal")
-    for j in range(1, max(len(mu), len(mu_prime)) + 1):
-        if q_k(mu, j) > (1 + eps) * q_k(mu_prime, j):
-            raise ValueError(f"domination fails at j={j}")
+    from .domination import dominates  # domination imports this module
+
+    violation = dominates(mu, mu_prime, eps).first_violation
+    if violation is not None:
+        raise ValueError(f"domination fails at j={violation[0]}")
 
     c = 1 / (1 + eps)
     plus = plus_rearrange(mu)

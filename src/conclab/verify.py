@@ -16,7 +16,7 @@ import hashlib
 import itertools
 import json
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Iterable, Iterator, Optional, Sequence
 
@@ -32,19 +32,18 @@ from .dist import (
     max_span,
     modes,
     negate,
-    q_k,
     q_max,
     q_max_convolve,
     shift,
     uniform_interval,
     variance,
 )
-from .domination import dominates
+from .domination import dominates, profile_rows
 from .extremal import (
     AlphaSeq,
     _extremal_law,
+    _layouts,
     balanced_sequence,
-    inverse_floor,
     is_balanced,
     is_strongly_balanced,
     nu,
@@ -66,8 +65,6 @@ def canonical(obj):
     """Recursively convert an instance to JSON-able canonical form."""
     if isinstance(obj, Fraction):
         return format_fraction(obj)
-    if isinstance(obj, IntDist):
-        return obj.to_json_obj()
     if isinstance(obj, AlphaSeq):
         return [format_fraction(a) for a in obj]
     if isinstance(obj, (list, tuple)):
@@ -189,16 +186,7 @@ def summarize(results: Iterable[tuple[str, str]]) -> dict:
 
 def _min_profile_slack(mu1: IntDist, mu2: IntDist, eps: Fraction) -> tuple[int, Fraction, Fraction]:
     """The j minimizing (1+eps)*Q_j(mu2) - Q_j(mu1), with both sides."""
-    from .domination import q_profile
-
-    p1 = q_profile(mu1).values
-    p2 = q_profile(mu2).values
-    one = Fraction(1)
-    rows = (
-        (j, p1[j - 1] if j <= len(p1) else one, (1 + eps) * (p2[j - 1] if j <= len(p2) else one))
-        for j in range(1, max(len(p1), len(p2)) + 1)
-    )
-    return min(rows, key=lambda row: row[2] - row[1])
+    return min(profile_rows(mu1, mu2, eps), key=lambda row: row[2] - row[1])
 
 
 # -- the conjecture scan ---------------------------------------------------------
@@ -260,24 +248,13 @@ def quantized_extremal_measures(denominator: int, window: tuple[int, int]) -> li
     without changing any concentration value, so they add nothing to a scan.
     """
     lo, hi = window
-    width = hi - lo
+    sites = range(lo, hi + 1)
     out = []
     for j in range(1, denominator):
         alpha = Fraction(j, denominator)
-        k = inverse_floor(alpha)
-        has_residue = k * alpha.numerator < alpha.denominator
-        if k + (1 if has_residue else 0) > width + 1:
-            continue
-        offsets = range(width + 1)
-        for support in itertools.combinations(offsets, k):
-            sites = [lo + s for s in support]
-            if not has_residue:
-                if support[0] == 0:
-                    out.append(_extremal_law(alpha, sites))
-                continue
-            for b in offsets:
-                if b not in support and min(support[0], b) == 0:
-                    out.append(_extremal_law(alpha, sites, lo + b))
+        out.extend(
+            _extremal_law(alpha, support, b) for support, b in _layouts(alpha, sites) if lo in (support[0], b)
+        )
     return out
 
 
@@ -412,13 +389,9 @@ def few_dropped_check(alphas: AlphaSeq, k: int, big_k: int, delta, signs=None) -
         return _na("few_dropped", instance, "variance below the lemma threshold")
     seq = _signed_sequence(caps, signs)
     rhs = q_max(convolve_all(seq))
-    tail = seq[k:] if k < n else [delta_zero()]
+    tail = seq[k:] if k < n else [delta(0)]
     lhs = (1 - delta) * q_max(convolve_all(tail))
     return _exact("few_dropped", instance, lhs, rhs)
-
-
-def delta_zero() -> IntDist:
-    return delta(0)
 
 
 def _signed_sequence(caps: Sequence[Fraction], signs) -> list[IntDist]:
@@ -507,15 +480,8 @@ def large_continuity_check(big_k: int, ks: Sequence[int], y: IntDist) -> CheckRe
         {"upper_ok": upper_ok},
     )
     if report.outcome == PASS and not upper_ok:
-        return CheckReport(
-            report.name,
-            FAIL,
-            report.lhs,
-            report.rhs,
-            report.margin,
-            True,
-            report.instance_digest,
-            {**report.details, "reason": "wider uniforms increased the mass at 0"},
+        return replace(
+            report, outcome=FAIL, details={**report.details, "reason": "wider uniforms increased the mass at 0"}
         )
     return report
 
@@ -539,7 +505,7 @@ def peakedness1_check(x: IntDist, ys: Sequence[IntDist], z: IntDist, eps) -> Che
         return _na("peakednessl1", instance, "z not symmetric log-concave")
     if not dominates(x, z, eps).holds:
         return _na("peakednessl1", instance, "x not eps-dominated by z")
-    star_sum = convolve_all(y_stars) if y_stars else delta_zero()
+    star_sum = convolve_all(y_stars) if y_stars else delta(0)
     min_var = min(variance(z), variance(star_sum))
     threshold = Interval.exact(Fraction(65536)) * power_interval(2, 2, 3) * Interval.exact(
         1 / eps**4
@@ -693,10 +659,7 @@ def _gen_coupling_pair(rng: random.Random, **kw):
     smallest rational slack making the profile domination hold (tight)."""
     mu = _gen_distribution(rng)
     mu_prime = _gen_symmetric_unimodal(rng, **kw)
-    eps = Fraction(0)
-    for j in range(1, max(len(mu), len(mu_prime)) + 1):
-        ratio = q_k(mu, j) / q_k(mu_prime, j)
-        eps = max(eps, ratio - 1)
+    eps = max(Fraction(0), *(lhs / rhs - 1 for _, lhs, rhs in profile_rows(mu, mu_prime, 0)))
     return mu, mu_prime, eps
 
 

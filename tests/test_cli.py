@@ -613,3 +613,57 @@ def test_help_matches_a_fresh_parser(argv):
     assert cached[1:] == fresh[1:]
     assert cached[0] == 0 and fresh[0] == 0
     assert cached[1].startswith("usage: conclab")
+
+
+# -- input contracts: each of these exits 2 with "error: ..." on stderr --------
+
+
+@pytest.mark.parametrize(
+    "argv, content, message",
+    [
+        (["dist", "stats"], '{"atoms": [[true, "1/2"], [0, "1/2"]]}', "boolean sites"),
+        (["gauss", "terms"], '{"atoms": [[[0, true], "1/2"], [[0, 0], "1/2"]]}', "boolean sites"),
+        (["gauss", "terms"], '{"atoms": [[[], "1"]]}', "dimension 0"),
+        (["gauss", "tv"], '{"atoms": [[[], "1"]]}', "dimension 0"),
+    ],
+    ids=["bool_site", "bool_lattice_coordinate", "empty_site_terms", "empty_site_tv"],
+)
+def test_bad_site_exits_2(tmp_path, capsys, argv, content, message):
+    path = tmp_path / "law.json"
+    path.write_text(content)
+    assert run([*argv, str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: ") and message in err
+
+
+def test_gap_cover_kind_mismatch_exits_2(files, tmp_path, capsys):
+    from conclab.gaps import SymGAP, gap_contains
+
+    vector = tmp_path / "vec.json"
+    vector.write_text(json.dumps({"dims": [2], "generators": [[1, 0]]}))
+    assert run(["gap", "cover", str(vector), files["u01.json"]]) == 2
+    assert "2-vector progression cannot hold scalar elements" in capsys.readouterr().err
+    gap = SymGAP((2,), ((1, 0),))
+    with pytest.raises(ValueError):
+        gap_contains(gap, 1)
+    with pytest.raises(ValueError):
+        gap_contains(gap, (1, 0, 0))
+    with pytest.raises(ValueError):
+        gap_contains(SymGAP((2,), (F(1),)), (1, 0))
+    assert gap_contains(gap, (2, 0)) and not gap_contains(gap, (3, 0))
+    assert gap_contains(SymGAP((), ()), 0)  # rank 0: no generators, no kind
+    assert run(["gap", "cover", files["g2.json"], files["u01.json"]]) == 0
+    assert json.loads(capsys.readouterr().out) == {"cover": "0/1"}
+
+
+@pytest.mark.parametrize("c_be", ["0", "-0.5"])
+def test_be_gap_nonpositive_constant_exits_2(files, capsys, c_be):
+    assert run(["be-gap", files["u01.json"], "--c-be", c_be]) == 2
+    assert "--c-be must be positive" in capsys.readouterr().err
+
+
+def test_report_syntax_error_names_path_and_line(tmp_path, capsys):
+    path = tmp_path / "rows.jsonl"
+    path.write_text(json.dumps({"name": "thm_tse", "outcome": "pass"}) + "\n{'name': 1}\n")
+    assert run(["report", str(path)]) == 2
+    assert capsys.readouterr().err == f"error: {path}:2:2: Expecting property name enclosed in double quotes\n"
