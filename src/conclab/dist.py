@@ -11,7 +11,7 @@ structural predicates) is computed exactly on these integers, and Fractions
 are built only where masses leave the container; floating point never enters.
 
 Convolution has one kernel (``_convolve_numerators``) behind ``convolve``,
-``convolve_all``, ``convolve_power`` and ``q_max_convolve``.  It works on the
+``convolve_all``, ``convolve_power`` and ``_q_max_pair``.  It works on the
 stored numerators and has three branches, and its result enters the container
 through ``_from_integers``, reduced by one gcd.  JSON, text and ``repr``
 are formatted from the integers too: each mass is its numerator and the
@@ -602,11 +602,6 @@ def _q_max_pair(a: IntDist, b: IntDist) -> tuple[int, int]:
     """
     out, den = _convolve_numerators((a, b))
     return max(out.values()), den
-
-
-def q_max_convolve(a: IntDist, b: IntDist) -> Fraction:
-    """q_max(convolve(a, b)) without building the convolution's IntDist."""
-    return Fraction(*_q_max_pair(a, b))
 
 
 def convolve_all(dists: Sequence[FiniteMeasure]) -> FiniteMeasure:

@@ -242,44 +242,44 @@ def tsebal(alphas: AlphaSeq) -> Fraction:
     return value
 
 
+def _walk(root: IntDist | None, levels: Sequence[Sequence[IntDist]], tied: Sequence[bool]) -> Iterator[tuple]:
+    """(path, num, den) for each sum of root and one option law per level:
+    the option indices and the sum's q_max as an unreduced pair.  Paths come
+    depth first in itertools.product order, skipping those whose index
+    decreases into a level tied to its predecessor; each prefix is convolved
+    once, for everything below it.  A None root is the point mass at 0."""
+    last = len(levels) - 1
+    # the stack: path[i] is the option at level i, sums[i] root plus the laws chosen above level i
+    path, sums = [0] * len(levels), [root] * len(levels)
+    level = 0
+    while level >= 0:
+        options, j, prefix = levels[level], path[level], sums[level]
+        if level < last and j < len(options):
+            level += 1
+            sums[level] = options[j] if prefix is None else convolve(prefix, options[j])
+            path[level] = j if tied[level] else 0
+            continue
+        if level == last:
+            for j in range(j, len(options)):
+                path[last] = j
+                law = options[j]
+                num, den = (max(law.numerators), law.denominator()) if prefix is None else _q_max_pair(prefix, law)
+                yield tuple(path), num, den
+        level -= 1
+        if level >= 0:
+            path[level] += 1
+
+
 def _max_q_search(
     root: IntDist | None, levels: Sequence[Sequence[IntDist]], tied: Sequence[bool]
 ) -> tuple[Fraction, tuple[int, ...]]:
-    """Maximum of q_max(root + one option law per level) with the option
-    indices attaining it.
-
-    Index tuples are visited depth first in itertools.product order, skipping
-    those whose index decreases from a level to the next level when that
-    level is tied to its predecessor.  The convolution of each prefix is built
-    once and shared by everything below it, so a leaf costs one convolution;
-    the best value is replaced only on a strictly larger one, so the first
-    maximiser in visiting order wins.  A None root stands for the point mass
-    at 0, and there must be at least one level.
-    """
-    # the best value as an unreduced (numerator, denominator) pair; a leaf
-    # n/d beats it when n * best_den > best_num * d
-    best_num, best_den = -1, 1
-    best_path: tuple[int, ...] = ()
-    path = [0] * len(levels)
-    last = len(levels) - 1
-
-    def visit(level: int, prefix: IntDist | None) -> None:
-        nonlocal best_num, best_den, best_path
-        options = levels[level]
-        for j in range(path[level - 1] if tied[level] else 0, len(options)):
-            path[level] = j
-            law = options[j]
-            if level < last:
-                visit(level + 1, law if prefix is None else convolve(prefix, law))
-                continue
-            if prefix is None:
-                num, den = max(law.numerators), law.denominator()
-            else:
-                num, den = _q_max_pair(prefix, law)
-            if num * best_den > best_num * den:
-                best_num, best_den, best_path = num, den, tuple(path)
-
-    visit(0, root)
+    """Largest q_max among the sums `_walk` visits, with its path.  Only a
+    strictly larger n/d replaces the best pair (n * best_den > best_num * d),
+    so the first maximiser in visiting order wins.  Needs at least one level."""
+    best_num, best_den, best_path = -1, 1, ()
+    for path, num, den in _walk(root, levels, tied):
+        if num * best_den > best_num * den:
+            best_num, best_den, best_path = num, den, path
     return Fraction(best_num, best_den), best_path
 
 

@@ -16,7 +16,7 @@ from fractions import Fraction
 from math import comb, isqrt
 from typing import Optional, Sequence
 
-from .dist import IntDist, as_fraction, convolve_all, format_fraction, json_int, q_max
+from .dist import IntDist, as_fraction, convolve_all, format_fraction, int_site, json_int, q_max
 
 DEFAULT_ENUM_BUDGET = 10**6
 
@@ -142,10 +142,12 @@ def _require_kind(a: SymGAP, kind) -> None:
 
 def gap_contains(a: SymGAP, x, budget: int = DEFAULT_ENUM_BUDGET) -> bool:
     if isinstance(x, (list, tuple)):
-        x = tuple(map(operator.index, x))
+        x = tuple(map(int_site, x))
     else:
         x = as_fraction(x)
     _require_kind(a, SymGAP._kind_of(x))
+    if a.rank == 0:  # {0}, with the zero of the queried element's kind
+        return not any(x) if isinstance(x, tuple) else x == 0
     return x in a.elements(budget)
 
 
@@ -370,7 +372,7 @@ def integer_span_basis(vectors: Sequence[Sequence[int]]) -> LatticeBasis:
     exact back-substitution, and matrix @ coords(x) == x is checked for every
     input vector.
     """
-    vecs = [tuple(map(operator.index, x)) for x in vectors]
+    vecs = [tuple(map(int_site, x)) for x in vectors]
     if not vecs:
         raise ValueError("empty vector set")
     d = len(vecs[0])

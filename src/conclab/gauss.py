@@ -132,6 +132,15 @@ def _float_array(value, ndim: int) -> np.ndarray:
     return arr.astype(float)
 
 
+def _check_cov(c: np.ndarray) -> None:
+    """ValueError unless the square matrix c is symmetric positive definite;
+    eigvalsh reads only the lower triangle, so symmetry is checked first."""
+    if not np.allclose(c, c.T):
+        raise ValueError("covariance must be symmetric")
+    if np.linalg.eigvalsh(c).min() <= 0:
+        raise ValueError("covariance must be positive definite")
+
+
 @dataclass(frozen=True)
 class GaussSpec:
     """Mean vector and symmetric positive-definite covariance."""
@@ -143,10 +152,7 @@ class GaussSpec:
         c = np.asarray(self.cov, dtype=float)
         if c.shape != (len(self.mean), len(self.mean)):
             raise ValueError("covariance shape mismatch")
-        if not np.allclose(c, c.T):
-            raise ValueError("covariance must be symmetric")
-        if np.linalg.eigvalsh(c).min() <= 0:
-            raise ValueError("covariance must be positive definite")
+        _check_cov(c)
 
     @property
     def dim(self) -> int:
@@ -399,11 +405,11 @@ def _tail_bound_outside_box(spec: GaussSpec, box: Sequence[tuple[int, int]]) -> 
 
 
 def _norm_tail_bound(cov: np.ndarray, t: float) -> tuple[float, Optional[float]]:
-    """(sigma_1, bound): the largest eigenvalue of cov and the bound
-    exp(-t / (4 sigma_1)) on P(|X|^2 >= t), X ~ N(0, cov); the bound is None
-    unless sigma_1 > 0 and d <= t / (16 sigma_1)."""
+    """(sigma_1, bound): the largest eigenvalue of the positive-definite cov
+    and the bound exp(-t / (4 sigma_1)) on P(|X|^2 >= t), X ~ N(0, cov); the
+    bound is None unless d <= t / (16 sigma_1)."""
     sigma1 = float(np.linalg.eigvalsh(cov).max())
-    if sigma1 <= 0 or cov.shape[0] > t / (16 * sigma1):
+    if cov.shape[0] > t / (16 * sigma1):
         return sigma1, None
     return sigma1, math.exp(-t / (4 * sigma1))
 
@@ -690,11 +696,11 @@ def singular_lower_bound(a) -> SingularBoundReport:
 
 def gaussian_tail_bound(sigma, t: float) -> float:
     """exp(-t / (4 sigma_1)) bound for P(|X|^2 >= t), valid when the
-    dimension is at most t / (16 sigma_1)."""
+    dimension is at most t / (16 sigma_1); sigma must be symmetric positive
+    definite."""
     mat = _float_array(sigma, 2)
+    _check_cov(mat)
     sigma1, bound = _norm_tail_bound(mat, t)
-    if sigma1 <= 0:
-        raise ValueError("covariance must be positive definite")
     if bound is None:
         raise ValueError(f"precondition fails: d={mat.shape[0]} > t/(16 sigma_1)={t / (16 * sigma1)}")
     return bound

@@ -13,7 +13,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import NamedTuple
 
-# 10**-DIGITS is the default enclosure width per root extraction.
+# 10**-DIGITS is the enclosure width per root extraction.
 DIGITS = 30
 
 
@@ -78,21 +78,21 @@ def integer_nth_root(m: int, n: int) -> int:
     return x
 
 
-def root_interval(q, n: int, digits: int = DIGITS) -> Interval:
+def root_interval(q, n: int) -> Interval:
     """Enclosure of q**(1/n) for rational q >= 0 and integer n >= 1."""
     q = Fraction(q)
     if q < 0:
         raise ValueError("negative radicand")
     if q == 0:
         return Interval(Fraction(0), Fraction(0))
-    scale = 10**digits
+    scale = 10**DIGITS
     m = (q.numerator * scale**n) // q.denominator
     lo = integer_nth_root(m, n)
     hi = integer_nth_root(m + 1, n) + 1
     return Interval(Fraction(lo, scale), Fraction(hi, scale))
 
 
-def power_interval(q, num: int, den: int, digits: int = DIGITS) -> Interval:
+def power_interval(q, num: int, den: int) -> Interval:
     """Enclosure of q**(num/den) for rational q > 0 and integers num, den >= 1.
 
     Negative exponents are handled by inverting the positive-power enclosure.
@@ -103,8 +103,8 @@ def power_interval(q, num: int, den: int, digits: int = DIGITS) -> Interval:
     if den < 1:
         raise ValueError("denominator must be >= 1")
     if num < 0:
-        return power_interval(q, -num, den, digits).inverse()
+        return power_interval(q, -num, den).inverse()
     if num == 0:
         return Interval.exact(1)
-    return root_interval(q**num, den, digits)
+    return root_interval(q**num, den)
 

@@ -13,11 +13,11 @@ as a failure but is tallied separately.
 from __future__ import annotations
 
 import hashlib
-import itertools
 import json
 import random
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from math import comb
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .dist import (
@@ -33,7 +33,6 @@ from .dist import (
     modes,
     negate,
     q_max,
-    q_max_convolve,
     shift,
     uniform_interval,
     variance,
@@ -43,6 +42,7 @@ from .extremal import (
     AlphaSeq,
     _extremal_law,
     _layouts,
+    _walk,
     balanced_sequence,
     is_balanced,
     is_strongly_balanced,
@@ -263,9 +263,11 @@ def conjecture_scan(cfg: ScanConfig, measures: Optional[list[IntDist]] = None) -
 
     Exhaustive over unordered tuples when their count fits the budget,
     otherwise a deterministic seeded sample of budget tuples (`scan_mode`
-    reports which).  Records stream in instance-index order.  The last
-    convolution of each tuple sum only yields q_max.  Any violation is a
-    counterexample candidate and must fail the build loudly.
+    decides).  Both run the walker of tse and t_oracle, which shares prefix
+    sums: exhaustively over n copies of the measures, every level after the
+    first tied (nondecreasing index tuples, lexicographically); sampled, over
+    each draw as singleton levels.  Records stream in instance-index order.
+    Any violation is a counterexample candidate and must fail the build loudly.
 
     ``measures`` is ``quantized_extremal_measures(cfg.denominator,
     cfg.window)`` when the caller has already built it.  Tuples are drawn as
@@ -276,49 +278,41 @@ def conjecture_scan(cfg: ScanConfig, measures: Optional[list[IntDist]] = None) -
     """
     if measures is None:
         measures = quantized_extremal_measures(cfg.denominator, cfg.window)
-    m = len(measures)
-    if not m:
-        return
+    n = cfg.n
     caps = [q_max(mu) for mu in measures]
     laws_json = [mu.to_json_obj() for mu in measures]
     # class 0 is the largest cap, so sorted class indices list the caps nonincreasing
     classes = sorted(set(caps), reverse=True)
     class_of = [classes.index(a) for a in caps]
     tse_cache: dict[tuple[int, ...], tuple[tuple[Fraction, ...], Fraction]] = {}
-    if _multiset_count(m, cfg.n) <= cfg.budget:
-        items = enumerate(itertools.combinations_with_replacement(range(m), cfg.n))
+    if scan_mode(cfg, measures) == "exhaustive":
+        leaves = _walk(None, [measures] * n, [False] + [True] * (n - 1))
     else:
         rng = random.Random(cfg.seed)
-        choices = range(m)
-        items = ((idx, tuple(rng.choice(choices) for _ in range(cfg.n))) for idx in range(cfg.budget))
-    for idx, picks in items:
+        choices = range(len(measures))
+        draws = (tuple(rng.choice(choices) for _ in range(n)) for _ in range(cfg.budget))
+        singletons, untied = [[mu] for mu in measures], [False] * n
+        walks = ((picks, _walk(None, [singletons[i] for i in picks], untied)) for picks in draws)
+        leaves = ((picks, num, den) for picks, walk in walks for _, num, den in walk)
+    for idx, (picks, num, den) in enumerate(leaves):
         key = tuple(sorted(class_of[i] for i in picks))
         cached = tse_cache.get(key)
         if cached is None:
             alphas = tuple(classes[c] for c in key)
             cached = tse_cache[key] = (alphas, tse(AlphaSeq(alphas))[0])
         alphas, rhs = cached
+        lhs = Fraction(num, den)
         combo = tuple(measures[i] for i in picks)
-        if cfg.n > 1:
-            lhs = q_max_convolve(convolve_all(combo[:-1]), combo[-1])
-        else:
-            lhs = caps[picks[0]]
         yield ScanRecord(idx, alphas, lhs, rhs, lhs > rhs, combo, tuple(laws_json[i] for i in picks))
 
 
 def scan_mode(cfg: ScanConfig, measures: Optional[list[IntDist]] = None) -> str:
-    """'exhaustive', or 'sampled(budget of total)' when the tuples outnumber
-    the budget; ``measures`` as in ``conjecture_scan``."""
+    """'exhaustive', or 'sampled(budget of total)' when the unordered tuples
+    outnumber the budget; ``measures`` as in ``conjecture_scan``."""
     if measures is None:
         measures = quantized_extremal_measures(cfg.denominator, cfg.window)
-    total = _multiset_count(len(measures), cfg.n)
+    total = comb(len(measures) + cfg.n - 1, cfg.n)
     return "exhaustive" if total <= cfg.budget else f"sampled({cfg.budget} of {total})"
-
-
-def _multiset_count(m: int, n: int) -> int:
-    from math import comb
-
-    return comb(m + n - 1, n) if m > 0 else 0
 
 
 # -- lemma checkers ---------------------------------------------------------------
@@ -389,8 +383,9 @@ def few_dropped_check(alphas: AlphaSeq, k: int, big_k: int, delta, signs=None) -
         return _na("few_dropped", instance, "variance below the lemma threshold")
     seq = _signed_sequence(caps, signs)
     rhs = q_max(convolve_all(seq))
-    tail = seq[k:] if k < n else [delta(0)]
-    lhs = (1 - delta) * q_max(convolve_all(tail))
+    # k < n here: a cap of at least 1/K gives nu a variance below K**2, so with
+    # k = n the total variance is below n * K**2 and fails the threshold above
+    lhs = (1 - delta) * q_max(convolve_all(seq[k:]))
     return _exact("few_dropped", instance, lhs, rhs)
 
 

@@ -466,6 +466,23 @@ def test_bad_gaussian_spec_exits_2(tmp_path, capsys, content):
     assert capsys.readouterr().err.startswith(f"error: {path}: ")
 
 
+@pytest.mark.parametrize("samples", [[], ["--samples", "50"]], ids=["bound", "check"])
+@pytest.mark.parametrize(
+    "cov, reason",
+    [([[1, 5], [0, 1]], "symmetric"), ([[1, 0], [0, -1]], "positive definite")],
+    ids=["not_symmetric", "indefinite"],
+)
+def test_bad_tail_covariance_exits_2(tmp_path, capsys, cov, reason, samples):
+    """The tail commands hold the covariance to the contract of a Gaussian
+    spec: eigvalsh alone would read only the lower triangle."""
+    path = tmp_path / "cov.json"
+    path.write_text(json.dumps(cov))
+    assert run(["gauss", "tail", "--cov", str(path), "--t", "32", *samples]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: covariance must be {reason}\n"
+
+
 @pytest.mark.parametrize("content", ["[1, 2]", '"alphas"', "5"], ids=["list", "string", "number"])
 def test_instance_not_an_object_exits_2(tmp_path, capsys, content):
     path = tmp_path / "inst.json"

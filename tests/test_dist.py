@@ -19,6 +19,7 @@ from conclab.dist import (
     _convolve_packed,
     _convolve_pairwise,
     _packs,
+    _q_max_pair,
     convolve,
     convolve_all,
     convolve_power,
@@ -34,7 +35,6 @@ from conclab.dist import (
     q_interval,
     q_k,
     q_max,
-    q_max_convolve,
     shift,
     squeeze,
     third_abs_moment,
@@ -45,6 +45,11 @@ from conclab.extremal import nu
 from conclab.gauss import LatticeDist
 from conclab.rearrange import IntMeasure
 from conclab.verify import random_instance
+
+
+def q_max_convolve(a, b):
+    """q_max(convolve(a, b)) as a Fraction, from the kernel's unreduced pair."""
+    return F(*_q_max_pair(a, b))
 
 
 def test_constructor_validates():

@@ -205,6 +205,22 @@ def test_integer_span_basis_rejects_non_integer_entries(vectors):
         integer_span_basis(vectors)
 
 
+def test_vector_entries_reject_booleans():
+    """Entries are coerced like sites: True is not the integer 1."""
+    with pytest.raises(TypeError):
+        integer_span_basis([[0, 0], [True, 0]])
+    with pytest.raises(TypeError):
+        gap_contains(SymGAP((1,), ((1, 0),)), [True, 0])
+
+
+def test_rank_0_progression_holds_the_zero_of_each_kind():
+    empty = SymGAP((), ())
+    assert gap_contains(empty, 0) and gap_contains(empty, F(0))
+    assert gap_contains(empty, (0, 0)) and gap_contains(empty, [0, 0, 0])
+    assert not gap_contains(empty, F(1, 2))
+    assert not gap_contains(empty, (0, 1))
+
+
 def test_gap_contains_rejects_non_integer_vectors():
     plane = SymGAP((1, 1), ((1, 0), (0, 1)))
     assert gap_contains(plane, [1, -1])

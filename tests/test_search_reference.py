@@ -17,8 +17,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conclab.dist import FiniteMeasure, IntDist, convolve, convolve_all, delta, negate, q_max, q_max_convolve, uniform
-from conclab.extremal import AlphaSeq, _extremal_law, _max_q_search, extremal_enumerate, nu, t_oracle, tse
+from conclab.dist import FiniteMeasure, IntDist, _q_max_pair, convolve, convolve_all, delta, negate, q_max, uniform
+from conclab.extremal import AlphaSeq, _extremal_law, _max_q_search, _walk, extremal_enumerate, nu, t_oracle, tse
 from conclab.verify import ScanConfig, ScanRecord, conjecture_scan, quantized_extremal_measures
 
 
@@ -113,6 +113,11 @@ def brute_scan(cfg: ScanConfig) -> list[ScanRecord]:
         lhs = q_max(convolve_all(list(combo)))
         out.append(ScanRecord(idx, alphas, lhs, rhs, lhs > rhs, combo))
     return out
+
+
+def q_max_convolve(a: IntDist, b: IntDist) -> F:
+    """q_max(convolve(a, b)) as a Fraction, from the kernel's unreduced pair."""
+    return F(*_q_max_pair(a, b))
 
 
 def caps(denominator: int) -> list[F]:
@@ -264,7 +269,7 @@ def test_t_oracle_matches_brute_force_property(alphas, lo):
     assert_oracle_matches(AlphaSeq(alphas), (lo, lo + 2))
 
 
-# -- q_max_convolve and the scan -------------------------------------------------------
+# -- _q_max_pair and the scan -------------------------------------------------------
 
 
 def small_laws() -> list[IntDist]:
@@ -307,7 +312,22 @@ SCAN_CONFIGS = [
     ScanConfig(5, (0, 3), 2),
     ScanConfig(6, (0, 4), 3, seed=5, budget=60),
     ScanConfig(7, (0, 5), 4, seed=2, budget=40),
+    ScanConfig(6, (0, 4), 1),
+    ScanConfig(7, (0, 5), 1, seed=3, budget=5),
+    ScanConfig(5, (0, 4), 3),
 ]
+
+
+def test_exhaustive_walk_visits_combinations_with_replacement_order():
+    """n copies of one option list, every level after the first tied: the
+    walker visits the nondecreasing index tuples in the order of
+    itertools.combinations_with_replacement, each with its sum's q_max."""
+    laws = small_laws()[::5]
+    for n in (1, 2, 3, 4):
+        leaves = list(_walk(None, [laws] * n, [False] + [True] * (n - 1)))
+        assert [path for path, _, _ in leaves] == list(itertools.combinations_with_replacement(range(len(laws)), n))
+        for path, num, den in leaves[::7]:
+            assert F(num, den) == q_max(convolve_all([laws[i] for i in path])), path
 
 
 @pytest.mark.parametrize("cfg", SCAN_CONFIGS)

@@ -160,6 +160,18 @@ def test_few_dropped_check():
     assert report.outcome == PASS
 
 
+def test_few_dropped_all_terms_is_not_applicable():
+    """Dropping every term (k = n) never meets the preconditions: caps of at
+    least 1/K give each nu a variance below K**2."""
+    grid = [F(j, d) for d in range(1, 7) for j in range(1, d + 1)]
+    for big_k in (1, 2, 3, 5):
+        for n in (1, 2, 4):
+            for cap in grid:
+                for delta in (F(1, 100), F(1, 2), F(99, 100)):
+                    report = few_dropped_check(AlphaSeq([cap] * n), n, big_k, delta)
+                    assert report.outcome == NOT_APPLICABLE, (cap, n, big_k, delta)
+
+
 def test_balanced_continuous_check():
     report = balanced_continuous_check(AlphaSeq([F(1, 2), F(1, 2)]), F(1, 2), F(3, 5))
     assert report.outcome == PASS
