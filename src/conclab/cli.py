@@ -23,12 +23,25 @@ import json
 import math
 import re
 import sys
-from fractions import Fraction
 from pathlib import Path
 from typing import TYPE_CHECKING
 
 from . import gaps, verify
-from .dist import IntDist, as_fraction, format_fraction, json_int
+from .dist import (
+    IntDist,
+    as_fraction,
+    convolve_all,
+    format_fraction,
+    is_log_concave,
+    is_unimodal,
+    json_int,
+    max_span,
+    mean,
+    modes,
+    q_max,
+    squeeze,
+    variance,
+)
 from .domination import dominates
 from .extremal import AlphaSeq, nu, t_oracle, t_oracle_curve, tse_report_json_obj, tsebal
 from .gaps import SymGAP, connected_decomposition, gap_cover, gap_fit_rank1, gap_is_proper, gap_sumset
@@ -48,13 +61,6 @@ def require(args, name: str):
     if value is None:
         raise ValueError(f"--{name} is required for this action")
     return value
-
-
-def parse_fraction(text: str) -> Fraction:
-    try:
-        return Fraction(text)
-    except ZeroDivisionError as exc:
-        raise ValueError(f"bad rational {text!r}: {exc}") from exc
 
 
 def finite_float(text: str) -> float:
@@ -81,7 +87,7 @@ def parse_window(text: str) -> tuple[int, int]:
 
 
 def parse_alphas(text: str) -> AlphaSeq:
-    return AlphaSeq(parse_fraction(part) for part in text.split(","))
+    return AlphaSeq(text.split(","))
 
 
 def _load(path: str, parse):
@@ -134,13 +140,9 @@ def _write(args, rendered: str) -> None:
 
 def cmd_dist(args) -> int:
     if args.action == "conv":
-        from .dist import convolve_all
-
         result = convolve_all([load_dist(p) for p in args.inputs])
         emit(args, result.to_json_obj(), result.to_text())
     elif args.action == "stats":
-        from .dist import is_log_concave, is_unimodal, max_span, mean, modes, q_max, variance
-
         mu = load_dist(args.inputs[0])
         span = max_span(mu)
         emit(
@@ -170,13 +172,9 @@ def cmd_dist(args) -> int:
             result = sym
         emit(args, result.to_json_obj(), result.to_text())
     elif args.action == "squeeze":
-        from .dist import squeeze
-
         result = squeeze(load_dist(args.inputs[0]))
         emit(args, result.to_json_obj(), result.to_text())
     elif args.action == "span":
-        from .dist import max_span
-
         span = max_span(load_dist(args.inputs[0]))
         emit(args, {"max_span": "INFINITE" if span.is_infinite else span.value})
     return 0
@@ -187,7 +185,7 @@ def cmd_dist(args) -> int:
 
 def cmd_extremal(args) -> int:
     if args.action == "nu":
-        result = nu(parse_fraction(require(args, "alpha")))
+        result = nu(require(args, "alpha"))
         emit(args, result.to_json_obj(), result.to_text())
     elif args.action == "tse":
         emit(args, tse_report_json_obj(parse_alphas(require(args, "alphas"))))
@@ -218,13 +216,13 @@ def cmd_extremal(args) -> int:
 
 
 def cmd_dominate(args) -> int:
-    report = dominates(load_dist(args.mu1), load_dist(args.mu2), parse_fraction(args.eps))
+    report = dominates(load_dist(args.mu1), load_dist(args.mu2), args.eps)
     emit(args, report.to_json_obj())
     return 0 if report.holds else CHECK_FAILED
 
 
 def cmd_couple(args) -> int:
-    coupling = dominating_coupling(load_dist(args.mu), load_dist(args.mu_prime), parse_fraction(args.eps))
+    coupling = dominating_coupling(load_dist(args.mu), load_dist(args.mu_prime), args.eps)
     payload = coupling.to_json_obj()
     payload["prob_A"] = format_fraction(coupling.prob_a())
     emit(args, payload)
@@ -260,7 +258,7 @@ def cmd_gap(args) -> int:
         emit(args, {"proper": proper, "volume": gap.volume(), "distinct": len(gap.elements(args.budget))})
     elif args.action == "fit":
         values = [int(v) for v in require(args, "values").split(",")]
-        gap = gap_fit_rank1(values, parse_fraction(args.eps))
+        gap = gap_fit_rank1(values, args.eps)
         emit(args, None if gap is None else gap.to_json_obj())
     elif args.action == "cover":
         if len(args.inputs) < 2:

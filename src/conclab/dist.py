@@ -131,8 +131,8 @@ class FiniteMeasure:
     @classmethod
     def _from_integers(cls, out: dict, den: int):
         """The law with mass out[s] / den at each site s: the way in for exact
-        results (the kernel's, a shift's), which skips the per-atom checks and
-        reduces once, by the gcd of den and every numerator."""
+        results (the kernel's, negate's, squeeze's), which skips the per-atom
+        checks and reduces once, by the gcd of den and every numerator."""
         if den <= 0 or min(out.values()) <= 0:
             raise RuntimeError("an exact result has a non-positive numerator or denominator")
         g = gcd(den, *out.values())
@@ -385,10 +385,10 @@ def _dense_costs(parts: Sequence[list], boxes: list, n: int) -> tuple[float, flo
     return packed, _REC_FIXED + steps * (1 + w / _REC_BYTES)
 
 
-def _packs(parts: Sequence[list], n: int) -> bool:
-    """Whether a Kronecker branch, packed or recurrence, should compute the
-    product of the laws ``parts`` raised to the n-th power, rather than the
-    pairwise loop.
+def _branch(parts: Sequence[list], n: int) -> str:
+    """The kernel branch for the product of the laws ``parts`` raised to the
+    n-th power: 'pairwise', or the cheaper Kronecker branch, 'packed' or, for
+    the power of one law, 'recurrence'.
 
     Only atom counts, box slot counts, the slot width and, for a lattice
     power, the dimension of its law enter.  The pairwise work is estimated
@@ -408,9 +408,10 @@ def _packs(parts: Sequence[list], n: int) -> bool:
     if n == 1 and len(parts) == 2:
         na, nb = len(parts[0]), len(parts[1])
         if unit * na * nb <= _PACK_FIXED + _PACK_PER_ATOM * (na + nb):
-            return False  # the packed cost without its slot terms
+            return "pairwise"  # cheaper than the packed cost without its slot terms
     boxes = [_box(p) for p in parts]
-    cost = min(_dense_costs(parts, boxes, n))
+    packed, recurrence = _dense_costs(parts, boxes, n)
+    cost = min(packed, recurrence)
     dim = _affine_dim([s for s, _ in parts[0]]) if unit > 1 and len(parts) == 1 else 0
     ext = [hi - lo for lo, hi in boxes[0]]
     size_hi = size_lo = len(parts[0])
@@ -420,21 +421,11 @@ def _packs(parts: Sequence[list], n: int) -> bool:
         work_hi += unit * size_hi * count
         work_lo += unit * size_lo * count
         if work_hi > cost and _GUARD * work_lo >= cost:
-            return True
+            return "recurrence" if recurrence < packed else "packed"
         ext = [e + hi - lo for e, (lo, hi) in zip(ext, box)]
         size_hi = min(size_hi * count, _slots(ext))
         size_lo = max(size_lo + count - 1, comb(i + 1 + dim, dim))
-    return False
-
-
-def _branch(parts: Sequence[list], n: int) -> str:
-    """The kernel branch for the product of the laws ``parts`` raised to the
-    n-th power: 'pairwise' unless ``_packs``, else the cheaper of 'packed'
-    and, for the power of one law, 'recurrence'."""
-    if not _packs(parts, n):
-        return "pairwise"
-    packed, recurrence = _dense_costs(parts, [_box(p) for p in parts], n)
-    return "recurrence" if recurrence < packed else "packed"
+    return "pairwise"
 
 
 def _times(x: Iterable, y: Iterable, add) -> dict:
@@ -684,9 +675,10 @@ def third_abs_moment(mu: IntDist) -> Fraction:
     return Fraction(sum(n * abs(den * s - first) ** 3 for s, n in zip(mu.sites, mu.numerators)), den**4)
 
 
-def shift(mu: IntDist, c: int) -> IntDist:
-    c = operator.index(c)
-    return type(mu)._from_integers({s + c: n for s, n in zip(mu.sites, mu.numerators)}, mu.denominator())
+def shift(mu: FiniteMeasure, c) -> FiniteMeasure:
+    """mu moved by the site c: the convolution with the point mass at c, so
+    the container validates c and the kernel checks that it fits mu."""
+    return convolve(mu, type(mu)([(c, 1)]))
 
 
 def negate(mu: IntDist) -> IntDist:

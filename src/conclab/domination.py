@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Optional, Sequence
 
-from .dist import IntDist, as_fraction, convolve_all, format_fraction, q_max
+from .dist import IntDist, as_fraction, convolve_all, format_fraction, is_sharp_log_concave, q_max, squeeze
 from .rearrange import is_symmetric_unimodal, minus_rearrange, plus_rearrange, sym_rearrange
 
 
@@ -98,8 +98,6 @@ def mww_check(xs: Sequence[IntDist]) -> DominationReport:
 
     Every input must be sharp-log-concave (its squeezed version log-concave).
     """
-    from .dist import is_sharp_log_concave, squeeze
-
     if not xs:
         raise ValueError("empty input")
     for i, x in enumerate(xs):

@@ -15,6 +15,7 @@ import itertools
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from math import ceil
 from typing import Iterable, Iterator, Sequence
 
 from .dist import (
@@ -336,7 +337,7 @@ def extremal_enumerate(alpha, window: tuple[int, int]) -> list[IntDist]:
     """
     alpha = _validate_alpha(as_fraction(alpha))
     sites = _window_sites(window)
-    needed = -(-alpha.denominator // alpha.numerator)  # ceil(1/alpha) atoms
+    needed = ceil(1 / alpha)  # atoms
     if len(sites) < needed:
         raise ValueError(f"window holds {len(sites)} sites; {needed} needed for alpha={alpha}")
     return [_extremal_law(alpha, support, b) for support, b in _layouts(alpha, sites)]

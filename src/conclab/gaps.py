@@ -10,19 +10,14 @@ total.  Budget overflow raises; it is never silently approximated.
 from __future__ import annotations
 
 import itertools
-import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, isqrt
+from math import ceil, comb, isqrt
 from typing import Optional, Sequence
 
-from .dist import IntDist, as_fraction, convolve_all, format_fraction, int_site, json_int, q_max
+from .dist import IntDist, as_fraction, convolve_all, format_fraction, int_site, q_max
 
 DEFAULT_ENUM_BUDGET = 10**6
-
-
-def _ceil_div(a: int, b: int) -> int:
-    return -((-a) // b)
 
 
 @dataclass(frozen=True)
@@ -30,9 +25,12 @@ class SymGAP:
     """Symmetric generalized arithmetic progression.
 
     The underlying set is {sum_i j_i * g_i : |j_i| <= M_i, j_i integer}.
-    Generators are either rational scalars or integer vectors sharing one
-    dimension; dims are positive integers so the volume prod(2*M_i + 1) is
-    exact.
+    Generators are either rational scalars or integer vectors (tuples)
+    sharing one dimension; dims are positive integers so the volume
+    prod(2*M_i + 1) is exact.  The constructor coerces each field once, dims
+    and vector coordinates by ``int_site`` and scalars by ``as_fraction``, so
+    a float or a boolean is a TypeError and the stored fields are tuples of
+    ints and Fractions.
     """
 
     dims: tuple[int, ...]
@@ -41,11 +39,14 @@ class SymGAP:
     def __post_init__(self):
         if len(self.dims) != len(self.generators):
             raise ValueError("dims and generators must have equal length")
-        if any(operator.index(m) <= 0 for m in self.dims):
+        dims = tuple(map(int_site, self.dims))
+        if any(m <= 0 for m in dims):
             raise ValueError("dims must be positive integers")
-        kinds = {self._kind_of(g) for g in self.generators}
-        if len(kinds) > 1:
+        gens = tuple(tuple(map(int_site, g)) if isinstance(g, tuple) else as_fraction(g) for g in self.generators)
+        if len({self._kind_of(g) for g in gens}) > 1:
             raise ValueError("generators must all be scalars or all vectors of one dimension")
+        object.__setattr__(self, "dims", dims)
+        object.__setattr__(self, "generators", gens)
 
     @staticmethod
     def _kind_of(g):
@@ -67,18 +68,13 @@ class SymGAP:
             v *= 2 * m + 1
         return v
 
-    def _zero(self):
-        if self.kind is not None and self.kind[0] == "vec":
-            return (0,) * self.kind[1]
-        return Fraction(0)
-
     def elements(self, budget: int = DEFAULT_ENUM_BUDGET) -> set:
         """The underlying set, by exhaustive enumeration of the coefficient
         box."""
         if self.volume() > budget:
             raise ValueError(f"volume {self.volume()} exceeds enumeration budget {budget}")
-        if self.rank == 0:
-            return {self._zero()}
+        if self.rank == 0:  # no generators, so no kind: the scalar zero
+            return {Fraction(0)}
         out = set()
         ranges = [range(-m, m + 1) for m in self.dims]
         vector = self.kind[0] == "vec"
@@ -87,11 +83,11 @@ class SymGAP:
                 d = self.kind[1]
                 out.add(tuple(sum(j * g[i] for j, g in zip(js, self.generators)) for i in range(d)))
             else:
-                out.add(sum((j * as_fraction(g) for j, g in zip(js, self.generators)), Fraction(0)))
+                out.add(sum((j * g for j, g in zip(js, self.generators)), Fraction(0)))
         return out
 
     def to_json_obj(self) -> dict:
-        gens = [list(g) if isinstance(g, tuple) else format_fraction(as_fraction(g)) for g in self.generators]
+        gens = [list(g) if isinstance(g, tuple) else format_fraction(g) for g in self.generators]
         return {"rank": self.rank, "dims": list(self.dims), "generators": gens}
 
     @staticmethod
@@ -101,17 +97,15 @@ class SymGAP:
         if not isinstance(obj, dict) or not all(isinstance(obj.get(k), list) for k in ("dims", "generators")):
             raise ValueError("a progression must be an object with 'dims' and 'generators' lists")
         try:
-            gens = tuple(
-                tuple(map(json_int, g)) if isinstance(g, list) else as_fraction(g) for g in obj["generators"]
-            )
-            return SymGAP(tuple(map(json_int, obj["dims"])), gens)
+            gens = tuple(tuple(g) if isinstance(g, list) else g for g in obj["generators"])
+            return SymGAP(tuple(obj["dims"]), gens)
         except TypeError as exc:
             raise ValueError(str(exc)) from exc
 
 
 def gap_dilate(a: SymGAP, t: int) -> SymGAP:
     """Scale all dims by the positive integer t; generators unchanged."""
-    if t < 1:
+    if int_site(t) < 1:
         raise ValueError("dilation factor must be a positive integer")
     return SymGAP(tuple(m * t for m in a.dims), a.generators)
 
@@ -158,7 +152,7 @@ def gap_cover(a: SymGAP, dists: Sequence[IntDist], budget: int = DEFAULT_ENUM_BU
         raise ValueError("empty distribution list")
     _require_kind(a, ("scalar",))
     elems = a.elements(budget)
-    covered = sum(1 for d in dists if all(Fraction(s) in elems for s in d.sites))
+    covered = sum(1 for d in dists if all(s in elems for s in d.sites))
     return Fraction(covered, len(dists))
 
 
@@ -172,16 +166,13 @@ def gap_fit_rank1(values: Sequence[int], eps=0) -> Optional[SymGAP]:
     When the needed quorum consists of zeros alone the rank-0 GAP {0} is
     returned.
     """
-    values = [operator.index(v) for v in values]
+    values = [int_site(v) for v in values]
     if not values:
         return None
     eps = as_fraction(eps)
     if not (0 <= eps <= 1):
         raise ValueError("eps must be in [0, 1]")
-    need_frac = (1 - eps) * len(values)
-    need = _ceil_div(need_frac.numerator, need_frac.denominator)
-    if need <= 0:
-        need = 1
+    need = max(ceil((1 - eps) * len(values)), 1)
 
     candidates: set[int] = {1}
     for v in values:
@@ -206,7 +197,7 @@ def gap_fit_rank1(values: Sequence[int], eps=0) -> Optional[SymGAP]:
     _, g, m = best
     if m == 0:
         return SymGAP((), ())
-    return SymGAP((m,), (Fraction(g),))
+    return SymGAP((m,), (g,))
 
 
 # -- connected two-point decomposition ---------------------------------------
@@ -426,10 +417,10 @@ class VecSpanResult:
 def max_span_vec(mu) -> VecSpanResult:
     """Vector analogue of the maximum span.
 
-    mu is any object exposing vector atoms (site tuples); differences are
-    taken from the lexicographically smallest support point.
+    mu is a LatticeDist, whose sites are validated integer tuples in
+    lexicographic order; differences are taken from the smallest.
     """
-    sites = sorted(tuple(map(operator.index, s)) for s, _ in mu.atoms)
+    sites = mu.sites
     if len(sites) == 1:
         return VecSpanResult(True, None)
     base = sites[0]
@@ -447,7 +438,7 @@ def rademacher_q(multipliers: Sequence[int]) -> Fraction:
     bound C(n, floor(n/2)) / 2**n is checked on the result (RuntimeError if
     it fails).
     """
-    vs = [operator.index(v) for v in multipliers]
+    vs = [int_site(v) for v in multipliers]
     if not vs:
         raise ValueError("empty multiplier list")
     if any(v == 0 for v in vs):

@@ -21,7 +21,19 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .dist import FiniteMeasure, IntDist, _affine_dim, convolve, convolve_power, int_site
+from .dist import (
+    FiniteMeasure,
+    IntDist,
+    _affine_dim,
+    convolve,
+    convolve_all,
+    convolve_power,
+    int_site,
+    mean,
+    shift,
+    third_abs_moment,
+    variance,
+)
 
 
 def norm_cdf(z: float) -> float:
@@ -86,11 +98,6 @@ class LatticeDist(FiniteMeasure):
             for w, f in zip(weighted, first)
         )
 
-    def shifted(self, vector: Sequence[int]) -> "LatticeDist":
-        v = _int_vector(vector)
-        moved = {_add_vectors(s, v): n for s, n in zip(self.sites, self.numerators)}
-        return LatticeDist._from_integers(moved, self.denominator())
-
 
 def lattice_delta(site: Sequence[int]) -> LatticeDist:
     return LatticeDist([(tuple(site), Fraction(1))])
@@ -133,9 +140,11 @@ def _float_array(value, ndim: int) -> np.ndarray:
 
 
 def _check_cov(c: np.ndarray) -> None:
-    """ValueError unless the square matrix c is symmetric positive definite;
-    eigvalsh reads only the lower triangle, so symmetry is checked first."""
-    if not np.allclose(c, c.T):
+    """ValueError unless the square matrix c is symmetric positive definite.
+    Symmetry is exact equality with the transpose: the cell tables read only
+    the upper entries and eigvalsh only the lower ones, so both must be the
+    same floats."""
+    if not np.array_equal(c, c.T):
         raise ValueError("covariance must be symmetric")
     if np.linalg.eigvalsh(c).min() <= 0:
         raise ValueError("covariance must be positive definite")
@@ -611,7 +620,7 @@ def llt_terms(ys: Sequence[LatticeDist]) -> LLTTerms:
         for j in range(d):
             e = [0] * d
             e[j] = 1
-            shifts.append(1 - tv_exact(y, y.shifted(e)))
+            shifts.append(1 - tv_exact(y, shift(y, e)))
         terms = []
         den_sq = y.denominator() ** 2
         for sa, na in zip(y.sites, y.numerators):
@@ -680,8 +689,8 @@ class SingularBoundReport:
 def singular_lower_bound(a) -> SingularBoundReport:
     """Check the determinant-based lower bound for the smallest singular
     value of an integer matrix of full column rank: (sqrt(n) R)**-(n-1) with
-    R the largest column norm."""
-    mat = np.asarray(a, dtype=float)
+    R the largest column norm.  The entries must be integers (int_site)."""
+    mat = np.array([[int_site(x) for x in row] for row in a], dtype=float)
     if mat.ndim != 2:
         raise ValueError("need a matrix")
     m, n = mat.shape
@@ -745,8 +754,6 @@ def berry_esseen_gap(mus: Sequence[IntDist]) -> BEGapReport:
     """Exact CDF gap of the sum of mus against the normal of its mean and
     variance.  Equal summands are grouped, so that each distinct law costs
     one convolution power and one third moment."""
-    from .dist import convolve_all, mean, third_abs_moment, variance
-
     if not mus:
         raise ValueError("empty summand list")
     groups = Counter(mus)

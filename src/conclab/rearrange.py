@@ -87,12 +87,6 @@ class BallFunction:
                 return span
         raise KeyError(f"value {value} not in range")
 
-    def to_json_obj(self) -> dict:
-        return {
-            "domain": list(self.domain),
-            "groups": [[v, [lo, hi]] for v, (lo, hi) in self.groups],
-        }
-
 
 def _layout(scaled_atoms: list[tuple[int, int]], start: int) -> BallFunction:
     """Lay out (site, count) atoms, ascending by site, from index `start`."""

@@ -28,9 +28,6 @@ class Interval(NamedTuple):
         f = Fraction(value)
         return Interval(f, f)
 
-    def __add__(self, other: "Interval") -> "Interval":
-        return Interval(self.lo + other.lo, self.hi + other.hi)
-
     def __sub__(self, other: "Interval") -> "Interval":
         return Interval(self.lo - other.hi, self.hi - other.lo)
 

@@ -17,11 +17,12 @@ import json
 import random
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from math import comb
+from math import ceil, comb, floor
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .dist import (
     IntDist,
+    _affine_dim,
     as_fraction,
     convolve,
     convolve_all,
@@ -52,7 +53,7 @@ from .extremal import (
     tsebal,
     variance_nu,
 )
-from .rearrange import is_symmetric_unimodal, sym_rearrange
+from .rearrange import IntMeasure, is_symmetric_unimodal, sym_rearrange
 from .roots import Interval, power_interval
 
 PASS = "pass"
@@ -103,14 +104,6 @@ class CheckReport:
     preconditions_ok: bool
     instance_digest: str
     details: dict = field(default_factory=dict, compare=False)
-
-    @property
-    def holds(self) -> Optional[bool]:
-        if self.outcome == PASS:
-            return True
-        if self.outcome == FAIL:
-            return False
-        return None
 
     def to_json_obj(self) -> dict:
         def fr(x):
@@ -549,10 +542,7 @@ def odlyzko_richmond_check(p: IntDist, n: int, delta) -> CheckReport:
     base = shift(p, -p.sites[0])
     d = base.sites[-1]
     conv = convolve_power(base, n)
-    k_lo_f = delta * n
-    k_hi_f = (d - delta) * n
-    k_lo = -((-k_lo_f.numerator) // k_lo_f.denominator)
-    k_hi = k_hi_f.numerator // k_hi_f.denominator
+    k_lo, k_hi = ceil(delta * n), floor((d - delta) * n)
     if k_hi < k_lo:
         return _na("odlyzko_richmond", instance, "empty window")
     # compared as numerators over den**2; min reports the first k of least slack
@@ -659,8 +649,6 @@ def _gen_coupling_pair(rng: random.Random, **kw):
 
 
 def _gen_integer_measure(rng: random.Random, max_len: int = 6, offset: int = 8, max_weight: int = 5):
-    from .rearrange import IntMeasure
-
     n = rng.randint(1, max_len)
     sites = rng.sample(range(-offset, offset + 1), n)
     return IntMeasure((s, Fraction(rng.randint(1, max_weight))) for s in sorted(sites))
@@ -675,16 +663,13 @@ def _gen_split_admissible(rng: random.Random, max_len: int = 6, offset: int = 10
 
 
 def _gen_integer_matrix(rng: random.Random, max_rows: int = 4, max_cols: int = 3, entry: int = 9):
-    """Random integer matrix of full column rank, decided exactly as the rank
-    of the lattice its columns span."""
-    from .gaps import integer_span_basis
-
+    """Random integer matrix of full column rank, decided exactly: the rank of
+    its columns is the affine dimension of the columns and the origin."""
     while True:
         n = rng.randint(1, max_cols)
         m = rng.randint(n, max_rows)
         mat = [[rng.randint(-entry, entry) for _ in range(n)] for _ in range(m)]
-        columns = [[0] * m, *([row[j] for row in mat] for j in range(n))]
-        if integer_span_basis(columns).rank == n:
+        if _affine_dim([(0,) * m, *zip(*mat)]) == n:
             return mat
 
 

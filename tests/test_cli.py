@@ -202,6 +202,19 @@ def test_scan_conjecture_and_report(files, tmp_path, capsys):
     assert summary["mode"] == "exhaustive"
 
 
+def test_scan_violation_exits_1_with_one_stderr_line_per_record(monkeypatch, capsys):
+    monkeypatch.setattr(verify, "tse", lambda alphas: (F(0), None))  # every right-hand side 0
+    argv = ["scan-conjecture", "--denominator", "3", "--window", "0..2", "--n", "2"]
+    assert run(argv) == 1
+    captured = capsys.readouterr()
+    *records, summary = captured.out.splitlines()
+    assert len(records) == json.loads(summary)["instances"] == json.loads(summary)["violations"] > 1
+    assert all(json.loads(line)["violation"] for line in records)
+    assert captured.err.splitlines() == [f"VIOLATION: {line}" for line in records]
+    assert run([*argv, "--violations-only"]) == 1
+    assert capsys.readouterr() == captured
+
+
 def test_report_summarizes(tmp_path, capsys):
     rows = [
         {"name": "few_dropped", "outcome": "pass"},
@@ -456,8 +469,14 @@ def test_bad_progression_exits_2(tmp_path, capsys, content):
 
 @pytest.mark.parametrize(
     "content",
-    [{"mean": [0]}, {"mean": ["0"], "cov": [[1]]}, {"mean": [0], "cov": [[1, 0]]}, {"mean": [0], "cov": [[True]]}],
-    ids=["no_cov", "string_mean", "non_square_cov", "boolean_cov"],
+    [
+        {"mean": [0]},
+        {"mean": ["0"], "cov": [[1]]},
+        {"mean": [0], "cov": [[1, 0]]},
+        {"mean": [0], "cov": [[True]]},
+        {"mean": [0, 0], "cov": [[1.0, 0.5], [0.5000000049, 1.0]]},
+    ],
+    ids=["no_cov", "string_mean", "non_square_cov", "boolean_cov", "nearly_symmetric_cov"],
 )
 def test_bad_gaussian_spec_exits_2(tmp_path, capsys, content):
     path = tmp_path / "spec.json"
@@ -469,8 +488,12 @@ def test_bad_gaussian_spec_exits_2(tmp_path, capsys, content):
 @pytest.mark.parametrize("samples", [[], ["--samples", "50"]], ids=["bound", "check"])
 @pytest.mark.parametrize(
     "cov, reason",
-    [([[1, 5], [0, 1]], "symmetric"), ([[1, 0], [0, -1]], "positive definite")],
-    ids=["not_symmetric", "indefinite"],
+    [
+        ([[1, 5], [0, 1]], "symmetric"),
+        ([[1.0, 0.5], [0.5000000049, 1.0]], "symmetric"),  # within np.allclose of symmetric
+        ([[1, 0], [0, -1]], "positive definite"),
+    ],
+    ids=["not_symmetric", "nearly_symmetric", "indefinite"],
 )
 def test_bad_tail_covariance_exits_2(tmp_path, capsys, cov, reason, samples):
     """The tail commands hold the covariance to the contract of a Gaussian
@@ -481,6 +504,25 @@ def test_bad_tail_covariance_exits_2(tmp_path, capsys, cov, reason, samples):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: covariance must be {reason}\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["extremal", "nu", "--alpha", "1/0"],
+        ["extremal", "tse", "--alphas", "1/2,1/0"],
+        ["dominate", "{u01}", "{u01}", "--eps", "1/0"],
+        ["couple", "{u01}", "{mup}", "--eps", "1/0"],
+        ["gap", "fit", "--values", "1,2", "--eps", "1/0"],
+    ],
+    ids=["nu", "tse", "dominate", "couple", "gap_fit"],
+)
+def test_zero_denominator_flag_exits_2(files, capsys, argv):
+    argv = [files["u01.json"] if a == "{u01}" else files["mup.json"] if a == "{mup}" else a for a in argv]
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: zero denominator in '1/0'\n"
 
 
 @pytest.mark.parametrize("content", ["[1, 2]", '"alphas"', "5"], ids=["list", "string", "number"])

@@ -18,7 +18,6 @@ from conclab.dist import (
     IntDist,
     _convolve_packed,
     _convolve_pairwise,
-    _packs,
     _q_max_pair,
     convolve,
     convolve_all,
@@ -353,23 +352,23 @@ def test_q_max_convolve_matches_q_max_of_convolve(a, b):
 
 def test_large_dense_laws_take_the_packed_branch():
     mu = IntDist((s, F(s + 1, 5050)) for s in range(100))
-    assert _packs(_parts([mu, mu]), 1)
-    assert _packs(_parts([uniform([0, 1, 3])]), 128)
+    assert dist._branch(_parts([mu, mu]), 1) != "pairwise"
+    assert dist._branch(_parts([uniform([0, 1, 3])]), 128) != "pairwise"
     assert convolve(mu, mu) == _reference_convolve(mu, mu)
     square = LatticeDist(((x, y), F(1, 4)) for x in (0, 1) for y in (0, 1))
-    assert _packs(_parts([square]), 16)
+    assert dist._branch(_parts([square]), 16) != "pairwise"
     assert convolve_power(square, 16) == convolve_all([square] * 16)
 
 
 def test_small_laws_stay_pairwise():
     laws = [uniform(range(k)) for k in range(1, 11)]
-    assert not any(_packs(_parts([a, b]), 1) for a in laws for b in laws)
+    assert all(dist._branch(_parts([a, b]), 1) == "pairwise" for a in laws for b in laws)
 
 
 def test_sparse_power_stays_pairwise():
     mu = IntDist([(0, F(1, 2)), (10**12, F(1, 2))])
-    assert not _packs(_parts([mu]), 64)
-    assert not _packs(_parts([mu] * 64), 1)
+    assert dist._branch(_parts([mu]), 64) == "pairwise"
+    assert dist._branch(_parts([mu] * 64), 1) == "pairwise"
     expected = IntDist((k * 10**12, F(comb(64, k), 2**64)) for k in range(65))
     assert convolve_power(mu, 64) == expected
     assert convolve_all([mu] * 64) == expected
@@ -485,8 +484,15 @@ def test_kernel_results_equal_validated_laws(packed, laws, n):
     """A law built from kernel numerators is the law the validating
     constructor builds from the same atoms, on either kernel branch: the same
     reduced integers, so the same ==, hash, denominator, atoms and JSON."""
+    def forced(parts, n):
+        """'pairwise', or else the cheaper Kronecker branch by the cost model."""
+        if not packed:
+            return "pairwise"
+        costs = dist._dense_costs(parts, [dist._box(p) for p in parts], n)
+        return "recurrence" if costs[1] < costs[0] else "packed"
+
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(dist, "_packs", lambda parts, n: packed)
+        mp.setattr(dist, "_branch", forced)
         built = [(convolve_power(laws[0], n), [laws[0]] * n)]
         if len(laws) > 1:
             built.append((convolve_all(laws), laws))
@@ -516,6 +522,8 @@ def test_shift_takes_integer_offsets_only():
         shift(uniform([0, 1]), F(1, 2))
     with pytest.raises(TypeError):
         shift(uniform([0, 1]), 1.0)
+    with pytest.raises(TypeError):
+        shift(uniform([0, 1]), True)  # a site, so a boolean is not the integer 1
 
 
 def test_exact_results_are_reduced_once_and_sign_checked():

@@ -211,6 +211,12 @@ def test_vector_entries_reject_booleans():
         integer_span_basis([[0, 0], [True, 0]])
     with pytest.raises(TypeError):
         gap_contains(SymGAP((1,), ((1, 0),)), [True, 0])
+    with pytest.raises(TypeError):
+        gap_fit_rank1([True, 0, 2])
+    with pytest.raises(TypeError):
+        rademacher_q([True, 1])
+    with pytest.raises(TypeError):
+        gap_dilate(rank1(1, 2), True)
 
 
 def test_rank_0_progression_holds_the_zero_of_each_kind():
@@ -238,6 +244,27 @@ def test_integer_inputs_are_not_truncated():
         rademacher_q([1, 2.5])
     with pytest.raises(TypeError):
         SymGAP((2.5,), (F(1),))
+
+
+@pytest.mark.parametrize(
+    "dims, generators",
+    [((True,), ((True, 0),)), ((1,), ((1.5, 0),)), ((1,), (0.5,)), ((1,), (True,))],
+    ids=["boolean_dim_and_coordinate", "float_coordinate", "float_scalar", "boolean_scalar"],
+)
+def test_progression_fields_are_coerced_at_construction(dims, generators):
+    with pytest.raises(TypeError):
+        SymGAP(dims, generators)
+
+
+def test_progression_stores_exact_fields():
+    scalar = SymGAP([2], [1])
+    assert scalar.dims == (2,) and scalar.generators == (F(1),)
+    assert all(type(x) is F for x in scalar.generators + tuple(scalar.elements()))
+    assert SymGAP((1,), ("1/2",)).to_json_obj() == {"rank": 1, "dims": [1], "generators": ["1/2"]}
+    vector = SymGAP((1, 1), ((1, 0), (0, 2)))
+    assert vector.generators == ((1, 0), (0, 2)) and (1, -2) in vector.elements()
+    assert SymGAP((1,), (F(1),)) == SymGAP((1,), (1,))
+
 
 def _pivot_product(basis):
     rows = [tuple(basis.matrix[i][j] for i in range(len(basis.matrix))) for j in range(basis.rank)]

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conclab import gauss
-from conclab.dist import IntDist, convolve, convolve_all, convolve_power, uniform
+from conclab.dist import IntDist, convolve, convolve_all, convolve_power, shift, uniform
 from conclab.gauss import (
     BEGapReport,
     GaussSpec,
@@ -174,8 +174,27 @@ def test_llt_terms_examples():
 def test_llt_u_shift_invariant():
     y = LatticeDist([((0, 0), F(1, 3)), ((1, 0), F(1, 3)), ((0, 1), F(1, 3))])
     terms = llt_terms([y])
-    shifted = llt_terms([y.shifted((5, -7))])
+    shifted = llt_terms([shift(y, (5, -7))])
     assert terms.u == shifted.u
+
+
+def _shifted_reference(y, v):
+    """The removed LatticeDist.shifted: every site moved by v, masses kept."""
+    return LatticeDist((tuple(a + b for a, b in zip(s, v)), m) for s, m in y.atoms)
+
+
+def test_lattice_shift_matches_the_site_by_site_body():
+    coin = LatticeDist([((0,), F(1, 2)), ((1,), F(1, 2))])
+    triangle = LatticeDist([((0, 0), F(1, 3)), ((1, 0), F(1, 3)), ((0, 1), F(1, 3))])
+    base = LatticeDist([((0,), F(5, 13)), ((1,), F(6, 13)), ((3,), F(2, 13))])
+    for y in (coin, lattice_delta((0,)), triangle, base, SQUARE):
+        units = [tuple(int(i == j) for i in range(y.dim)) for j in range(y.dim)]
+        for v in (*units, tuple(5 - 12 * j for j in range(y.dim))):
+            assert shift(y, v) == _shifted_reference(y, v)
+    with pytest.raises(ValueError):
+        shift(triangle, (1,))
+    with pytest.raises(ValueError):
+        shift(coin, (1, 0))
 
 
 def test_singular_lower_bound_examples():
@@ -187,6 +206,22 @@ def test_singular_lower_bound_examples():
     assert rep.holds and rep.bound == 1.0 and rep.sigma_min == 5.0
     with pytest.raises(ValueError):
         singular_lower_bound([[1, 2], [2, 4]])
+    for matrix in ([[True, 0], [0, 1]], [[0.5, 0], [0, 1]]):  # entries are integers
+        with pytest.raises(TypeError):
+            singular_lower_bound(matrix)
+
+
+# symmetric to within np.allclose, but the cell tables read the upper entry
+# and eigvalsh the lower one
+NEAR_SYMMETRIC = ((1.0, 0.5), (0.5000000049, 1.0))
+
+
+def test_gauss_spec_requires_exact_symmetry():
+    with pytest.raises(ValueError, match="symmetric"):
+        GaussSpec((0.0, 0.0), NEAR_SYMMETRIC)
+    with pytest.raises(ValueError, match="symmetric"):
+        gaussian_tail_bound([list(row) for row in NEAR_SYMMETRIC], 100.0)
+    assert GaussSpec((0.0, 0.0), ((1.0, 0.5), (0.5, 1.0))).dim == 2
 
 
 def test_gaussian_tail_bound():
@@ -319,7 +354,7 @@ def _llt_terms_reference(ys):
         for j in range(d):
             e = [0] * d
             e[j] = 1
-            shifts.append(1 - tv_exact(y, y.shifted(e)))
+            shifts.append(1 - tv_exact(y, shift(y, e)))
         u_exact.append(min(shifts))
     s_tilde_exact = sum(u_exact, F(0)) - max(u_exact)
     chi = 0.0
@@ -477,7 +512,7 @@ def test_tv_exact_and_shifted_match_fraction_bodies(pair, step):
     a, b = pair
     assert tv_exact(a, b) == _tv_exact_reference(a, b)
     v = tuple(step * (j + 1) for j in range(a.dim))
-    moved = a.shifted(v)
+    moved = shift(a, v)
     assert moved == LatticeDist((tuple(x + y for x, y in zip(s, v)), m) for s, m in a.atoms)
     assert tv_exact(a, moved) == _tv_exact_reference(a, moved)
 

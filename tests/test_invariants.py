@@ -1,6 +1,6 @@
 """Checks that results depend on are explicit exceptions, not `assert`
-statements, which `python -O` strips; and the CLI decides "bad input, exit 2"
-in one place."""
+statements, which `python -O` strips; the CLI decides "bad input, exit 2"
+in one place; and each input contract has one owner."""
 
 import ast
 from fractions import Fraction as F
@@ -49,6 +49,57 @@ def test_cli_turns_bad_input_into_exit_2_only_in_run_and_load():
     assert "ValueError" in caught
     assert not caught & {"Exception", "BaseException", "TypeError", "KeyError"}
     assert all(node.type is not None for node in ast.walk(run) if isinstance(node, ast.ExceptHandler))
+
+
+def _trees():
+    return [(path.name, ast.parse(path.read_text(), str(path))) for path in sorted(SRC.glob("*.py"))]
+
+
+def test_operator_index_is_called_only_in_int_site():
+    """Integers are coerced by dist.int_site, which also rejects booleans."""
+    found = []
+    for name, tree in _trees():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and ast.unparse(node) == "operator.index":
+                found.append((name, node.lineno))
+            if isinstance(node, ast.ImportFrom) and node.module == "operator":
+                found.extend((name, node.lineno) for alias in node.names if alias.name == "index")
+    dist_tree = dict(_trees())["dist.py"]
+    int_site = next(node for node in dist_tree.body if isinstance(node, ast.FunctionDef) and node.name == "int_site")
+    assert found and all(
+        name == "dist.py" and int_site.lineno <= line <= int_site.end_lineno for name, line in found
+    ), found
+
+
+def test_cli_parses_no_rationals_of_its_own():
+    """Rational flags reach the library as text, which dist.as_fraction parses."""
+    tree = ast.parse((SRC / "cli.py").read_text())
+    imported = {
+        alias.name for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom)) for alias in node.names
+    }
+    modules = {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)}
+    assert "Fraction" not in imported and "fractions" not in imported | modules
+
+
+def _modules(node) -> set[str]:
+    """The modules an import statement imports, relative ones with their dots."""
+    if isinstance(node, ast.Import):
+        return {alias.name for alias in node.names}
+    if node.module is None:  # from . import a, b
+        return {"." * node.level + alias.name for alias in node.names}
+    return {"." * node.level + node.module}
+
+
+def test_no_function_imports_a_module_its_file_imports_at_the_top():
+    found = set()
+    for name, tree in _trees():
+        top = set().union(*(_modules(node) for node in tree.body if isinstance(node, (ast.Import, ast.ImportFrom))))
+        for fn in ast.walk(tree):
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                for node in ast.walk(fn):
+                    if isinstance(node, (ast.Import, ast.ImportFrom)) and _modules(node) & top:
+                        found.add(f"{name}:{node.lineno}")
+    assert sorted(found) == []
 
 
 def test_tsebal_raises_when_pairings_disagree(monkeypatch):

@@ -7,8 +7,10 @@ from fractions import Fraction as F
 
 import pytest
 
+from conclab import verify
 from conclab.dist import IntDist, convolve, convolve_power, delta, is_log_concave, q_max, uniform, variance
 from conclab.extremal import AlphaSeq, nu, tsebal
+from conclab.roots import Interval
 from conclab.verify import (
     FAIL,
     INDETERMINATE,
@@ -222,6 +224,39 @@ def test_large_continuity_check():
     assert report.outcome == NOT_APPLICABLE  # even k
     report = large_continuity_check(3, [3], uniform([0, 1]))
     assert report.outcome == NOT_APPLICABLE  # y not symmetric
+
+
+def test_large_continuity_check_fails_when_wider_uniforms_gain(monkeypatch):
+    """The enclosure alone passes (14 * 3**(-1/5) > 1 makes its factor
+    negative), so only the upper_ok override can report the gain."""
+    real = verify.uniform_interval
+
+    def narrowed(lo, hi):
+        return delta(0) if hi - lo == 4 else real(lo, hi)  # the k + 2 = 5 point uniform
+
+    monkeypatch.setattr(verify, "uniform_interval", narrowed)
+    report = large_continuity_check(3, [3], delta(0))
+    assert report.outcome == FAIL
+    assert report.details["upper_ok"] is False
+    assert report.details["reason"] == "wider uniforms increased the mass at 0"
+    assert report.margin > 0  # what the enclosure decided
+
+
+@pytest.mark.parametrize(
+    "lhs, rhs, outcome, margin",
+    [
+        ((1, 2), (2, 3), PASS, 0),
+        ((2, 3), (0, 1), FAIL, -3),
+        ((1, 3), (2, 4), INDETERMINATE, -1),
+        ((1, 2), (0, 1), INDETERMINATE, -2),
+    ],
+    ids=["pass", "fail", "straddle", "touching"],
+)
+def test_interval_decision_outcomes(lhs, rhs, outcome, margin):
+    report = verify._interval("demo", {"x": 1}, Interval(*map(F, lhs)), Interval(*map(F, rhs)), {"k": 2})
+    assert report.outcome == outcome
+    assert (report.lhs, report.rhs, report.margin) == (F(lhs[1]), F(rhs[0]), margin)
+    assert report.details == {"k": 2, "mode": "interval"} and report.preconditions_ok
 
 
 def test_peakedness1_check():
