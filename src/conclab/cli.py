@@ -478,13 +478,19 @@ def cmd_scan(args) -> int:
         budget=args.budget,
     )
     measures = quantized_extremal_measures(cfg.denominator, cfg.window)
+    if not measures:
+        lo, hi = cfg.window
+        raise ValueError(
+            f"window {lo}..{hi} with denominator {cfg.denominator} holds no law but point masses, "
+            "which the scan excludes; nothing to scan"
+        )
     lines = []
     violations = 0
     count = 0
     for record in conjecture_scan(cfg, measures):
         count += 1
         if record.violation or not args.violations_only:
-            line = json.dumps(record.to_json_obj(), sort_keys=True)
+            line = record.to_json_line()
             lines.append(line)
         if record.violation:
             violations += 1

@@ -10,12 +10,18 @@ in this package (concentration functionals, moments, rearrangements,
 structural predicates) is computed exactly on these integers, and Fractions
 are built only where masses leave the container; floating point never enters.
 
-Convolution has one kernel (``_convolve_numerators``) behind ``convolve``,
-``convolve_all``, ``convolve_power`` and ``_q_max_pair``.  It works on the
-stored numerators and has three branches, and its result enters the container
-through ``_from_integers``, reduced by one gcd.  JSON, text and ``repr``
-are formatted from the integers too: each mass is its numerator and the
-denominator divided by their gcd, so no Fraction is built on the way out.
+Convolution has one kernel with two entry points.  ``_convolve_numerators``,
+behind ``convolve``, ``convolve_all``, ``convolve_power`` and ``_q_max_pair``,
+checks that its laws share one container type, extracts each law's operand
+(``_operand``: its (site, numerator) pairs, denominator and numerator sum)
+and calls ``_product``, the product proper: ``_branch``, one of three
+branches, and the exact check that the numerators sum to the product of the
+operands' sums.  The tuple walker of ``extremal`` calls ``_product`` itself
+on operands it extracted once, after one container check per walk.  A
+result enters the container through ``_from_integers``, reduced by one gcd.
+JSON, text and ``repr`` are formatted from the integers too: each mass is its
+numerator and the denominator divided by their gcd, so no Fraction is built
+on the way out.
 Large dense supports use Kronecker substitution: each law is packed into one
 Python int with a fixed-width slot per point of the result's bounding box,
 CPython's big-int multiply (or ``pow``) does the convolution, and one pass
@@ -533,6 +539,45 @@ def _convolve_recurrence(p: list, n: int) -> dict:
     return {s: c for s, c in zip(sites, a) if c}
 
 
+def _same_container(laws: Iterable[FiniteMeasure]) -> None:
+    """Raise ValueError unless the sites of all laws can be added: one
+    container type and, for lattice laws, one dimension."""
+    laws = iter(laws)
+    first = next(laws)
+    for mu in laws:
+        if not first._compatible(mu):
+            raise ValueError(
+                f"cannot convolve {type(first).__name__} and {type(mu).__name__}: site types or dimensions differ"
+            )
+
+
+def _operand(mu: FiniteMeasure) -> tuple[list, int, int]:
+    """(pairs, den, total) of one kernel operand: its (site, numerator)
+    pairs in site order, its common denominator and its numerator sum (the
+    denominator for a normalized law)."""
+    return list(mu._nums.items()), mu._den, mu._den if mu._normalized else sum(mu._nums.values())
+
+
+def _product(parts: Sequence[list], n: int, total: int, add) -> dict:
+    """Site -> numerator of the product of the operands ``parts`` raised to
+    the n-th power, not necessarily in site order: the product proper of the
+    kernel.  ``_branch`` picks the branch: the pairwise loop (adding sites
+    with ``add``), the packed big-int product, or, for the power of one law,
+    Miller's recurrence.  The numerators must sum to ``total``, the product
+    of the operands' numerator sums to the n-th power; anything else is a
+    broken input or a kernel fault and raises RuntimeError."""
+    branch = _branch(parts, n)
+    if branch == "recurrence":
+        out = _convolve_recurrence(parts[0], n)
+    elif branch == "packed":
+        out = _convolve_packed(parts, n)
+    else:
+        out = _convolve_pairwise(parts, n, add)
+    if sum(out.values()) != total:
+        raise RuntimeError("convolution numerators do not sum to the product of the input sums")
+    return out
+
+
 def _convolve_numerators(laws: Sequence[FiniteMeasure], n: int = 1):
     """Integer numerators of the law of the sum of one draw from each of
     ``laws``, all of it n times over, and their common denominator: the one
@@ -540,34 +585,21 @@ def _convolve_numerators(laws: Sequence[FiniteMeasure], n: int = 1):
 
     Returns (out, den): a site -> numerator dict, not necessarily in site
     order, over den, the product of the inputs' common denominators to the
-    n-th power.  ``_branch`` picks the branch: the pairwise loop, the packed
-    big-int product, or, for the power of one law (``convolve_power``),
-    Miller's recurrence.  The numerators must sum to the product of the
-    inputs' numerator sums (their denominators for normalized laws); anything
-    else is a broken input or a kernel fault.
+    n-th power.  The operands are extracted here (``_operand``, after the
+    container check) and multiplied by ``_product``; a caller that reuses
+    operands, the tuple walker of ``extremal``, extracts them once and calls
+    ``_product`` itself.
     """
-    first = laws[0]
+    _same_container(laws)
     parts, den, total = [], 1, 1
     for mu in laws:
-        if not first._compatible(mu):
-            raise ValueError(
-                f"cannot convolve {type(first).__name__} and {type(mu).__name__}: site types or dimensions differ"
-            )
-        parts.append(list(mu._nums.items()))
-        den *= mu._den
-        total *= mu._den if mu._normalized else sum(mu._nums.values())
+        pairs, d, t = _operand(mu)
+        parts.append(pairs)
+        den *= d
+        total *= t
     if n > 1:
         den, total = den**n, total**n
-    branch = _branch(parts, n)
-    if branch == "recurrence":
-        out = _convolve_recurrence(parts[0], n)
-    elif branch == "packed":
-        out = _convolve_packed(parts, n)
-    else:
-        out = _convolve_pairwise(parts, n, first._add_sites)
-    if sum(out.values()) != total:
-        raise RuntimeError("convolution numerators do not sum to the product of the input sums")
-    return out, den
+    return _product(parts, n, total, laws[0]._add_sites), den
 
 
 def convolve(a: FiniteMeasure, b: FiniteMeasure) -> FiniteMeasure:

@@ -11,6 +11,7 @@ the exact sign-search and windowed optima over these families.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from collections import Counter
 from dataclasses import dataclass
@@ -20,7 +21,9 @@ from typing import Iterable, Iterator, Sequence
 
 from .dist import (
     IntDist,
-    _q_max_pair,
+    _operand,
+    _product,
+    _same_container,
     as_fraction,
     convolve,
     convolve_all,
@@ -91,7 +94,7 @@ class SESelection:
 
 
 def _validate_alpha(alpha: Fraction) -> Fraction:
-    if not (0 < alpha <= 1):
+    if not (0 < alpha.numerator <= alpha.denominator):
         raise ValueError(f"alpha {alpha} outside (0, 1]")
     return alpha
 
@@ -248,8 +251,20 @@ def _walk(root: IntDist | None, levels: Sequence[Sequence[IntDist]], tied: Seque
     the option indices and the sum's q_max as an unreduced pair.  Paths come
     depth first in itertools.product order, skipping those whose index
     decreases into a level tied to its predecessor; each prefix is convolved
-    once, for everything below it.  A None root is the point mass at 0."""
+    once, for everything below it.  A None root is the point mass at 0.
+
+    A leaf is the kernel's product proper (``dist._product``) of the last
+    prefix and a last-level option, so it costs what ``_q_max_pair`` of the
+    two costs without the setup: the container check runs once per walk,
+    each last-level option's operand is extracted once per walk and each
+    prefix's once per prefix."""
+    if not all(levels):
+        return  # a level without options: no sums
     last = len(levels) - 1
+    laws = [law for options in levels for law in options]
+    _same_container(laws if root is None else [root, *laws])
+    add = laws[0]._add_sites
+    leaves = [_operand(law) for law in levels[last]]
     # the stack: path[i] is the option at level i, sums[i] root plus the laws chosen above level i
     path, sums = [0] * len(levels), [root] * len(levels)
     level = 0
@@ -260,12 +275,16 @@ def _walk(root: IntDist | None, levels: Sequence[Sequence[IntDist]], tied: Seque
             sums[level] = options[j] if prefix is None else convolve(prefix, options[j])
             path[level] = j if tied[level] else 0
             continue
-        if level == last:
+        if level == last and prefix is None:
             for j in range(j, len(options)):
                 path[last] = j
-                law = options[j]
-                num, den = (max(law.numerators), law.denominator()) if prefix is None else _q_max_pair(prefix, law)
-                yield tuple(path), num, den
+                yield tuple(path), max(options[j].numerators), options[j].denominator()
+        elif level == last:
+            pairs, pden, ptotal = _operand(prefix)
+            for j in range(j, len(options)):
+                path[last] = j
+                other, den, total = leaves[j]
+                yield tuple(path), max(_product((pairs, other), 1, ptotal * total, add).values()), pden * den
         level -= 1
         if level >= 0:
             path[level] += 1
@@ -282,6 +301,16 @@ def _max_q_search(
         if num * best_den > best_num * den:
             best_num, best_den, best_path = num, den, path
     return Fraction(best_num, best_den), best_path
+
+
+@functools.lru_cache(maxsize=256)
+def _signed_nu(alpha: Fraction) -> tuple[IntDist, IntDist]:
+    """(negate(nu(alpha)), nu(alpha)) for a validated cap: the sign options of
+    one cap in ``tse``.  The laws are immutable, so a bounded per-process
+    memo keyed by the reduced cap lets the scan's many ``tse`` calls over
+    the same few caps build each pair once."""
+    law = nu(alpha)
+    return negate(law), law
 
 
 def tse(alphas: AlphaSeq) -> tuple[Fraction, SESelection]:
@@ -306,12 +335,13 @@ def tse(alphas: AlphaSeq) -> tuple[Fraction, SESelection]:
     root: IntDist | None = None
     for a in caps:
         if a.numerator == 1:
-            root = nu(a) if root is None else convolve(root, nu(a))
+            law = _signed_nu(a)[1]
+            root = law if root is None else convolve(root, law)
     free = [i for i, a in enumerate(caps) if a.numerator != 1]
     signs = [1] * len(caps)
     if not free:
         return q_max(root), SESelection(tuple(signs), (0,) * len(caps))
-    levels = [(negate(law), law) for law in map(nu, (caps[i] for i in free))]
+    levels = [_signed_nu(caps[i]) for i in free]
     tied = [k > 0 and caps[i] == caps[free[k - 1]] for k, i in enumerate(free)]
     best, path = _max_q_search(root, levels, tied)
     for i, j in zip(free, path):

@@ -17,8 +17,19 @@ from typing import NamedTuple
 DIGITS = 30
 
 
+def _undefined(self, other):
+    """Arithmetic that Interval does not define: a TypeError, where the tuple
+    base would concatenate or repeat."""
+    raise TypeError(f"unsupported operation on Interval and {type(other).__name__}; use -, * or scale")
+
+
 class Interval(NamedTuple):
-    """Rational interval [lo, hi] enclosing a real value."""
+    """Rational interval [lo, hi] enclosing a real value.
+
+    Interval - Interval and Interval * Interval are the arithmetic; scale
+    multiplies by a rational.  Every other operator, and - or * with an
+    operand that is not an Interval, raises TypeError instead of falling
+    through to the tuple base."""
 
     lo: Fraction
     hi: Fraction
@@ -29,9 +40,13 @@ class Interval(NamedTuple):
         return Interval(f, f)
 
     def __sub__(self, other: "Interval") -> "Interval":
+        if not isinstance(other, Interval):
+            _undefined(self, other)
         return Interval(self.lo - other.hi, self.hi - other.lo)
 
     def __mul__(self, other: "Interval") -> "Interval":
+        if not isinstance(other, Interval):
+            _undefined(self, other)
         products = (
             self.lo * other.lo,
             self.lo * other.hi,
@@ -39,6 +54,8 @@ class Interval(NamedTuple):
             self.hi * other.hi,
         )
         return Interval(min(products), max(products))
+
+    __add__ = __radd__ = __rmul__ = _undefined
 
     def inverse(self) -> "Interval":
         if self.lo <= 0 <= self.hi:

@@ -17,7 +17,7 @@ import json
 import random
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from math import ceil, comb, floor
+from math import ceil, comb, floor, gcd
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .dist import (
@@ -208,9 +208,9 @@ class ScanConfig:
 
 @dataclass(frozen=True)
 class ScanRecord:
-    """One tuple of a conjecture scan.  ``instance_json``, when given, holds
-    the JSON objects of the instance laws, shared between the records of one
-    scan, so each law is formatted once per scan; it takes no part in ==."""
+    """One tuple of a conjecture scan.  ``json_text``, when given, holds the
+    JSON texts of ``alphas`` and of the instance, joined from texts the scan
+    renders once per cap class and once per law; it takes no part in ==."""
 
     index: int
     alphas: tuple[Fraction, ...]
@@ -218,10 +218,9 @@ class ScanRecord:
     rhs: Fraction
     violation: bool
     instance: tuple[IntDist, ...]
-    instance_json: Optional[tuple[dict, ...]] = field(default=None, compare=False, repr=False)
+    json_text: Optional[tuple[str, str]] = field(default=None, compare=False, repr=False)
 
     def to_json_obj(self) -> dict:
-        laws = self.instance_json if self.instance_json is not None else (d.to_json_obj() for d in self.instance)
         return {
             "index": self.index,
             "alphas": [format_fraction(a) for a in self.alphas],
@@ -229,8 +228,25 @@ class ScanRecord:
             "rhs": format_fraction(self.rhs),
             "margin": format_fraction(self.rhs - self.lhs),
             "violation": self.violation,
-            "instance": list(laws),
+            "instance": [d.to_json_obj() for d in self.instance],
         }
+
+    def to_json_line(self) -> str:
+        """``json.dumps(self.to_json_obj(), sort_keys=True)``, written from
+        ``json_text`` (rendered here when absent), with lhs, rhs and margin
+        formatted from their integers."""
+        if self.json_text is None:
+            obj = self.to_json_obj()
+            alphas, instance = json.dumps(obj["alphas"]), json.dumps(obj["instance"], sort_keys=True)
+        else:
+            alphas, instance = self.json_text
+        ln, ld, rn, rd = self.lhs.numerator, self.lhs.denominator, self.rhs.numerator, self.rhs.denominator
+        mn, md = rn * ld - ln * rd, rd * ld
+        g = gcd(mn, md)
+        return (
+            f'{{"alphas": {alphas}, "index": {self.index}, "instance": {instance}, "lhs": "{ln}/{ld}", '
+            f'"margin": "{mn // g}/{md // g}", "rhs": "{rn}/{rd}", "violation": {"true" if self.violation else "false"}}}'
+        )
 
 
 def quantized_extremal_measures(denominator: int, window: tuple[int, int]) -> list[IntDist]:
@@ -265,19 +281,22 @@ def conjecture_scan(cfg: ScanConfig, measures: Optional[list[IntDist]] = None) -
     ``measures`` is ``quantized_extremal_measures(cfg.denominator,
     cfg.window)`` when the caller has already built it.  Tuples are drawn as
     indices into it (``rng.choice(range(m))`` consumes the same draws as
-    ``rng.choice(measures)``), each measure's cap and JSON object are
-    computed once, and the sign-search optimum is cached per sorted tuple of
-    cap classes.
+    ``rng.choice(measures)``), each measure's cap and JSON text are
+    computed once, and the sign-search optimum and the JSON text of the
+    caps are cached per sorted tuple of cap classes, so a record's
+    ``to_json_line`` only joins texts and formats three fractions.
     """
     if measures is None:
         measures = quantized_extremal_measures(cfg.denominator, cfg.window)
     n = cfg.n
     caps = [q_max(mu) for mu in measures]
-    laws_json = [mu.to_json_obj() for mu in measures]
+    laws_text = [json.dumps(mu.to_json_obj(), sort_keys=True) for mu in measures]
     # class 0 is the largest cap, so sorted class indices list the caps nonincreasing
     classes = sorted(set(caps), reverse=True)
     class_of = [classes.index(a) for a in caps]
-    tse_cache: dict[tuple[int, ...], tuple[tuple[Fraction, ...], Fraction]] = {}
+    class_text = [json.dumps(format_fraction(a)) for a in classes]
+    # sorted class indices -> (caps, sign-search optimum, JSON text of the caps)
+    tse_cache: dict[tuple[int, ...], tuple[tuple[Fraction, ...], Fraction, str]] = {}
     if scan_mode(cfg, measures) == "exhaustive":
         leaves = _walk(None, [measures] * n, [False] + [True] * (n - 1))
     else:
@@ -292,11 +311,19 @@ def conjecture_scan(cfg: ScanConfig, measures: Optional[list[IntDist]] = None) -
         cached = tse_cache.get(key)
         if cached is None:
             alphas = tuple(classes[c] for c in key)
-            cached = tse_cache[key] = (alphas, tse(AlphaSeq(alphas))[0])
-        alphas, rhs = cached
-        lhs = Fraction(num, den)
-        combo = tuple(measures[i] for i in picks)
-        yield ScanRecord(idx, alphas, lhs, rhs, lhs > rhs, combo, tuple(laws_json[i] for i in picks))
+            text = "[" + ", ".join(class_text[c] for c in key) + "]"
+            cached = tse_cache[key] = (alphas, tse(AlphaSeq(alphas))[0], text)
+        alphas, rhs, alphas_text = cached
+        instance_text = "[" + ", ".join(laws_text[i] for i in picks) + "]"
+        yield ScanRecord(
+            idx,
+            alphas,
+            Fraction(num, den),
+            rhs,
+            num * rhs.denominator > rhs.numerator * den,
+            tuple(measures[i] for i in picks),
+            (alphas_text, instance_text),
+        )
 
 
 def scan_mode(cfg: ScanConfig, measures: Optional[list[IntDist]] = None) -> str:

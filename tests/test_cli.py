@@ -215,6 +215,70 @@ def test_scan_violation_exits_1_with_one_stderr_line_per_record(monkeypatch, cap
     assert capsys.readouterr() == captured
 
 
+def scan_reference_lines(argv: list[str]) -> list[str]:
+    """The record lines of a scan-conjecture command as the reference
+    serializer writes them: json.dumps of each record's to_json_obj."""
+    flags = dict(zip(argv[1::2], argv[2::2]))
+    lo, hi = map(int, flags["--window"].split(".."))
+    cfg = verify.ScanConfig(
+        denominator=int(flags["--denominator"]),
+        window=(lo, hi),
+        n=int(flags["--n"]),
+        seed=int(flags.get("--seed", 0)),
+        budget=int(flags.get("--budget", 200_000)),
+    )
+    only = "--violations-only" in argv
+    return [json.dumps(r.to_json_obj(), sort_keys=True) for r in verify.conjecture_scan(cfg) if r.violation or not only]
+
+
+SCAN_SERIALIZER_CASES = {
+    "exhaustive": ["scan-conjecture", "--denominator", "5", "--window", "0..4", "--n", "3"],
+    "sampled": ["scan-conjecture", "--denominator", "7", "--window", "2..7", "--n", "4", "--budget", "60", "--seed", "3"],
+}
+
+
+@pytest.mark.parametrize("argv", SCAN_SERIALIZER_CASES.values(), ids=SCAN_SERIALIZER_CASES.keys())
+def test_scan_lines_match_reference_serializer(argv, capsys):
+    assert run(argv) == 0
+    *lines, summary = capsys.readouterr().out.splitlines()
+    assert lines == scan_reference_lines(argv)
+    assert json.loads(summary)["instances"] == len(lines) > 0
+
+
+@pytest.mark.parametrize("only", [[], ["--violations-only"]], ids=["all", "violations-only"])
+def test_scan_lines_match_reference_serializer_with_violations(monkeypatch, capsys, only):
+    """A constant right-hand side of 1/3: records with lhs > 1/3 violate,
+    with a negative margin, and the others do not."""
+    monkeypatch.setattr(verify, "tse", lambda alphas: (F(1, 3), None))
+    argv = ["scan-conjecture", "--denominator", "6", "--window", "0..4", "--n", "2", *only]
+    assert run(argv) == 1
+    *lines, summary = capsys.readouterr().out.splitlines()
+    assert lines == scan_reference_lines(argv)
+    margins = [F(json.loads(line)["margin"]) for line in lines]
+    assert min(margins) < 0
+    assert (max(margins) > 0) == (not only)
+    assert json.loads(summary)["violations"] == sum(m < 0 for m in margins)
+
+
+def test_scan_line_without_prerendered_text():
+    """A record built without the scan's texts renders them itself."""
+    laws = (uniform([0, 1]), IntDist([(0, F(2, 3)), (5, F(1, 3))]))
+    record = verify.ScanRecord(4, (F(2, 3), F(1, 2)), F(1, 3), F(3, 7), False, laws)
+    assert record.to_json_line() == json.dumps(record.to_json_obj(), sort_keys=True)
+    violating = verify.ScanRecord(0, (F(1, 2),), F(1, 2), F(0), True, laws[:1])
+    assert violating.to_json_line() == json.dumps(violating.to_json_obj(), sort_keys=True)
+
+
+@pytest.mark.parametrize("window", ["0..0", "-3..-3"])
+def test_scan_one_site_window_exits_2(window, capsys):
+    """A one-site window holds only point masses, which the scan excludes:
+    a scan of nothing is bad input, not a pass."""
+    assert run(["scan-conjecture", "--denominator", "4", f"--window={window}", "--n", "2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert window in captured.err and "denominator 4" in captured.err
+
+
 def test_report_summarizes(tmp_path, capsys):
     rows = [
         {"name": "few_dropped", "outcome": "pass"},

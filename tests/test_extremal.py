@@ -7,6 +7,7 @@ import pytest
 from conclab.dist import IntDist, delta, negate, q_max, shift, uniform, variance
 from conclab.extremal import (
     AlphaSeq,
+    _signed_nu,
     extremal_enumerate,
     is_balanced,
     is_extremal,
@@ -93,6 +94,49 @@ def test_alpha_seq_sorts_and_records_permutation():
         AlphaSeq([F(0)])
     with pytest.raises(ValueError):
         AlphaSeq([])
+
+
+@pytest.mark.parametrize("alpha", [F(0), F(-1, 2), F(-1), F(3, 2), F(5, 4), 2, -1])
+def test_alpha_outside_unit_interval_rejected(alpha):
+    with pytest.raises(ValueError):
+        AlphaSeq([alpha])
+    with pytest.raises(ValueError):
+        nu(alpha)
+
+
+def test_alpha_edges_accepted():
+    assert AlphaSeq([1, F(1, 10**9)]).alphas == (F(1), F(1, 10**9))
+
+
+MEMO_CASES = [
+    [F(2, 5), F(3, 7), F(1, 3), F(3, 4)],
+    [F(2, 3)] * 3 + [F(1, 5)],
+    [F(5, 8), F(5, 8), F(3, 8), F(1, 2), F(1, 2)],
+    [F(1, 2), F(1, 4)],
+    [F(7, 9)] * 4,
+]
+
+
+def test_tse_same_with_cold_and_warm_memo():
+    """The memo of signed laws only saves work: values and signs are equal
+    with the memo cleared before every call and with it warm."""
+    cold = []
+    for caps in MEMO_CASES:
+        _signed_nu.cache_clear()
+        cold.append(tse(AlphaSeq(caps)))
+    warm = [tse(AlphaSeq(caps)) for caps in MEMO_CASES]
+    assert [(v, sel.signs) for v, sel in cold] == [(v, sel.signs) for v, sel in warm]
+    assert _signed_nu.cache_info().hits > 0
+
+
+def test_signed_nu_memo_matches_fresh_laws():
+    _signed_nu.cache_clear()
+    caps = {a for case in MEMO_CASES for a in case}
+    for a in sorted(caps):
+        for _ in range(2):  # the miss, then the hit
+            minus, plus = _signed_nu(a)
+            assert plus == nu(a) and minus == negate(nu(a))
+    assert _signed_nu.cache_info().maxsize is not None  # bounded
 
 
 def test_tse_examples():

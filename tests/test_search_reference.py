@@ -17,8 +17,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conclab import dist
 from conclab.dist import FiniteMeasure, IntDist, _q_max_pair, convolve, convolve_all, delta, negate, q_max, uniform
 from conclab.extremal import AlphaSeq, _extremal_law, _max_q_search, _walk, extremal_enumerate, nu, t_oracle, tse
+from conclab.rearrange import IntMeasure
 from conclab.verify import ScanConfig, ScanRecord, conjecture_scan, quantized_extremal_measures
 
 
@@ -357,3 +359,109 @@ def test_searches_bypass_the_validating_constructor(monkeypatch):
     with pytest.raises(RuntimeError):
         IntDist([(0, 1)])
     assert run() == expected
+
+
+# -- the walker against per-leaf _q_max_pair ------------------------------------
+
+
+def reference_walk(root, levels, tied):
+    """(path, num, den) of every sum the walker visits, each leaf from its
+    own _q_max_pair of the prefix, folded with convolve as the walker folds
+    it, and the last option."""
+    out = []
+    for path in itertools.product(*(range(len(options)) for options in levels)):
+        if any(tied[k] and path[k] < path[k - 1] for k in range(1, len(path))):
+            continue
+        prefix = root
+        for options, j in zip(levels[:-1], path):
+            prefix = options[j] if prefix is None else convolve(prefix, options[j])
+        law = levels[-1][path[-1]]
+        num, den = (max(law.numerators), law.denominator()) if prefix is None else _q_max_pair(prefix, law)
+        out.append((path, num, den))
+    return out
+
+
+def random_law(rng: random.Random, atoms: int, spread: int) -> IntDist:
+    sites = sorted(rng.sample(range(-spread, spread + 1), atoms))
+    weights = [rng.randint(1, 9) for _ in sites]
+    return IntDist((s, F(w, sum(weights))) for s, w in zip(sites, weights))
+
+
+def random_walk_case(seed: int, atoms: int, spread: int):
+    """(root, levels, tied): 1-4 levels of 1-3 random options, the levels of
+    a tied run sharing one option list as in tse, t_oracle and the scan."""
+    rng = random.Random(seed)
+    levels, tied = [], []
+    for k in range(rng.randint(1, 4)):
+        if k and rng.random() < 0.5:
+            levels.append(levels[-1])
+            tied.append(True)
+        else:
+            levels.append([random_law(rng, rng.randint(1, atoms), spread) for _ in range(rng.randint(1, 3))])
+            tied.append(False)
+    root = random_law(rng, rng.randint(1, atoms), spread) if rng.random() < 0.5 else None
+    return root, levels, tied
+
+
+WALK_SEEDS = range(60)
+
+
+@pytest.mark.parametrize("seed", WALK_SEEDS)
+def test_walk_matches_per_leaf_q_max_pair(seed):
+    root, levels, tied = random_walk_case(seed, atoms=5, spread=6)
+    assert list(_walk(root, levels, tied)) == reference_walk(root, levels, tied)
+
+
+def test_walk_matches_per_leaf_q_max_pair_on_packed_leaves(monkeypatch):
+    """Laws large enough that _branch picks the packed product for the
+    leaves; the walker and the reference go through the same _branch."""
+    chosen = []
+
+    def spy(parts, n):
+        branch = real_branch(parts, n)
+        chosen.append(branch)
+        return branch
+
+    real_branch = dist._branch
+    monkeypatch.setattr(dist, "_branch", spy)
+    rng = random.Random(7)
+    root, options = random_law(rng, 40, 25), [random_law(rng, 40, 25) for _ in range(3)]
+    walk = list(_walk(root, [options], [False]))  # one level below a root: every product is a leaf
+    assert chosen == ["packed"] * 3
+    assert walk == reference_walk(root, [options], [False])
+    for seed in range(6):
+        root, levels, tied = random_walk_case(seed, atoms=40, spread=25)
+        assert list(_walk(root, levels, tied)) == reference_walk(root, levels, tied)
+    assert "pairwise" in chosen
+
+
+@pytest.mark.parametrize("branch", ["pairwise", "packed"])
+def test_walk_matches_per_leaf_q_max_pair_with_forced_branch(monkeypatch, branch):
+    """Every product forced onto one branch.  The recurrence is the power of
+    one law, never a product of two, so it has no leaf to take."""
+    monkeypatch.setattr(dist, "_branch", lambda parts, n: branch)
+    for seed in WALK_SEEDS[::4]:
+        root, levels, tied = random_walk_case(seed, atoms=5, spread=6)
+        assert list(_walk(root, levels, tied)) == reference_walk(root, levels, tied)
+
+
+def test_walk_leaves_check_the_mass(monkeypatch):
+    """A leaf still runs the exact sum check of the product proper."""
+    monkeypatch.setattr(dist, "_convolve_pairwise", lambda parts, n, add: {0: 1})
+    monkeypatch.setattr(dist, "_branch", lambda parts, n: "pairwise")
+    laws = [uniform([0, 1]), uniform([0, 2])]
+    with pytest.raises(RuntimeError):
+        list(_walk(uniform([0, 1]), [laws], [False]))
+
+
+def test_walk_rejects_mixed_containers():
+    measure = IntMeasure([(0, 1), (1, 2)])
+    laws = [uniform([0, 1]), uniform([0, 2])]
+    for root, levels in [
+        (None, [laws, laws + [measure]]),
+        (measure, [laws, laws]),
+        (None, [[measure], laws]),
+        (uniform([0, 1]), [[measure]]),
+    ]:
+        with pytest.raises(ValueError):
+            list(_walk(root, levels, [False] * len(levels)))

@@ -60,17 +60,20 @@ def test_scan_d4_exhaustive_no_violation():
 
 
 @pytest.mark.parametrize("cfg", [ScanConfig(denominator=5, window=(0, 3), n=3), ScanConfig(denominator=4, window=(0, 3), n=3, budget=40, seed=2)])
-def test_scan_json_built_once_per_measure(cfg):
-    """Records share one JSON object per measure and serialize to the bytes
-    of the per-record formatting."""
-    records = list(conjecture_scan(cfg))
+def test_scan_json_built_once_per_measure(cfg, monkeypatch):
+    """A scan formats each measure's JSON once, and each record's line,
+    joined from those texts, is the bytes of the per-record formatting."""
+    measures = quantized_extremal_measures(cfg.denominator, cfg.window)
+    formatted = []
+    real = IntDist.to_json_obj
+    monkeypatch.setattr(IntDist, "to_json_obj", lambda mu: formatted.append(mu) or real(mu))
+    records = list(conjecture_scan(cfg, measures))
+    assert formatted == measures
+    monkeypatch.undo()
     for r in records:
-        assert json.dumps(r.to_json_obj(), sort_keys=True) == json.dumps(
-            dataclasses.replace(r, instance_json=None).to_json_obj(), sort_keys=True
-        )
-        assert r == dataclasses.replace(r, instance_json=None)
-    shared = {id(law) for r in records for law in r.to_json_obj()["instance"]}
-    assert len(shared) <= len(quantized_extremal_measures(cfg.denominator, cfg.window))
+        bare = dataclasses.replace(r, json_text=None)
+        assert r.to_json_line() == bare.to_json_line() == json.dumps(r.to_json_obj(), sort_keys=True)
+        assert r == bare
 
 
 def test_scan_budget_sampling_deterministic():
@@ -257,6 +260,55 @@ def test_interval_decision_outcomes(lhs, rhs, outcome, margin):
     assert report.outcome == outcome
     assert (report.lhs, report.rhs, report.margin) == (F(lhs[1]), F(rhs[0]), margin)
     assert report.details == {"k": 2, "mode": "interval"} and report.preconditions_ok
+
+
+def test_interval_arithmetic():
+    a, b = Interval(F(1), F(2)), Interval(F(-1), F(3))
+    assert a - b == Interval(F(-2), F(3))
+    assert a * b == Interval(F(-2), F(6))
+    assert a.scale(-2) == Interval(F(-4), F(-2))
+
+
+UNDEFINED_INTERVAL_OPERATIONS = {
+    "interval + interval": lambda a: a + a,
+    "interval + int": lambda a: a + 1,
+    "int + interval": lambda a: 1 + a,
+    "tuple + interval": lambda a: (1, 2) + a,
+    "interval + tuple": lambda a: a + (1, 2),
+    "sum": lambda a: sum([a, a]),
+    "int * interval": lambda a: 2 * a,
+    "interval * int": lambda a: a * 2,
+    "tuple * interval": lambda a: (1, 2) * a,
+    "interval * fraction": lambda a: a * F(1, 2),
+    "interval - int": lambda a: a - 1,
+    "int - interval": lambda a: 1 - a,
+    "interval - tuple": lambda a: a - (1, 2),
+    "interval / interval": lambda a: a / a,
+    "interval // interval": lambda a: a // a,
+    "interval % interval": lambda a: a % a,
+    "interval ** int": lambda a: a**2,
+    "interval @ interval": lambda a: a @ a,
+    "-interval": lambda a: -a,
+    "+interval": lambda a: +a,
+    "abs": lambda a: abs(a),
+}
+
+
+@pytest.mark.parametrize("op", UNDEFINED_INTERVAL_OPERATIONS.values(), ids=UNDEFINED_INTERVAL_OPERATIONS.keys())
+def test_interval_undefined_arithmetic_raises(op):
+    """Interval is a NamedTuple; arithmetic it does not define raises
+    TypeError instead of concatenating or repeating the tuple."""
+    with pytest.raises(TypeError):
+        op(Interval(F(1), F(2)))
+
+
+def test_interval_in_place_arithmetic_raises():
+    acc = Interval(F(1), F(2))
+    with pytest.raises(TypeError):
+        acc += acc
+    with pytest.raises(TypeError):
+        acc *= 2
+    assert acc == Interval(F(1), F(2))
 
 
 def test_peakedness1_check():
