@@ -16,27 +16,32 @@ checks that its laws share one container type, extracts each law's operand
 (``_operand``: its (site, numerator) pairs, denominator and numerator sum)
 and calls ``_product``, the product proper: ``_branch``, one of three
 branches, and the exact check that the numerators sum to the product of the
-operands' sums.  The tuple walker of ``extremal`` calls ``_product`` itself
-on operands it extracted once, after one container check per walk.  A
+operands' sums.  Inside ``_product`` every site is an integer.  Lattice laws
+are numbered on the way in: ``_encode`` gives each lattice site its
+row-major number in the result's bounding box, a linear numbering, so the
+number of a sum is the sum of the numbers, and ``_decode`` reads the
+result's sites back; these two are the only kernel code that sees a tuple
+site.  The tuple walker of ``extremal`` calls ``_product`` itself on
+integer operands it extracted once, after one container check per walk.  A
 result enters the container through ``_from_integers``, reduced by one gcd.
 JSON, text and ``repr`` are formatted from the integers too: each mass is its
 numerator and the denominator divided by their gcd, so no Fraction is built
 on the way out.
 Large dense supports use Kronecker substitution: each law is packed into one
-Python int with a fixed-width slot per point of the result's bounding box,
+Python int with a fixed-width slot per site from its first to its last,
 CPython's big-int multiply (or ``pow``) does the convolution, and one pass
 over the slots unpacks the result, already in site order.  The power of one
-dense law can instead use the same slot numbers as exponents of a polynomial
-and J. C. P. Miller's recurrence, one small multiply-add per result slot and
-input atom, where the big-int ``pow`` grows like Karatsuba in slots times slot
-width.  Small or sparse supports use a pairwise loop over dicts.
-``_branch`` chooses from atom counts, box slot counts and the slot width
-alone; ``tools/kernel_crossover.py`` prints the table behind its constants.
+dense law can instead use the sites as exponents of a polynomial and J. C. P.
+Miller's recurrence, one small multiply-add per result slot and input atom,
+where the big-int ``pow`` grows like Karatsuba in slots times slot width.
+Small or sparse supports use a pairwise loop over dicts.  ``_branch``
+chooses from atom counts, slot counts, the slot width and a lone lattice
+law's dimension alone; ``tools/kernel_crossover.py`` prints the table behind
+its constants.
 """
 
 from __future__ import annotations
 
-import itertools
 import json
 import operator
 from dataclasses import dataclass
@@ -103,15 +108,14 @@ class FiniteMeasure:
     read-only integer view; ``atoms``, ``masses`` and ``mass()`` build
     Fractions from it, and JSON, text and ``repr`` format each mass from its
     numerator with one gcd.  A subclass sets what differs: ``_site``
-    converts one input site, rejecting floats and booleans, ``_add_sites``
-    adds two sites in the convolution kernel, and ``_normalized`` requires
-    the masses to sum to exactly 1.  The integer site type is the default.
+    converts one input site, rejecting floats and booleans, and
+    ``_normalized`` requires the masses to sum to exactly 1.  The integer
+    site type is the default.
     """
 
     __slots__ = ("_nums", "_den")
 
     _site = staticmethod(int_site)
-    _add_sites = operator.add
     _normalized = True
 
     def __init__(self, atoms: Iterable[tuple[object, object]]):
@@ -281,49 +285,44 @@ def uniform_interval(lo: int, hi: int) -> IntDist:
 # -- operations ------------------------------------------------------------
 
 
-def _box(pairs: list) -> list[tuple[int, int]]:
-    """Bounding box of the sites of (site, numerator) pairs in site order:
-    one (lo, hi) per coordinate; an integer site has one coordinate."""
-    if not isinstance(pairs[0][0], tuple):
-        return [(pairs[0][0], pairs[-1][0])]
-    return [(min(col), max(col)) for col in zip(*(s for s, _ in pairs))]
+def _encode(parts: list[list], n: int) -> tuple[list[list], int, tuple | None]:
+    """(parts, dim, frame): the operands ``parts`` of a product raised to the
+    n-th power in the kernel's one site type, the integers.
 
-
-def _slots(extents: Iterable[int]) -> int:
-    """Number of lattice points in a box with the given coordinate extents."""
-    n = 1
-    for e in extents:
-        n *= e + 1
-    return n
-
-
-def _layout(boxes: list, n: int) -> tuple[list[int], list[int], list[int]]:
-    """(lo, ext, strides) of the result box of the product of laws with the
-    given boxes, all of it n times over: its lowest corner, its extent per
-    coordinate and the row-major strides that number its points 0, 1, ...,
-    so the first coordinate varies slowest and coordinates never carry into
-    each other."""
+    Integer sites pass through, with dim 0 and frame None.  A lattice site x
+    becomes its row-major number sum_j x_j * strides[j], by the strides that
+    number the points of the result's bounding box 0, 1, ... (the first
+    coordinate varies slowest).  The numbering is linear, so the number of a
+    sum is the sum of the numbers, and it is one to one and keeps site order
+    on every box whose extents fit those of the result box: each operand's
+    and each partial sum's.  dim is the affine dimension of a lone law's
+    sites, which bounds ``_branch``'s atom counts from below; frame is what
+    ``_decode`` needs to read the result's sites back.
+    """
+    if not isinstance(parts[0][0][0], tuple):
+        return parts, 0, None
+    boxes = [[(min(col), max(col)) for col in zip(*(s for s, _ in p))] for p in parts]
     lo = [n * sum(b[j][0] for b in boxes) for j in range(len(boxes[0]))]
     ext = [n * sum(b[j][1] - b[j][0] for b in boxes) for j in range(len(boxes[0]))]
     strides = [1] * len(ext)
     for j in range(len(ext) - 1, 0, -1):
         strides[j - 1] = strides[j] * (ext[j] + 1)
-    return lo, ext, strides
+    coded = [[(sum(map(operator.mul, s, strides)), c) for s, c in p] for p in parts]
+    dim = _affine_dim([s for s, _ in parts[0]]) if len(parts) == 1 else 0
+    return coded, dim, (lo, ext, strides)
 
 
-def _offsets(p: list, box: list, strides: list[int]) -> list[int]:
-    """The point number of each site of (site, numerator) pairs p relative to
-    the corner of box; increasing, as p is in site order."""
-    if not isinstance(p[0][0], tuple):
-        return [s - box[0][0] for s, _ in p]
-    return [sum((x - l) * st for x, (l, _), st in zip(s, box, strides)) for s, _ in p]
-
-
-def _box_sites(lo: list[int], ext: list[int], vector: bool) -> Iterable:
-    """The points of a box in row-major order, the order of their numbers."""
-    if vector:
-        return itertools.product(*(range(l, l + e + 1) for l, e in zip(lo, ext)))
-    return range(lo[0], lo[0] + ext[0] + 1)
+def _decode(out: dict, frame: tuple | None) -> dict:
+    """The kernel's result ``out`` (number -> numerator) with the sites that
+    ``_encode`` numbered, in the same order: each number's mixed-radix digits
+    above the result box's corner, one coordinate at a time."""
+    if frame is None:
+        return out
+    lo, ext, strides = frame
+    corner = sum(map(operator.mul, lo, strides))
+    offsets = [k - corner for k in out]
+    cols = [[l + r // st % (e + 1) for r in offsets] for l, e, st in zip(lo, ext, strides)]
+    return dict(zip(zip(*cols), out.values()))
 
 
 def _slot_bytes(parts: Sequence[list], n: int) -> int:
@@ -336,15 +335,13 @@ def _slot_bytes(parts: Sequence[list], n: int) -> int:
     return ((total**n).bit_length() + 7) // 8
 
 
-# Cost estimates in units of one pairwise numerator product of integer sites.
-# A product of lattice sites adds them coordinate by coordinate and costs
-# _PAIR_VECTOR units.  The packed kernel costs a fixed part, each input atom
-# packed and each result slot unpacked, plus the big-int product of slots * w
-# bytes, which CPython multiplies by Karatsuba.  The recurrence costs a fixed
-# part plus, per exponent of the result, one division and one multiply-add
-# per input atom after the first, each longer by w bytes.  The crossover
-# table behind the constants is in CHANGES.md (tools/kernel_crossover.py).
-_PAIR_VECTOR = 5
+# Cost estimates in units of one pairwise numerator product.  The packed
+# kernel costs a fixed part, each input atom packed and each result slot
+# unpacked, plus the big-int product of slots * w bytes, which CPython
+# multiplies by Karatsuba.  The recurrence costs a fixed part plus, per
+# exponent of the result, one division and one multiply-add per input atom
+# after the first, each longer by w bytes.  The crossover table behind the
+# constants is in CHANGES.md (tools/kernel_crossover.py).
 _PACK_FIXED = 128
 _PACK_PER_ATOM = 2
 _PACK_PER_SLOT = 3
@@ -375,83 +372,84 @@ def _affine_dim(sites: Sequence[tuple[int, ...]]) -> int:
     return len(rows)
 
 
-def _dense_costs(parts: Sequence[list], boxes: list, n: int) -> tuple[float, float]:
+def _span(parts: Sequence[list], n: int) -> int:
+    """Last minus first site of the product of the laws ``parts`` raised to
+    the n-th power: one less than its slots in the Kronecker branches."""
+    return n * sum(p[-1][0] - p[0][0] for p in parts)
+
+
+def _dense_costs(parts: Sequence[list], n: int) -> tuple[float, float]:
     """(packed, recurrence) cost estimates of the product of the laws
     ``parts`` raised to the n-th power; the recurrence's is infinite unless
     that is the power (n > 1) of one law."""
-    ext, strides = _layout(boxes, n)[1:]
-    slots, w = _slots(ext), _slot_bytes(parts, n)
+    slots, w = _span(parts, n) + 1, _slot_bytes(parts, n)
     atoms = sum(map(len, parts))
     packed = _PACK_FIXED + _PACK_PER_ATOM * atoms + _PACK_PER_SLOT * slots + (slots * w) ** 1.585 / _PACK_KARATSUBA
     if n == 1 or len(parts) > 1:
         return packed, inf
-    (p,) = parts
-    first, last = _offsets([p[0], p[-1]], boxes[0], strides)
-    steps = n * (last - first) * (_REC_PER_SLOT + _REC_PER_TERM * (len(p) - 1))
+    steps = (slots - 1) * (_REC_PER_SLOT + _REC_PER_TERM * (len(parts[0]) - 1))
     return packed, _REC_FIXED + steps * (1 + w / _REC_BYTES)
 
 
-def _branch(parts: Sequence[list], n: int) -> str:
+def _branch(parts: Sequence[list], n: int, dim: int) -> str:
     """The kernel branch for the product of the laws ``parts`` raised to the
     n-th power: 'pairwise', or the cheaper Kronecker branch, 'packed' or, for
     the power of one law, 'recurrence'.
 
-    Only atom counts, box slot counts, the slot width and, for a lattice
-    power, the dimension of its law enter.  The pairwise work is estimated
-    as a left fold over the factors (a power as n equal factors), each step
-    costing the product of its operands' atom counts.  A partial sum's atom
-    count lies between a lower bound and an upper bound (the product of the
-    counts, at most the slots of its box).  The lower bound is
-    |A + B| >= |A| + |B| - 1; for i copies of one lattice law whose sites
-    span an affine space of dimension d it is also C(i + d, d), the distinct
-    sums of i of d + 1 affinely independent sites: quadratic in i for a 2-D
-    law, cubic for a 3-D one.  The cheaper Kronecker branch must cost less
-    than the upper estimate and at most _GUARD times the lower one, so a
-    sparse support (sites {0, 10**12}) never packs, and a wrong guess costs
-    at most a constant factor over the pairwise loop.
+    Only atom counts, slot counts, the slot width and the affine dimension
+    dim of a lone law's sites before ``_encode`` numbered them enter.  The
+    pairwise work is estimated as a left fold over the factors (a power as n
+    equal factors), each step costing the product of its operands' atom
+    counts.  A partial sum's atom count lies between a lower bound and an
+    upper bound (the product of the counts, at most the slots of its span).
+    The lower bound is |A + B| >= |A| + |B| - 1; for i copies of one law
+    whose sites span an affine space of dimension dim it is also
+    C(i + dim, dim), the distinct sums of i of dim + 1 affinely independent
+    sites: quadratic in i for a 2-D lattice law, cubic for a 3-D one.  The
+    cheaper Kronecker branch must cost less than the upper estimate and at
+    most _GUARD times the lower one, so a sparse support (sites {0, 10**12})
+    never packs, and a wrong guess costs at most a constant factor over the
+    pairwise loop.
     """
-    unit = _PAIR_VECTOR if isinstance(parts[0][0][0], tuple) else 1
     if n == 1 and len(parts) == 2:
         na, nb = len(parts[0]), len(parts[1])
-        if unit * na * nb <= _PACK_FIXED + _PACK_PER_ATOM * (na + nb):
+        if na * nb <= _PACK_FIXED + _PACK_PER_ATOM * (na + nb):
             return "pairwise"  # cheaper than the packed cost without its slot terms
-    boxes = [_box(p) for p in parts]
-    packed, recurrence = _dense_costs(parts, boxes, n)
+    packed, recurrence = _dense_costs(parts, n)
     cost = min(packed, recurrence)
-    dim = _affine_dim([s for s, _ in parts[0]]) if unit > 1 and len(parts) == 1 else 0
-    ext = [hi - lo for lo, hi in boxes[0]]
+    span = parts[0][-1][0] - parts[0][0][0]
     size_hi = size_lo = len(parts[0])
     work_hi = work_lo = 0
     for i in range(1, len(parts) * n):
-        count, box = len(parts[i % len(parts)]), boxes[i % len(parts)]
-        work_hi += unit * size_hi * count
-        work_lo += unit * size_lo * count
+        p = parts[i % len(parts)]
+        work_hi += size_hi * len(p)
+        work_lo += size_lo * len(p)
         if work_hi > cost and _GUARD * work_lo >= cost:
             return "recurrence" if recurrence < packed else "packed"
-        ext = [e + hi - lo for e, (lo, hi) in zip(ext, box)]
-        size_hi = min(size_hi * count, _slots(ext))
-        size_lo = max(size_lo + count - 1, comb(i + 1 + dim, dim))
+        span += p[-1][0] - p[0][0]
+        size_hi = min(size_hi * len(p), span + 1)
+        size_lo = max(size_lo + len(p) - 1, comb(i + 1 + dim, dim))
     return "pairwise"
 
 
-def _times(x: Iterable, y: Iterable, add) -> dict:
+def _times(x: Iterable, y: Iterable) -> dict:
     """Site -> numerator of the product of two (site, numerator) iterables:
     the pairwise loop."""
     out: dict = {}
     for sa, wa in x:
         for sb, wb in y:
-            key = add(sa, sb)
+            key = sa + sb
             out[key] = out.get(key, 0) + wa * wb
     return out
 
 
-def _convolve_pairwise(parts: Sequence[list], n: int, add) -> dict:
+def _convolve_pairwise(parts: Sequence[list], n: int) -> dict:
     """Site -> numerator of the product of the laws ``parts`` raised to the
     n-th power: the pairwise loop folded left, then binary exponentiation.
     The branch for small or sparse supports."""
     acc, out = parts[0], None
     for p in parts[1:]:
-        out = _times(acc, p, add)
+        out = _times(acc, p)
         acc = out.items()
     base = dict(acc) if out is None else out
     if n == 1:
@@ -459,10 +457,10 @@ def _convolve_pairwise(parts: Sequence[list], n: int, add) -> dict:
     result = None
     while n:
         if n & 1:
-            result = base if result is None else _times(result.items(), base.items(), add)
+            result = base if result is None else _times(result.items(), base.items())
         n >>= 1
         if n:
-            base = _times(base.items(), base.items(), add)
+            base = _times(base.items(), base.items())
     return result
 
 
@@ -470,32 +468,31 @@ def _convolve_packed(parts: Sequence[list], n: int) -> dict:
     """Site -> numerator, in site order, of the product of the laws
     ``parts`` raised to the n-th power, by Kronecker substitution.
 
-    Each law becomes one integer with a slot of w bytes per point of the
-    result's bounding box, its numerator at the slot of its site.  Lattice
-    sites use row-major strides of the summed box, so coordinates never carry
-    into each other.  A result numerator is at most the product of the input
-    numerator sums, which fits in w bytes, so the big-int product holds every
-    result numerator in its own slot.
+    Each law becomes one integer with a slot of w bytes per site from its
+    first to its last, its numerator at the slot of its site.  A result
+    numerator is at most the product of the input numerator sums, which fits
+    in w bytes, so the big-int product holds every result numerator in its
+    own slot, that of its site above the sum of the first sites.
     """
-    boxes = [_box(p) for p in parts]
-    lo, ext, strides = _layout(boxes, n)
     w = _slot_bytes(parts, n)
     values = []
-    for p, box in zip(parts, boxes):
-        buf = bytearray(w * (1 + sum((hi - l) * st for (l, hi), st in zip(box, strides))))
-        for k, (_, c) in zip(_offsets(p, box, strides), p):
-            buf[k * w : k * w + w] = c.to_bytes(w, "little")
+    for p in parts:
+        first = p[0][0]
+        buf = bytearray(w * (p[-1][0] - first + 1))
+        for s, c in p:
+            k = (s - first) * w
+            buf[k : k + w] = c.to_bytes(w, "little")
         values.append(int.from_bytes(buf, "little"))
     while len(values) > 1:  # a balanced product tree keeps the operands even
         values = [values[i] * values[i + 1] if i + 1 < len(values) else values[i] for i in range(0, len(values), 2)]
     value = pow(values[0], n)
 
-    slots = _slots(ext)
+    slots = _span(parts, n) + 1
     data = value.to_bytes(slots * w, "little")
     from_bytes = int.from_bytes
     coefficients = [from_bytes(data[k : k + w], "little") for k in range(0, slots * w, w)]
-    sites = _box_sites(lo, ext, isinstance(parts[0][0][0], tuple))
-    return {s: c for s, c in zip(sites, coefficients) if c}
+    lo = n * sum(p[0][0] for p in parts)
+    return {s: c for s, c in zip(range(lo, lo + slots), coefficients) if c}
 
 
 def _convolve_recurrence(p: list, n: int) -> dict:
@@ -503,25 +500,20 @@ def _convolve_recurrence(p: list, n: int) -> dict:
     pairs p raised to the n-th power, by J. C. P. Miller's recurrence
     (Knuth, TAOCP vol. 2, section 4.7).
 
-    Sites become exponents by the row-major strides of ``_convolve_packed``,
-    so the law is a polynomial P whose n-th power is the result.  The
-    exponents are shifted so that the first site, the smallest in site order
-    and so in exponent, is exponent 0: its numerator p_0 is positive even
-    when the box corner carries no mass.  From P (P^n)' = n P' P^n the
-    coefficients a_k of P^n satisfy
+    Sites become exponents of a polynomial P whose n-th power is the
+    result, shifted so that the first site, the smallest, is exponent 0: its
+    numerator p_0 is positive.  From P (P^n)' = n P' P^n the coefficients
+    a_k of P^n satisfy
 
         p_0 k a_k = sum_{j >= 1} ((n + 1) j - k) p_j a_{k-j},
 
     one small-by-big multiply-add per (result slot, input atom) and one exact
     division per slot.  A remainder means a fault and raises RuntimeError.
     """
-    box = _box(p)
-    lo, ext, strides = _layout([box], n)
-    offsets = _offsets(p, box, strides)
-    e0, p0 = offsets[0], p[0][1]
+    e0, p0 = p[0]
     # (j, (n + 1) j p_j, p_j) in increasing j, so a slot stops at the first j > k
-    terms = [(e - e0, (n + 1) * (e - e0) * c, c) for e, (_, c) in zip(offsets[1:], p[1:])]
-    top = n * (offsets[-1] - e0)
+    terms = [(s - e0, (n + 1) * (s - e0) * c, c) for s, c in p[1:]]
+    top = _span([p], n)
     a = [p0**n]
     for k in range(1, top + 1):
         acc = 0
@@ -535,8 +527,7 @@ def _convolve_recurrence(p: list, n: int) -> dict:
         if r:
             raise RuntimeError("Miller's recurrence left a remainder")
         a.append(q)
-    sites = itertools.islice(_box_sites(lo, ext, isinstance(p[0][0], tuple)), n * e0, None)
-    return {s: c for s, c in zip(sites, a) if c}
+    return {s: c for s, c in zip(range(n * e0, n * e0 + top + 1), a) if c}
 
 
 def _same_container(laws: Iterable[FiniteMeasure]) -> None:
@@ -558,21 +549,22 @@ def _operand(mu: FiniteMeasure) -> tuple[list, int, int]:
     return list(mu._nums.items()), mu._den, mu._den if mu._normalized else sum(mu._nums.values())
 
 
-def _product(parts: Sequence[list], n: int, total: int, add) -> dict:
-    """Site -> numerator of the product of the operands ``parts`` raised to
-    the n-th power, not necessarily in site order: the product proper of the
-    kernel.  ``_branch`` picks the branch: the pairwise loop (adding sites
-    with ``add``), the packed big-int product, or, for the power of one law,
+def _product(parts: Sequence[list], n: int, total: int, dim: int) -> dict:
+    """Site -> numerator of the product of the operands ``parts``, with
+    integer sites, raised to the n-th power, not necessarily in site order:
+    the product proper of the kernel.  ``_branch`` picks the branch from the
+    operands and dim, the affine dimension that ``_encode`` reports: the
+    pairwise loop, the packed big-int product, or, for the power of one law,
     Miller's recurrence.  The numerators must sum to ``total``, the product
     of the operands' numerator sums to the n-th power; anything else is a
     broken input or a kernel fault and raises RuntimeError."""
-    branch = _branch(parts, n)
+    branch = _branch(parts, n, dim)
     if branch == "recurrence":
         out = _convolve_recurrence(parts[0], n)
     elif branch == "packed":
         out = _convolve_packed(parts, n)
     else:
-        out = _convolve_pairwise(parts, n, add)
+        out = _convolve_pairwise(parts, n)
     if sum(out.values()) != total:
         raise RuntimeError("convolution numerators do not sum to the product of the input sums")
     return out
@@ -586,7 +578,8 @@ def _convolve_numerators(laws: Sequence[FiniteMeasure], n: int = 1):
     Returns (out, den): a site -> numerator dict, not necessarily in site
     order, over den, the product of the inputs' common denominators to the
     n-th power.  The operands are extracted here (``_operand``, after the
-    container check) and multiplied by ``_product``; a caller that reuses
+    container check), numbered by ``_encode``, multiplied by ``_product``
+    and given their sites back by ``_decode``; a caller that reuses integer
     operands, the tuple walker of ``extremal``, extracts them once and calls
     ``_product`` itself.
     """
@@ -599,7 +592,8 @@ def _convolve_numerators(laws: Sequence[FiniteMeasure], n: int = 1):
         total *= t
     if n > 1:
         den, total = den**n, total**n
-    return _product(parts, n, total, laws[0]._add_sites), den
+    parts, dim, frame = _encode(parts, n)
+    return _decode(_product(parts, n, total, dim), frame), den
 
 
 def convolve(a: FiniteMeasure, b: FiniteMeasure) -> FiniteMeasure:

@@ -257,13 +257,15 @@ def _walk(root: IntDist | None, levels: Sequence[Sequence[IntDist]], tied: Seque
     prefix and a last-level option, so it costs what ``_q_max_pair`` of the
     two costs without the setup: the container check runs once per walk,
     each last-level option's operand is extracted once per walk and each
-    prefix's once per prefix."""
+    prefix's once per prefix.  The operands go to ``_product`` as they are,
+    so the laws must have integer sites: lattice laws raise ValueError."""
     if not all(levels):
         return  # a level without options: no sums
     last = len(levels) - 1
     laws = [law for options in levels for law in options]
     _same_container(laws if root is None else [root, *laws])
-    add = laws[0]._add_sites
+    if isinstance(laws[0].sites[0], tuple):
+        raise ValueError(f"the walker takes laws with integer sites, not {type(laws[0]).__name__}")
     leaves = [_operand(law) for law in levels[last]]
     # the stack: path[i] is the option at level i, sums[i] root plus the laws chosen above level i
     path, sums = [0] * len(levels), [root] * len(levels)
@@ -284,7 +286,7 @@ def _walk(root: IntDist | None, levels: Sequence[Sequence[IntDist]], tied: Seque
             for j in range(j, len(options)):
                 path[last] = j
                 other, den, total = leaves[j]
-                yield tuple(path), max(_product((pairs, other), 1, ptotal * total, add).values()), pden * den
+                yield tuple(path), max(_product((pairs, other), 1, ptotal * total, 0).values()), pden * den
         level -= 1
         if level >= 0:
             path[level] += 1

@@ -26,8 +26,8 @@ class SymGAP:
 
     The underlying set is {sum_i j_i * g_i : |j_i| <= M_i, j_i integer}.
     Generators are either rational scalars or integer vectors (tuples)
-    sharing one dimension; dims are positive integers so the volume
-    prod(2*M_i + 1) is exact.  The constructor coerces each field once, dims
+    sharing one dimension, at least 1; dims are positive integers so the
+    volume prod(2*M_i + 1) is exact.  The constructor coerces each field once, dims
     and vector coordinates by ``int_site`` and scalars by ``as_fraction``, so
     a float or a boolean is a TypeError and the stored fields are tuples of
     ints and Fractions.
@@ -43,6 +43,8 @@ class SymGAP:
         if any(m <= 0 for m in dims):
             raise ValueError("dims must be positive integers")
         gens = tuple(tuple(map(int_site, g)) if isinstance(g, tuple) else as_fraction(g) for g in self.generators)
+        if () in gens:
+            raise ValueError("vector generators need dimension >= 1, got dimension 0")
         if len({self._kind_of(g) for g in gens}) > 1:
             raise ValueError("generators must all be scalars or all vectors of one dimension")
         object.__setattr__(self, "dims", dims)
@@ -137,6 +139,8 @@ def _require_kind(a: SymGAP, kind) -> None:
 def gap_contains(a: SymGAP, x, budget: int = DEFAULT_ENUM_BUDGET) -> bool:
     if isinstance(x, (list, tuple)):
         x = tuple(map(int_site, x))
+        if not x:
+            raise ValueError("a vector element needs dimension >= 1, got dimension 0")
     else:
         x = as_fraction(x)
     _require_kind(a, SymGAP._kind_of(x))

@@ -49,10 +49,6 @@ def _int_vector(site: Sequence[int]) -> tuple[int, ...]:
     return tuple(map(int_site, site))
 
 
-def _add_vectors(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
-    return tuple(map(operator.add, a, b))
-
-
 class LatticeDist(FiniteMeasure):
     """Finite probability distribution on integer vectors of one dimension
     with exact rational masses."""
@@ -60,7 +56,6 @@ class LatticeDist(FiniteMeasure):
     __slots__ = ()
 
     _site = staticmethod(_int_vector)
-    _add_sites = staticmethod(_add_vectors)
 
     def __init__(self, atoms: Iterable[tuple[Sequence[int], object]]):
         super().__init__(atoms)
@@ -191,6 +186,8 @@ _LIBM = 2.0**-50
 _ERF_SLOPE = 1.1284  # max |erf'| = 2 / sqrt(pi) = 1.12838, rounded up
 _ERF_REL = 0.49  # |erf(w (1 + e)) - erf(w)| <= _ERF_REL |e|: 2 / sqrt(2 pi e) = 0.48394, plus slack
 _COORD_LIMIT = 2**52
+# the most cells a table holds; a larger box is a ValueError before any work
+_MAX_CELLS = 10**7
 
 # One norm_cdf value: five roundings of its argument, erf's own error and
 # 1 + erf; a 1-D cell is the difference of two values, rounded once more.
@@ -469,15 +466,19 @@ def discretized_gaussian(
     error adds the rounding of the evaluation to the remainder, and is a
     proven bound if +, -, *, /, sqrt round to nearest in IEEE binary64 and
     math.exp and math.erf are within 4 ulp; a cell whose bound exceeds tol is
-    a ValueError.  Box coordinates must be below 2**52 in magnitude for
-    d <= 2.  d = 3 uses seeded Monte Carlo and reports three standard errors,
-    which must be at most tol.  Larger d is unsupported by design.
+    a ValueError.  The box holds at most _MAX_CELLS cells, and its
+    coordinates must be below 2**52 in magnitude for d <= 2.  d = 3 uses
+    seeded Monte Carlo and reports three standard errors, which must be at
+    most tol.  Larger d is unsupported by design.
     """
     d = spec.dim
     if len(box) != d:
         raise ValueError("box dimension mismatch")
     if tol <= 0:
         raise ValueError("tol must be positive")
+    shape = tuple(max(hi - lo + 1, 0) for lo, hi in box)
+    if math.prod(shape) > _MAX_CELLS:
+        raise ValueError(f"the box has more than {_MAX_CELLS} cells")
     if d <= 2 and any(abs(v) >= _COORD_LIMIT for lo_hi in box for v in lo_hi):
         raise ValueError("box coordinates must be below 2**52 in magnitude")
     cells: dict[tuple[int, ...], tuple[float, float]] = {}
@@ -498,7 +499,6 @@ def discretized_gaussian(
         rounded = np.floor(draws + 0.5).astype(int)
         del draws  # so the binning below needs less memory than the rounding
         rounded -= [lo for lo, _ in box]  # offsets into the box
-        shape = tuple(max(hi - lo + 1, 0) for lo, hi in box)
         inside = np.all((rounded >= 0) & (rounded < shape), axis=1)
         counts = np.bincount(np.ravel_multi_index(rounded[inside].T, shape), minlength=math.prod(shape))
         # itertools.product walks the box in row-major order, the order of

@@ -10,26 +10,21 @@ conservative, so "holds" verdicts derived from these intervals are sound.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import NamedTuple
 
 # 10**-DIGITS is the enclosure width per root extraction.
 DIGITS = 30
 
 
-def _undefined(self, other):
-    """Arithmetic that Interval does not define: a TypeError, where the tuple
-    base would concatenate or repeat."""
-    raise TypeError(f"unsupported operation on Interval and {type(other).__name__}; use -, * or scale")
-
-
-class Interval(NamedTuple):
+@dataclass(frozen=True, slots=True)
+class Interval:
     """Rational interval [lo, hi] enclosing a real value.
 
     Interval - Interval and Interval * Interval are the arithmetic; scale
-    multiplies by a rational.  Every other operator, and - or * with an
-    operand that is not an Interval, raises TypeError instead of falling
-    through to the tuple base."""
+    multiplies by a rational.  No other operator is defined, so every other
+    one, and - or * with an operand that is not an Interval, raises
+    TypeError."""
 
     lo: Fraction
     hi: Fraction
@@ -41,12 +36,12 @@ class Interval(NamedTuple):
 
     def __sub__(self, other: "Interval") -> "Interval":
         if not isinstance(other, Interval):
-            _undefined(self, other)
+            return NotImplemented
         return Interval(self.lo - other.hi, self.hi - other.lo)
 
     def __mul__(self, other: "Interval") -> "Interval":
         if not isinstance(other, Interval):
-            _undefined(self, other)
+            return NotImplemented
         products = (
             self.lo * other.lo,
             self.lo * other.hi,
@@ -54,8 +49,6 @@ class Interval(NamedTuple):
             self.hi * other.hi,
         )
         return Interval(min(products), max(products))
-
-    __add__ = __radd__ = __rmul__ = _undefined
 
     def inverse(self) -> "Interval":
         if self.lo <= 0 <= self.hi:

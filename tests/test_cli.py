@@ -779,6 +779,32 @@ def test_gap_cover_kind_mismatch_exits_2(files, tmp_path, capsys):
     assert json.loads(capsys.readouterr().out) == {"cover": "0/1"}
 
 
+@pytest.mark.parametrize(
+    "mean, box",
+    [([0, 0, 0], "0..9999,0..9999,0..9999"), ([0], "0..999999999")],
+    ids=["d3_10e12_cells", "d1_10e9_cells"],
+)
+def test_gauss_cells_box_too_large_exits_2(tmp_path, capsys, mean, box):
+    """The cell count is checked before any cell is computed or allocated."""
+    path = tmp_path / "spec.json"
+    identity = [[int(i == j) for j in range(len(mean))] for i in range(len(mean))]
+    path.write_text(json.dumps({"mean": mean, "cov": identity}))
+    assert run(["gauss", "cells", "--spec", str(path), "--box", box, "--tol", "0.1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert "more than" in captured.err and "cells" in captured.err
+
+
+def test_gap_zero_dimensional_generator_exits_2(tmp_path, capsys):
+    path = tmp_path / "gap.json"
+    path.write_text(json.dumps({"dims": [1], "generators": [[]]}))
+    assert run(["gap", "proper", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {path}: ") and "dimension 0" in captured.err
+
+
 @pytest.mark.parametrize("c_be", ["0", "-0.5"])
 def test_be_gap_nonpositive_constant_exits_2(files, capsys, c_be):
     assert run(["be-gap", files["u01.json"], "--c-be", c_be]) == 2

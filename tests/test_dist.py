@@ -274,13 +274,32 @@ def _parts(laws):
     return out
 
 
+def _kernel_form(laws, n):
+    """(parts, dim, frame): the operands of laws, raised to the n-th power,
+    as the kernel's product proper sees them, numbered by dist._encode."""
+    return dist._encode(_parts(laws), n)
+
+
+def _pick(laws, n):
+    """The branch that dist._branch picks for the laws raised to the n-th
+    power, on the integer operands and dimension the kernel passes it."""
+    parts, dim, _ = _kernel_form(laws, n)
+    return dist._branch(parts, n, dim)
+
+
+def _add_sites(a, b):
+    """Sum of two sites: + for integers, coordinate by coordinate for
+    lattice sites."""
+    return tuple(map(operator.add, a, b)) if isinstance(a, tuple) else a + b
+
+
 def _reference_convolve(a, b):
     """Two-law convolution in plain Fraction arithmetic, independent of the
-    kernel."""
+    kernel: the sites are added here, not by it."""
     out = {}
     for sa, ma in a.atoms:
         for sb, mb in b.atoms:
-            key = a._add_sites(sa, sb)
+            key = _add_sites(sa, sb)
             out[key] = out.get(key, F(0)) + ma * mb
     return type(a)(out.items())
 
@@ -318,9 +337,9 @@ def _laws(draw, max_laws=4):
 @settings(max_examples=150, deadline=None)
 @given(_laws(max_laws=3), st.integers(1, 3))
 def test_packed_branch_matches_pairwise_branch(laws, n):
-    parts = _parts(laws)
+    parts, _, _ = _kernel_form(laws, n)
     packed = _convolve_packed(parts, n)
-    pairwise = _convolve_pairwise(parts, n, laws[0]._add_sites)
+    pairwise = _convolve_pairwise(parts, n)
     assert packed == pairwise
     assert list(packed) == sorted(packed)  # unpacked in site order
     assert all(c > 0 for c in packed.values())
@@ -352,23 +371,23 @@ def test_q_max_convolve_matches_q_max_of_convolve(a, b):
 
 def test_large_dense_laws_take_the_packed_branch():
     mu = IntDist((s, F(s + 1, 5050)) for s in range(100))
-    assert dist._branch(_parts([mu, mu]), 1) != "pairwise"
-    assert dist._branch(_parts([uniform([0, 1, 3])]), 128) != "pairwise"
+    assert _pick([mu, mu], 1) != "pairwise"
+    assert _pick([uniform([0, 1, 3])], 128) != "pairwise"
     assert convolve(mu, mu) == _reference_convolve(mu, mu)
     square = LatticeDist(((x, y), F(1, 4)) for x in (0, 1) for y in (0, 1))
-    assert dist._branch(_parts([square]), 16) != "pairwise"
+    assert _pick([square], 16) != "pairwise"
     assert convolve_power(square, 16) == convolve_all([square] * 16)
 
 
 def test_small_laws_stay_pairwise():
     laws = [uniform(range(k)) for k in range(1, 11)]
-    assert all(dist._branch(_parts([a, b]), 1) == "pairwise" for a in laws for b in laws)
+    assert all(_pick([a, b], 1) == "pairwise" for a in laws for b in laws)
 
 
 def test_sparse_power_stays_pairwise():
     mu = IntDist([(0, F(1, 2)), (10**12, F(1, 2))])
-    assert dist._branch(_parts([mu]), 64) == "pairwise"
-    assert dist._branch(_parts([mu] * 64), 1) == "pairwise"
+    assert _pick([mu], 64) == "pairwise"
+    assert _pick([mu] * 64, 1) == "pairwise"
     expected = IntDist((k * 10**12, F(comb(64, k), 2**64)) for k in range(65))
     assert convolve_power(mu, 64) == expected
     assert convolve_all([mu] * 64) == expected
@@ -392,37 +411,40 @@ def test_kernel_keeps_measure_totals():
 @example(IntMeasure([(-3, F(7, 2)), (4, F(1, 3))]), 5)  # negative, gapped, total other than 1
 @example(IntDist([(-2, F(1))]), 9)  # single atom
 def test_recurrence_branch_matches_pairwise_branch(mu, n):
-    (p,) = _parts([mu])
+    (p,), _, _ = _kernel_form([mu], n)
     recurrence = dist._convolve_recurrence(p, n)
-    assert recurrence == _convolve_pairwise([p], n, mu._add_sites)
+    assert recurrence == _convolve_pairwise([p], n)
     assert list(recurrence) == sorted(recurrence)  # built in site order
     assert all(c > 0 for c in recurrence.values())
 
 
 def test_large_dense_powers_take_the_recurrence_branch():
-    assert dist._branch(_parts([uniform([0, 1, 3])]), 320) == "recurrence"
-    assert dist._branch(_parts([uniform([0, 1, 2])]), 128) == "recurrence"
+    assert _pick([uniform([0, 1, 3])], 320) == "recurrence"
+    assert _pick([uniform([0, 1, 2])], 128) == "recurrence"
     line5 = IntDist((s, F(w, 19)) for s, w in enumerate([3, 5, 4, 2, 5]))
-    assert dist._branch(_parts([line5]), 160) == "recurrence"
-    assert dist._branch(_parts([IntDist([(0, F(1, 2)), (10**12, F(1, 2))])]), 64) == "pairwise"
+    assert _pick([line5], 160) == "recurrence"
+    assert _pick([IntDist([(0, F(1, 2)), (10**12, F(1, 2))])], 64) == "pairwise"
     # a product of laws has no recurrence, however dense
     mu = IntDist((s, F(s + 1, 5050)) for s in range(100))
-    assert dist._branch(_parts([mu, mu]), 1) == "packed"
+    assert _pick([mu, mu], 1) == "packed"
     mu = IntMeasure([(0, 2), (1, F(1, 3)), (3, 5)])
     assert convolve_power(mu, 200) == convolve_all([mu] * 200)
 
 
 def test_lattice_branch_rule():
     square = LatticeDist(((x, y), F(1, 4)) for x in (0, 1) for y in (0, 1))
-    assert dist._branch(_parts([square]), 2) == "pairwise"
-    assert dist._branch(_parts([square]), 4) == "packed"
+    # dense lattice powers leave pairwise; on integer numbers a pairwise step
+    # of the square costs what one of integer laws does, so by the crossover
+    # table (tools/kernel_crossover.py) the 4th power stays and the 8th packs
+    assert _pick([square], 2) == _pick([square], 4) == "pairwise"
+    assert _pick([square], 8) == "packed"
     # the lower bound from the affine dimension: 32 copies of the cube have at
     # least C(35, 3) atoms, so the pairwise loop cannot be cheap
     cube = LatticeDist((s, F(1, 8)) for s in itertools.product((0, 1), repeat=3))
-    assert dist._branch(_parts([cube]), 32) != "pairwise"
+    assert _pick([cube], 32) != "pairwise"
     # a diagonal law is 1-dimensional: its power has few atoms in a large box
     diagonal = LatticeDist([((0, 0), F(1, 2)), ((1000, 1000), F(1, 2))])
-    assert dist._branch(_parts([diagonal]), 64) == "pairwise"
+    assert _pick([diagonal], 64) == "pairwise"
     assert convolve_power(diagonal, 64) == LatticeDist(
         ((1000 * k, 1000 * k), F(comb(64, k), 2**64)) for k in range(65)
     )
@@ -457,9 +479,7 @@ def test_recurrence_remainder_raises():
         dist._convolve_recurrence([(0, _BadPower(2)), (1, 3)], 5)
     with pytest.raises(RuntimeError, match="remainder"):
         dist._convolve_recurrence([(0, 2), (1, 3), (2, 5)], _BadStep(5))
-    assert dist._convolve_recurrence([(0, 2), (1, 3), (2, 5)], 5) == _convolve_pairwise(
-        [[(0, 2), (1, 3), (2, 5)]], 5, operator.add
-    )
+    assert dist._convolve_recurrence([(0, 2), (1, 3), (2, 5)], 5) == _convolve_pairwise([[(0, 2), (1, 3), (2, 5)]], 5)
 
 
 def test_kernel_crossover_script_runs():
@@ -484,11 +504,11 @@ def test_kernel_results_equal_validated_laws(packed, laws, n):
     """A law built from kernel numerators is the law the validating
     constructor builds from the same atoms, on either kernel branch: the same
     reduced integers, so the same ==, hash, denominator, atoms and JSON."""
-    def forced(parts, n):
+    def forced(parts, n, dim):
         """'pairwise', or else the cheaper Kronecker branch by the cost model."""
         if not packed:
             return "pairwise"
-        costs = dist._dense_costs(parts, [dist._box(p) for p in parts], n)
+        costs = dist._dense_costs(parts, n)
         return "recurrence" if costs[1] < costs[0] else "packed"
 
     with pytest.MonkeyPatch.context() as mp:
@@ -505,6 +525,69 @@ def test_kernel_results_equal_validated_laws(packed, laws, n):
         assert mu.sites == validated.sites and mu.numerators == validated.numerators
         assert mu.to_json_obj() == validated.to_json_obj()
         assert repr(mu) == repr(validated)
+
+
+# -- lattice laws enter the kernel numbered: dist._encode and dist._decode ----
+
+
+@st.composite
+def _far_lattice_laws(draw):
+    """1-3 lattice laws of one dimension 1..3, each in a box of unequal
+    extents translated far from the origin: every coordinate at least 10**6,
+    or every coordinate at most -10**6."""
+    dim = draw(st.integers(1, 3))
+    sign = draw(st.sampled_from((1, -1)))
+    laws = []
+    for _ in range(draw(st.integers(1, 3))):
+        ext = draw(st.permutations((0, 1, 2, 4)))[:dim]
+        corner = [10**6 + draw(st.integers(0, 50)) for _ in range(dim)]
+        local = st.tuples(*(st.integers(0, e) for e in ext))
+        points = draw(st.lists(local, min_size=1, max_size=5, unique=True))
+        weights = draw(st.lists(st.integers(1, 9), min_size=len(points), max_size=len(points)))
+        sites = [tuple(sign * (c + x) for c, x in zip(corner, pt)) for pt in points]
+        laws.append(LatticeDist((s, F(w, sum(weights))) for s, w in zip(sites, weights)))
+    return laws
+
+
+@pytest.mark.parametrize("branch", ["pairwise", "packed", "recurrence"])
+@settings(max_examples=40, deadline=None)
+@given(laws=_far_lattice_laws(), n=st.integers(2, 4))
+def test_numbered_lattice_laws_match_the_reference_on_every_branch(branch, laws, n):
+    """Every branch, forced, runs on the numbered sites and gives back the
+    Fraction reference's lattice law: the power of one law on all three, the
+    product of several laws on the two that take products."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(dist, "_branch", lambda parts, n, dim: branch)
+        built = [(convolve_power(laws[0], n), [laws[0]] * n)]
+        if branch != "recurrence" and len(laws) > 1:
+            built.append((convolve_all(laws), laws))
+    for mu, factors in built:
+        assert mu == functools.reduce(_reference_convolve, factors)
+
+
+def test_the_product_proper_sees_integer_sites_only(monkeypatch):
+    seen = []
+    real_product = dist._product
+
+    def spy(parts, n, total, dim):
+        seen.extend(s for p in parts for s, _ in p)
+        return real_product(parts, n, total, dim)
+
+    monkeypatch.setattr(dist, "_product", spy)
+    square = LatticeDist(((x, y), F(1, 4)) for x in (0, 1) for y in (0, 1))
+    cube = LatticeDist((s, F(1, 8)) for s in itertools.product((0, 1), repeat=3))
+    far = LatticeDist([((10**6, -(10**6)), F(1, 3)), ((10**6 + 2, -(10**6) + 1), F(2, 3))])
+    shifted = shift(far, (-3, 4))
+    results = [
+        (convolve(square, square), [square, square]),
+        (convolve_all([far, far, far]), [far, far, far]),
+        (convolve_power(cube, 5), [cube] * 5),
+        (convolve_power(square, 16), [square] * 16),
+        (shifted, [far, LatticeDist([((-3, 4), 1)])]),
+    ]
+    assert len(seen) > 0 and all(type(s) is int for s in seen)
+    for mu, factors in results:
+        assert mu == functools.reduce(_reference_convolve, factors)
 
 
 def test_integer_view():

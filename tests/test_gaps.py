@@ -237,6 +237,20 @@ def test_gap_contains_rejects_non_integer_vectors():
         gap_contains(plane, (1, 1.0))
 
 
+def test_zero_dimensional_vectors_are_rejected():
+    with pytest.raises(ValueError, match="dimension 0"):
+        SymGAP((1,), ((),))
+    with pytest.raises(ValueError, match="dimension 0"):
+        SymGAP((1, 2), ((), ()))
+    with pytest.raises(ValueError, match="dimension 0"):
+        SymGAP.from_json_obj({"dims": [1], "generators": [[]]})
+    for gap in (SymGAP((), ()), SymGAP((1,), ((1, 0),)), SymGAP((1,), (F(1),))):
+        with pytest.raises(ValueError, match="dimension 0"):
+            gap_contains(gap, ())
+        with pytest.raises(ValueError, match="dimension 0"):
+            gap_contains(gap, [])
+
+
 def test_integer_inputs_are_not_truncated():
     with pytest.raises(TypeError):
         gap_fit_rank1([0, 1.5])

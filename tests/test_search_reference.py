@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 from conclab import dist
 from conclab.dist import FiniteMeasure, IntDist, _q_max_pair, convolve, convolve_all, delta, negate, q_max, uniform
 from conclab.extremal import AlphaSeq, _extremal_law, _max_q_search, _walk, extremal_enumerate, nu, t_oracle, tse
+from conclab.gauss import LatticeDist
 from conclab.rearrange import IntMeasure
 from conclab.verify import ScanConfig, ScanRecord, conjecture_scan, quantized_extremal_measures
 
@@ -417,8 +418,8 @@ def test_walk_matches_per_leaf_q_max_pair_on_packed_leaves(monkeypatch):
     leaves; the walker and the reference go through the same _branch."""
     chosen = []
 
-    def spy(parts, n):
-        branch = real_branch(parts, n)
+    def spy(parts, n, dim):
+        branch = real_branch(parts, n, dim)
         chosen.append(branch)
         return branch
 
@@ -439,7 +440,7 @@ def test_walk_matches_per_leaf_q_max_pair_on_packed_leaves(monkeypatch):
 def test_walk_matches_per_leaf_q_max_pair_with_forced_branch(monkeypatch, branch):
     """Every product forced onto one branch.  The recurrence is the power of
     one law, never a product of two, so it has no leaf to take."""
-    monkeypatch.setattr(dist, "_branch", lambda parts, n: branch)
+    monkeypatch.setattr(dist, "_branch", lambda parts, n, dim: branch)
     for seed in WALK_SEEDS[::4]:
         root, levels, tied = random_walk_case(seed, atoms=5, spread=6)
         assert list(_walk(root, levels, tied)) == reference_walk(root, levels, tied)
@@ -447,8 +448,8 @@ def test_walk_matches_per_leaf_q_max_pair_with_forced_branch(monkeypatch, branch
 
 def test_walk_leaves_check_the_mass(monkeypatch):
     """A leaf still runs the exact sum check of the product proper."""
-    monkeypatch.setattr(dist, "_convolve_pairwise", lambda parts, n, add: {0: 1})
-    monkeypatch.setattr(dist, "_branch", lambda parts, n: "pairwise")
+    monkeypatch.setattr(dist, "_convolve_pairwise", lambda parts, n: {0: 1})
+    monkeypatch.setattr(dist, "_branch", lambda parts, n, dim: "pairwise")
     laws = [uniform([0, 1]), uniform([0, 2])]
     with pytest.raises(RuntimeError):
         list(_walk(uniform([0, 1]), [laws], [False]))
@@ -464,4 +465,13 @@ def test_walk_rejects_mixed_containers():
         (uniform([0, 1]), [[measure]]),
     ]:
         with pytest.raises(ValueError):
+            list(_walk(root, levels, [False] * len(levels)))
+
+
+def test_walk_rejects_lattice_laws():
+    """The walker hands its operands to the product proper unnumbered, so a
+    law with tuple sites is an error, not a concatenation of tuples."""
+    square = LatticeDist(((x, y), F(1, 4)) for x in (0, 1) for y in (0, 1))
+    for root, levels in [(None, [[square], [square]]), (square, [[square]]), (None, [[square]])]:
+        with pytest.raises(ValueError, match="integer sites"):
             list(_walk(root, levels, [False] * len(levels)))

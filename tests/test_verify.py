@@ -296,8 +296,7 @@ UNDEFINED_INTERVAL_OPERATIONS = {
 
 @pytest.mark.parametrize("op", UNDEFINED_INTERVAL_OPERATIONS.values(), ids=UNDEFINED_INTERVAL_OPERATIONS.keys())
 def test_interval_undefined_arithmetic_raises(op):
-    """Interval is a NamedTuple; arithmetic it does not define raises
-    TypeError instead of concatenating or repeating the tuple."""
+    """Arithmetic that Interval does not define raises TypeError."""
     with pytest.raises(TypeError):
         op(Interval(F(1), F(2)))
 

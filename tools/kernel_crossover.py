@@ -6,20 +6,21 @@ integer numerators, best of --repeat runs, and prints the microseconds per
 call next to the branch that ``dist._branch`` picks and its ratio to the
 fastest branch.  The cases are the table behind the constants of
 ``dist._branch``.  Every branch's result is checked against the pairwise one.
+Lattice cases enter as the kernel sees them: numbered by ``dist._encode``,
+and ``dist._branch`` gets the dimension that ``_encode`` reports.
 
     python3 tools/kernel_crossover.py                 # every case
     python3 tools/kernel_crossover.py 3x3 "sq^4"      # the named cases only
     python3 tools/kernel_crossover.py --repeat 1 --list
 
 Standard library only: lattice laws are built as (tuple site, numerator)
-pairs and added coordinate by coordinate, as ``gauss.LatticeDist`` does.
+pairs, the operand form of ``gauss.LatticeDist``.
 """
 
 from __future__ import annotations
 
 import argparse
 import itertools
-import operator
 import random
 import sys
 import time
@@ -28,10 +29,6 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from conclab import dist  # noqa: E402
-
-
-def _add_vectors(a: tuple, b: tuple) -> tuple:
-    return tuple(map(operator.add, a, b))
 
 
 def _law(sites, rng: random.Random, bits: int = 8) -> list:
@@ -93,10 +90,6 @@ def cases() -> list[tuple[str, list, int]]:
     return out
 
 
-def _result_slots(parts: list, n: int) -> int:
-    return dist._slots(dist._layout([dist._box(p) for p in parts], n)[1])
-
-
 def _best_us(fn, repeat: int) -> float:
     """Best time of one call in microseconds; a fast call is timed in loops
     of at least 2 ms."""
@@ -113,16 +106,15 @@ def _best_us(fn, repeat: int) -> float:
     return best * 1e6
 
 
-# the packed and recurrence branches are not timed on larger boxes, whose
+# the packed and recurrence branches are not timed on longer spans, whose
 # slots would not fit in memory
 MAX_SLOTS = 10**6
 
 
 def measure(parts: list, n: int, repeat: int) -> dict[str, float]:
-    """Microseconds per call of each branch that applies."""
-    add = _add_vectors if isinstance(parts[0][0][0], tuple) else operator.add
-    runs = {"pairwise": lambda: dist._convolve_pairwise(parts, n, add)}
-    if _result_slots(parts, n) <= MAX_SLOTS:
+    """Microseconds per call of each branch that applies, on integer sites."""
+    runs = {"pairwise": lambda: dist._convolve_pairwise(parts, n)}
+    if dist._span(parts, n) < MAX_SLOTS:
         runs["packed"] = lambda: dist._convolve_packed(parts, n)
         if len(parts) == 1 and n > 1:
             runs["recurrence"] = lambda: dist._convolve_recurrence(parts[0], n)
@@ -150,9 +142,10 @@ def main(argv=None) -> int:
     for name, parts, n in table:
         if args.names and name not in args.names:
             continue
+        parts, dim, _ = dist._encode(parts, n)
         us = measure(parts, n, args.repeat)
-        pick = dist._branch(parts, n)
-        slots = _result_slots(parts, n)
+        pick = dist._branch(parts, n, dim)
+        slots = dist._span(parts, n) + 1
         cols = " ".join(f"{us[b]:>10.1f}" if b in us else f"{'-':>10}" for b in ("pairwise", "packed", "recurrence"))
         atoms = sum(map(len, parts))
         print(f"{name:<22} {atoms:>6} {slots:>9.3g} {dist._slot_bytes(parts, n):>4} {cols}  {pick:<10} {us[pick] / min(us.values()):>5.2f}")
