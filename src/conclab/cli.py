@@ -55,14 +55,6 @@ USAGE_ERROR = 2
 CHECK_FAILED = 1
 
 
-def require(args, name: str):
-    """Fetch an option that the chosen action needs; exit 2 when absent."""
-    value = getattr(args, name.replace("-", "_"), None)
-    if value is None:
-        raise ValueError(f"--{name} is required for this action")
-    return value
-
-
 def finite_float(text: str) -> float:
     """A float flag; nan and +-inf are rejected, so argparse exits 2."""
     value = float(text)
@@ -84,10 +76,6 @@ def parse_window(text: str) -> tuple[int, int]:
     if match is None:
         raise ValueError(f"bad window {text!r}; expected a..b")
     return int(match[1]), int(match[2])
-
-
-def parse_alphas(text: str) -> AlphaSeq:
-    return AlphaSeq(text.split(","))
 
 
 def _load(path: str, parse):
@@ -143,7 +131,7 @@ def cmd_dist(args) -> int:
         result = convolve_all([load_dist(p) for p in args.inputs])
         emit(args, result.to_json_obj(), result.to_text())
     elif args.action == "stats":
-        mu = load_dist(args.inputs[0])
+        mu = load_dist(args.input)
         span = max_span(mu)
         emit(
             args,
@@ -159,7 +147,7 @@ def cmd_dist(args) -> int:
             },
         )
     elif args.action == "rearrange":
-        mu = load_dist(args.inputs[0])
+        mu = load_dist(args.input)
         if args.kind == "plus":
             result = plus_rearrange(mu)
         elif args.kind == "minus":
@@ -172,10 +160,10 @@ def cmd_dist(args) -> int:
             result = sym
         emit(args, result.to_json_obj(), result.to_text())
     elif args.action == "squeeze":
-        result = squeeze(load_dist(args.inputs[0]))
+        result = squeeze(load_dist(args.input))
         emit(args, result.to_json_obj(), result.to_text())
     elif args.action == "span":
-        span = max_span(load_dist(args.inputs[0]))
+        span = max_span(load_dist(args.input))
         emit(args, {"max_span": "INFINITE" if span.is_infinite else span.value})
     return 0
 
@@ -185,25 +173,25 @@ def cmd_dist(args) -> int:
 
 def cmd_extremal(args) -> int:
     if args.action == "nu":
-        result = nu(require(args, "alpha"))
+        result = nu(args.alpha)
         emit(args, result.to_json_obj(), result.to_text())
-    elif args.action == "tse":
-        emit(args, tse_report_json_obj(parse_alphas(require(args, "alphas"))))
+        return 0
+    alphas = AlphaSeq(args.alphas.split(","))
+    caps = [format_fraction(a) for a in alphas]
+    if args.action == "tse":
+        emit(args, tse_report_json_obj(alphas))
     elif args.action == "tsebal":
-        alphas = parse_alphas(require(args, "alphas"))
-        emit(args, {"alphas": [format_fraction(a) for a in alphas], "tsebal": format_fraction(tsebal(alphas))})
-    elif args.action == "oracle":
-        alphas = parse_alphas(require(args, "alphas"))
-        if args.windows:
-            windows = [parse_window(part) for part in args.windows.split(",")]
-            emit(args, {"alphas": [format_fraction(a) for a in alphas], "curve": t_oracle_curve(alphas, windows)})
-            return 0
-        window = parse_window(require(args, "window"))
+        emit(args, {"alphas": caps, "tsebal": format_fraction(tsebal(alphas))})
+    elif args.windows is not None:
+        windows = [parse_window(part) for part in args.windows.split(",")]
+        emit(args, {"alphas": caps, "curve": t_oracle_curve(alphas, windows)})
+    else:
+        window = parse_window(args.window)
         value, witness = t_oracle(alphas, window)
         emit(
             args,
             {
-                "alphas": [format_fraction(a) for a in alphas],
+                "alphas": caps,
                 "window": list(window),
                 "value": format_fraction(value),
                 "witness": [d.to_json_obj() for d in witness],
@@ -246,25 +234,18 @@ def _load_gap(path: str) -> SymGAP:
 
 def cmd_gap(args) -> int:
     if args.action == "sumset":
-        if len(args.inputs) != 2:
-            raise ValueError("sumset needs two progression files")
-        result = gap_sumset(_load_gap(args.inputs[0]), _load_gap(args.inputs[1]))
-        emit(args, result.to_json_obj())
+        emit(args, gap_sumset(*map(_load_gap, args.inputs)).to_json_obj())
     elif args.action == "proper":
-        if not args.inputs:
-            raise ValueError("proper needs a progression file")
-        gap = _load_gap(args.inputs[0])
+        gap = _load_gap(args.input)
         proper = gap_is_proper(gap, budget=args.budget)
         emit(args, {"proper": proper, "volume": gap.volume(), "distinct": len(gap.elements(args.budget))})
     elif args.action == "fit":
-        values = [int(v) for v in require(args, "values").split(",")]
+        values = [int(v) for v in args.values.split(",")]
         gap = gap_fit_rank1(values, args.eps)
         emit(args, None if gap is None else gap.to_json_obj())
     elif args.action == "cover":
-        if len(args.inputs) < 2:
-            raise ValueError("cover needs a progression file and distributions")
-        gap = _load_gap(args.inputs[0])
-        dists = [load_dist(p) for p in args.inputs[1:]]
+        gap = _load_gap(args.gap)
+        dists = [load_dist(p) for p in args.inputs]
         emit(args, {"cover": format_fraction(gap_cover(gap, dists, budget=args.budget))})
     return 0
 
@@ -277,12 +258,10 @@ def _int_vectors(obj) -> list:
 
 
 def cmd_lattice_basis(args) -> int:
-    if args.vectors_file:
+    if args.vectors_file is not None:
         vectors = _int_vectors(load_json(args.vectors_file))
     else:
-        vectors = [
-            [int(v) for v in part.split(",")] for part in require(args, "vectors").split(";")
-        ]
+        vectors = [[int(v) for v in part.split(",")] for part in args.vectors.split(";")]
     basis = gaps.integer_span_basis(vectors)
     emit(
         args,
@@ -309,8 +288,8 @@ def cmd_gauss(args) -> int:
     from . import gauss
 
     if args.action == "cells":
-        spec = _load_spec(require(args, "spec"))
-        box = [parse_window(part) for part in require(args, "box").split(",")]
+        spec = _load_spec(args.spec)
+        box = [parse_window(part) for part in args.box.split(",")]
         table = gauss.discretized_gaussian(spec, box, tol=args.tol, seed=args.seed or 0)
         emit(
             args,
@@ -321,12 +300,11 @@ def cmd_gauss(args) -> int:
             },
         )
     elif args.action == "tv":
-        if not args.inputs:
-            raise ValueError("tv needs a lattice distribution file")
-        s = load_lattice(args.inputs[0])
-        if args.pow:
-            ms = [int(m) for m in args.pow.split(",")]
-            rows = gauss.tv_convergence_curve(s, ms, tol=args.tol)
+        if args.format == "csv" and args.pow is None:
+            raise ValueError("--format csv needs --pow")
+        s = load_lattice(args.input)
+        if args.pow is not None:
+            rows = gauss.tv_convergence_curve(s, [int(m) for m in args.pow.split(",")], tol=args.tol)
             if args.format == "csv":
                 buf = io.StringIO()
                 writer = csv.DictWriter(buf, fieldnames=["m", "tv", "tv_err", "L", "chi", "s_tilde"])
@@ -348,8 +326,6 @@ def cmd_gauss(args) -> int:
                 },
             )
     elif args.action == "terms":
-        if not args.inputs:
-            raise ValueError("terms needs at least one lattice distribution file")
         ys = [load_lattice(p) for p in args.inputs]
         terms = gauss.llt_terms(ys)
         emit(
@@ -363,10 +339,9 @@ def cmd_gauss(args) -> int:
             },
         )
     elif args.action == "tail":
-        cov = load_json(require(args, "cov"))
-        t_value = require(args, "t")
+        cov = load_json(args.cov)
         if args.samples is not None:
-            report = gauss.gaussian_tail_check(cov, t_value, args.samples, seed=args.seed or 0)
+            report = gauss.gaussian_tail_check(cov, args.t, args.samples, seed=args.seed or 0)
             emit(
                 args,
                 {
@@ -379,7 +354,7 @@ def cmd_gauss(args) -> int:
                 },
             )
             return 0 if report.holds else CHECK_FAILED
-        emit(args, {"bound": gauss.gaussian_tail_bound(cov, t_value), "err_kind": "certified"})
+        emit(args, {"bound": gauss.gaussian_tail_bound(cov, args.t), "err_kind": "certified"})
     return 0
 
 
@@ -456,6 +431,11 @@ _OPTIONAL_FIELDS = {"signs"}
 def cmd_check(args) -> int:
     inst = load_json(args.instance)
     checker, fields = _LEMMAS[args.lemma]
+    if not isinstance(inst, dict):
+        raise ValueError("bad instance: an instance must be a JSON object")
+    unknown = sorted(inst.keys() - fields)
+    if unknown:
+        raise ValueError(f"bad instance: unknown field {unknown[0]!r}")
     try:
         values = [
             None if field in _OPTIONAL_FIELDS and field not in inst else _FIELD_PARSERS[field](inst[field])
@@ -484,9 +464,7 @@ def cmd_scan(args) -> int:
             f"window {lo}..{hi} with denominator {cfg.denominator} holds no law but point masses, "
             "which the scan excludes; nothing to scan"
         )
-    lines = []
-    violations = 0
-    count = 0
+    lines, violations, count = [], 0, 0
     for record in conjecture_scan(cfg, measures):
         count += 1
         if record.violation or not args.violations_only:
@@ -533,112 +511,131 @@ def cmd_report(args) -> int:
 # -- parser ---------------------------------------------------------------------------
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--out", help="also write the result to this path")
-    parser.add_argument("--format", choices=("json", "csv", "text"), default="json")
-    parser.add_argument("--seed", type=int, default=None)
+class _Parser(argparse.ArgumentParser):
+    """Rejects unknown arguments with its own usage, not the top-level one."""
+
+    def parse_known_args(self, args=None, namespace=None):
+        namespace, extra = super().parse_known_args(args, namespace)
+        if extra:
+            self.error("unrecognized arguments: " + " ".join(extra))
+        return namespace, extra
+
+
+def _leaf(sub, name: str, *formats: str, seed: bool = False, func=None, **kwargs) -> argparse.ArgumentParser:
+    """The parser of one command or action, with --out; --format only where it
+    renders more than JSON (formats besides json), --seed only where it samples."""
+    p = sub.add_parser(name, **kwargs)
+    if func is not None:
+        p.set_defaults(func=func)
+    p.add_argument("--out", help="also write the result to this path")
+    if formats:
+        p.add_argument("--format", choices=("json", *formats), default="json")
+    if seed:
+        p.add_argument("--seed", type=int, default=None)
+    return p
+
+
+def _actions(sub, name: str, help_text: str, func):
+    """A command whose first positional picks an action with a parser of its own."""
+    p = sub.add_parser(name, help=help_text)
+    p.set_defaults(func=func)
+    return p.add_subparsers(dest="action", required=True)
 
 
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The argparse tree, built once: parse_args makes a fresh Namespace on
     every call and every default in the tree is immutable, so one parser
-    serves every run in the process."""
+    serves every run in the process.  Each action declares what it reads."""
     # --help shows the module docstring's first two paragraphs (none under
     # -OO); the third is about the code, not its use
     description = __doc__ and "\n\n".join(__doc__.split("\n\n")[:2])
-    parser = argparse.ArgumentParser(prog="conclab", description=description)
+    parser = _Parser(prog="conclab", description=description)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("dist", help="distribution operations")
-    p.add_argument("action", choices=("conv", "stats", "rearrange", "squeeze", "span"))
-    p.add_argument("inputs", nargs="+")
+    act = _actions(sub, "dist", "distribution operations", cmd_dist)
+    _leaf(act, "conv", "text").add_argument("inputs", nargs="+")
+    _leaf(act, "stats").add_argument("input")
+    p = _leaf(act, "rearrange", "text")
+    p.add_argument("input")
     p.add_argument("--kind", choices=("plus", "minus", "sym"), default="plus")
-    _add_common(p)
-    p.set_defaults(func=cmd_dist)
+    _leaf(act, "squeeze", "text").add_argument("input")
+    _leaf(act, "span").add_argument("input")
 
-    p = sub.add_parser("extremal", help="extremal measures and optima")
-    p.add_argument("action", choices=("nu", "tse", "tsebal", "oracle"))
-    p.add_argument("--alpha")
-    p.add_argument("--alphas")
-    p.add_argument("--window")
-    p.add_argument("--windows", help="comma list of windows for the oracle curve")
-    _add_common(p)
-    p.set_defaults(func=cmd_extremal)
+    act = _actions(sub, "extremal", "extremal measures and optima", cmd_extremal)
+    _leaf(act, "nu", "text").add_argument("--alpha", required=True)
+    _leaf(act, "tse").add_argument("--alphas", required=True)
+    _leaf(act, "tsebal").add_argument("--alphas", required=True)
+    p = _leaf(act, "oracle")
+    p.add_argument("--alphas", required=True)
+    window = p.add_mutually_exclusive_group(required=True)
+    window.add_argument("--window")
+    window.add_argument("--windows", help="comma list of windows for the oracle curve")
 
-    p = sub.add_parser("dominate", help="profile domination check")
+    p = _leaf(sub, "dominate", help="profile domination check", func=cmd_dominate)
     p.add_argument("mu1")
     p.add_argument("mu2")
     p.add_argument("--eps", default="0")
-    _add_common(p)
-    p.set_defaults(func=cmd_dominate)
 
-    p = sub.add_parser("couple", help="build the dominating coupling")
+    p = _leaf(sub, "couple", help="build the dominating coupling", func=cmd_couple)
     p.add_argument("mu")
     p.add_argument("mu_prime")
     p.add_argument("--eps", default="0")
-    _add_common(p)
-    p.set_defaults(func=cmd_couple)
 
-    p = sub.add_parser("decompose", help="connected two-point decomposition")
+    p = _leaf(sub, "decompose", help="connected two-point decomposition", func=cmd_decompose)
     p.add_argument("mu")
-    _add_common(p)
-    p.set_defaults(func=cmd_decompose)
 
-    p = sub.add_parser("gap", help="symmetric progression algebra")
-    p.add_argument("action", choices=("sumset", "proper", "fit", "cover"))
-    p.add_argument("inputs", nargs="*")
-    p.add_argument("--values")
-    p.add_argument("--eps", default="0")
+    act = _actions(sub, "gap", "symmetric progression algebra", cmd_gap)
+    _leaf(act, "sumset").add_argument("inputs", nargs=2, metavar="gap")
+    p = _leaf(act, "proper")
+    p.add_argument("input")
     p.add_argument("--budget", type=int, default=gaps.DEFAULT_ENUM_BUDGET)
-    _add_common(p)
-    p.set_defaults(func=cmd_gap)
+    p = _leaf(act, "fit")
+    p.add_argument("--values", required=True)
+    p.add_argument("--eps", default="0")
+    p = _leaf(act, "cover")
+    p.add_argument("gap")
+    p.add_argument("inputs", nargs="+")
+    p.add_argument("--budget", type=int, default=gaps.DEFAULT_ENUM_BUDGET)
 
-    p = sub.add_parser("lattice-basis", help="integer span basis")
-    p.add_argument("--vectors", help="semicolon-separated vectors, e.g. 0,0;2,0;0,2")
-    p.add_argument("--vectors-file")
-    _add_common(p)
-    p.set_defaults(func=cmd_lattice_basis)
+    p = _leaf(sub, "lattice-basis", help="integer span basis", func=cmd_lattice_basis)
+    vectors = p.add_mutually_exclusive_group(required=True)
+    vectors.add_argument("--vectors", help="semicolon-separated vectors, e.g. 0,0;2,0;0,2")
+    vectors.add_argument("--vectors-file")
 
-    p = sub.add_parser("gauss", help="discretized Gaussian bridge")
-    p.add_argument("action", choices=("cells", "tv", "terms", "tail"))
-    p.add_argument("inputs", nargs="*")
-    p.add_argument("--spec")
-    p.add_argument("--box")
-    p.add_argument("--pow")
-    p.add_argument("--cov")
-    p.add_argument("--t", type=finite_float)
-    p.add_argument("--samples", type=positive_int)
+    act = _actions(sub, "gauss", "discretized Gaussian bridge", cmd_gauss)
+    p = _leaf(act, "cells", seed=True)
+    p.add_argument("--spec", required=True)
+    p.add_argument("--box", required=True)
     p.add_argument("--tol", type=finite_float, default=1e-6)
-    _add_common(p)
-    p.set_defaults(func=cmd_gauss)
+    p = _leaf(act, "tv", "csv")
+    p.add_argument("input")
+    p.add_argument("--pow")
+    p.add_argument("--tol", type=finite_float, default=1e-6)
+    _leaf(act, "terms").add_argument("inputs", nargs="+")
+    p = _leaf(act, "tail", seed=True)
+    p.add_argument("--cov", required=True)
+    p.add_argument("--t", type=finite_float, required=True)
+    p.add_argument("--samples", type=positive_int)
 
-    p = sub.add_parser("be-gap", help="exact CDF gap against the normal")
+    p = _leaf(sub, "be-gap", help="exact CDF gap against the normal", func=cmd_be_gap)
     p.add_argument("inputs", nargs="+")
     p.add_argument("--repeat", type=positive_int, default=1)
     p.add_argument("--c-be", type=finite_float, default=0.56)
-    _add_common(p)
-    p.set_defaults(func=cmd_be_gap)
 
-    p = sub.add_parser("check", help="run one lemma checker on an instance file")
+    p = _leaf(sub, "check", help="run one lemma checker on an instance file", func=cmd_check)
     p.add_argument("lemma", choices=sorted(_LEMMAS))
     p.add_argument("--instance", required=True)
-    _add_common(p)
-    p.set_defaults(func=cmd_check)
 
-    p = sub.add_parser("scan-conjecture", help="brute-force conjecture scan")
+    p = _leaf(sub, "scan-conjecture", seed=True, help="brute-force conjecture scan", func=cmd_scan)
     p.add_argument("--denominator", type=int, required=True)
     p.add_argument("--window", required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--budget", type=int, default=200_000)
     p.add_argument("--violations-only", action="store_true", help="emit only violating records")
-    _add_common(p)
-    p.set_defaults(func=cmd_scan)
 
-    p = sub.add_parser("report", help="summarize a JSON-lines report stream")
+    p = _leaf(sub, "report", help="summarize a JSON-lines report stream", func=cmd_report)
     p.add_argument("input")
-    _add_common(p)
-    p.set_defaults(func=cmd_report)
 
     return parser
 

@@ -37,8 +37,8 @@ from .dist import (
 class AlphaSeq:
     """A sequence of concentration caps in (0, 1], stored nonincreasing.
 
-    The constructor sorts the values and records the permutation from the
-    input order to the canonical order.
+    The constructor sorts the values, tied ones in input order, and records
+    the permutation from the input order to the canonical order.
     """
 
     __slots__ = ("_alphas", "_perm")
@@ -47,7 +47,7 @@ class AlphaSeq:
         raw = [_validate_alpha(as_fraction(a)) for a in alphas]
         if not raw:
             raise ValueError("empty alpha sequence")
-        order = sorted(range(len(raw)), key=lambda i: (-raw[i], i))
+        order = sorted(range(len(raw)), key=raw.__getitem__, reverse=True)
         object.__setattr__(self, "_alphas", tuple(raw[i] for i in order))
         object.__setattr__(self, "_perm", tuple(order))
 

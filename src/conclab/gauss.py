@@ -46,6 +46,8 @@ def norm_sf(z: float) -> float:
 
 
 def _int_vector(site: Sequence[int]) -> tuple[int, ...]:
+    if not hasattr(site, "__iter__"):
+        raise TypeError(f"a lattice site must be a list of integers, got {site!r}")
     return tuple(map(int_site, site))
 
 

@@ -23,6 +23,7 @@ from typing import Iterable, Iterator, Optional, Sequence
 from .dist import (
     IntDist,
     _affine_dim,
+    _convolve_numerators,
     as_fraction,
     convolve,
     convolve_all,
@@ -272,10 +273,10 @@ def conjecture_scan(cfg: ScanConfig, measures: Optional[list[IntDist]] = None) -
 
     Exhaustive over unordered tuples when their count fits the budget,
     otherwise a deterministic seeded sample of budget tuples (`scan_mode`
-    decides).  Both run the walker of tse and t_oracle, which shares prefix
-    sums: exhaustively over n copies of the measures, every level after the
-    first tied (nondecreasing index tuples, lexicographically); sampled, over
-    each draw as singleton levels.  Records stream in instance-index order.
+    decides).  Exhaustively, the walker of tse and t_oracle runs over n copies
+    of the measures, every level after the first tied (nondecreasing index
+    tuples, lexicographically, each prefix convolved once); sampled, each draw
+    is one kernel call.  Records stream in instance-index order.
     Any violation is a counterexample candidate and must fail the build loudly.
 
     ``measures`` is ``quantized_extremal_measures(cfg.denominator,
@@ -303,9 +304,8 @@ def conjecture_scan(cfg: ScanConfig, measures: Optional[list[IntDist]] = None) -
         rng = random.Random(cfg.seed)
         choices = range(len(measures))
         draws = (tuple(rng.choice(choices) for _ in range(n)) for _ in range(cfg.budget))
-        singletons, untied = [[mu] for mu in measures], [False] * n
-        walks = ((picks, _walk(None, [singletons[i] for i in picks], untied)) for picks in draws)
-        leaves = ((picks, num, den) for picks, walk in walks for _, num, den in walk)
+        sums = ((picks, _convolve_numerators([measures[i] for i in picks])) for picks in draws)
+        leaves = ((picks, max(out.values()), den) for picks, (out, den) in sums)
     for idx, (picks, num, den) in enumerate(leaves):
         key = tuple(sorted(class_of[i] for i in picks))
         cached = tse_cache.get(key)

@@ -5,7 +5,9 @@ import contextlib
 import io
 import json
 import math
+import shlex
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -450,6 +452,7 @@ def test_non_positive_count_flag_exits_2(tmp_path, capsys, argv, content):
     [
         (["gauss", "tv", "{f}", "--pow", "0"], LATTICE),
         (["gauss", "tv", "{f}", "--pow", "x"], LATTICE),
+        (["gauss", "tv", "{f}", "--pow", ""], LATTICE),
         (["gap", "fit", "--values", "1,x"], None),
         (["gap", "proper", "{f}"], "[1, 2]"),
         (["gap", "sumset", "{f}", "{f}"], "[1, 2]"),
@@ -470,6 +473,7 @@ def test_non_positive_count_flag_exits_2(tmp_path, capsys, argv, content):
     ids=[
         "tv_pow_zero",
         "tv_pow_not_an_int",
+        "tv_pow_empty",
         "gap_fit_values_not_ints",
         "gap_proper_list",
         "gap_sumset_list",
@@ -683,12 +687,13 @@ def test_build_parser_is_built_once():
     "argv",
     [
         ["dist", "stats", "{mu.json}"],
-        ["dist", "conv", "{u01.json}", "{u01.json}", "--seed", "3"],
+        ["dist", "conv", "{u01.json}", "{u01.json}"],
         ["extremal", "tse", "--alphas", "3/5,3/5"],
         ["dominate", "{mu.json}", "{mup.json}"],
         ["dist", "stats", "{malformed.json}"],
         ["dist", "stats"],
         ["nonsense"],
+        ["scan-conjecture", "--denominator", "4", "--window", "0..2", "--n", "3", "--budget", "5", "--seed", "3"],
     ],
 )
 def test_same_argv_twice_same_result(files, argv):
@@ -697,14 +702,15 @@ def test_same_argv_twice_same_result(files, argv):
 
 
 def test_parse_carries_nothing_over(files, tmp_path):
-    out = tmp_path / "conv.json"
-    first = ["dist", "conv", files["u01.json"], files["mu.json"], "--seed", "7", "--out", str(out)]
+    out = tmp_path / "scan.jsonl"
+    first = ["scan-conjecture", "--denominator", "4", "--window", "0..2", "--n", "2", "--seed", "7", "--out", str(out)]
     assert _capture(run, first)[0] == 0
     out.unlink()
 
     stats = ["dist", "stats", files["u01.json"]]
     args = build_parser().parse_args(stats)
-    assert (args.inputs, args.seed, args.out) == ([files["u01.json"]], None, None)
+    assert (args.input, args.out) == (files["u01.json"], None)
+    assert "seed" not in vars(args)
     code, stdout, _ = _capture(run, stats)
     assert code == 0
     assert "seed" not in json.loads(stdout)
@@ -738,6 +744,114 @@ def test_help_matches_a_fresh_parser(argv):
     assert cached[1].startswith("usage: conclab")
 
 
+# -- each action declares exactly the arguments it reads ------------------------------
+
+# (command, action) -> the flags its parser declares; every command has --out
+FLAGS = {
+    ("dist", "conv"): {"--format"},
+    ("dist", "stats"): set(),
+    ("dist", "rearrange"): {"--kind", "--format"},
+    ("dist", "squeeze"): {"--format"},
+    ("dist", "span"): set(),
+    ("extremal", "nu"): {"--alpha", "--format"},
+    ("extremal", "tse"): {"--alphas"},
+    ("extremal", "tsebal"): {"--alphas"},
+    ("extremal", "oracle"): {"--alphas", "--window", "--windows"},
+    ("dominate", None): {"--eps"},
+    ("couple", None): {"--eps"},
+    ("decompose", None): set(),
+    ("gap", "sumset"): set(),
+    ("gap", "proper"): {"--budget"},
+    ("gap", "fit"): {"--values", "--eps"},
+    ("gap", "cover"): {"--budget"},
+    ("lattice-basis", None): {"--vectors", "--vectors-file"},
+    ("gauss", "cells"): {"--spec", "--box", "--tol", "--seed"},
+    ("gauss", "tv"): {"--pow", "--tol", "--format"},
+    ("gauss", "terms"): set(),
+    ("gauss", "tail"): {"--cov", "--t", "--samples", "--seed"},
+    ("be-gap", None): {"--repeat", "--c-be"},
+    ("check", None): {"--instance"},
+    ("scan-conjecture", None): {"--denominator", "--window", "--n", "--budget", "--violations-only", "--seed"},
+    ("report", None): set(),
+}
+
+
+def _choices(parser: argparse.ArgumentParser) -> dict:
+    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return sub.choices
+
+
+def test_each_action_declares_exactly_the_flags_it_reads():
+    declared = {}
+    for command, parser in _choices(build_parser.__wrapped__()).items():
+        leaves = _choices(parser) if command in ("dist", "extremal", "gap", "gauss") else {None: parser}
+        for action, leaf in leaves.items():
+            declared[command, action] = {
+                flag for a in leaf._actions for flag in a.option_strings if flag.startswith("--") and flag != "--help"
+            }
+    assert declared == {key: flags | {"--out"} for key, flags in FLAGS.items()}
+    assert sum(map(len, declared.values())) == 64
+
+
+# id -> an argv with an argument its action does not read, or without one it needs;
+# {u} is a law, {g} a progression
+UNREAD_ARGUMENTS = {
+    "stats_second_file": ["dist", "stats", "{u}", "{u}"],
+    "conv_seed": ["dist", "conv", "{u}", "{u}", "--seed", "3"],
+    "stats_format_csv": ["dist", "stats", "{u}", "--format", "csv"],
+    "stats_no_file": ["dist", "stats"],
+    "oracle_window_and_windows": ["extremal", "oracle", "--alphas", "1/2,1/2", "--window", "0..1", "--windows", "0..2"],
+    "oracle_no_window": ["extremal", "oracle", "--alphas", "1/2,1/2"],
+    "nu_alphas": ["extremal", "nu", "--alpha", "2/5", "--alphas", "1/3"],
+    "tse_no_alphas": ["extremal", "tse"],
+    "vectors_and_vectors_file": ["lattice-basis", "--vectors", "0,0;3,0", "--vectors-file", "{u}"],
+    "no_vectors": ["lattice-basis"],
+    "scan_format_text": ["scan-conjecture", "--denominator", "4", "--window", "0..2", "--n", "2", "--format", "text"],
+    "gap_fit_budget": ["gap", "fit", "--values", "0,2", "--budget", "5"],
+    "gap_sumset_one_file": ["gap", "sumset", "{g}"],
+    "gap_sumset_three_files": ["gap", "sumset", "{g}", "{g}", "{g}"],
+    "gap_proper_no_file": ["gap", "proper"],
+    "gap_cover_no_law": ["gap", "cover", "{g}"],
+    "terms_tol": ["gauss", "terms", "{u}", "--tol", "1e-3"],
+    "terms_no_file": ["gauss", "terms"],
+    "tv_no_file": ["gauss", "tv"],
+    "tv_seed": ["gauss", "tv", "{u}", "--seed", "1"],
+    "check_format": ["check", "thm_tse", "--instance", "{u}", "--format", "text"],
+    "report_seed": ["report", "{u}", "--seed", "1"],
+}
+
+
+@pytest.mark.parametrize("argv", UNREAD_ARGUMENTS.values(), ids=UNREAD_ARGUMENTS.keys())
+def test_unread_or_missing_argument_prints_the_usage(files, argv):
+    """argparse is the one place that checks the command line: an argument
+    the action does not read, or one it needs and lacks, is a usage error of
+    that action, before any file is read."""
+    argv = [files["u01.json"] if a == "{u}" else files["g2.json"] if a == "{g}" else a for a in argv]
+    code, stdout, stderr = _capture(run, argv)
+    assert (code, stdout) == (2, "")
+    command = " ".join(argv[:2] if argv[0] in ("dist", "extremal", "gap", "gauss") else argv[:1])
+    assert stderr.startswith(f"usage: conclab {command} ")
+    assert f"conclab {command}: error: " in stderr
+
+
+def test_tv_csv_needs_pow(files, capsys):
+    """The one cross-flag rule argparse cannot express."""
+    assert run(["gauss", "tv", files["base.json"], "--format", "csv"]) == 2
+    assert capsys.readouterr() == ("", "error: --format csv needs --pow\n")
+
+
+def _readme_cli_lines() -> list[str]:
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## CLI", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    return [line for line in block.splitlines() if line.startswith("conclab ")]
+
+
+@pytest.mark.parametrize("line", _readme_cli_lines())
+def test_readme_cli_examples_parse(line):
+    argv = shlex.split(line, comments=True)[1:]
+    assert build_parser().parse_args(argv).command == argv[0]
+
+
 # -- input contracts: each of these exits 2 with "error: ..." on stderr --------
 
 
@@ -748,8 +862,9 @@ def test_help_matches_a_fresh_parser(argv):
         (["gauss", "terms"], '{"atoms": [[[0, true], "1/2"], [[0, 0], "1/2"]]}', "boolean sites"),
         (["gauss", "terms"], '{"atoms": [[[], "1"]]}', "dimension 0"),
         (["gauss", "tv"], '{"atoms": [[[], "1"]]}', "dimension 0"),
+        (["gauss", "tv"], '{"atoms": [[0, "1/2"], [1, "1/2"]]}', "a lattice site must be a list of integers, got 0"),
     ],
-    ids=["bool_site", "bool_lattice_coordinate", "empty_site_terms", "empty_site_tv"],
+    ids=["bool_site", "bool_lattice_coordinate", "empty_site_terms", "empty_site_tv", "integer_site_tv"],
 )
 def test_bad_site_exits_2(tmp_path, capsys, argv, content, message):
     path = tmp_path / "law.json"

@@ -122,6 +122,27 @@ def test_check_integer_fields_must_be_json_integers(lemma, changes, tmp_path, ca
     assert capsys.readouterr().err.startswith("error: bad instance")
 
 
+@pytest.mark.parametrize(
+    "lemma, instance, message",
+    [
+        (
+            "few_dropped",
+            {"alphas": ["1/2", "1/2", "2/5", "2/5"], "k": 0, "K": 3, "delta": "1/2", "sing": [-1, 1, -1, 1]},
+            "unknown field 'sing'",
+        ),
+        ("thm_tse", {**INSTANCES["thm_tse"][0], "windows": [0, 2]}, "unknown field 'windows'"),
+        ("thm_tse", [1, 2], "an instance must be a JSON object"),
+    ],
+    ids=["misspelled_optional_field", "extra_field", "array"],
+)
+def test_check_rejects_what_it_does_not_read(lemma, instance, message, tmp_path, capsys):
+    """A misspelled optional field would otherwise run the check without it."""
+    path = tmp_path / "inst.json"
+    path.write_text(json.dumps(instance))
+    assert run(["check", lemma, "--instance", str(path)]) == 2
+    assert capsys.readouterr() == ("", f"error: bad instance: {message}\n")
+
+
 def test_readme_instance_table_matches_the_parsers():
     from conclab.cli import _FIELD_PARSERS, _LEMMAS, _OPTIONAL_FIELDS
 

@@ -96,6 +96,12 @@ def test_alpha_seq_sorts_and_records_permutation():
         AlphaSeq([])
 
 
+def test_alpha_seq_keeps_input_order_among_tied_caps():
+    seq = AlphaSeq([F(1, 3), F(1, 2), F(1, 4), F(1, 3), F(1, 2), F(1, 3)])
+    assert seq.alphas == (F(1, 2), F(1, 2), F(1, 3), F(1, 3), F(1, 3), F(1, 4))
+    assert seq.permutation == (1, 4, 0, 3, 5, 2)
+
+
 @pytest.mark.parametrize("alpha", [F(0), F(-1, 2), F(-1), F(3, 2), F(5, 4), 2, -1])
 def test_alpha_outside_unit_interval_rejected(alpha):
     with pytest.raises(ValueError):
