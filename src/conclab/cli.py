@@ -15,6 +15,7 @@ d <= 2 cells and TV, the tail bound), "3-sigma" for Monte Carlo half-widths
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import dataclasses
 import functools
@@ -24,7 +25,7 @@ import math
 import re
 import sys
 from pathlib import Path
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Iterable
 
 from . import gaps, verify
 from .dist import (
@@ -113,14 +114,18 @@ def emit(args, payload, text: str | None = None) -> None:
         rendered = text
     else:
         rendered = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    _write(args, rendered)
+    _write(args, [rendered])
 
 
-def _write(args, rendered: str) -> None:
-    """Write rendered output to stdout and to --out when given."""
-    sys.stdout.write(rendered)
-    if args.out:
-        Path(args.out).write_text(rendered)
+def _write(args, chunks: Iterable[str]) -> None:
+    """Write each chunk to stdout and to --out when given.  The file is
+    opened before the first chunk is drawn, so an unwritable path fails
+    before anything is written, and each chunk is written as it comes."""
+    with open(args.out, "w") if args.out else contextlib.nullcontext() as out:
+        for chunk in chunks:
+            sys.stdout.write(chunk)
+            if out is not None:
+                out.write(chunk)
 
 
 # -- dist ------------------------------------------------------------------
@@ -237,8 +242,7 @@ def cmd_gap(args) -> int:
         emit(args, gap_sumset(*map(_load_gap, args.inputs)).to_json_obj())
     elif args.action == "proper":
         gap = _load_gap(args.input)
-        proper = gap_is_proper(gap, budget=args.budget)
-        emit(args, {"proper": proper, "volume": gap.volume(), "distinct": len(gap.elements(args.budget))})
+        emit(args, {"proper": gap_is_proper(gap), "volume": gap.volume(), "distinct": len(gap.elements())})
     elif args.action == "fit":
         values = [int(v) for v in args.values.split(",")]
         gap = gap_fit_rank1(values, args.eps)
@@ -246,7 +250,7 @@ def cmd_gap(args) -> int:
     elif args.action == "cover":
         gap = _load_gap(args.gap)
         dists = [load_dist(p) for p in args.inputs]
-        emit(args, {"cover": format_fraction(gap_cover(gap, dists, budget=args.budget))})
+        emit(args, {"cover": format_fraction(gap_cover(gap, dists))})
     return 0
 
 
@@ -310,7 +314,7 @@ def cmd_gauss(args) -> int:
                 writer = csv.DictWriter(buf, fieldnames=["m", "tv", "tv_err", "L", "chi", "s_tilde"])
                 writer.writeheader()
                 writer.writerows(rows)
-                _write(args, buf.getvalue())
+                _write(args, [buf.getvalue()])
             else:
                 emit(args, {"curve": rows})
         else:
@@ -458,28 +462,28 @@ def cmd_scan(args) -> int:
         budget=args.budget,
     )
     measures = quantized_extremal_measures(cfg.denominator, cfg.window)
-    if not measures:
-        lo, hi = cfg.window
-        raise ValueError(
-            f"window {lo}..{hi} with denominator {cfg.denominator} holds no law but point masses, "
-            "which the scan excludes; nothing to scan"
-        )
-    lines, violations, count = [], 0, 0
-    for record in conjecture_scan(cfg, measures):
-        count += 1
-        if record.violation or not args.violations_only:
-            line = record.to_json_line()
-            lines.append(line)
-        if record.violation:
-            violations += 1
-            sys.stderr.write(f"VIOLATION: {line}\n")
-    summary = {
-        "config": dataclasses.asdict(cfg),
-        "mode": scan_mode(cfg, measures),
-        "instances": count,
-        "violations": violations,
-    }
-    _write(args, "\n".join(lines) + ("\n" if lines else "") + json.dumps(summary, sort_keys=True) + "\n")
+    violations = 0
+
+    def lines():
+        nonlocal violations
+        count = 0
+        for record in conjecture_scan(cfg, measures):
+            count += 1
+            if record.violation or not args.violations_only:
+                line = record.to_json_line()
+                yield line + "\n"
+            if record.violation:
+                violations += 1
+                sys.stderr.write(f"VIOLATION: {line}\n")
+        summary = {
+            "config": dataclasses.asdict(cfg),
+            "mode": scan_mode(cfg, measures),
+            "instances": count,
+            "violations": violations,
+        }
+        yield json.dumps(summary, sort_keys=True) + "\n"
+
+    _write(args, lines())
     return CHECK_FAILED if violations else 0
 
 
@@ -587,16 +591,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     act = _actions(sub, "gap", "symmetric progression algebra", cmd_gap)
     _leaf(act, "sumset").add_argument("inputs", nargs=2, metavar="gap")
-    p = _leaf(act, "proper")
-    p.add_argument("input")
-    p.add_argument("--budget", type=int, default=gaps.DEFAULT_ENUM_BUDGET)
+    _leaf(act, "proper").add_argument("input")
     p = _leaf(act, "fit")
     p.add_argument("--values", required=True)
     p.add_argument("--eps", default="0")
     p = _leaf(act, "cover")
     p.add_argument("gap")
     p.add_argument("inputs", nargs="+")
-    p.add_argument("--budget", type=int, default=gaps.DEFAULT_ENUM_BUDGET)
 
     p = _leaf(sub, "lattice-basis", help="integer span basis", func=cmd_lattice_basis)
     vectors = p.add_mutually_exclusive_group(required=True)

@@ -29,7 +29,6 @@ from .dist import (
     convolve_all,
     format_fraction,
     negate,
-    q_max,
     shift,
 )
 
@@ -246,29 +245,33 @@ def tsebal(alphas: AlphaSeq) -> Fraction:
     return value
 
 
-def _walk(root: IntDist | None, levels: Sequence[Sequence[IntDist]], tied: Sequence[bool]) -> Iterator[tuple]:
-    """(path, num, den) for each sum of root and one option law per level:
-    the option indices and the sum's q_max as an unreduced pair.  Paths come
-    depth first in itertools.product order, skipping those whose index
-    decreases into a level tied to its predecessor; each prefix is convolved
-    once, for everything below it.  A None root is the point mass at 0.
+def _walk(levels: Sequence[Sequence[IntDist]]) -> Iterator[tuple]:
+    """(path, num, den) for each sum of one option law per level: the option
+    indices and the sum's q_max as an unreduced pair.  A level whose option
+    list equals the previous level's is tied to it: its summands commute
+    with the previous ones, so its index starts at the previous level's.
+    Paths come depth first in itertools.product order, skipping those whose
+    index decreases into a tied level; each prefix is convolved once, for
+    everything below it.  A fixed summand is a level with one option.
 
     A leaf is the kernel's product proper (``dist._product``) of the last
     prefix and a last-level option, so it costs what ``_q_max_pair`` of the
-    two costs without the setup: the container check runs once per walk,
-    each last-level option's operand is extracted once per walk and each
-    prefix's once per prefix.  The operands go to ``_product`` as they are,
-    so the laws must have integer sites: lattice laws raise ValueError."""
+    two costs without the setup: the ties and the container are checked
+    once per walk, each last-level option's operand is extracted once per
+    walk and each prefix's once per prefix.  The operands go to ``_product``
+    as they are, so the laws must have integer sites: lattice laws raise
+    ValueError."""
     if not all(levels):
         return  # a level without options: no sums
     last = len(levels) - 1
     laws = [law for options in levels for law in options]
-    _same_container(laws if root is None else [root, *laws])
+    _same_container(laws)
     if isinstance(laws[0].sites[0], tuple):
         raise ValueError(f"the walker takes laws with integer sites, not {type(laws[0]).__name__}")
+    tied = [k > 0 and list(levels[k]) == list(levels[k - 1]) for k in range(len(levels))]
     leaves = [_operand(law) for law in levels[last]]
-    # the stack: path[i] is the option at level i, sums[i] root plus the laws chosen above level i
-    path, sums = [0] * len(levels), [root] * len(levels)
+    # the stack: path[i] is the option at level i, sums[i] the sum of the laws chosen above level i
+    path, sums = [0] * len(levels), [None] * len(levels)
     level = 0
     while level >= 0:
         options, j, prefix = levels[level], path[level], sums[level]
@@ -292,14 +295,12 @@ def _walk(root: IntDist | None, levels: Sequence[Sequence[IntDist]], tied: Seque
             path[level] += 1
 
 
-def _max_q_search(
-    root: IntDist | None, levels: Sequence[Sequence[IntDist]], tied: Sequence[bool]
-) -> tuple[Fraction, tuple[int, ...]]:
+def _max_q_search(levels: Sequence[Sequence[IntDist]]) -> tuple[Fraction, tuple[int, ...]]:
     """Largest q_max among the sums `_walk` visits, with its path.  Only a
     strictly larger n/d replaces the best pair (n * best_den > best_num * d),
     so the first maximiser in visiting order wins.  Needs at least one level."""
     best_num, best_den, best_path = -1, 1, ()
-    for path, num, den in _walk(root, levels, tied):
+    for path, num, den in _walk(levels):
         if num * best_den > best_num * den:
             best_num, best_den, best_path = num, den, path
     return Fraction(best_num, best_den), best_path
@@ -321,44 +322,31 @@ def tse(alphas: AlphaSeq) -> tuple[Fraction, SESelection]:
     Indices whose cap has an integer inverse are pruned from the sign search
     (the reflection of a uniform distribution is one of its translates, and
     translating any summand does not change the concentration of the sum);
-    their sum is convolved once as the root of the search.  Summands with
-    equal caps commute, so in a run of c equal free caps only the number of
-    minus signs matters: each free cap chooses between its reflected and its
-    plain nu, tied to the previous cap when the caps are equal, so the search
-    visits prod(c + 1) sign patterns over the runs, not 2**free, and each
-    costs about one convolution (prefix sums are shared).  Ties resolve to
-    the lexicographically smallest sign vector.  That vector has its minus
-    signs first within each run, and the tied search visits exactly these
+    their sum is convolved once and enters the search as a one-option first
+    level.  Summands with equal caps commute, so in a run of c equal free
+    caps only the number of minus signs matters: each free cap chooses
+    between its reflected and its plain nu, and equal caps have equal option
+    lists, which the walker ties.  So the search visits prod(c + 1) sign
+    patterns over the runs, not 2**free, and each costs about one
+    convolution (prefix sums are shared).  Ties resolve to the
+    lexicographically smallest sign vector.  That vector has its minus signs
+    first within each run, and the tied search visits exactly these
     representatives in lexicographic order.  Shifts are reported as 0 since
     the value is translation invariant.
     """
     caps = alphas.alphas
     # a cap in (0, 1] in lowest terms has an integer inverse iff its numerator is 1
-    root: IntDist | None = None
-    for a in caps:
-        if a.numerator == 1:
-            law = _signed_nu(a)[1]
-            root = law if root is None else convolve(root, law)
+    uniforms = [_signed_nu(a)[1] for a in caps if a.numerator == 1]
     free = [i for i, a in enumerate(caps) if a.numerator != 1]
+    levels = ([[convolve_all(uniforms)]] if uniforms else []) + [_signed_nu(caps[i]) for i in free]
+    best, path = _max_q_search(levels)
     signs = [1] * len(caps)
-    if not free:
-        return q_max(root), SESelection(tuple(signs), (0,) * len(caps))
-    levels = [_signed_nu(caps[i]) for i in free]
-    tied = [k > 0 and caps[i] == caps[free[k - 1]] for k, i in enumerate(free)]
-    best, path = _max_q_search(root, levels, tied)
-    for i, j in zip(free, path):
+    for i, j in zip(free, path[len(levels) - len(free) :]):
         signs[i] = -1 if j == 0 else 1
     return best, SESelection(tuple(signs), (0,) * len(caps))
 
 
 # -- windowed oracle -----------------------------------------------------------
-
-
-def _window_sites(window: tuple[int, int]) -> list[int]:
-    lo, hi = window
-    if hi < lo:
-        raise ValueError("empty window")
-    return list(range(lo, hi + 1))
 
 
 def extremal_enumerate(alpha, window: tuple[int, int]) -> list[IntDist]:
@@ -368,7 +356,10 @@ def extremal_enumerate(alpha, window: tuple[int, int]) -> list[IntDist]:
     residual atom is present.
     """
     alpha = _validate_alpha(as_fraction(alpha))
-    sites = _window_sites(window)
+    lo, hi = window
+    if hi < lo:
+        raise ValueError("empty window")
+    sites = range(lo, hi + 1)
     needed = ceil(1 / alpha)  # atoms
     if len(sites) < needed:
         raise ValueError(f"window holds {len(sites)} sites; {needed} needed for alpha={alpha}")
@@ -381,18 +372,16 @@ def t_oracle(alphas: AlphaSeq, window: tuple[int, int]) -> tuple[Fraction, list[
 
     Tuples are walked in itertools.product order of the extremal choices, and
     the witness is the first maximiser in that order.  Summands with equal
-    caps commute and share their choice list, so within a run of equal caps
-    only tuples with nondecreasing choice indices are visited: the first
-    maximiser is one of them.  Prefix sums are shared, so each visited tuple
-    costs about one convolution.
+    caps commute and have equal choice lists, which the walker ties: within
+    a run of equal caps only tuples with nondecreasing choice indices are
+    visited, and the first maximiser is one of them.  Prefix sums are
+    shared, so each visited tuple costs about one convolution.
 
     Exact only relative to the window class; callers report the window along
     with the value.
     """
-    caps = alphas.alphas
-    choices = [extremal_enumerate(a, window) for a in caps]
-    tied = [i > 0 and caps[i] == caps[i - 1] for i in range(len(caps))]
-    best, path = _max_q_search(None, choices, tied)
+    choices = [extremal_enumerate(a, window) for a in alphas]
+    best, path = _max_q_search(choices)
     return best, [options[j] for options, j in zip(choices, path)]
 
 
@@ -403,11 +392,7 @@ def t_oracle_curve(alphas: AlphaSeq, windows: Sequence[tuple[int, int]]) -> list
     instead of claiming convergence the oracle reports how the value moves as
     the window grows; each row carries its window.
     """
-    rows = []
-    for window in windows:
-        value, _ = t_oracle(alphas, window)
-        rows.append({"window": list(window), "value": format_fraction(value)})
-    return rows
+    return [{"window": list(w), "value": format_fraction(t_oracle(alphas, w)[0])} for w in windows]
 
 
 def tse_report_json_obj(alphas: AlphaSeq) -> dict:

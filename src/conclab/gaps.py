@@ -3,12 +3,14 @@ integer lattice bases, and exact Rademacher-sum concentration.
 
 GAP membership and properness are decided by bounded enumeration over the
 coefficient box rather than by lattice algebra: the use cases only involve
-small constant-volume GAPs, and an explicit budget keeps every operation
-total.  Budget overflow raises; it is never silently approximated.
+small constant-volume GAPs, and a fixed budget of ENUM_BUDGET elements keeps
+every operation total.  Budget overflow raises; it is never silently
+approximated.
 """
 
 from __future__ import annotations
 
+import bisect
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
@@ -17,7 +19,7 @@ from typing import Optional, Sequence
 
 from .dist import IntDist, as_fraction, convolve_all, format_fraction, int_site, q_max
 
-DEFAULT_ENUM_BUDGET = 10**6
+ENUM_BUDGET = 10**6
 
 
 @dataclass(frozen=True)
@@ -70,11 +72,11 @@ class SymGAP:
             v *= 2 * m + 1
         return v
 
-    def elements(self, budget: int = DEFAULT_ENUM_BUDGET) -> set:
+    def elements(self) -> set:
         """The underlying set, by exhaustive enumeration of the coefficient
         box."""
-        if self.volume() > budget:
-            raise ValueError(f"volume {self.volume()} exceeds enumeration budget {budget}")
+        if self.volume() > ENUM_BUDGET:
+            raise ValueError(f"volume {self.volume()} exceeds enumeration budget {ENUM_BUDGET}")
         if self.rank == 0:  # no generators, so no kind: the scalar zero
             return {Fraction(0)}
         out = set()
@@ -123,9 +125,9 @@ def gap_volume(a: SymGAP) -> int:
     return a.volume()
 
 
-def gap_is_proper(a: SymGAP, budget: int = DEFAULT_ENUM_BUDGET) -> bool:
+def gap_is_proper(a: SymGAP) -> bool:
     """All coefficient combinations give distinct elements."""
-    return len(a.elements(budget)) == a.volume()
+    return len(a.elements()) == a.volume()
 
 
 def _require_kind(a: SymGAP, kind) -> None:
@@ -136,7 +138,7 @@ def _require_kind(a: SymGAP, kind) -> None:
         raise ValueError(f"a {name[a.kind]} progression cannot hold {name[kind]} elements")
 
 
-def gap_contains(a: SymGAP, x, budget: int = DEFAULT_ENUM_BUDGET) -> bool:
+def gap_contains(a: SymGAP, x) -> bool:
     if isinstance(x, (list, tuple)):
         x = tuple(map(int_site, x))
         if not x:
@@ -146,16 +148,16 @@ def gap_contains(a: SymGAP, x, budget: int = DEFAULT_ENUM_BUDGET) -> bool:
     _require_kind(a, SymGAP._kind_of(x))
     if a.rank == 0:  # {0}, with the zero of the queried element's kind
         return not any(x) if isinstance(x, tuple) else x == 0
-    return x in a.elements(budget)
+    return x in a.elements()
 
 
-def gap_cover(a: SymGAP, dists: Sequence[IntDist], budget: int = DEFAULT_ENUM_BUDGET) -> Fraction:
+def gap_cover(a: SymGAP, dists: Sequence[IntDist]) -> Fraction:
     """Fraction of distributions whose whole support lies inside the GAP,
     which must have scalar generators (or none)."""
     if not dists:
         raise ValueError("empty distribution list")
     _require_kind(a, ("scalar",))
-    elems = a.elements(budget)
+    elems = a.elements()
     covered = sum(1 for d in dists if all(s in elems for s in d.sites))
     return Fraction(covered, len(dists))
 
@@ -261,7 +263,10 @@ def connected_decomposition(mu: IntDist) -> Decomposition:
     i + N/2; equal pairs are collected, and when the resulting graph is
     disconnected one 1/N unit of weight per component is rerouted along a
     cycle through all components (smallest vertex orders the components, the
-    lexicographically smallest edge represents each).
+    lexicographically smallest edge represents each).  The units are never
+    listed one by one: the runs of units of each site in the first half are
+    merged with those of the second half, so the work is linear in the atom
+    count, not in the denominator.
     """
     if len(mu) < 2:
         raise ValueError("need at least two atoms")
@@ -270,35 +275,31 @@ def connected_decomposition(mu: IntDist) -> Decomposition:
     n = mu.denominator()
     scale = 2 if n % 2 == 1 else 1
     n *= scale
-    unit_sites: list[int] = []
-    for site, count in zip(mu.sites, mu.numerators):
-        unit_sites.extend([site] * (count * scale))
     half = n // 2
+    sites = mu.sites
+    ends = list(itertools.accumulate(count * scale for count in mu.numerators))  # of each site's run
     pair_counts: dict[tuple[int, int], int] = {}
-    for i in range(half):
-        a, b = unit_sites[i], unit_sites[i + half]
+    # unit i lies in the run of site a, and unit i + half in that of site b
+    i, a, b = 0, 0, bisect.bisect_right(ends, half)
+    while i < half:
         if a == b:
             raise RuntimeError("largest atom at most 1/2 forbids equal pairs")
-        key = (a, b) if a < b else (b, a)
-        pair_counts[key] = pair_counts.get(key, 0) + 1
+        step = min(ends[a], ends[b] - half) - i
+        key = (sites[a], sites[b]) if sites[a] < sites[b] else (sites[b], sites[a])
+        pair_counts[key] = pair_counts.get(key, 0) + step
+        i += step
+        a += ends[a] == i
+        b += ends[b] == i + half
 
-    weights: dict[tuple[int, int], Fraction] = {
-        pair: Fraction(2 * count, n) for pair, count in pair_counts.items()
-    }
-    support = set(mu.sites)
-    comps = _components(support, list(weights))
+    weights = {pair: Fraction(2 * count, n) for pair, count in pair_counts.items()}
+    comps = _components(set(sites), list(weights))
     if len(comps) > 1:
         reps = [min(pair for pair in weights if pair[0] in comp) for comp in comps]
-        t = len(reps)
-        for l in range(t):
-            weights[reps[l]] -= Fraction(1, n)
-            y = reps[l][0]
-            z = reps[(l + 1) % t][1]
-            key = (y, z) if y < z else (z, y)
+        for rep, following in zip(reps, reps[1:] + reps[:1]):
+            weights[rep] -= Fraction(1, n)
+            key = tuple(sorted((rep[0], following[1])))
             weights[key] = weights.get(key, Fraction(0)) + Fraction(1, n)
-
-    parts = tuple(sorted((w, pair) for pair, w in weights.items() if w > 0))
-    return Decomposition(tuple((w, pair) for w, pair in parts))
+    return Decomposition(tuple(sorted((w, pair) for pair, w in weights.items() if w > 0)))
 
 
 # -- integer span bases -------------------------------------------------------

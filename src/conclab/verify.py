@@ -201,8 +201,16 @@ class ScanConfig:
             raise ValueError("denominator must be >= 2")
         if self.n < 1:
             raise ValueError("n must be >= 1")
-        if self.window[1] < self.window[0]:
+        lo, hi = self.window
+        if hi < lo:
             raise ValueError("empty window")
+        # the cap (D-1)/D has a law on any two sites, so only a one-site window
+        # holds nothing but the point masses the scan excludes
+        if hi == lo:
+            raise ValueError(
+                f"window {lo}..{hi} with denominator {self.denominator} holds no law but point masses, "
+                "which the scan excludes; nothing to scan"
+            )
         if self.budget < 1:
             raise ValueError("budget must be positive")
 
@@ -274,9 +282,9 @@ def conjecture_scan(cfg: ScanConfig, measures: Optional[list[IntDist]] = None) -
     Exhaustive over unordered tuples when their count fits the budget,
     otherwise a deterministic seeded sample of budget tuples (`scan_mode`
     decides).  Exhaustively, the walker of tse and t_oracle runs over n copies
-    of the measures, every level after the first tied (nondecreasing index
-    tuples, lexicographically, each prefix convolved once); sampled, each draw
-    is one kernel call.  Records stream in instance-index order.
+    of the measures, which ties every level after the first (nondecreasing
+    index tuples, lexicographically, each prefix convolved once); sampled,
+    each draw is one kernel call.  Records stream in instance-index order.
     Any violation is a counterexample candidate and must fail the build loudly.
 
     ``measures`` is ``quantized_extremal_measures(cfg.denominator,
@@ -299,7 +307,7 @@ def conjecture_scan(cfg: ScanConfig, measures: Optional[list[IntDist]] = None) -
     # sorted class indices -> (caps, sign-search optimum, JSON text of the caps)
     tse_cache: dict[tuple[int, ...], tuple[tuple[Fraction, ...], Fraction, str]] = {}
     if scan_mode(cfg, measures) == "exhaustive":
-        leaves = _walk(None, [measures] * n, [False] + [True] * (n - 1))
+        leaves = _walk([measures] * n)
     else:
         rng = random.Random(cfg.seed)
         choices = range(len(measures))
@@ -387,8 +395,14 @@ def logconcdomination_check(x: IntDist, y: IntDist, eps) -> CheckReport:
 
 def few_dropped_check(alphas: AlphaSeq, k: int, big_k: int, delta, signs=None) -> CheckReport:
     """Dropping the first k high-cap terms costs at most a (1 - delta)
-    factor, given enough total variance."""
+    factor, given enough total variance.  ``signs``, when given, holds one
+    sign per cap in the order the caps were given; the instance keeps them
+    in the order of ``alphas``, so the listing order changes no report."""
     delta = as_fraction(delta)
+    if signs is not None:
+        if len(signs) != len(alphas) or any(s not in (-1, 1) for s in signs):
+            raise ValueError(f"signs must hold one -1 or 1 per cap, got {signs}")
+        signs = [signs[i] for i in alphas.permutation]
     instance = {"alphas": alphas, "k": k, "K": big_k, "delta": delta, "signs": signs}
     n = len(alphas)
     if not (0 <= k <= n) or big_k < 1:
@@ -401,20 +415,12 @@ def few_dropped_check(alphas: AlphaSeq, k: int, big_k: int, delta, signs=None) -
     total_var = sum((variance_nu(a) for a in caps), Fraction(0))
     if total_var < Fraction(70) / delta**3 * k * big_k**2:
         return _na("few_dropped", instance, "variance below the lemma threshold")
-    seq = _signed_sequence(caps, signs)
+    seq = [negate(nu(a)) if s < 0 else nu(a) for a, s in zip(caps, signs or [1] * n)]
     rhs = q_max(convolve_all(seq))
     # k < n here: a cap of at least 1/K gives nu a variance below K**2, so with
     # k = n the total variance is below n * K**2 and fails the threshold above
     lhs = (1 - delta) * q_max(convolve_all(seq[k:]))
     return _exact("few_dropped", instance, lhs, rhs)
-
-
-def _signed_sequence(caps: Sequence[Fraction], signs) -> list[IntDist]:
-    if signs is None:
-        signs = [1] * len(caps)
-    if len(signs) != len(caps):
-        raise ValueError("signs length mismatch")
-    return [negate(nu(a)) if s < 0 else nu(a) for a, s in zip(caps, signs)]
 
 
 def balanced_continuous_check(alphas: AlphaSeq, alpha, alpha_prime) -> CheckReport:

@@ -83,6 +83,14 @@ def test_check_failure_exits_one(tmp_path, capsys):
     assert obj["outcome"] == "fail"
 
 
+def test_check_few_dropped_sign_other_than_plus_minus_one_exits_2(tmp_path, capsys):
+    path = tmp_path / "inst.json"
+    path.write_text(json.dumps({"alphas": ["1/2"] * 4, "k": 0, "K": 3, "delta": "1/2", "signs": [0, 7, 1, -1]}))
+    assert run(["check", "few_dropped", "--instance", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == "error: signs must hold one -1 or 1 per cap, got [0, 7, 1, -1]\n"
+
+
 def test_check_bad_instance_exits_two(tmp_path, capsys):
     path = tmp_path / "inst.json"
     path.write_text(json.dumps({"alphas": ["1/2"]}))

@@ -1,6 +1,7 @@
 """GAP algebra, two-point decompositions, lattice bases, Rademacher sums."""
 
 import itertools
+import random
 from fractions import Fraction as F
 from math import comb
 
@@ -79,8 +80,8 @@ def test_proper_and_contains():
 
 def test_budget_overflow_errors():
     big = SymGAP((10**4, 10**4), (F(1), F(10**5)))
-    with pytest.raises(ValueError):
-        big.elements(budget=10**6)
+    with pytest.raises(ValueError, match="exceeds enumeration budget 1000000"):
+        big.elements()
 
 
 def test_cover():
@@ -175,8 +176,25 @@ def test_decomposition_matches_fraction_body():
     laws = [random_instance(seed, "split-admissible") for seed in range(200)]
     laws.append(IntDist([(0, F(1, 3)), (1, F(1, 3)), (5, F(1, 3))]))
     laws.append(IntDist([(-4, F(1, 6)), (0, F(1, 6)), (3, F(1, 3)), (9, F(1, 3))]))
+    rng = random.Random(5)  # up to 9 atoms, denominators up to a few hundred
+    while len(laws) < 500:
+        weights = [rng.randint(1, 40) for _ in range(rng.randint(2, 9))]
+        if 2 * max(weights) <= sum(weights):
+            sites = sorted(rng.sample(range(-20, 21), len(weights)))
+            laws.append(IntDist((s, F(w, sum(weights))) for s, w in zip(sites, weights)))
     for mu in laws:
         assert connected_decomposition(mu) == _decomposition_reference(mu)
+
+
+def test_decomposition_huge_denominator():
+    """The work does not grow with the denominator: 10**12 mass units, where
+    a unit list would need terabytes."""
+    big = 10**12
+    mu = IntDist([(0, F(big // 4 + 1, big)), (3, F(big // 4 - 1, big)), (7, F(1, 2))])
+    d = connected_decomposition(mu)
+    assert d.parts == ((F(big // 2 - 2, big), (3, 7)), (F(big // 2 + 2, big), (0, 7)))
+    assert d.reconstruct() == mu
+    assert d.is_connected()
 
 
 def test_decomposition_odd_denominator_doubles():

@@ -226,12 +226,11 @@ def test_max_q_search_tie_keeps_first_maximiser():
     reduced, unreduced = delta(0), coin  # coin + delta(0): 1/2; coin + coin: 2/4
     assert q_max_convolve(coin, reduced) == q_max_convolve(coin, unreduced) == F(1, 2)
     for options in ([reduced, unreduced], [unreduced, reduced]):
-        assert _max_q_search(None, [[coin], options], [False, False]) == (F(1, 2), (0, 0))
-        assert _max_q_search(coin, [options], [False]) == (F(1, 2), (0,))
-        assert _max_q_search(None, [options, [coin]], [False, False]) == (F(1, 2), (0, 0))
+        assert _max_q_search([[coin], options]) == (F(1, 2), (0, 0))
+        assert _max_q_search([options, [coin]]) == (F(1, 2), (0, 0))
     wider = IntDist([(0, F(1, 4)), (1, F(1, 4)), (2, F(1, 2))])  # 2/4 alone, 1/2 reduced
-    assert _max_q_search(None, [[wider, coin]], [False]) == (F(1, 2), (0,))
-    assert _max_q_search(None, [[coin, wider, delta(3)]], [False]) == (F(1), (2,))
+    assert _max_q_search([[wider, coin]]) == (F(1, 2), (0,))
+    assert _max_q_search([[coin, wider, delta(3)]]) == (F(1), (2,))
 
 
 # -- t_oracle --------------------------------------------------------------------
@@ -327,7 +326,7 @@ def test_exhaustive_walk_visits_combinations_with_replacement_order():
     itertools.combinations_with_replacement, each with its sum's q_max."""
     laws = small_laws()[::5]
     for n in (1, 2, 3, 4):
-        leaves = list(_walk(None, [laws] * n, [False] + [True] * (n - 1)))
+        leaves = list(_walk([laws] * n))
         assert [path for path, _, _ in leaves] == list(itertools.combinations_with_replacement(range(len(laws)), n))
         for path, num, den in leaves[::7]:
             assert F(num, den) == q_max(convolve_all([laws[i] for i in path])), path
@@ -365,15 +364,16 @@ def test_searches_bypass_the_validating_constructor(monkeypatch):
 # -- the walker against per-leaf _q_max_pair ------------------------------------
 
 
-def reference_walk(root, levels, tied):
+def reference_walk(levels, tied):
     """(path, num, den) of every sum the walker visits, each leaf from its
     own _q_max_pair of the prefix, folded with convolve as the walker folds
-    it, and the last option."""
+    it, and the last option.  tied[k] says whether level k is tied to level
+    k - 1, given here rather than worked out from the option lists."""
     out = []
     for path in itertools.product(*(range(len(options)) for options in levels)):
         if any(tied[k] and path[k] < path[k - 1] for k in range(1, len(path))):
             continue
-        prefix = root
+        prefix = None
         for options, j in zip(levels[:-1], path):
             prefix = options[j] if prefix is None else convolve(prefix, options[j])
         law = levels[-1][path[-1]]
@@ -389,10 +389,14 @@ def random_law(rng: random.Random, atoms: int, spread: int) -> IntDist:
 
 
 def random_walk_case(seed: int, atoms: int, spread: int):
-    """(root, levels, tied): 1-4 levels of 1-3 random options, the levels of
-    a tied run sharing one option list as in tse, t_oracle and the scan."""
+    """(levels, tied): 1-4 levels of 1-3 random options, the levels of a
+    tied run sharing one option list as in tse and the scan, after a
+    one-option first level (a fixed summand, as tse's root) half the time."""
     rng = random.Random(seed)
     levels, tied = [], []
+    if rng.random() < 0.5:
+        levels.append([random_law(rng, rng.randint(1, atoms), spread)])
+        tied.append(False)
     for k in range(rng.randint(1, 4)):
         if k and rng.random() < 0.5:
             levels.append(levels[-1])
@@ -400,8 +404,7 @@ def random_walk_case(seed: int, atoms: int, spread: int):
         else:
             levels.append([random_law(rng, rng.randint(1, atoms), spread) for _ in range(rng.randint(1, 3))])
             tied.append(False)
-    root = random_law(rng, rng.randint(1, atoms), spread) if rng.random() < 0.5 else None
-    return root, levels, tied
+    return levels, tied
 
 
 WALK_SEEDS = range(60)
@@ -409,8 +412,25 @@ WALK_SEEDS = range(60)
 
 @pytest.mark.parametrize("seed", WALK_SEEDS)
 def test_walk_matches_per_leaf_q_max_pair(seed):
-    root, levels, tied = random_walk_case(seed, atoms=5, spread=6)
-    assert list(_walk(root, levels, tied)) == reference_walk(root, levels, tied)
+    levels, tied = random_walk_case(seed, atoms=5, spread=6)
+    assert list(_walk(levels)) == reference_walk(levels, tied)
+
+
+def test_walk_ties_equal_option_lists():
+    """Equal but distinct option lists tie, as t_oracle's per-cap lists of
+    equal caps do; unequal neighbours never tie, even when one list holds
+    the other's laws."""
+    rng = random.Random(3)
+    laws = [random_law(rng, 3, 4) for _ in range(3)]
+    for levels, tied in [
+        ([laws, list(laws), list(laws)], [False, True, True]),
+        ([laws[:2], laws, laws[:2]], [False, False, False]),
+        ([laws, laws[::-1]], [False, False]),
+    ]:
+        assert list(_walk(levels)) == reference_walk(levels, tied)
+    pairs = list(itertools.combinations_with_replacement(range(3), 2))
+    assert [path for path, _, _ in _walk([laws, list(laws)])] == pairs
+    assert len(list(_walk([laws, laws[::-1]]))) == 9
 
 
 def test_walk_matches_per_leaf_q_max_pair_on_packed_leaves(monkeypatch):
@@ -426,13 +446,13 @@ def test_walk_matches_per_leaf_q_max_pair_on_packed_leaves(monkeypatch):
     real_branch = dist._branch
     monkeypatch.setattr(dist, "_branch", spy)
     rng = random.Random(7)
-    root, options = random_law(rng, 40, 25), [random_law(rng, 40, 25) for _ in range(3)]
-    walk = list(_walk(root, [options], [False]))  # one level below a root: every product is a leaf
+    levels = [[random_law(rng, 40, 25)], [random_law(rng, 40, 25) for _ in range(3)]]
+    walk = list(_walk(levels))  # one level below a fixed summand: every product is a leaf
     assert chosen == ["packed"] * 3
-    assert walk == reference_walk(root, [options], [False])
+    assert walk == reference_walk(levels, [False, False])
     for seed in range(6):
-        root, levels, tied = random_walk_case(seed, atoms=40, spread=25)
-        assert list(_walk(root, levels, tied)) == reference_walk(root, levels, tied)
+        levels, tied = random_walk_case(seed, atoms=40, spread=25)
+        assert list(_walk(levels)) == reference_walk(levels, tied)
     assert "pairwise" in chosen
 
 
@@ -442,8 +462,8 @@ def test_walk_matches_per_leaf_q_max_pair_with_forced_branch(monkeypatch, branch
     one law, never a product of two, so it has no leaf to take."""
     monkeypatch.setattr(dist, "_branch", lambda parts, n, dim: branch)
     for seed in WALK_SEEDS[::4]:
-        root, levels, tied = random_walk_case(seed, atoms=5, spread=6)
-        assert list(_walk(root, levels, tied)) == reference_walk(root, levels, tied)
+        levels, tied = random_walk_case(seed, atoms=5, spread=6)
+        assert list(_walk(levels)) == reference_walk(levels, tied)
 
 
 def test_walk_leaves_check_the_mass(monkeypatch):
@@ -452,26 +472,26 @@ def test_walk_leaves_check_the_mass(monkeypatch):
     monkeypatch.setattr(dist, "_branch", lambda parts, n, dim: "pairwise")
     laws = [uniform([0, 1]), uniform([0, 2])]
     with pytest.raises(RuntimeError):
-        list(_walk(uniform([0, 1]), [laws], [False]))
+        list(_walk([[uniform([0, 1])], laws]))
 
 
 def test_walk_rejects_mixed_containers():
     measure = IntMeasure([(0, 1), (1, 2)])
     laws = [uniform([0, 1]), uniform([0, 2])]
-    for root, levels in [
-        (None, [laws, laws + [measure]]),
-        (measure, [laws, laws]),
-        (None, [[measure], laws]),
-        (uniform([0, 1]), [[measure]]),
+    for levels in [
+        [laws, laws + [measure]],
+        [[measure], laws, laws],
+        [[measure], laws],
+        [[uniform([0, 1])], [measure]],
     ]:
         with pytest.raises(ValueError):
-            list(_walk(root, levels, [False] * len(levels)))
+            list(_walk(levels))
 
 
 def test_walk_rejects_lattice_laws():
     """The walker hands its operands to the product proper unnumbered, so a
     law with tuple sites is an error, not a concatenation of tuples."""
     square = LatticeDist(((x, y), F(1, 4)) for x in (0, 1) for y in (0, 1))
-    for root, levels in [(None, [[square], [square]]), (square, [[square]]), (None, [[square]])]:
+    for levels in [[[square], [square]], [[square], [square, square]], [[square]]]:
         with pytest.raises(ValueError, match="integer sites"):
-            list(_walk(root, levels, [False] * len(levels)))
+            list(_walk(levels))

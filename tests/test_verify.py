@@ -8,7 +8,18 @@ from fractions import Fraction as F
 import pytest
 
 from conclab import verify
-from conclab.dist import IntDist, convolve, convolve_power, delta, is_log_concave, q_max, uniform, variance
+from conclab.dist import (
+    IntDist,
+    convolve,
+    convolve_all,
+    convolve_power,
+    delta,
+    is_log_concave,
+    negate,
+    q_max,
+    uniform,
+    variance,
+)
 from conclab.extremal import AlphaSeq, nu, tsebal
 from conclab.roots import Interval
 from conclab.verify import (
@@ -43,6 +54,18 @@ def test_scan_d2_single_instance():
     assert records[0].lhs == records[0].rhs == F(1, 2)
     assert not records[0].violation
     assert scan_mode(cfg) == "exhaustive"
+
+
+@pytest.mark.parametrize("denominator", [2, 3, 4, 9])
+def test_scan_config_rejects_one_site_window(denominator):
+    """A one-site window holds only point masses, which the scan excludes;
+    any two sites hold a law of cap (D-1)/D."""
+    with pytest.raises(ValueError, match=f"window 0..0 with denominator {denominator}"):
+        ScanConfig(denominator, (0, 0), 2)
+    with pytest.raises(ValueError, match=f"window 3..3 with denominator {denominator}"):
+        ScanConfig(denominator, (3, 3), 2)
+    assert quantized_extremal_measures(denominator, (3, 3)) == []
+    assert quantized_extremal_measures(denominator, (3, 4))
 
 
 def test_scan_single_term_equality():
@@ -163,6 +186,29 @@ def test_few_dropped_check():
     alphas = AlphaSeq([F(1, 2)] + [F(1, 60)] * 8)
     report = few_dropped_check(alphas, 1, 2, F(1, 2))
     assert report.outcome == PASS
+
+
+def test_few_dropped_signs_follow_their_caps():
+    """Each sign belongs to the cap listed beside it: the same (cap, sign)
+    pairs in any listing order give one report, digest included, and a
+    different signed tuple of the same caps gives another."""
+    listings = [
+        (["2/5", "1/2", "2/7"], [-1, 1, 1]),
+        (["1/2", "2/5", "2/7"], [1, -1, 1]),
+        (["2/7", "2/5", "1/2"], [1, -1, 1]),
+    ]
+    reports = [few_dropped_check(AlphaSeq(caps), 0, 3, F(1, 2), signs) for caps, signs in listings]
+    assert reports[1:] == reports[:1] * 2
+    assert reports[0].rhs == q_max(convolve_all([nu(F(1, 2)), negate(nu(F(2, 5))), nu(F(2, 7))])) == F(19, 70)
+    other = few_dropped_check(AlphaSeq(["1/2", "2/5", "2/7"]), 0, 3, F(1, 2), [-1, 1, 1])
+    assert other.rhs == F(9, 35)
+    assert other.instance_digest != reports[0].instance_digest
+
+
+@pytest.mark.parametrize("signs", [[0, 7, 1, -1], [1, 1, 1, 2], [1, -1, 1]])
+def test_few_dropped_rejects_bad_signs(signs):
+    with pytest.raises(ValueError):
+        few_dropped_check(AlphaSeq([F(1, 2)] * 4), 0, 2, F(1, 2), signs)
 
 
 def test_few_dropped_all_terms_is_not_applicable():
