@@ -22,6 +22,7 @@ import functools
 import io
 import json
 import math
+import os
 import re
 import sys
 from pathlib import Path
@@ -54,6 +55,7 @@ if TYPE_CHECKING:
 
 USAGE_ERROR = 2
 CHECK_FAILED = 1
+CLOSED_PIPE = 141  # 128 + SIGPIPE
 
 
 def finite_float(text: str) -> float:
@@ -644,14 +646,23 @@ def build_parser() -> argparse.ArgumentParser:
 def run(argv=None) -> int:
     """Run one command.  Bad input (a ValueError, or an OSError for a file
     that cannot be read) exits 2 with "error: ..." on stderr, here and only
-    here; any other exception is a program fault and stays a traceback."""
+    here.  A reader that closes stdout early, as ``head`` does, is not bad
+    input: the command stops and exits 141 with nothing on stderr, as a
+    shell reports a writer that SIGPIPE ended.  Any other exception is a
+    program fault and stays a traceback."""
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return USAGE_ERROR if exc.code not in (0, None) else 0
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # Python flushes stdout again at exit; send that write to /dev/null
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return CLOSED_PIPE
     except (ValueError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return USAGE_ERROR

@@ -21,8 +21,9 @@ are numbered on the way in: ``_encode`` gives each lattice site its
 row-major number in the result's bounding box, a linear numbering, so the
 number of a sum is the sum of the numbers, and ``_decode`` reads the
 result's sites back; these two are the only kernel code that sees a tuple
-site.  The tuple walker of ``extremal`` calls ``_product`` itself on
-integer operands it extracted once, after one container check per walk.  A
+site.  The tuple walker of ``extremal`` calls ``_product`` itself, after
+one container check per walk, on integer operands: each option's extracted
+once, and each prefix the product of the prefix above it and an option.  A
 result enters the container through ``_from_integers``, reduced by one gcd.
 JSON, text and ``repr`` are formatted from the integers too: each mass is its
 numerator and the denominator divided by their gcd, so no Fraction is built
@@ -411,10 +412,16 @@ def _branch(parts: Sequence[list], n: int, dim: int) -> str:
     never packs, and a wrong guess costs at most a constant factor over the
     pairwise loop.
     """
-    if n == 1 and len(parts) == 2:
-        na, nb = len(parts[0]), len(parts[1])
-        if na * nb <= _PACK_FIXED + _PACK_PER_ATOM * (na + nb):
-            return "pairwise"  # cheaper than the packed cost without its slot terms
+    if n == 1:
+        size, work = len(parts[0]), 0
+        for p in parts[1:]:
+            work += size * len(p)
+            size *= len(p)
+        if work <= _PACK_FIXED + _PACK_PER_ATOM * sum(map(len, parts)):
+            # the fold's work with uncapped atom counts bounds the loop's
+            # work_hi, and this limit is the packed cost without its slot
+            # terms, so the loop would stay pairwise too
+            return "pairwise"
     packed, recurrence = _dense_costs(parts, n)
     cost = min(packed, recurrence)
     span = parts[0][-1][0] - parts[0][0][0]

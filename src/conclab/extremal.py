@@ -25,7 +25,6 @@ from .dist import (
     _product,
     _same_container,
     as_fraction,
-    convolve,
     convolve_all,
     format_fraction,
     negate,
@@ -245,22 +244,29 @@ def tsebal(alphas: AlphaSeq) -> Fraction:
     return value
 
 
-def _walk(levels: Sequence[Sequence[IntDist]]) -> Iterator[tuple]:
+def _walk(levels: Sequence[Sequence[IntDist]], keep=None) -> Iterator[tuple]:
     """(path, num, den) for each sum of one option law per level: the option
     indices and the sum's q_max as an unreduced pair.  A level whose option
     list equals the previous level's is tied to it: its summands commute
     with the previous ones, so its index starts at the previous level's.
     Paths come depth first in itertools.product order, skipping those whose
-    index decreases into a tied level; each prefix is convolved once, for
-    everything below it.  A fixed summand is a level with one option.
+    index decreases into a tied level; each prefix is multiplied out once,
+    for everything below it.  A fixed summand is a level with one option.
 
-    A leaf is the kernel's product proper (``dist._product``) of the last
-    prefix and a last-level option, so it costs what ``_q_max_pair`` of the
-    two costs without the setup: the ties and the container are checked
-    once per walk, each last-level option's operand is extracted once per
-    walk and each prefix's once per prefix.  The operands go to ``_product``
-    as they are, so the laws must have integer sites: lattice laws raise
-    ValueError."""
+    Every sum is a kernel operand (``dist._operand``): its (site, numerator)
+    pairs in site order, its denominator and its numerator sum.  A prefix
+    is the kernel's product proper (``dist._product``) of the prefix above
+    it and one option, never a law, so no prefix pays for the reduction and
+    re-sort of a law; the product of reduced probability laws is reduced
+    (Gauss's lemma), so the pairs are those of the law.  A leaf is the
+    product of the last prefix and a last-level option.  The ties and the
+    container are checked once per walk, and each option's operand is
+    extracted once per walk.  The operands go to ``_product`` as they are,
+    so the laws must have integer sites: lattice laws raise ValueError.
+
+    ``keep(level, prefix)``, when given, is asked about each prefix, the
+    operand of the sum of the options chosen on the levels above ``level``;
+    a false answer skips it and every path below it."""
     if not all(levels):
         return  # a level without options: no sums
     last = len(levels) - 1
@@ -269,27 +275,36 @@ def _walk(levels: Sequence[Sequence[IntDist]]) -> Iterator[tuple]:
     if isinstance(laws[0].sites[0], tuple):
         raise ValueError(f"the walker takes laws with integer sites, not {type(laws[0]).__name__}")
     tied = [k > 0 and list(levels[k]) == list(levels[k - 1]) for k in range(len(levels))]
-    leaves = [_operand(law) for law in levels[last]]
-    # the stack: path[i] is the option at level i, sums[i] the sum of the laws chosen above level i
+    operands = [[_operand(law) for law in options] for options in levels]
+    # the stack: path[i] is the option at level i, sums[i] the operand of the laws chosen above level i
     path, sums = [0] * len(levels), [None] * len(levels)
     level = 0
     while level >= 0:
-        options, j, prefix = levels[level], path[level], sums[level]
+        options, j, prefix = operands[level], path[level], sums[level]
         if level < last and j < len(options):
-            level += 1
-            sums[level] = options[j] if prefix is None else convolve(prefix, options[j])
-            path[level] = j if tied[level] else 0
+            node = options[j]
+            if prefix is not None:
+                (ppairs, pden, ptotal), (pairs, den, total) = prefix, node
+                total *= ptotal
+                node = sorted(_product((ppairs, pairs), 1, total, 0).items()), pden * den, total
+            if keep is None or keep(level + 1, node):
+                level += 1
+                sums[level] = node
+                path[level] = j if tied[level] else 0
+            else:
+                path[level] += 1
             continue
         if level == last and prefix is None:
             for j in range(j, len(options)):
                 path[last] = j
-                yield tuple(path), max(options[j].numerators), options[j].denominator()
+                pairs, den, _ = options[j]
+                yield tuple(path), max(c for _, c in pairs), den
         elif level == last:
-            pairs, pden, ptotal = _operand(prefix)
+            ppairs, pden, ptotal = prefix
             for j in range(j, len(options)):
                 path[last] = j
-                other, den, total = leaves[j]
-                yield tuple(path), max(_product((pairs, other), 1, ptotal * total, 0).values()), pden * den
+                other, den, total = options[j]
+                yield tuple(path), max(_product((ppairs, other), 1, ptotal * total, 0).values()), pden * den
         level -= 1
         if level >= 0:
             path[level] += 1
@@ -298,9 +313,42 @@ def _walk(levels: Sequence[Sequence[IntDist]]) -> Iterator[tuple]:
 def _max_q_search(levels: Sequence[Sequence[IntDist]]) -> tuple[Fraction, tuple[int, ...]]:
     """Largest q_max among the sums `_walk` visits, with its path.  Only a
     strictly larger n/d replaces the best pair (n * best_den > best_num * d),
-    so the first maximiser in visiting order wins.  Needs at least one level."""
+    so the first maximiser in visiting order wins.  Needs at least one level,
+    and probability laws on every level.
+
+    The walk skips every prefix P that cannot beat the best pair so far, by
+    the fill bound.  The sum R of the options still to choose has
+    q_max(R) <= rho, the smallest over the levels left of the largest q_max
+    of an option there, since adding a summand never raises q_max.  An atom
+    of P + R is the sum over y of R(y) P(x - y), with every R(y) <= rho and
+    R's masses summing to 1, so it is at most
+
+        fill(P, rho) = rho q_m(P) + (1 - m rho) p_(m+1),  m = floor(1/rho),
+
+    where q_m(P) is the sum of the m largest atoms of P and p_(m+1) the next
+    one (0 when P has no more).  A prefix with fill(P, rho) <= best is
+    skipped, the test cross-multiplied in integers.  Every leaf below it is
+    at most best, so none could have replaced best: the value and the first
+    maximiser are those of the full walk."""
+    if not type(levels[0][0])._normalized:
+        raise ValueError("the pruned search takes probability laws")
+    # fill[k]: (a, b, m, b - m a) for rho = a / b over the levels k.. left to choose
+    fill, rho = [None] * len(levels), None
+    for k in range(len(levels) - 1, 0, -1):
+        cap = max(Fraction(max(law.numerators), law.denominator()) for law in levels[k])
+        rho = cap if rho is None else min(rho, cap)
+        a, b = rho.numerator, rho.denominator
+        fill[k] = (a, b, *divmod(b, a))
     best_num, best_den, best_path = -1, 1, ()
-    for path, num, den in _walk(levels):
+
+    def keep(level: int, prefix: tuple) -> bool:
+        a, b, m, rest = fill[level]
+        pairs, den, _ = prefix
+        top = sorted([c for _, c in pairs], reverse=True)
+        bound = a * sum(top[:m]) + (rest * top[m] if m < len(top) else 0)
+        return bound * best_den > best_num * b * den
+
+    for path, num, den in _walk(levels, keep):
         if num * best_den > best_num * den:
             best_num, best_den, best_path = num, den, path
     return Fraction(best_num, best_den), best_path
@@ -326,13 +374,15 @@ def tse(alphas: AlphaSeq) -> tuple[Fraction, SESelection]:
     level.  Summands with equal caps commute, so in a run of c equal free
     caps only the number of minus signs matters: each free cap chooses
     between its reflected and its plain nu, and equal caps have equal option
-    lists, which the walker ties.  So the search visits prod(c + 1) sign
-    patterns over the runs, not 2**free, and each costs about one
-    convolution (prefix sums are shared).  Ties resolve to the
-    lexicographically smallest sign vector.  That vector has its minus signs
-    first within each run, and the tied search visits exactly these
-    representatives in lexicographic order.  Shifts are reported as 0 since
-    the value is translation invariant.
+    lists, which the walker ties.  So the search ranges over prod(c + 1)
+    sign patterns over the runs, not 2**free, and ``_max_q_search`` skips
+    every partial pattern whose fill bound cannot beat the best pattern so
+    far.  Ties resolve to the lexicographically smallest sign vector.  That
+    vector has its minus signs first within each run, the tied search
+    visits exactly these representatives in lexicographic order, and the
+    prune drops only patterns that could not strictly beat an earlier one,
+    so the first maximiser is kept.  Shifts are reported as 0 since the
+    value is translation invariant.
     """
     caps = alphas.alphas
     # a cap in (0, 1] in lowest terms has an integer inverse iff its numerator is 1
@@ -374,8 +424,10 @@ def t_oracle(alphas: AlphaSeq, window: tuple[int, int]) -> tuple[Fraction, list[
     the witness is the first maximiser in that order.  Summands with equal
     caps commute and have equal choice lists, which the walker ties: within
     a run of equal caps only tuples with nondecreasing choice indices are
-    visited, and the first maximiser is one of them.  Prefix sums are
-    shared, so each visited tuple costs about one convolution.
+    visited, and the first maximiser is one of them.  ``_max_q_search``
+    skips every partial tuple whose fill bound is at most the best value so
+    far; no tuple below it could strictly beat that value, so the value and
+    the witness are those of the full walk.
 
     Exact only relative to the window class; callers report the window along
     with the value.

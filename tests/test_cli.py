@@ -5,7 +5,10 @@ import contextlib
 import io
 import json
 import math
+import os
 import shlex
+import subprocess
+import sys
 import tracemalloc
 from fractions import Fraction as F
 from pathlib import Path
@@ -316,6 +319,27 @@ def test_scan_out_file_equals_stdout(tmp_path, capsys):
     out = tmp_path / "scan.jsonl"
     assert run(["scan-conjecture", "--denominator", "5", "--window", "0..4", "--n", "3", "--out", str(out)]) == 0
     assert out.read_bytes() == capsys.readouterr().out.encode()
+
+
+def test_closed_stdout_exits_141_silently():
+    """A reader that takes one line and closes the pipe, as `head -n 1`
+    does, ends the scan with exit 141, as a shell reports SIGPIPE, and an
+    empty stderr: no error line, no traceback, no "Exception ignored" at
+    interpreter exit.  The scan writes about 2 MB, far more than a pipe
+    buffers, so it is still writing when the pipe closes."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    argv = ["scan-conjecture", "--denominator", "5", "--window", "0..4", "--n", "3"]
+    with subprocess.Popen(
+        [sys.executable, "-m", "conclab.cli", *argv],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    ) as proc:
+        assert json.loads(proc.stdout.readline())["index"] == 0
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=120) == 141
+    assert err == b""
 
 
 @pytest.mark.parametrize(

@@ -450,6 +450,46 @@ def test_lattice_branch_rule():
     )
 
 
+def _reference_branch(parts, n, dim):
+    """dist._branch with only the two-law early exit for single products:
+    the loop that the early exit for any number of laws must agree with."""
+    if n == 1 and len(parts) == 2:
+        na, nb = len(parts[0]), len(parts[1])
+        if na * nb <= dist._PACK_FIXED + dist._PACK_PER_ATOM * (na + nb):
+            return "pairwise"
+    packed, recurrence = dist._dense_costs(parts, n)
+    cost = min(packed, recurrence)
+    span = parts[0][-1][0] - parts[0][0][0]
+    size_hi = size_lo = len(parts[0])
+    work_hi = work_lo = 0
+    for i in range(1, len(parts) * n):
+        p = parts[i % len(parts)]
+        work_hi += size_hi * len(p)
+        work_lo += size_lo * len(p)
+        if work_hi > cost and dist._GUARD * work_lo >= cost:
+            return "recurrence" if recurrence < packed else "packed"
+        span += p[-1][0] - p[0][0]
+        size_hi = min(size_hi * len(p), span + 1)
+        size_lo = max(size_lo + len(p) - 1, comb(i + 1 + dim, dim))
+    return "pairwise"
+
+
+@st.composite
+def _operands(draw):
+    """Kernel operands: (site, numerator) pairs in site order, 1-8 atoms,
+    dense or spread sites and numerators of 1-60 bits."""
+    width = draw(st.sampled_from([8, 20, 200, 10**6]))
+    sites = sorted(draw(st.lists(st.integers(0, width), min_size=1, max_size=8, unique=True)))
+    bits = draw(st.integers(1, 60))
+    return [(s, draw(st.integers(1, 2**bits))) for s in sites]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_operands(), min_size=1, max_size=6), st.integers(0, 3))
+def test_single_product_branch_matches_the_loop(parts, dim):
+    assert dist._branch(parts, 1, dim) == _reference_branch(parts, 1, dim)
+
+
 def test_affine_dim():
     assert dist._affine_dim([(3, 4)]) == 0
     assert dist._affine_dim([(k, 2 * k, -k) for k in range(5)]) == 1

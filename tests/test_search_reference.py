@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conclab import dist
+from conclab import dist, extremal
 from conclab.dist import FiniteMeasure, IntDist, _q_max_pair, convolve, convolve_all, delta, negate, q_max, uniform
 from conclab.extremal import AlphaSeq, _extremal_law, _max_q_search, _walk, extremal_enumerate, nu, t_oracle, tse
 from conclab.gauss import LatticeDist
@@ -495,3 +495,155 @@ def test_walk_rejects_lattice_laws():
     for levels in [[[square], [square]], [[square], [square, square]], [[square]]]:
         with pytest.raises(ValueError, match="integer sites"):
             list(_walk(levels))
+
+
+# -- the fill bound and the pruned search ----------------------------------------
+
+
+def fill(masses: list[F], rho: F) -> F:
+    """rho q_m(P) + (1 - m rho) p_(m+1), m = floor(1/rho), from the masses of P."""
+    m = int(1 / rho)
+    top = sorted(masses, reverse=True) + [F(0)] * (m + 1)
+    return rho * sum(top[:m]) + (1 - m * rho) * top[m]
+
+
+def compositions(total: int, parts: int, cap: int):
+    """Every tuple of parts nonnegative integers at most cap summing to total."""
+    if parts == 0:
+        if total == 0:
+            yield ()
+        return
+    for c in range(min(total, cap) + 1):
+        for rest in compositions(total - c, parts - 1, cap):
+            yield (c, *rest)
+
+
+R_GRID = range(-3, 3)  # holds -s for every site s of P, and room for the rest of R's mass
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(st.tuples(st.integers(0, 3), st.integers(1, 9)), min_size=1, max_size=4, unique_by=lambda t: t[0]),
+    st.integers(2, 5).flatmap(lambda g: st.tuples(st.just(g), st.integers(1, g))),
+)
+def test_fill_bounds_every_sum_and_is_reached(atoms, grid):
+    """Every law R on the grid with masses in multiples of 1/g, each at most
+    rho = a/g: q_max(P + R) <= fill(P, rho), with equality for some R, the
+    one that puts rho on the m largest atoms of P and the rest on the next."""
+    g, a = grid
+    total = sum(w for _, w in atoms)
+    p = {s: F(w, total) for s, w in atoms}
+    bound = fill(list(p.values()), F(a, g))
+    best = F(0)
+    for counts in compositions(g, len(R_GRID), a):
+        out: dict = {}
+        for y, c in zip(R_GRID, counts):
+            for s, ps in p.items():
+                out[s + y] = out.get(s + y, 0) + ps * F(c, g)
+        assert max(out.values()) <= bound, counts
+        best = max(best, max(out.values()))
+    assert best == bound
+
+
+def unpruned_max(levels) -> tuple[F, tuple[int, ...]]:
+    """First strict maximum of q_max over every leaf of the walk, with no
+    prefix skipped."""
+    best, best_path = None, ()
+    for path, num, den in _walk(levels):
+        if best is None or F(num, den) > best:
+            best, best_path = F(num, den), path
+    return best, best_path
+
+
+def tse_levels(alphas: list[F]) -> list[list[IntDist]]:
+    """The levels tse searches: the integer-inverse caps' uniforms as one
+    fixed summand, then (-nu, nu) per other cap, in canonical order."""
+    ordered = AlphaSeq(alphas).alphas
+    uniforms = [nu(a) for a in ordered if a.numerator == 1]
+    root = [[convolve_all(uniforms)]] if uniforms else []
+    return root + [[negate(nu(a)), nu(a)] for a in ordered if a.numerator != 1]
+
+
+def oracle_levels(alphas: list[F], window: tuple[int, int]) -> list[list[IntDist]]:
+    """The levels t_oracle searches: the window's extremal laws per cap, in
+    canonical order."""
+    return [extremal_enumerate(a, window) for a in AlphaSeq(alphas)]
+
+
+PRUNE_ORACLE_CASES = [
+    # (caps, window): tied levels, caps above 1/2, windows 0..3 to 0..5
+    ([F(2, 5)] * 3, (0, 3)),
+    ([F(3, 5), F(2, 5), F(5, 12)], (0, 3)),
+    ([F(1, 2), F(2, 3), F(2, 3)], (0, 4)),
+    ([F(3, 7), F(2, 5)], (0, 4)),
+    ([F(5, 12), F(3, 5)], (0, 5)),
+    ([F(1), F(2, 5)], (0, 3)),
+    ([F(1, 4), F(2, 5)], (0, 3)),  # 1/4 has one law on 0..3: a one-option last level
+]
+PRUNE_TSE_CASES = [
+    [F(2, 5)] * 4 + [F(3, 7)] * 2,
+    [F(1, 2), F(1, 3), F(2, 5), F(3, 7), F(5, 12)],  # a one-option root, then free caps
+    [F(3, 4), F(2, 3), F(5, 8), F(2, 5)],
+    [F(7, 12), F(5, 12), F(5, 12), F(1, 4)],
+    [F(1, 2), F(1, 2)],  # the root alone
+]
+
+
+@pytest.fixture()
+def products(monkeypatch):
+    """The list of the walker's calls of the kernel's product proper."""
+    calls = []
+    real = extremal._product
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(extremal, "_product", counting)
+    return calls
+
+
+def pruned_and_full_calls(levels, products) -> tuple[int, int]:
+    """Products run by the pruned search and by the full walk, after
+    checking that both find the same value and path."""
+    products.clear()
+    pruned = _max_q_search(levels)
+    pruned_calls = len(products)
+    products.clear()
+    assert pruned == unpruned_max(levels), levels
+    return pruned_calls, len(products)
+
+
+@pytest.mark.parametrize("alphas,window", PRUNE_ORACLE_CASES)
+def test_pruned_oracle_search_matches_the_full_walk(alphas, window, products):
+    """The pruned search returns the first strict maximum of the full walk
+    and runs less than half its kernel products, so the prune does work."""
+    pruned_calls, full_calls = pruned_and_full_calls(oracle_levels(alphas, window), products)
+    assert 2 * pruned_calls < full_calls
+
+
+@pytest.mark.parametrize("alphas", PRUNE_TSE_CASES)
+def test_pruned_tse_search_matches_the_full_walk(alphas, products):
+    pruned_calls, full_calls = pruned_and_full_calls(tse_levels(alphas), products)
+    assert pruned_calls <= full_calls
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.sampled_from(window_caps((0, 3), range(1, 7))), min_size=1, max_size=3))
+def test_pruned_oracle_search_matches_the_full_walk_property(alphas):
+    levels = oracle_levels(alphas, (0, 3))
+    assert _max_q_search(levels) == unpruned_max(levels)
+
+
+@pytest.mark.parametrize("seed", WALK_SEEDS)
+def test_pruned_search_matches_the_full_walk_on_random_levels(seed):
+    """Options of one level with different q_max, so rho must take the
+    largest of a level, and the smallest over the levels left."""
+    levels, _ = random_walk_case(seed, atoms=5, spread=6)
+    assert _max_q_search(levels) == unpruned_max(levels)
+
+
+def test_pruned_search_takes_probability_laws():
+    measure = IntMeasure([(0, 1), (1, 2)])
+    with pytest.raises(ValueError, match="probability laws"):
+        _max_q_search([[measure], [measure]])

@@ -68,6 +68,8 @@ def cases() -> list[tuple[str, list, int]]:
         ("2-D 20x20 in 6x6", [box6, _law(rng.sample(list(itertools.product(range(6), repeat=2)), 20), rng)], 1),
     ]
     out += [(f"all of {k} 3-atom", [dense(3) for _ in range(k)], 1) for k in (4, 8, 16, 64)]
+    # one draw of the sampled conjecture scan: extremal laws of caps j/6 on 0..5
+    out.append(("scan draw of 3", [[(0, 2), (1, 2), (3, 2)], [(1, 4), (4, 2)], [(s, 1) for s in range(6)]], 1))
     line3 = _line((3, 6, 4))
     out += [(f"line3^{n}", [line3], n) for n in (4, 8, 32, 128, 192, 320)]
     odlyzko = [(0, 4), (1, 5), (3, 4)]
