@@ -11,8 +11,8 @@ structural predicates) is computed exactly on these integers, and Fractions
 are built only where masses leave the container; floating point never enters.
 
 Convolution has one kernel with two entry points.  ``_convolve_numerators``,
-behind ``convolve``, ``convolve_all``, ``convolve_power`` and ``_q_max_pair``,
-checks that its laws share one container type, extracts each law's operand
+behind ``convolve``, ``convolve_all`` and ``convolve_power``, checks that
+its laws share one container type, extracts each law's operand
 (``_operand``: its (site, numerator) pairs, denominator and numerator sum)
 and calls ``_product``, the product proper: ``_branch``, one of three
 branches, and the exact check that the numerators sum to the product of the
@@ -614,18 +614,6 @@ def convolve(a: FiniteMeasure, b: FiniteMeasure) -> FiniteMeasure:
     """
     out, den = _convolve_numerators((a, b))
     return type(a)._from_integers(out, den)
-
-
-def _q_max_pair(a: IntDist, b: IntDist) -> tuple[int, int]:
-    """q_max(convolve(a, b)) as (numerator, denominator), not reduced: the
-    kernel's largest numerator over the product of the input denominators.
-    Searches compare these pairs by cross-multiplication.
-
-    The mass check stays exact: the input numerators must sum to their
-    denominators and the output numerators to the product of those sums.
-    """
-    out, den = _convolve_numerators((a, b))
-    return max(out.values()), den
 
 
 def convolve_all(dists: Sequence[FiniteMeasure]) -> FiniteMeasure:

@@ -16,7 +16,7 @@ import itertools
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from math import ceil
+from math import ceil, comb
 from typing import Iterable, Iterator, Sequence
 
 from .dist import (
@@ -30,6 +30,7 @@ from .dist import (
     negate,
     shift,
 )
+from .gaps import ENUM_BUDGET
 
 
 class AlphaSeq:
@@ -134,6 +135,17 @@ def _layouts(alpha: Fraction, sites: Sequence[int]) -> Iterator[tuple[tuple[int,
         for b in sites:
             if b not in support:
                 yield support, b
+
+
+def _check_layout_count(alphas: Iterable[Fraction], width: int) -> None:
+    """ValueError, before any law is built, when ``_layouts`` of the caps on width sites yield
+    more than ENUM_BUDGET laws: C(width, k) per cap, k = floor(1/alpha), times width - k with a residue."""
+    count = 0
+    for alpha in alphas:
+        k = inverse_floor(alpha)
+        count += comb(width, k) * (width - k if k * alpha.numerator < alpha.denominator else 1)
+        if count > ENUM_BUDGET:
+            raise ValueError(f"more than {ENUM_BUDGET} extremal laws on {width} sites: over the enumeration budget")
 
 
 def nu(alpha) -> IntDist:
@@ -403,7 +415,7 @@ def extremal_enumerate(alpha, window: tuple[int, int]) -> list[IntDist]:
     """All extremal measures for alpha supported inside the window.
 
     The window must hold floor(1/alpha) sites, plus one more when the
-    residual atom is present.
+    residual atom is present, and at most ENUM_BUDGET such measures.
     """
     alpha = _validate_alpha(as_fraction(alpha))
     lo, hi = window
@@ -413,6 +425,7 @@ def extremal_enumerate(alpha, window: tuple[int, int]) -> list[IntDist]:
     needed = ceil(1 / alpha)  # atoms
     if len(sites) < needed:
         raise ValueError(f"window holds {len(sites)} sites; {needed} needed for alpha={alpha}")
+    _check_layout_count([alpha], len(sites))
     return [_extremal_law(alpha, support, b) for support, b in _layouts(alpha, sites)]
 
 

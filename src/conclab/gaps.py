@@ -170,7 +170,8 @@ def gap_fit_rank1(values: Sequence[int], eps=0) -> Optional[SymGAP]:
     rank-1 GAP with step g contains exactly the multiples of g up to M*g, so
     only divisors can cover anything.  Ties resolve to the smallest step.
     When the needed quorum consists of zeros alone the rank-0 GAP {0} is
-    returned.
+    returned.  Trial division up to isqrt(|v|) per distinct nonzero value
+    finds the divisors; more than ENUM_BUDGET divisions is a ValueError.
     """
     values = [int_site(v) for v in values]
     if not values:
@@ -180,11 +181,11 @@ def gap_fit_rank1(values: Sequence[int], eps=0) -> Optional[SymGAP]:
         raise ValueError("eps must be in [0, 1]")
     need = max(ceil((1 - eps) * len(values)), 1)
 
+    nonzero = {abs(v) for v in values if v}
+    if sum(map(isqrt, nonzero)) > ENUM_BUDGET:
+        raise ValueError(f"trial division of the values exceeds the enumeration budget {ENUM_BUDGET}")
     candidates: set[int] = {1}
-    for v in values:
-        v = abs(v)
-        if v == 0:
-            continue
+    for v in nonzero:
         for d in range(1, isqrt(v) + 1):
             if v % d == 0:
                 candidates.update((d, v // d))
@@ -270,7 +271,7 @@ def connected_decomposition(mu: IntDist) -> Decomposition:
     """
     if len(mu) < 2:
         raise ValueError("need at least two atoms")
-    if q_max(mu) > Fraction(1, 2):
+    if 2 * max(mu.numerators) > mu.denominator():
         raise ValueError("largest atom exceeds 1/2")
     n = mu.denominator()
     scale = 2 if n % 2 == 1 else 1
@@ -291,15 +292,16 @@ def connected_decomposition(mu: IntDist) -> Decomposition:
         a += ends[a] == i
         b += ends[b] == i + half
 
-    weights = {pair: Fraction(2 * count, n) for pair, count in pair_counts.items()}
-    comps = _components(set(sites), list(weights))
+    units = {pair: 2 * count for pair, count in pair_counts.items()}  # weights in units of 1/n
+    comps = _components(set(sites), list(units))
     if len(comps) > 1:
-        reps = [min(pair for pair in weights if pair[0] in comp) for comp in comps]
+        reps = [min(pair for pair in units if pair[0] in comp) for comp in comps]
         for rep, following in zip(reps, reps[1:] + reps[:1]):
-            weights[rep] -= Fraction(1, n)
+            units[rep] -= 1
             key = tuple(sorted((rep[0], following[1])))
-            weights[key] = weights.get(key, Fraction(0)) + Fraction(1, n)
-    return Decomposition(tuple(sorted((w, pair) for pair, w in weights.items() if w > 0)))
+            units[key] = units.get(key, 0) + 1
+    ordered = sorted((u, pair) for pair, u in units.items() if u)
+    return Decomposition(tuple((Fraction(u, n), pair) for u, pair in ordered))
 
 
 # -- integer span bases -------------------------------------------------------

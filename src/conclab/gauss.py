@@ -468,17 +468,19 @@ def discretized_gaussian(
     error adds the rounding of the evaluation to the remainder, and is a
     proven bound if +, -, *, /, sqrt round to nearest in IEEE binary64 and
     math.exp and math.erf are within 4 ulp; a cell whose bound exceeds tol is
-    a ValueError.  The box holds at most _MAX_CELLS cells, and its
-    coordinates must be below 2**52 in magnitude for d <= 2.  d = 3 uses
-    seeded Monte Carlo and reports three standard errors, which must be at
-    most tol.  Larger d is unsupported by design.
+    a ValueError.  The box has lo <= hi on each axis and at most _MAX_CELLS
+    cells, and its coordinates must be below 2**52 in magnitude for d <= 2.
+    d = 3 uses seeded Monte Carlo and reports three standard errors, which
+    must be at most tol.  Larger d is unsupported by design.
     """
     d = spec.dim
     if len(box) != d:
         raise ValueError("box dimension mismatch")
     if tol <= 0:
         raise ValueError("tol must be positive")
-    shape = tuple(max(hi - lo + 1, 0) for lo, hi in box)
+    if any(hi < lo for lo, hi in box):
+        raise ValueError("empty box: an axis has hi < lo")
+    shape = tuple(hi - lo + 1 for lo, hi in box)
     if math.prod(shape) > _MAX_CELLS:
         raise ValueError(f"the box has more than {_MAX_CELLS} cells")
     if d <= 2 and any(abs(v) >= _COORD_LIMIT for lo_hi in box for v in lo_hi):

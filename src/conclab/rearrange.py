@@ -181,9 +181,7 @@ class JointCoupling:
                 continue
             out[z] = out.get(z, Fraction(0)) + m
             total += m
-        if in_a is not None:
-            if total == 0:
-                return {}
+        if in_a is not None:  # a side without cells stays {}, so total 0 is never a divisor
             out = {z: m / total for z, m in out.items()}
         return out
 
@@ -212,12 +210,23 @@ def dominating_coupling(mu: IntDist, mu_prime: IntDist, eps) -> JointCoupling:
     """Couple Z ~ plus_rearrange(mu) with X' ~ mu_prime on a shared uniform
     index.
 
-    Requires mu_prime symmetric and unimodal and the concentration profile of
-    mu bounded by (1+eps) times that of mu_prime.  The returned coupling has
-    an event A with P(A) >= 1/(1+eps) on which every cell satisfies
-    0 <= x' <= z or z-1 <= x' <= 0, and on the complement Z and X' are
-    independent with Z still distributed as plus_rearrange(mu).
+    Requires two probability laws (IntDist), mu_prime symmetric and unimodal
+    and the concentration profile of mu bounded by (1+eps) times that of
+    mu_prime.  The returned coupling has an event A with P(A) >= 1/(1+eps) on
+    which every cell satisfies 0 <= x' <= z or z-1 <= x' <= 0, and on the
+    complement Z and X' are independent with Z still distributed as
+    plus_rearrange(mu).
+
+    The balls on the index line number N = lcm(q*d, d'), with c = 1/(1+eps)
+    = p/q in lowest terms and d, d' the denominators of plus(mu) and mu':
+    the least common denominator of the masses of mu', plus(mu) and c times
+    plus(mu), since c*n/d has denominator q*d / gcd(p*n, q*d), the
+    numerators n of plus(mu) have gcd 1, and lcm(d, q*d / gcd(p, d)) = q*d
+    as p is prime to q.  N is doubled at most twice to make N and K = N*c
+    even, and every cell is an integer over N*d until the returned tuple.
     """
+    if not (isinstance(mu, IntDist) and isinstance(mu_prime, IntDist)):
+        raise ValueError("the dominating coupling needs two probability laws (IntDist)")
     eps = as_fraction(eps)
     if eps < 0:
         raise ValueError("epsilon must be nonnegative")
@@ -229,57 +238,39 @@ def dominating_coupling(mu: IntDist, mu_prime: IntDist, eps) -> JointCoupling:
     if violation is not None:
         raise ValueError(f"domination fails at j={violation[0]}")
 
-    c = 1 / (1 + eps)
+    p, q = eps.denominator, eps.numerator + eps.denominator  # c = p/q, already in lowest terms
     plus = plus_rearrange(mu)
-    n_den = lcm(plus.denominator(), mu_prime.denominator(), *((c * m).denominator for _, m in plus.atoms))
+    d = plus.denominator()
+    big_n = lcm(q * d, mu_prime.denominator())
     doublings = 0
-    big_n = n_den
-    if big_n % 2 == 1:
-        big_n *= 2
-        doublings += 1
-    big_k = big_n * c
-    if big_k.denominator != 1:
-        raise RuntimeError(f"K = {big_k} is not an integer")
-    if int(big_k) % 2 == 1:
-        big_n *= 2
-        doublings += 1
-        big_k = big_n * c
-    big_k = int(big_k)
+    while big_n % 2 or big_n * p // q % 2:  # at most twice: once for N, once for K
+        big_n, doublings = 2 * big_n, doublings + 1
+    big_k, rest = divmod(big_n * p, q)
+    if rest:
+        raise RuntimeError(f"K = {Fraction(big_n * p, q)} is not an integer")
 
-    # ball counts N c mass = K mass and N mass: every K mass is an integer and
-    # the numerators over D have no common factor with D, so D divides K
-    kz, kx = big_k // plus.denominator(), big_n // mu_prime.denominator()
+    # K mass and N mass balls per atom: q*d divides N, so d divides K
+    kz, kx = big_k // d, big_n // mu_prime.denominator()
     f = _layout([(s, n * kz) for s, n in zip(plus.sites, plus.numerators)], -(big_k // 2) + 1)
     f_prime = _layout([(s, n * kx) for s, n in zip(mu_prime.sites, mu_prime.numerators)], -(big_n // 2) + 1)
 
-    # Merge the two run partitions instead of walking every index: the cell
-    # mass is the overlap length over N, so the work is quadratic in the atom
-    # counts, not linear in the denominator.
-    cells: dict[tuple[int, int, bool], Fraction] = {}
+    # Merge the run partitions instead of walking every index, so the work is
+    # quadratic in the atom counts.  f covers exactly the A indices: an x's
+    # off-A count is its run length less its overlap with f's domain.  Over
+    # N*d an A cell is its overlap times d, an off-A cell its off-A count
+    # times the numerator of z.
+    a_lo, a_hi = f.domain
+    in_a = []
     for z, (zlo, zhi) in f.groups:
         for x, (xlo, xhi) in f_prime.groups:
-            lo, hi = max(zlo, xlo), min(zhi, xhi)
-            if lo <= hi:
-                key = (z, x, True)
-                cells[key] = cells.get(key, Fraction(0)) + Fraction(hi - lo + 1, big_n)
-    complement = [
-        (-(big_n // 2) + 1, -(big_k // 2)),
-        (big_k // 2 + 1, big_n // 2),
+            overlap = min(zhi, xhi) - max(zlo, xlo) + 1
+            if overlap > 0:
+                in_a.append((z, x, overlap))
+    off_a = [(x, xhi - xlo + 1 - max(min(xhi, a_hi) - max(xlo, a_lo) + 1, 0)) for x, (xlo, xhi) in f_prime.groups]
+    den = big_n * d
+    cells = [(z, x, True, Fraction(overlap * d, den)) for z, x, overlap in in_a]
+    cells += [
+        (z, x, False, Fraction(off * n, den)) for z, n in zip(plus.sites, plus.numerators) for x, off in off_a if off
     ]
-    for clo, chi in complement:
-        if chi < clo:
-            continue
-        for x, (xlo, xhi) in f_prime.groups:
-            lo, hi = max(clo, xlo), min(chi, xhi)
-            if lo <= hi:
-                weight = Fraction(hi - lo + 1, big_n)
-                for z, w in plus.atoms:
-                    key = (z, x, False)
-                    cells[key] = cells.get(key, Fraction(0)) + weight * w
-
-    ordered = tuple(
-        (z, x, flag, m)
-        for (z, x, flag), m in sorted(cells.items(), key=lambda kv: (not kv[0][2], kv[0][0], kv[0][1]))
-    )
     audit = {"N": big_n, "K": big_k, "epsilon": eps, "doublings": doublings}
-    return JointCoupling(ordered, audit)
+    return JointCoupling(tuple(cells), audit)

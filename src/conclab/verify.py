@@ -42,6 +42,7 @@ from .dist import (
 from .domination import dominates, profile_rows
 from .extremal import (
     AlphaSeq,
+    _check_layout_count,
     _extremal_law,
     _layouts,
     _walk,
@@ -264,9 +265,11 @@ def quantized_extremal_measures(denominator: int, window: tuple[int, int]) -> li
 
     Point masses (cap 1) are excluded: convolving with one translates the sum
     without changing any concentration value, so they add nothing to a scan.
+    More than gaps.ENUM_BUDGET layouts in all is a ValueError.
     """
     lo, hi = window
     sites = range(lo, hi + 1)
+    _check_layout_count((Fraction(j, denominator) for j in range(1, denominator)), len(sites))
     out = []
     for j in range(1, denominator):
         alpha = Fraction(j, denominator)

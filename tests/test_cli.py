@@ -344,6 +344,33 @@ def test_closed_stdout_exits_141_silently():
 
 @pytest.mark.parametrize(
     "argv",
+    [
+        ["gap", "fit", "--values", "99999999999999999999999999999999999999"],
+        ["scan-conjecture", "--denominator", "40", "--window", "0..30", "--n", "2", "--budget", "5"],
+        ["extremal", "oracle", "--alphas", "1/2", "--window", "0..3000"],
+    ],
+    ids=["gap_fit_huge_value", "scan_84M_layouts", "oracle_4.5M_laws"],
+)
+def test_enumeration_over_budget_exits_2_promptly(argv):
+    """Each input once ran for minutes; it now stops at the enumeration
+    budget before any work.  The timeout turns a regression into a failure
+    instead of a hung suite."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run(
+        [sys.executable, "-m", "conclab.cli", *argv],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(src)},
+        timeout=20,
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert len(proc.stderr.splitlines()) == 1 and proc.stderr.startswith("error: ")
+    assert "enumeration budget" in proc.stderr
+
+
+@pytest.mark.parametrize(
+    "argv",
     [["dist", "stats", "{u}"], ["scan-conjecture", "--denominator", "4", "--window", "0..2", "--n", "2"]],
     ids=["dist_stats", "scan"],
 )
@@ -544,6 +571,9 @@ def test_non_positive_count_flag_exits_2(tmp_path, capsys, argv, content):
         (["extremal", "nu", "--alpha", "2"], None),
         (["extremal", "nu", "--alpha", "0"], None),
         (["extremal", "tse", "--alphas", "0"], None),
+        (["gauss", "cells", "--spec", "{f}", "--box", "5..1"], '{"mean": [0], "cov": [[1]]}'),
+        (["gauss", "cells", "--spec", "{f}", "--box", "0..1,3..2"], '{"mean": [0, 0], "cov": [[1, 0], [0, 1]]}'),
+        (["check", "thm_tse", "--instance", "{f}"], '{"alphas": ["1/2"], "delta": "0", "window": [0, 3000]}'),
     ],
     ids=[
         "tv_pow_zero",
@@ -565,6 +595,9 @@ def test_non_positive_count_flag_exits_2(tmp_path, capsys, argv, content):
         "extremal_nu_alpha_2",
         "extremal_nu_alpha_0",
         "extremal_tse_alpha_0",
+        "gauss_cells_reversed_box",
+        "gauss_cells_reversed_second_axis",
+        "check_thm_tse_over_enumeration_budget",
     ],
 )
 def test_bad_input_exits_2_without_traceback(tmp_path, capsys, argv, content):

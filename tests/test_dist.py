@@ -16,9 +16,9 @@ from hypothesis import strategies as st
 from conclab import dist
 from conclab.dist import (
     IntDist,
+    _convolve_numerators,
     _convolve_packed,
     _convolve_pairwise,
-    _q_max_pair,
     convolve,
     convolve_all,
     convolve_power,
@@ -47,8 +47,10 @@ from conclab.verify import random_instance
 
 
 def q_max_convolve(a, b):
-    """q_max(convolve(a, b)) as a Fraction, from the kernel's unreduced pair."""
-    return F(*_q_max_pair(a, b))
+    """q_max(convolve(a, b)) as a Fraction, from the kernel's unreduced
+    numerators."""
+    out, den = _convolve_numerators((a, b))
+    return F(max(out.values()), den)
 
 
 def test_constructor_validates():

@@ -1,12 +1,16 @@
 """Extremal measures, closed-form variance, and the optimum functionals."""
 
+import itertools
 from fractions import Fraction as F
 
 import pytest
 
+from conclab import extremal
 from conclab.dist import IntDist, delta, negate, q_max, shift, uniform, variance
 from conclab.extremal import (
     AlphaSeq,
+    _check_layout_count,
+    _layouts,
     _signed_nu,
     extremal_enumerate,
     is_balanced,
@@ -173,6 +177,34 @@ def test_extremal_enumerate_examples():
     assert extremal_enumerate(F(1), (0, 0)) == [delta(0)]
     with pytest.raises(ValueError):
         extremal_enumerate(F(1, 3), (0, 1))
+
+
+def test_layout_count_is_the_closed_form(monkeypatch):
+    """The count behind the enumeration budget is the number of layouts
+    _layouts yields, C(w, k) * (w - k) with a residue and C(w, k) without,
+    summed over the caps: a budget one below it raises and the count itself
+    passes."""
+
+    def assert_budget_edge(alphas, width):
+        count = sum(1 for alpha in alphas for _ in _layouts(alpha, range(width)))
+        monkeypatch.setattr(extremal, "ENUM_BUDGET", count)
+        _check_layout_count(alphas, width)
+        monkeypatch.setattr(extremal, "ENUM_BUDGET", count - 1)
+        with pytest.raises(ValueError, match="enumeration budget"):
+            _check_layout_count(alphas, width)
+
+    for alpha, width in itertools.product([F(1), F(1, 2), F(2, 3), F(2, 5), F(1, 3), F(3, 10)], range(1, 8)):
+        assert_budget_edge([alpha], width)
+    assert_budget_edge([F(j, 7) for j in range(1, 7)], 6)
+
+
+def test_extremal_enumerate_stops_at_the_enumeration_budget():
+    """C(1415, 2) = 1,000,405 laws of cap 1/2 are over the budget of 10**6,
+    and C(3001, 2) of the oracle's window far over it; no law is built."""
+    with pytest.raises(ValueError, match="enumeration budget"):
+        extremal_enumerate(F(1, 2), (0, 1414))
+    with pytest.raises(ValueError, match="enumeration budget"):
+        t_oracle(AlphaSeq([F(1, 2)]), (0, 3000))
 
 
 def test_extremal_enumerate_all_extremal():

@@ -101,6 +101,17 @@ def test_fit_rank1_examples():
     assert g is not None and g.dims == (1,) and g.generators == (F(1),)
 
 
+def test_fit_rank1_stops_at_the_enumeration_budget():
+    """Trial division takes isqrt(|v|) steps per distinct nonzero value: 10**12
+    takes exactly ENUM_BUDGET, also twice over with its negative, and
+    (10**6 + 1)**2 one more."""
+    g = gap_fit_rank1([10**12, -(10**12), 0])
+    assert g is not None and g.dims == (1,) and g.generators == (F(10**12),)
+    for values in ([(10**6 + 1) ** 2], [10**16], [10**12, 2 * 10**12], [10**38 - 1]):
+        with pytest.raises(ValueError, match="enumeration budget"):
+            gap_fit_rank1(values)
+
+
 def test_fit_rank1_always_covers_quorum():
     import random
 

@@ -433,7 +433,7 @@ def _cells_by_scan(spec, box, n, seed):
         [(-2, 2), (-2, 2), (-2, 2)],
         [(-1, 1), (0, 2), (-3, 0)],
         [(4, 5), (0, 0), (-1, 1)],  # mostly outside the mass
-        [(1, 0), (0, 1), (0, 1)],  # an empty range
+        [(0, 0), (1, 1), (-1, -1)],  # one cell
     ],
 )
 def test_monte_carlo_binning_matches_per_cell_scan(seed, box):
@@ -441,6 +441,15 @@ def test_monte_carlo_binning_matches_per_cell_scan(seed, box):
     table = discretized_gaussian(spec, box, tol=1e-2, seed=seed, samples=20000)
     expected = _cells_by_scan(spec, box, 20000, seed)
     assert list(table.cells.items()) == list(expected.items())
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_reversed_box_axis_is_rejected(dim):
+    """An axis with hi < lo is an input error, not an empty table."""
+    spec = GaussSpec((0.0,) * dim, tuple(tuple(float(i == j) for j in range(dim)) for i in range(dim)))
+    box = [(0, 1)] * (dim - 1) + [(1, 0)]
+    with pytest.raises(ValueError, match="hi < lo"):
+        discretized_gaussian(spec, box, tol=1e-2, samples=100)
 
 
 # -- functions on the integer view against their Fraction bodies -------------

@@ -1,11 +1,14 @@
 """Rearrangements, ball functions, nested medians, dominating coupling."""
 
 from fractions import Fraction as F
-from math import lcm
+from math import ceil, gcd, lcm
 
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from conclab.dist import IntDist, convolve, delta, is_unimodal, q_k, uniform
+from conclab.domination import profile_rows
 from conclab.extremal import nu
 from conclab.rearrange import (
     IntMeasure,
@@ -147,6 +150,19 @@ def test_coupling_rejects_bad_inputs():
         dominating_coupling(delta(0), uniform([-1, 0, 1]), F(1, 2))  # domination fails
     with pytest.raises(ValueError):
         dominating_coupling(delta(0), delta(0), -1)
+
+
+def test_coupling_rejects_measures():
+    """Both laws must be probability laws: on the measure of total 2/3 below
+    the cells would sum to 2/3 and P(A) = 4/9 would miss its bound of 2/3."""
+    mu_prime = IntDist([(-1, F(1, 4)), (0, F(1, 2)), (1, F(1, 4))])
+    for mu, prime in [
+        (IntMeasure([(0, F(1, 3)), (1, F(1, 3))]), mu_prime),
+        (IntMeasure(mu_prime.atoms), mu_prime),
+        (mu_prime, IntMeasure(mu_prime.atoms)),
+    ]:
+        with pytest.raises(ValueError, match="probability laws"):
+            dominating_coupling(mu, prime, F(1, 2))
 
 
 def _check_coupling(mu, mu_prime, eps):
@@ -293,3 +309,52 @@ def test_coupling_matches_fraction_body():
     for seed in range(120):
         mu, mu_prime, eps = random_instance(seed, "coupling-pair")
         assert dominating_coupling(mu, mu_prime, eps).to_json() == _coupling_reference(mu, mu_prime, eps).to_json()
+
+
+@st.composite
+def _laws(draw):
+    """A law of up to 6 atoms with weights up to 30."""
+    sites = draw(st.lists(st.integers(-9, 9), min_size=1, max_size=6, unique=True))
+    weights = draw(st.lists(st.integers(1, 30), min_size=len(sites), max_size=len(sites)))
+    return IntDist((s, F(w, sum(weights))) for s, w in zip(sites, weights))
+
+
+@st.composite
+def _symmetric_unimodal_laws(draw):
+    """Weights w_0 >= w_1 >= ... >= w_k at 0, +-1, ..., +-k."""
+    half = sorted(draw(st.lists(st.integers(1, 12), min_size=1, max_size=4)), reverse=True)
+    weights = half[:0:-1] + half
+    k = len(half) - 1
+    return IntDist((s, F(w, sum(weights))) for s, w in zip(range(-k, k + 1), weights))
+
+
+def _assert_coupling_matches_reference(mu, mu_prime, eps):
+    coupling, reference = dominating_coupling(mu, mu_prime, eps), _coupling_reference(mu, mu_prime, eps)
+    assert coupling.audit == reference.audit  # N, K, epsilon and doublings
+    assert coupling.cells == reference.cells
+
+
+@settings(max_examples=150, deadline=None)
+@given(_laws(), _symmetric_unimodal_laws(), st.integers(1, 6), st.integers(0, 40))
+@example(IntDist([(0, F(3, 4)), (1, F(1, 4))]), IntDist([(-1, F(1, 4)), (0, F(1, 2)), (1, F(1, 4))]), 1, 0)
+def test_coupling_matches_fraction_body_when_p_shares_factors_with_d(mu, mu_prime, r, extra):
+    """c = 1/(1+eps) = p/q with p, the denominator of eps, sharing a factor
+    with d, the denominator of plus(mu): the case where the closed form of N
+    divides q*d by gcd(p, d) > 1.  eps is at least the smallest slack that
+    makes the domination hold."""
+    d = plus_rearrange(mu).denominator()
+    slack = max(F(0), *(lhs / rhs - 1 for _, lhs, rhs in profile_rows(mu, mu_prime, 0)))
+    eps = F(ceil(slack * d * r) + extra, d * r)
+    assume(gcd(eps.denominator, d) > 1)
+    _assert_coupling_matches_reference(mu, mu_prime, eps)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_symmetric_unimodal_laws(), st.data())
+def test_coupling_matches_fraction_body_at_eps_zero(mu_prime, data):
+    """mu carries the masses of mu' on other sites, so its profile is that of
+    mu' and the domination holds with eps = 0, where c = 1 and K = N."""
+    n = len(mu_prime)
+    sites = data.draw(st.lists(st.integers(-9, 9), min_size=n, max_size=n, unique=True))
+    mu = IntDist(zip(sites, data.draw(st.permutations(mu_prime.masses))))
+    _assert_coupling_matches_reference(mu, mu_prime, F(0))

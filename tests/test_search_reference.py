@@ -18,7 +18,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conclab import dist, extremal
-from conclab.dist import FiniteMeasure, IntDist, _q_max_pair, convolve, convolve_all, delta, negate, q_max, uniform
+from conclab.dist import (
+    FiniteMeasure,
+    IntDist,
+    _convolve_numerators,
+    convolve,
+    convolve_all,
+    delta,
+    negate,
+    q_max,
+    uniform,
+)
 from conclab.extremal import AlphaSeq, _extremal_law, _max_q_search, _walk, extremal_enumerate, nu, t_oracle, tse
 from conclab.gauss import LatticeDist
 from conclab.rearrange import IntMeasure
@@ -118,9 +128,16 @@ def brute_scan(cfg: ScanConfig) -> list[ScanRecord]:
     return out
 
 
+def q_max_pair(a: IntDist, b: IntDist) -> tuple[int, int]:
+    """q_max(convolve(a, b)) as (numerator, denominator), not reduced: the
+    kernel's largest numerator over the product of the input denominators."""
+    out, den = _convolve_numerators((a, b))
+    return max(out.values()), den
+
+
 def q_max_convolve(a: IntDist, b: IntDist) -> F:
     """q_max(convolve(a, b)) as a Fraction, from the kernel's unreduced pair."""
-    return F(*_q_max_pair(a, b))
+    return F(*q_max_pair(a, b))
 
 
 def caps(denominator: int) -> list[F]:
@@ -271,7 +288,7 @@ def test_t_oracle_matches_brute_force_property(alphas, lo):
     assert_oracle_matches(AlphaSeq(alphas), (lo, lo + 2))
 
 
-# -- _q_max_pair and the scan -------------------------------------------------------
+# -- the kernel's unreduced pair and the scan ------------------------------------
 
 
 def small_laws() -> list[IntDist]:
@@ -279,27 +296,6 @@ def small_laws() -> list[IntDist]:
     for d in range(2, 6):
         laws += [law for a in caps(d) for law in extremal_enumerate(a, (-1, 3))]
     return laws
-
-
-def test_q_max_convolve_matches_convolve():
-    laws = small_laws()
-    for a in laws[::3]:
-        for b in laws[::2]:
-            assert q_max_convolve(a, b) == q_max(convolve(a, b))
-
-
-@settings(max_examples=100, deadline=None)
-@given(
-    st.lists(st.tuples(st.integers(-6, 6), st.integers(1, 9)), min_size=1, max_size=5, unique_by=lambda t: t[0]),
-    st.lists(st.tuples(st.integers(-6, 6), st.integers(1, 9)), min_size=1, max_size=5, unique_by=lambda t: t[0]),
-)
-def test_q_max_convolve_matches_convolve_property(xs, ys):
-    def law(pairs):
-        total = sum(w for _, w in pairs)
-        return IntDist((s, F(w, total)) for s, w in pairs)
-
-    a, b = law(xs), law(ys)
-    assert q_max_convolve(a, b) == q_max(convolve(a, b))
 
 
 def test_q_max_convolve_checks_mass():
@@ -361,12 +357,12 @@ def test_searches_bypass_the_validating_constructor(monkeypatch):
     assert run() == expected
 
 
-# -- the walker against per-leaf _q_max_pair ------------------------------------
+# -- the walker against the per-leaf kernel pair -------------------------------
 
 
 def reference_walk(levels, tied):
     """(path, num, den) of every sum the walker visits, each leaf from its
-    own _q_max_pair of the prefix, folded with convolve as the walker folds
+    own q_max_pair of the prefix, folded with convolve as the walker folds
     it, and the last option.  tied[k] says whether level k is tied to level
     k - 1, given here rather than worked out from the option lists."""
     out = []
@@ -377,7 +373,7 @@ def reference_walk(levels, tied):
         for options, j in zip(levels[:-1], path):
             prefix = options[j] if prefix is None else convolve(prefix, options[j])
         law = levels[-1][path[-1]]
-        num, den = (max(law.numerators), law.denominator()) if prefix is None else _q_max_pair(prefix, law)
+        num, den = (max(law.numerators), law.denominator()) if prefix is None else q_max_pair(prefix, law)
         out.append((path, num, den))
     return out
 

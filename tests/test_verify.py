@@ -68,6 +68,15 @@ def test_scan_config_rejects_one_site_window(denominator):
     assert quantized_extremal_measures(denominator, (3, 4))
 
 
+def test_quantized_measures_stop_at_the_enumeration_budget():
+    """Cap 1/20 alone has C(31, 20) = 84,672,315 layouts on 31 sites; the
+    scan's budget bounds tuples, not laws, so the count is checked first."""
+    with pytest.raises(ValueError, match="enumeration budget"):
+        quantized_extremal_measures(40, (0, 30))
+    with pytest.raises(ValueError, match="enumeration budget"):
+        next(conjecture_scan(ScanConfig(40, (0, 30), 2, budget=5)))
+
+
 def test_scan_single_term_equality():
     cfg = ScanConfig(denominator=4, window=(0, 3), n=1)
     for record in conjecture_scan(cfg):
