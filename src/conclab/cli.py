@@ -389,31 +389,28 @@ def cmd_be_gap(args) -> int:
 # -- verify ------------------------------------------------------------------------
 
 
-def _json_ints(value, length: int | None = None) -> list[int]:
+def _json_list(value, length: int | None = None) -> list:
+    """value, a JSON list of length items (any number when None), not a string or an object."""
     if not isinstance(value, list) or length not in (None, len(value)):
-        raise TypeError(f"expected a list of {length or 'any number of'} JSON integers, got {value!r}")
-    return [json_int(v) for v in value]
+        size = "" if length is None else f" of {length} items"
+        raise TypeError(f"expected a JSON list{size}, got {value!r}")
+    return value
+
+
+def _json_ints(value, length: int | None = None) -> list[int]:
+    return [json_int(v) for v in _json_list(value, length)]
 
 
 # instance field -> parser of its JSON value; a value of the wrong JSON type is
 # a TypeError, which cmd_check reports as a bad instance
 _FIELD_PARSERS = {
-    "alphas": AlphaSeq,
-    "alphas_prime": AlphaSeq,
-    "alpha": as_fraction,
-    "alpha_prime": as_fraction,
-    "delta": as_fraction,
-    "eps": as_fraction,
-    "gamma": as_fraction,
+    **dict.fromkeys(("alphas", "alphas_prime"), lambda value: AlphaSeq(_json_list(value))),
+    **dict.fromkeys(("alpha", "alpha_prime", "delta", "eps", "gamma"), as_fraction),
     "window": lambda value: tuple(_json_ints(value, 2)),
-    "signs": _json_ints,
-    "i": json_int,
-    "k": json_int,
-    "K": json_int,
-    "n": json_int,
-    "ks": _json_ints,
+    **dict.fromkeys(("signs", "ks"), _json_ints),
+    **dict.fromkeys(("i", "k", "K", "n"), json_int),
     **dict.fromkeys(("mu", "p", "x", "y", "z", "x_prime", "y_prime"), IntDist.from_json_obj),
-    "ys": lambda value: [IntDist.from_json_obj(y) for y in value],
+    "ys": lambda value: [IntDist.from_json_obj(y) for y in _json_list(value)],
 }
 
 # lemma -> (checker in conclab.verify, instance fields in argument order).

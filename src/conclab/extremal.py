@@ -138,8 +138,8 @@ def _layouts(alpha: Fraction, sites: Sequence[int]) -> Iterator[tuple[tuple[int,
 
 
 def _check_layout_count(alphas: Iterable[Fraction], width: int) -> None:
-    """ValueError, before any law is built, when ``_layouts`` of the caps on width sites yield
-    more than ENUM_BUDGET laws: C(width, k) per cap, k = floor(1/alpha), times width - k with a residue."""
+    """ValueError, before any law is built, when ``_layouts`` of the caps on width sites yield more than
+    ENUM_BUDGET laws, translates included: C(width, k) per cap, k = floor(1/alpha), times width - k with a residue."""
     count = 0
     for alpha in alphas:
         k = inverse_floor(alpha)
@@ -411,41 +411,61 @@ def tse(alphas: AlphaSeq) -> tuple[Fraction, SESelection]:
 # -- windowed oracle -----------------------------------------------------------
 
 
-def extremal_enumerate(alpha, window: tuple[int, int]) -> list[IntDist]:
-    """All extremal measures for alpha supported inside the window.
-
-    The window must hold floor(1/alpha) sites, plus one more when the
-    residual atom is present, and at most ENUM_BUDGET such measures.
-    """
-    alpha = _validate_alpha(as_fraction(alpha))
-    lo, hi = window
-    if hi < lo:
+def _window_sites(alpha: Fraction, window: tuple[int, int]) -> range:
+    """The window's sites; ValueError when it is empty, holds fewer sites
+    than alpha's laws have atoms, or more than ENUM_BUDGET of its laws."""
+    sites = range(window[0], window[1] + 1)
+    if not sites:
         raise ValueError("empty window")
-    sites = range(lo, hi + 1)
     needed = ceil(1 / alpha)  # atoms
     if len(sites) < needed:
         raise ValueError(f"window holds {len(sites)} sites; {needed} needed for alpha={alpha}")
     _check_layout_count([alpha], len(sites))
-    return [_extremal_law(alpha, support, b) for support, b in _layouts(alpha, sites)]
+    return sites
+
+
+def extremal_enumerate(alpha, window: tuple[int, int]) -> list[IntDist]:
+    """All extremal measures for alpha supported inside the window, in
+    ``_layouts`` order, once ``_window_sites`` has checked the window."""
+    alpha = _validate_alpha(as_fraction(alpha))
+    return [_extremal_law(alpha, support, b) for support, b in _layouts(alpha, _window_sites(alpha, window))]
+
+
+def _anchored_laws(alpha: Fraction, sites: range) -> list[IntDist]:
+    """The extremal laws for alpha on the sites whose first site is sites[0],
+    in ``_layouts`` order: one per translation class, as the other laws on
+    the sites are their translates up.  Empty when the sites are too few."""
+    return [_extremal_law(alpha, support, b) for support, b in _layouts(alpha, sites) if sites[0] in (support[0], b)]
+
+
+def quantized_extremal_measures(denominator: int, window: tuple[int, int]) -> list[IntDist]:
+    """``_anchored_laws`` of each cap j/D, 0 < j < D, on the window.  Point
+    masses (cap 1) are left out: they only translate a sum.  More than
+    ENUM_BUDGET laws on the window in all, translates included, is a
+    ValueError."""
+    sites = range(window[0], window[1] + 1)
+    caps = [Fraction(j, denominator) for j in range(1, denominator)]
+    _check_layout_count(caps, len(sites))
+    return [law for alpha in caps for law in _anchored_laws(alpha, sites)]
 
 
 def t_oracle(alphas: AlphaSeq, window: tuple[int, int]) -> tuple[Fraction, list[IntDist]]:
     """Exact maximum of q_max over tuples of window-supported extremal
-    measures, one per cap, with a witness tuple attaining it.
+    measures, one per cap, with the first maximiser as witness.
 
-    Tuples are walked in itertools.product order of the extremal choices, and
-    the witness is the first maximiser in that order.  Summands with equal
-    caps commute and have equal choice lists, which the walker ties: within
-    a run of equal caps only tuples with nondecreasing choice indices are
-    visited, and the first maximiser is one of them.  ``_max_q_search``
-    skips every partial tuple whose fill bound is at most the best value so
-    far; no tuple below it could strictly beat that value, so the value and
-    the witness are those of the full walk.
-
-    Exact only relative to the window class; callers report the window along
-    with the value.
+    Each cap chooses among its ``_anchored_laws``, one per translation
+    class.  q_max of a sum is translation invariant, so the value is that of
+    the walk over all of ``extremal_enumerate``, and so is the witness: the
+    full lists are in combinations order, where a law's translate down comes
+    earlier, and the walker ties runs of equal caps to nondecreasing indices.
+    Replacing a law of the full walk's first maximiser by its anchored
+    translate and re-sorting its run would give a maximiser visited earlier,
+    so that maximiser is anchored, and the anchored lists keep their order.
+    ``_max_q_search``'s fill prune keeps the first maximiser.  The checks and
+    the budget, which counts translates, are ``extremal_enumerate``'s.  Exact
+    only relative to the window class; callers report the window with it.
     """
-    choices = [extremal_enumerate(a, window) for a in alphas]
+    choices = [_anchored_laws(a, _window_sites(a, window)) for a in alphas]
     best, path = _max_q_search(choices)
     return best, [options[j] for options, j in zip(choices, path)]
 

@@ -546,6 +546,8 @@ def tv_to_discretized_gaussian(s: LatticeDist, tol: float = 1e-6) -> TVResult:
     bound and is folded into the reported error interval, as are half the
     cell errors and the rounding of the float sums (``_tv_rounding``).
     """
+    if tol <= 0:
+        raise ValueError("tol must be positive")
     d = s.dim
     if d > 2:
         raise ValueError("exact side supported only for d <= 2")

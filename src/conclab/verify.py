@@ -42,14 +42,12 @@ from .dist import (
 from .domination import dominates, profile_rows
 from .extremal import (
     AlphaSeq,
-    _check_layout_count,
-    _extremal_law,
-    _layouts,
     _walk,
     balanced_sequence,
     is_balanced,
     is_strongly_balanced,
     nu,
+    quantized_extremal_measures,
     t_oracle,
     tse,
     tsebal,
@@ -257,26 +255,6 @@ class ScanRecord:
             f'{{"alphas": {alphas}, "index": {self.index}, "instance": {instance}, "lhs": "{ln}/{ld}", '
             f'"margin": "{mn // g}/{md // g}", "rhs": "{rn}/{rd}", "violation": {"true" if self.violation else "false"}}}'
         )
-
-
-def quantized_extremal_measures(denominator: int, window: tuple[int, int]) -> list[IntDist]:
-    """Extremal measures with masses j/D and support in the window, one
-    representative per translation class (minimum site at the window start).
-
-    Point masses (cap 1) are excluded: convolving with one translates the sum
-    without changing any concentration value, so they add nothing to a scan.
-    More than gaps.ENUM_BUDGET layouts in all is a ValueError.
-    """
-    lo, hi = window
-    sites = range(lo, hi + 1)
-    _check_layout_count((Fraction(j, denominator) for j in range(1, denominator)), len(sites))
-    out = []
-    for j in range(1, denominator):
-        alpha = Fraction(j, denominator)
-        out.extend(
-            _extremal_law(alpha, support, b) for support, b in _layouts(alpha, sites) if lo in (support[0], b)
-        )
-    return out
 
 
 def conjecture_scan(cfg: ScanConfig, measures: Optional[list[IntDist]] = None) -> Iterator[ScanRecord]:

@@ -2,6 +2,7 @@
 
 import argparse
 import contextlib
+import hashlib
 import io
 import json
 import math
@@ -369,6 +370,28 @@ def test_enumeration_over_budget_exits_2_promptly(argv):
     assert "enumeration budget" in proc.stderr
 
 
+def test_oracle_on_a_wide_window_runs_promptly():
+    """The oracle walks one law per translation class: 60 laws of cap 1/2
+    on 0..60 instead of 1,830, so three tied caps take well under a second
+    where walking every translate took several.  The stdout is the one the
+    full walk printed, witness included."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run(
+        [sys.executable, "-m", "conclab.cli", "extremal", "oracle", "--alphas", "1/2,1/2,1/2", "--window", "0..60"],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(src)},
+        timeout=20,
+    )
+    assert proc.returncode == 0
+    half = {"atoms": [[0, "1/2"], [1, "1/2"]]}
+    expected = {"alphas": ["1/2"] * 3, "value": "3/8", "window": [0, 60], "witness": [half] * 3}
+    assert json.loads(proc.stdout) == expected
+    assert hashlib.sha256(proc.stdout.encode()).hexdigest() == (
+        "854d4ea5c860729b1c999d96f3af86c6fe64a1e94ea972737305f63ca94430d0"
+    )
+
+
 @pytest.mark.parametrize(
     "argv",
     [["dist", "stats", "{u}"], ["scan-conjecture", "--denominator", "4", "--window", "0..2", "--n", "2"]],
@@ -574,6 +597,19 @@ def test_non_positive_count_flag_exits_2(tmp_path, capsys, argv, content):
         (["gauss", "cells", "--spec", "{f}", "--box", "5..1"], '{"mean": [0], "cov": [[1]]}'),
         (["gauss", "cells", "--spec", "{f}", "--box", "0..1,3..2"], '{"mean": [0, 0], "cov": [[1, 0], [0, 1]]}'),
         (["check", "thm_tse", "--instance", "{f}"], '{"alphas": ["1/2"], "delta": "0", "window": [0, 3000]}'),
+        (["check", "thm_tse", "--instance", "{f}"], '{"alphas": "11", "delta": "0", "window": [0, 2]}'),
+        (["check", "thm_tse", "--instance", "{f}"], '{"alphas": {"1/2": 1}, "delta": "0", "window": [0, 2]}'),
+        (
+            ["check", "midsize_alpha_continuity", "--instance", "{f}"],
+            '{"K": 1, "alphas": ["1/2"], "alphas_prime": "11", "y": {"atoms": [[0, "1"]]}}',
+        ),
+        (
+            ["check", "peakednessl1", "--instance", "{f}"],
+            '{"x": {"atoms": [[0, "1"]]}, "ys": {}, "z": {"atoms": [[0, "1"]]}, "eps": "0"}',
+        ),
+        (["gauss", "tv", "{f}", "--tol", "0"], LATTICE),
+        (["gauss", "tv", "{f}", "--tol", "-5"], LATTICE),
+        (["gauss", "tv", "{f}", "--pow", "2", "--tol", "0"], LATTICE),
     ],
     ids=[
         "tv_pow_zero",
@@ -598,6 +634,13 @@ def test_non_positive_count_flag_exits_2(tmp_path, capsys, argv, content):
         "gauss_cells_reversed_box",
         "gauss_cells_reversed_second_axis",
         "check_thm_tse_over_enumeration_budget",
+        "check_alphas_string",
+        "check_alphas_object",
+        "check_alphas_prime_string",
+        "check_ys_object",
+        "tv_tol_zero",
+        "tv_tol_negative",
+        "tv_pow_tol_zero",
     ],
 )
 def test_bad_input_exits_2_without_traceback(tmp_path, capsys, argv, content):

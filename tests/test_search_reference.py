@@ -9,6 +9,7 @@ Fraction bodies of `nu`, `extremal_enumerate` and
 """
 
 import itertools
+import math
 import random
 from fractions import Fraction as F
 from math import comb
@@ -182,6 +183,28 @@ def test_quantized_extremal_measures_match_reference():
             assert quantized_extremal_measures(d, window) == reference_quantized_extremal_measures(d, window), (d, window)
 
 
+def translation_shape(law: IntDist) -> tuple:
+    """The atoms of law moved so that its first site is 0: equal for two
+    laws exactly when one is a translate of the other."""
+    return tuple((site - law.sites[0], mass) for site, mass in law.atoms)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 9).flatmap(lambda d: st.sampled_from(caps(d))), st.integers(-3, 3), st.integers(0, 6))
+def test_anchored_laws_are_one_per_translation_class(alpha, lo, width):
+    """The laws whose first site is the window start, in the order of
+    extremal_enumerate, and every window law is a translate of exactly one."""
+    window, sites = (lo, lo + width), range(lo, lo + width + 1)
+    anchored = extremal._anchored_laws(alpha, sites)
+    if len(sites) < math.ceil(1 / alpha):
+        assert anchored == []
+        return
+    every = extremal_enumerate(alpha, window)
+    assert anchored == [law for law in every if law.sites[0] == lo]
+    shapes = [translation_shape(law) for law in anchored]
+    assert all(shapes.count(translation_shape(law)) == 1 for law in every)
+
+
 def assert_tse_matches(alphas: AlphaSeq) -> None:
     value, sel = tse(alphas)
     assert (value, sel.signs) == brute_tse(alphas), alphas
@@ -280,6 +303,31 @@ def test_t_oracle_matches_brute_force_window_0_3():
     tied = [[F(1, 2)] * 3, [F(2, 3), F(2, 3), F(1, 4)], [F(3, 4), F(1, 3), F(1, 3)], [F(5, 6), F(1, 2), F(2, 5)]]
     for combo in tied:
         assert_oracle_matches(AlphaSeq(combo), (0, 3))
+
+
+ORACLE_WIDE_CASES = [
+    # (caps, window): brute force walks every translate, t_oracle one per class
+    ([F(1, 2)] * 3, (0, 4)),
+    ([F(2, 3), F(2, 3), F(1, 2)], (0, 4)),
+    ([F(2, 3)] * 3, (0, 4)),
+    ([F(3, 5), F(3, 5)], (0, 4)),
+    ([F(3, 4), F(3, 5), F(3, 5)], (0, 4)),
+    ([F(3, 5), F(3, 5), F(1, 3)], (0, 4)),
+    ([F(2, 5), F(2, 5)], (0, 4)),
+    ([F(1, 2), F(1, 2)], (0, 5)),
+    ([F(3, 7), F(3, 7)], (0, 5)),
+    ([F(5, 12), F(5, 12)], (0, 5)),
+    ([F(2, 5), F(3, 7)], (0, 5)),
+    ([F(2, 3), F(2, 5)], (0, 5)),
+    ([F(2, 3), F(2, 3), F(2, 5)], (-2, 2)),
+    ([F(3, 5)] * 3, (-1, 3)),
+    ([F(3, 5), F(2, 7)], (-1, 4)),
+]
+
+
+@pytest.mark.parametrize("alphas,window", ORACLE_WIDE_CASES)
+def test_t_oracle_matches_brute_force_wide_windows(alphas, window):
+    assert_oracle_matches(AlphaSeq(alphas), window)
 
 
 @settings(max_examples=40, deadline=None)
