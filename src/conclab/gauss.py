@@ -68,7 +68,7 @@ class LatticeDist(FiniteMeasure):
 
     @property
     def dim(self) -> int:
-        return len(self.sites[0])
+        return len(next(iter(self._nums)))
 
     def _compatible(self, other) -> bool:
         return super()._compatible(other) and other.dim == self.dim
@@ -201,11 +201,6 @@ _MAX_NODES = 64
 _MAX_COLUMN_NODES = 100_000
 _LOG_FACT = [math.lgamma(k + 1) for k in range(2 * _MAX_NODES + 1)]
 _SAFE = 1 + 1e-8  # covers the log-space evaluation of the remainder bound
-
-
-def _cell_prob_1d(mu: float, sigma: float, x: int) -> tuple[float, float]:
-    p = norm_cdf((x + 0.5 - mu) / sigma) - norm_cdf((x - 0.5 - mu) / sigma)
-    return max(p, 0.0), _D1_CELL_ERR
 
 
 @functools.lru_cache(maxsize=None)
@@ -487,9 +482,14 @@ def discretized_gaussian(
         raise ValueError("box coordinates must be below 2**52 in magnitude")
     cells: dict[tuple[int, ...], tuple[float, float]] = {}
     if d == 1:
+        # one norm_cdf per cell edge x - 1/2; below 2**52, x + 1/2 and
+        # (x + 1) - 1/2 are the same float, so a cell is the difference of
+        # its two edges as if each were evaluated for that cell alone
         mu, sigma = spec.mean[0], math.sqrt(spec.cov[0][0])
-        for x in range(box[0][0], box[0][1] + 1):
-            cells[(x,)] = _cell_prob_1d(mu, sigma, x)
+        lo, hi = box[0]
+        edges = [norm_cdf((x - 0.5 - mu) / sigma) for x in range(lo, hi + 2)]
+        for x, below, above in zip(range(lo, hi + 1), edges, edges[1:]):
+            cells[(x,)] = (max(above - below, 0.0), _D1_CELL_ERR)
     elif d == 2:
         cells = _cell_table_2d(spec, box, epsabs=min(tol / 10, 1e-11))
         for site, (_, err) in cells.items():
@@ -609,60 +609,72 @@ class LLTTerms:
 
 
 def llt_terms(ys: Sequence[LatticeDist]) -> LLTTerms:
+    """The local-CLT terms of the summands ys.
+
+    Every exact step depends on the summand alone, so it is worked out once
+    per distinct summand: u, the covariance trace and the chi pair terms.
+    s_tilde and the trace are sums weighted by how often each law occurs,
+    and u repeats each law's float in summand order.  chi still adds every
+    summand's pair terms in input order, so it is the same float as a sum
+    over all summands.
+    """
     if not ys:
         raise ValueError("empty summand list")
-    d = ys[0].dim
-    if any(y.dim != d for y in ys):
-        raise ValueError("dimension mismatch")
     m = len(ys)
+    slot: dict = {}
+    which = [slot.setdefault(y, len(slot)) for y in ys]  # one hash per summand
+    laws = list(slot)
+    d = laws[0].dim
+    if any(y.dim != d for y in laws):
+        raise ValueError("dimension mismatch")
+    counts = Counter(which)
 
-    # u, the chi terms and the covariance trace depend on the summand alone,
-    # so each distinct summand is worked out once.
-    per: dict = {}
-    for y in ys:
-        if y in per:
-            continue
+    u_exact, pair_terms, traces = [], [], []
+    for y in laws:
         shifts = []
         for j in range(d):
             e = [0] * d
             e[j] = 1
             shifts.append(1 - tv_exact(y, shift(y, e)))
-        terms = []
+        u_exact.append(min(shifts))
         den_sq = y.denominator() ** 2
-        for sa, na in zip(y.sites, y.numerators):
-            for sb, nb in zip(y.sites, y.numerators):
-                dist_sq = sum((a - b) ** 2 for a, b in zip(sa, sb))
-                terms.append(na * nb / den_sq * dist_sq**1.5)
+        atoms = list(zip(y.sites, y.numerators))
+        pair_terms.append(
+            [na * nb / den_sq * sum((a - b) ** 2 for a, b in zip(sa, sb)) ** 1.5 for sa, na in atoms for sb, nb in atoms]
+        )
         c = y.cov()
-        per[y] = (min(shifts), terms, sum(c[i][i] for i in range(d)))
+        traces.append(sum(c[i][i] for i in range(d)))
 
-    u_exact = [per[y][0] for y in ys]
-    s_tilde_exact = sum(u_exact, Fraction(0)) - max(u_exact)
+    s_tilde_exact = sum((counts[i] * u for i, u in enumerate(u_exact)), Fraction(0)) - max(u_exact)
+    trace = sum((counts[i] * t for i, t in enumerate(traces)), Fraction(0))
 
     # The float terms are added one by one in the original summand order, so
     # chi is the same float as a sum over every summand's atom pairs (a
     # per-summand sum() or a multiple of it would round differently).
     chi = 0.0
-    for y in ys:
-        for term in per[y][1]:
+    for i in which:
+        for term in pair_terms[i]:
             chi += term
     chi /= m
 
-    trace = sum((per[y][2] for y in ys), Fraction(0))
     denom = (2.0 * float(trace) / m) ** 1.5
     big_l = (chi / math.sqrt(m)) / denom if denom > 0 else math.inf
+    u_float = [float(x) for x in u_exact]
 
     return LLTTerms(
         L=big_l,
         chi=chi,
         s_tilde=float(s_tilde_exact),
-        u=tuple(float(x) for x in u_exact),
+        u=tuple(u_float[i] for i in which),
         applicable=s_tilde_exact > 0,
     )
 
 
 def tv_convergence_curve(base: LatticeDist, ms: Sequence[int], tol: float = 1e-6) -> list[dict]:
     """TV-to-rounded-Gaussian and local-CLT terms for m-fold self sums."""
+    for m in ms:
+        if m < 1:
+            raise ValueError(f"every power m must be >= 1, got {m}")
     rows = []
     for m in ms:
         s = pow_conv(base, m)

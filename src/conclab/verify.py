@@ -559,11 +559,14 @@ def odlyzko_richmond_check(p: IntDist, n: int, delta) -> CheckReport:
     k_lo, k_hi = ceil(delta * n), floor((d - delta) * n)
     if k_hi < k_lo:
         return _na("odlyzko_richmond", instance, "empty window")
-    # compared as numerators over den**2; min reports the first k of least slack
-    num = conv.numerator
-    k = min(range(k_lo, k_hi + 1), key=lambda k: num(k) ** 2 - num(k - 1) * num(k + 1))
+    # compared as numerators over den**2, each read once; index(min) is the
+    # first k of least slack
+    num = list(map(conv.numerator, range(k_lo - 1, k_hi + 2)))
+    slack = [b * b - a * c for a, b, c in zip(num, num[1:], num[2:])]
+    i = slack.index(min(slack))
+    k = k_lo + i
     den_sq = conv.denominator() ** 2
-    lhs, rhs = Fraction(num(k - 1) * num(k + 1), den_sq), Fraction(num(k) ** 2, den_sq)
+    lhs, rhs = Fraction(num[i] * num[i + 2], den_sq), Fraction(num[i + 1] ** 2, den_sq)
     return _exact("odlyzko_richmond", instance, lhs, rhs, {"k": k, "window": [k_lo, k_hi]})
 
 

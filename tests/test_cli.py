@@ -991,6 +991,20 @@ def test_tv_csv_needs_pow(files, capsys):
     assert capsys.readouterr() == ("", "error: --format csv needs --pow\n")
 
 
+@pytest.mark.parametrize("powers, bad", [("320,0", "0"), ("2,4,-3", "-3")])
+def test_tv_bad_power_exits_2_before_any_power(files, capsys, monkeypatch, powers, bad):
+    """A power below 1 anywhere in --pow is refused before the first row is
+    computed, and the message names it."""
+    from conclab import gauss
+
+    def unreachable(base, m):
+        raise AssertionError("pow_conv ran")
+
+    monkeypatch.setattr(gauss, "pow_conv", unreachable)
+    assert run(["gauss", "tv", files["base.json"], "--pow", powers]) == 2
+    assert capsys.readouterr() == ("", f"error: every power m must be >= 1, got {bad}\n")
+
+
 def _readme_cli_lines() -> list[str]:
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     block = readme.split("## CLI", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]

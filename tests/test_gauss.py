@@ -400,9 +400,24 @@ def test_llt_terms_matches_per_summand_reference(ys):
 
 def test_llt_terms_repeated_base_matches_reference():
     base = LatticeDist([((0,), F(5, 13)), ((1,), F(6, 13)), ((3,), F(2, 13))])
-    for m in (1, 2, 7, 64):
+    for m in (1, 2, 7, 64, 128, 320):
         assert llt_terms([base] * m) == _llt_terms_reference([base] * m)
-    assert llt_terms([SQUARE] * 16) == _llt_terms_reference([SQUARE] * 16)
+    for m in (16, 128, 320):
+        assert llt_terms([SQUARE] * m) == _llt_terms_reference([SQUARE] * m)
+
+
+def test_llt_terms_interleaved_laws_match_reference():
+    # three laws in a fixed order of 101 summands with runs, returns and
+    # equal-but-distinct objects, so that a count or an order slip shows
+    a = LatticeDist([((0,), F(5, 13)), ((1,), F(6, 13)), ((3,), F(2, 13))])
+    b = LatticeDist([((-2,), F(1, 7)), ((0,), F(2, 7)), ((5,), F(4, 7))])
+    c = LatticeDist([((1,), F(1, 3)), ((2,), F(1, 3)), ((4,), F(1, 3))])
+    laws = [a, b, c, LatticeDist(b.atoms)]
+    ys = [laws[(i * i + i // 3) % 5 % 4] for i in range(101)]
+    assert len(set(map(id, ys))) == 4 and len(set(ys)) == 3
+    terms = llt_terms(ys)
+    assert terms == _llt_terms_reference(ys)
+    assert len(terms.u) == 101
 
 
 # -- d = 3 Monte Carlo cells binned in one pass --------------------------------
@@ -646,6 +661,41 @@ def test_cell_table_2d_diagonal_within_err_of_closed_form(mean, var, box, tol):
     for (x0, x1), (p, err) in [*table.items(), *fine.items()]:
         exact = _cell_exact_1d(mean[0], var[0], x0) * _cell_exact_1d(mean[1], var[1], x1)
         assert abs(Decimal(p) - exact) <= Decimal(err), ((x0, x1), p, err, exact)
+
+
+def _cell_prob_1d(mu, sigma, x):
+    """One d = 1 cell as it was computed before the edges were shared: both
+    of its edges evaluated for it alone."""
+    p = norm_cdf((x + 0.5 - mu) / sigma) - norm_cdf((x - 0.5 - mu) / sigma)
+    return max(p, 0.0), gauss._D1_CELL_ERR
+
+
+_NEAR_LIMIT = 2**52 - 100  # the box's coordinates stay below 2**52 in magnitude
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.one_of(
+        st.integers(-300, 300),
+        st.integers(-(2**51) - 50, -(2**51) + 50),
+        st.integers(2**51 - 50, 2**51 + 50),
+        st.integers(-_NEAR_LIMIT, -_NEAR_LIMIT + 30),
+        st.integers(_NEAR_LIMIT - 30, _NEAR_LIMIT),
+    ),
+    st.integers(0, 60),
+    st.floats(-20.0, 80.0),
+    st.floats(1e-4, 1e6),
+)
+def test_cell_table_1d_matches_per_cell_body(lo, width, offset, var):
+    """Shared edges give every cell bit for bit, with the mean placed near
+    the box wherever the box lies."""
+    mean = lo + offset
+    spec = GaussSpec((mean,), ((var,),))
+    table = discretized_gaussian(spec, [(lo, lo + width)], tol=1e-9)
+    sigma = math.sqrt(var)
+    expected = {(x,): _cell_prob_1d(mean, sigma, x) for x in range(lo, lo + width + 1)}
+    assert table.cells == expected  # float for float
+    assert list(table.cells) == list(expected)
 
 
 def test_cell_table_1d_within_err_of_closed_form():
