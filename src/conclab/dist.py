@@ -24,10 +24,11 @@ result's sites back; these two are the only kernel code that sees a tuple
 site.  The tuple walker of ``extremal`` calls ``_product`` itself, after
 one container check per walk, on integer operands: each option's extracted
 once, and each prefix the product of the prefix above it and an option.  A
-result enters the container through ``_from_integers``, reduced by one gcd.
-JSON, text and ``repr`` are formatted from the integers too: each mass is its
-numerator and the denominator divided by their gcd, so no Fraction is built
-on the way out.
+result enters the container through ``_from_integers``, reduced by one gcd;
+the Kronecker branches and ``_decode`` keep site order, so only the pairwise
+loop's output is sorted on the way in.  JSON, text and ``repr`` are
+formatted from the integers too: each mass is its numerator and the
+denominator divided by their gcd, so no Fraction is built on the way out.
 Large dense supports use Kronecker substitution: each law is packed into one
 Python int with a fixed-width slot per site from its first to its last,
 CPython's big-int multiply (or ``pow``) does the convolution, and one pass
@@ -114,7 +115,7 @@ class FiniteMeasure:
     site type is the default.
     """
 
-    __slots__ = ("_nums", "_den")
+    __slots__ = ("_nums", "_den", "_hash")
 
     _site = staticmethod(int_site)
     _normalized = True
@@ -140,19 +141,21 @@ class FiniteMeasure:
         self._store(nums, den)
 
     @classmethod
-    def _from_integers(cls, out: dict, den: int):
+    def _from_integers(cls, out: dict, den: int, ordered: bool = False):
         """The law with mass out[s] / den at each site s: the way in for exact
         results (the kernel's, negate's, squeeze's), which skips the per-atom
-        checks and reduces once, by the gcd of den and every numerator."""
+        checks and reduces once, by the gcd of den and every numerator.
+        ``ordered`` says that out is already in site order."""
         if den <= 0 or min(out.values()) <= 0:
             raise RuntimeError("an exact result has a non-positive numerator or denominator")
         g = gcd(den, *out.values())
         mu = object.__new__(cls)
-        mu._store(out if g == 1 else {s: n // g for s, n in out.items()}, den // g)
+        mu._store(out if g == 1 else {s: n // g for s, n in out.items()}, den // g, ordered)
         return mu
 
-    def _store(self, nums: dict, den: int) -> None:
-        object.__setattr__(self, "_nums", {s: nums[s] for s in sorted(nums)})
+    def _store(self, nums: dict, den: int, ordered: bool = False) -> None:
+        """Keep nums, sorted by site unless ``ordered`` says it is, over den."""
+        object.__setattr__(self, "_nums", nums if ordered else {s: nums[s] for s in sorted(nums)})
         object.__setattr__(self, "_den", den)
 
     # -- the integer view and the Fraction edges --------------------------
@@ -195,7 +198,13 @@ class FiniteMeasure:
         return type(other) is type(self) and self._den == other._den and self._nums == other._nums
 
     def __hash__(self) -> int:
-        return hash((self._den, *self._nums.items()))
+        # worked out on first use and kept: grouping summands hashes one law many times
+        try:
+            return self._hash
+        except AttributeError:
+            h = hash((self._den, *self._nums.items()))
+            object.__setattr__(self, "_hash", h)
+            return h
 
     def _formatted(self) -> Iterator[tuple[object, str]]:
         """(site, 'num/den') per atom in site order, each mass reduced by one
@@ -556,15 +565,17 @@ def _operand(mu: FiniteMeasure) -> tuple[list, int, int]:
     return list(mu._nums.items()), mu._den, mu._den if mu._normalized else sum(mu._nums.values())
 
 
-def _product(parts: Sequence[list], n: int, total: int, dim: int) -> dict:
+def _product(parts: Sequence[list], n: int, total: int, dim: int, ordered: bool = False) -> dict:
     """Site -> numerator of the product of the operands ``parts``, with
-    integer sites, raised to the n-th power, not necessarily in site order:
-    the product proper of the kernel.  ``_branch`` picks the branch from the
-    operands and dim, the affine dimension that ``_encode`` reports: the
-    pairwise loop, the packed big-int product, or, for the power of one law,
-    Miller's recurrence.  The numerators must sum to ``total``, the product
-    of the operands' numerator sums to the n-th power; anything else is a
-    broken input or a kernel fault and raises RuntimeError."""
+    integer sites, raised to the n-th power: the product proper of the
+    kernel.  ``_branch`` picks the branch from the operands and dim, the
+    affine dimension that ``_encode`` reports: the pairwise loop, the packed
+    big-int product, or, for the power of one law, Miller's recurrence.  The
+    Kronecker branches return sites in order; the pairwise loop's output is
+    sorted only when ``ordered`` asks for site order.  The numerators must
+    sum to ``total``, the product of the operands' numerator sums to the
+    n-th power; anything else is a broken input or a kernel fault and raises
+    RuntimeError."""
     branch = _branch(parts, n, dim)
     if branch == "recurrence":
         out = _convolve_recurrence(parts[0], n)
@@ -572,23 +583,26 @@ def _product(parts: Sequence[list], n: int, total: int, dim: int) -> dict:
         out = _convolve_packed(parts, n)
     else:
         out = _convolve_pairwise(parts, n)
+        if ordered:
+            out = {s: out[s] for s in sorted(out)}
     if sum(out.values()) != total:
         raise RuntimeError("convolution numerators do not sum to the product of the input sums")
     return out
 
 
-def _convolve_numerators(laws: Sequence[FiniteMeasure], n: int = 1):
+def _convolve_numerators(laws: Sequence[FiniteMeasure], n: int = 1, ordered: bool = False):
     """Integer numerators of the law of the sum of one draw from each of
     ``laws``, all of it n times over, and their common denominator: the one
     convolution kernel of the package, for integer and lattice sites alike.
 
-    Returns (out, den): a site -> numerator dict, not necessarily in site
-    order, over den, the product of the inputs' common denominators to the
-    n-th power.  The operands are extracted here (``_operand``, after the
-    container check), numbered by ``_encode``, multiplied by ``_product``
-    and given their sites back by ``_decode``; a caller that reuses integer
-    operands, the tuple walker of ``extremal``, extracts them once and calls
-    ``_product`` itself.
+    Returns (out, den): a site -> numerator dict over den, the product of
+    the inputs' common denominators to the n-th power.  out is in site order
+    when ``ordered`` is set (``_decode`` keeps the order of the numbers),
+    else in no set order.  The operands are extracted here (``_operand``,
+    after the container check), numbered by ``_encode``, multiplied by
+    ``_product`` and given their sites back by ``_decode``; a caller that
+    reuses integer operands, the tuple walker of ``extremal``, extracts them
+    once and calls ``_product`` itself.
     """
     _same_container(laws)
     parts, den, total = [], 1, 1
@@ -600,7 +614,7 @@ def _convolve_numerators(laws: Sequence[FiniteMeasure], n: int = 1):
     if n > 1:
         den, total = den**n, total**n
     parts, dim, frame = _encode(parts, n)
-    return _decode(_product(parts, n, total, dim), frame), den
+    return _decode(_product(parts, n, total, dim, ordered), frame), den
 
 
 def convolve(a: FiniteMeasure, b: FiniteMeasure) -> FiniteMeasure:
@@ -612,8 +626,8 @@ def convolve(a: FiniteMeasure, b: FiniteMeasure) -> FiniteMeasure:
     supports go through the Kronecker-substitution kernel (one big-int
     product), small or sparse ones through the pairwise loop; see ``_branch``.
     """
-    out, den = _convolve_numerators((a, b))
-    return type(a)._from_integers(out, den)
+    out, den = _convolve_numerators((a, b), ordered=True)
+    return type(a)._from_integers(out, den, ordered=True)
 
 
 def convolve_all(dists: Sequence[FiniteMeasure]) -> FiniteMeasure:
@@ -628,8 +642,8 @@ def convolve_all(dists: Sequence[FiniteMeasure]) -> FiniteMeasure:
         raise ValueError("empty convolution")
     if len(dists) == 1:
         return dists[0]
-    out, den = _convolve_numerators(dists)
-    return type(dists[0])._from_integers(out, den)
+    out, den = _convolve_numerators(dists, ordered=True)
+    return type(dists[0])._from_integers(out, den, ordered=True)
 
 
 def convolve_power(mu: FiniteMeasure, n: int) -> FiniteMeasure:
@@ -644,8 +658,8 @@ def convolve_power(mu: FiniteMeasure, n: int) -> FiniteMeasure:
         raise ValueError("n must be >= 1")
     if n == 1:
         return mu
-    out, den = _convolve_numerators((mu,), n)
-    return type(mu)._from_integers(out, den)
+    out, den = _convolve_numerators((mu,), n, ordered=True)
+    return type(mu)._from_integers(out, den, ordered=True)
 
 
 def q_max(mu: IntDist) -> Fraction:

@@ -73,27 +73,28 @@ class LatticeDist(FiniteMeasure):
     def _compatible(self, other) -> bool:
         return super()._compatible(other) and other.dim == self.dim
 
-    def _moment_sums(self) -> tuple[int, list[tuple[int, ...]], list[list[int]]]:
-        """(den, axes, weighted): the denominator, the site coordinates axis by
-        axis, and each axis times the numerators: mean and cov as integer sums."""
+    def _moment_sums(self) -> tuple[int, list[int], list[list[int]]]:
+        """(den, first, second): the denominator, the weighted coordinate sums
+        first[i] = sum n x_i, and second[i][j] = den sum n x_i x_j - first[i]
+        first[j], each pair of axes worked out once.  The mean is first / den
+        and the covariance second / den**2, one pass for both."""
+        den, nums = self._den, self.numerators
         axes = list(zip(*self.sites))
-        return self.denominator(), axes, [list(map(operator.mul, self.numerators, axis)) for axis in axes]
+        weighted = [list(map(operator.mul, nums, axis)) for axis in axes]
+        first = [sum(w) for w in weighted]
+        second = [[0] * len(axes) for _ in axes]
+        for i, (w, f) in enumerate(zip(weighted, first)):
+            for j in range(i, len(axes)):
+                second[i][j] = second[j][i] = den * sum(map(operator.mul, w, axes[j])) - f * first[j]
+        return den, first, second
 
     def mean(self) -> tuple[Fraction, ...]:
-        den, _, weighted = self._moment_sums()
-        return tuple(Fraction(sum(w), den) for w in weighted)
+        den, first, _ = self._moment_sums()
+        return tuple(Fraction(f, den) for f in first)
 
     def cov(self) -> tuple[tuple[Fraction, ...], ...]:
-        # (den * sum n x_i x_j - sum n x_i * sum n x_j) / den**2: one Fraction per entry
-        den, axes, weighted = self._moment_sums()
-        first = [sum(w) for w in weighted]
-        return tuple(
-            tuple(
-                Fraction(den * sum(map(operator.mul, w, axis)) - f * g, den * den)
-                for axis, g in zip(axes, first)
-            )
-            for w, f in zip(weighted, first)
-        )
+        den, _, second = self._moment_sums()
+        return tuple(tuple(Fraction(c, den * den) for c in row) for row in second)
 
 
 def lattice_delta(site: Sequence[int]) -> LatticeDist:
@@ -190,6 +191,9 @@ _ERF_REL = 0.49  # |erf(w (1 + e)) - erf(w)| <= _ERF_REL |e|: 2 / sqrt(2 pi e) =
 _COORD_LIMIT = 2**52
 # the most cells a table holds; a larger box is a ValueError before any work
 _MAX_CELLS = 10**7
+# the most nodes times row edges that one block of 2-D columns holds (8 bytes
+# each, in each of a few arrays); a block has at least one column
+_BLOCK_VALUES = 2**16
 
 # One norm_cdf value: five roundings of its argument, erf's own error and
 # 1 + erf; a 1-D cell is the difference of two values, rounded once more.
@@ -318,23 +322,37 @@ def _gl_plan(sd1: float, r: float, epsabs: float) -> _GLPlan:
     return _GLPlan(pieces, n, math.exp(log_rem) * _SAFE, deriv, offsets, weights)
 
 
-def _cell_table_2d(spec: GaussSpec, box: Sequence[tuple[int, int]], epsabs: float) -> dict:
-    """The 2-D cell table {(x0, x1): (p, err)} in row-major order.
+def _map_floats(fn, arr: np.ndarray) -> np.ndarray:
+    """fn applied to every element of the float array arr, one Python call
+    each (math.exp and math.erf are the functions of the float model).  A
+    memoryview hands fn each element as a Python float, without a list of
+    them all."""
+    return np.fromiter(map(fn, memoryview(arr.ravel())), float, arr.size).reshape(arr.shape)
+
+
+def _cell_table_2d(spec: GaussSpec, box: Sequence[tuple[int, int]], epsabs: float) -> tuple[np.ndarray, np.ndarray]:
+    """The 2-D cell table as two arrays of the box's shape, row-major: the
+    cell probabilities p and their error bounds err.
 
     A cell is the integral over its column t in [x0 - 1/2, x0 + 1/2] of
     f(t) = phi1(t) [Phi(beta(t)) - Phi(alpha(t))]: the first coordinate's
     density times the conditional probability of the cell's row.  Every
     column is integrated by the one Gauss-Legendre plan of the spec
-    (``_gl_plan``).  At each node erf is evaluated once per row edge, and the
-    cells of the column take differences of adjacent edges.  Each cell's
-    terms are added node by node, as a loop over the nodes would add them.
+    (``_gl_plan``).  The columns are evaluated a block at a time, as many as
+    keep the block's nodes times row edges within _BLOCK_VALUES (at least
+    one column): exp once per node and erf once per node and row edge, each
+    one map over the block's flattened array, and the cells of a column take
+    differences of adjacent edges.  Each cell's terms are added node by node
+    (np.add.accumulate along the node axis), as a loop over the nodes would
+    add them, so the block size changes no bit of the table.
 
-    err is the plan's proven remainder, plus the error from evaluating at
-    rounded nodes (|f'| times the node offset), plus the rounding of the
-    evaluation itself under the float model above, which scales with the
-    column's mass.
+    err, one value per column repeated along its rows and worked out for all
+    columns at once, is the plan's proven remainder, plus the error from
+    evaluating at rounded nodes (|f'| times the node offset), plus the
+    rounding of the evaluation itself under the float model above, which
+    scales with the column's mass.
     """
-    exp, erf, u = math.exp, math.erf, _U
+    exp, u = math.exp, _U
     (lo0, hi0), (lo1, hi1) = box
     m1, m2 = spec.mean
     s11, s12, s22 = spec.cov[0][0], spec.cov[0][1], spec.cov[1][1]
@@ -353,35 +371,39 @@ def _cell_table_2d(spec: GaussSpec, box: Sequence[tuple[int, int]], epsabs: floa
     gamma = nodes * u / (1 - nodes * u)  # a sum of `nodes` terms, added one by one
     underflow = 1.02 * exp(-700.0) / scale  # covers every density below exp(-700)
     edges = np.arange(lo1, hi1 + 2) - 0.5
-    cells: dict[tuple[int, int], tuple[float, float]] = {}
-    for x0 in range(lo0, hi0 + 1):
-        t = x0 + plan.offsets
-        d = t - m1
+    x0 = np.arange(lo0, hi0 + 1)
+    p = np.empty((len(x0), len(edges) - 1))
+    mass = np.empty(len(x0))  # sum of each column's node weights times densities
+    block = max(1, _BLOCK_VALUES // (nodes * len(edges)))
+    for start in range(0, len(x0), block):
+        cols = slice(start, start + block)
+        d = (x0[cols, None] + plan.offsets) - m1  # column x node
         v = d / sd1
-        a = plan.weights * (np.array(list(map(exp, (-0.5 * (v * v)).tolist()))) / scale)
-        z = (edges - (m2 + slope * d)[:, None]) / cond_sd / sqrt2
-        e = np.array(list(map(erf, z.ravel().tolist()))).reshape(z.shape)
-        terms = (0.5 * a)[:, None] * (e[:, 1:] - e[:, :-1])
-        probs = np.add.accumulate(terms, axis=0)[-1]
+        a = plan.weights * (_map_floats(exp, -0.5 * (v * v)) / scale)
+        z = (edges - (m2 + slope * d)[:, :, None]) / cond_sd / sqrt2  # column x node x row edge
+        e = _map_floats(math.erf, z)
+        terms = (0.5 * a)[:, :, None] * (e[:, :, 1:] - e[:, :, :-1])
+        p[cols] = np.add.accumulate(terms, axis=1)[:, -1]
+        mass[cols] = a.sum(axis=1)
 
-        # the column's distance from m1, in sd1, less what node rounding can move
-        slack = 4 * u * (abs(x0) + abs(m1) + 2)
-        near = max(abs(x0 - m1) - 0.5 - slack, 0.0) / sd1 * (1 - 4 * u)
-        far = abs(x0 - m1) + 0.5 + slack
-        factor = min(1.0, exp(-near * near / 4) * (1 + _LIBM + u * (near * near + 4)))
-        # a node is within 4 U of its exact offset, and t = x0 + offset rounds once
-        misplaced = plan.deriv * factor * u * (abs(x0) + 6)
-        # the density: exp's error, five roundings, and the argument's (3.6 U v^2)
-        rho = _LIBM + 6.1 * u + 3.6 * u * min((far / sd1) ** 2 * (1 + 4 * u), 1400.0)
-        # a row edge: the rounded conditional mean, then four roundings and cond_sd
-        c_err = 1.01 * u * (abs(m2) + 4.1 * abs(slope) * far)
-        edge = _ERF_SLOPE * 1.02 * c_err / (cond_sd * sqrt2) + _ERF_REL * (4.1 * u + 1.01 * sigma) + _LIBM
-        diff = 2 * edge + 2.1 * u
-        mass = 1.01 * float(a.sum()) + underflow
-        err = plan.remainder * factor + misplaced + 1.02 * mass * (3.1 * u + 2 * u + rho + diff / 2 + gamma) + underflow
-        for x1, p in zip(range(lo1, hi1 + 1), probs.tolist()):
-            cells[(x0, x1)] = (max(p, 0.0), err)
-    return cells
+    # the column's distance from m1, in sd1, less what node rounding can move
+    slack = 4 * u * (np.abs(x0) + abs(m1) + 2)
+    near = np.maximum(np.abs(x0 - m1) - 0.5 - slack, 0.0) / sd1 * (1 - 4 * u)
+    far = np.abs(x0 - m1) + 0.5 + slack
+    factor = np.minimum(1.0, _map_floats(exp, -near * near / 4) * (1 + _LIBM + u * (near * near + 4)))
+    # a node is within 4 U of its exact offset, and t = x0 + offset rounds once
+    misplaced = plan.deriv * factor * u * (np.abs(x0) + 6)
+    # the density: exp's error, five roundings, and the argument's (3.6 U v^2);
+    # the square is Python's float ** (libm's pow), which numpy's square
+    # need not match in the last bit
+    rho = _LIBM + 6.1 * u + 3.6 * u * np.array([min(r**2 * (1 + 4 * u), 1400.0) for r in (far / sd1).tolist()])
+    # a row edge: the rounded conditional mean, then four roundings and cond_sd
+    c_err = 1.01 * u * (abs(m2) + 4.1 * abs(slope) * far)
+    edge = _ERF_SLOPE * 1.02 * c_err / (cond_sd * sqrt2) + _ERF_REL * (4.1 * u + 1.01 * sigma) + _LIBM
+    diff = 2 * edge + 2.1 * u
+    mass = 1.01 * mass + underflow
+    err = plan.remainder * factor + misplaced + 1.02 * mass * (3.1 * u + 2 * u + rho + diff / 2 + gamma) + underflow
+    return np.where(p < 0, 0.0, p), np.broadcast_to(err[:, None], p.shape)
 
 
 def _tail_bound_outside_box(spec: GaussSpec, box: Sequence[tuple[int, int]]) -> float:
@@ -425,10 +447,15 @@ def _normal_draws(cov, n: int, seed: int) -> np.ndarray:
     return rng.standard_normal((n, mat.shape[0])) @ np.linalg.cholesky(mat).T
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CellTable:
     """Rounded-Gaussian cell probabilities, each with an error bound, and a
     bound on the mass outside the box.
+
+    p and err are float arrays of the box's shape, row-major (the first
+    coordinate varies slowest): the whole box at once.  ``cells`` is the
+    same table as a dict {site: (p, err)} in row-major order, built on first
+    use; ``prob`` reads the arrays.
 
     err_kind says what the errors are.  "certified": proven bounds under the
     float model of this module (IEEE binary64 rounding to nearest, math.exp
@@ -437,13 +464,24 @@ class CellTable:
     d = 3 Monte Carlo estimate, a statistical half-width.
     """
 
-    cells: dict
+    box: tuple[tuple[int, int], ...]
+    p: np.ndarray
+    err: np.ndarray
     tail_bound: float
     spec: GaussSpec
     err_kind: str
 
+    @functools.cached_property
+    def cells(self) -> dict:
+        sites = itertools.product(*(range(lo, hi + 1) for lo, hi in self.box))
+        return dict(zip(sites, zip(self.p.ravel().tolist(), self.err.ravel().tolist())))
+
     def prob(self, site: Sequence[int]) -> tuple[float, float]:
-        return self.cells.get(_int_vector(site), (0.0, 0.0))
+        site = _int_vector(site)
+        if len(site) != len(self.box) or not all(lo <= x <= hi for x, (lo, hi) in zip(site, self.box)):
+            return 0.0, 0.0
+        at = tuple(x - lo for x, (lo, _) in zip(site, self.box))
+        return float(self.p[at]), float(self.err[at])
 
 
 def discretized_gaussian(
@@ -453,17 +491,20 @@ def discretized_gaussian(
     seed: int = 0,
     samples: Optional[int] = None,
 ) -> CellTable:
-    """Cell probabilities P(rounded Gaussian = x) for x in the box.
+    """Cell probabilities P(rounded Gaussian = x) for x in the box, as
+    arrays over the whole box (``CellTable``; its ``cells`` dict is built
+    only when read).
 
-    d = 1 is the closed form, a difference of two erf values.  d = 2
-    integrates the first coordinate's density times the conditional
-    probability of the row by Gauss-Legendre, on a plan of pieces and nodes
-    whose remainder (A&S 25.4.30, with derivatives bounded by Leibniz's rule
-    and Cramer's inequality) is at most min(tol / 10, 1e-11).  Each d <= 2
-    error adds the rounding of the evaluation to the remainder, and is a
-    proven bound if +, -, *, /, sqrt round to nearest in IEEE binary64 and
-    math.exp and math.erf are within 4 ulp; a cell whose bound exceeds tol is
-    a ValueError.  The box has lo <= hi on each axis and at most _MAX_CELLS
+    d = 1 is the closed form, a difference of two erf values, one erf per
+    cell edge.  d = 2 integrates the first coordinate's density times the
+    conditional probability of the row by Gauss-Legendre, a block of columns
+    at a time (``_cell_table_2d``), on a plan of pieces and nodes whose
+    remainder (A&S 25.4.30, with derivatives bounded by Leibniz's rule and
+    Cramer's inequality) is at most min(tol / 10, 1e-11).  Each d <= 2 error
+    adds the rounding of the evaluation to the remainder, and is a proven
+    bound if +, -, *, /, sqrt round to nearest in IEEE binary64 and math.exp
+    and math.erf are within 4 ulp; a cell whose bound exceeds tol is a
+    ValueError.  The box has lo <= hi on each axis and at most _MAX_CELLS
     cells, and its coordinates must be below 2**52 in magnitude for d <= 2.
     d = 3 uses seeded Monte Carlo and reports three standard errors, which
     must be at most tol.  Larger d is unsupported by design.
@@ -480,21 +521,21 @@ def discretized_gaussian(
         raise ValueError(f"the box has more than {_MAX_CELLS} cells")
     if d <= 2 and any(abs(v) >= _COORD_LIMIT for lo_hi in box for v in lo_hi):
         raise ValueError("box coordinates must be below 2**52 in magnitude")
-    cells: dict[tuple[int, ...], tuple[float, float]] = {}
     if d == 1:
         # one norm_cdf per cell edge x - 1/2; below 2**52, x + 1/2 and
         # (x + 1) - 1/2 are the same float, so a cell is the difference of
         # its two edges as if each were evaluated for that cell alone
         mu, sigma = spec.mean[0], math.sqrt(spec.cov[0][0])
         lo, hi = box[0]
-        edges = [norm_cdf((x - 0.5 - mu) / sigma) for x in range(lo, hi + 2)]
-        for x, below, above in zip(range(lo, hi + 1), edges, edges[1:]):
-            cells[(x,)] = (max(above - below, 0.0), _D1_CELL_ERR)
+        edges = 0.5 * (1.0 + _map_floats(math.erf, (np.arange(lo, hi + 2) - 0.5 - mu) / sigma / math.sqrt(2.0)))
+        p = edges[1:] - edges[:-1]
+        p, err = np.where(p < 0, 0.0, p), np.broadcast_to(_D1_CELL_ERR, shape)
     elif d == 2:
-        cells = _cell_table_2d(spec, box, epsabs=min(tol / 10, 1e-11))
-        for site, (_, err) in cells.items():
-            if err > tol:
-                raise ValueError(f"quadrature error {err} exceeds tol {tol} at {site}")
+        p, err = _cell_table_2d(spec, box, epsabs=min(tol / 10, 1e-11))
+        over = np.flatnonzero(err > tol)
+        if over.size:
+            site = tuple(lo + int(k) for (lo, _), k in zip(box, np.unravel_index(over[0], shape)))
+            raise ValueError(f"quadrature error {float(err.flat[over[0]])} exceeds tol {tol} at {site}")
     elif d == 3:
         n = samples if samples is not None else int(math.ceil((1.5 / tol) ** 2))
         if n > 5 * 10**7:
@@ -505,15 +546,12 @@ def discretized_gaussian(
         rounded -= [lo for lo, _ in box]  # offsets into the box
         inside = np.all((rounded >= 0) & (rounded < shape), axis=1)
         counts = np.bincount(np.ravel_multi_index(rounded[inside].T, shape), minlength=math.prod(shape))
-        # itertools.product walks the box in row-major order, the order of
-        # the flat counts
-        for cell, hits in zip(itertools.product(*(range(lo, hi + 1) for lo, hi in box)), counts):
-            p = hits / n
-            half = 3 * math.sqrt(max(p * (1 - p), 1.0 / n) / n)
-            cells[cell] = (p, half)
+        p = (counts / n).reshape(shape)
+        err = 3 * np.sqrt(np.maximum(p * (1 - p), 1.0 / n) / n)
     else:
         raise ValueError("dimension above 3 unsupported")
-    return CellTable(cells, _tail_bound_outside_box(spec, box), spec, "certified" if d <= 2 else "3-sigma")
+    box = tuple((lo, hi) for lo, hi in box)
+    return CellTable(box, p, err, _tail_bound_outside_box(spec, box), spec, "certified" if d <= 2 else "3-sigma")
 
 
 @dataclass(frozen=True)
@@ -529,12 +567,16 @@ class TVResult:
 
 
 def fit_gauss_spec(s: LatticeDist) -> GaussSpec:
-    """The Gaussian with the mean and covariance of s, as floats.  The masses
-    are positive, so the covariance has the rank of the support's affine
-    hull, which ``_affine_dim`` decides exactly."""
+    """The Gaussian with the mean and covariance of s, as floats: each the
+    correctly rounded quotient of two integers of one ``_moment_sums`` pass,
+    the float of the exact Fraction.  The masses are positive, so the
+    covariance has the rank of the support's affine hull, which
+    ``_affine_dim`` decides exactly."""
     if _affine_dim(s.sites) < s.dim:
         raise ValueError("degenerate covariance: rank below dimension")
-    return GaussSpec(tuple(float(x) for x in s.mean()), tuple(tuple(float(v) for v in row) for row in s.cov()))
+    den, first, second = s._moment_sums()
+    den2 = den * den
+    return GaussSpec(tuple(f / den for f in first), tuple(tuple(c / den2 for c in row) for row in second))
 
 
 def tv_to_discretized_gaussian(s: LatticeDist, tol: float = 1e-6) -> TVResult:
@@ -552,21 +594,21 @@ def tv_to_discretized_gaussian(s: LatticeDist, tol: float = 1e-6) -> TVResult:
     if d > 2:
         raise ValueError("exact side supported only for d <= 2")
     spec = fit_gauss_spec(s)
-    sites = s.sites
+    axes = list(zip(*s.sites))
     box = []
-    for j in range(d):
+    for j, axis in enumerate(axes):
         sd = math.sqrt(spec.cov[j][j])
-        lo = min(min(x[j] for x in sites), math.floor(spec.mean[j] - 6.5 * sd))
-        hi = max(max(x[j] for x in sites), math.ceil(spec.mean[j] + 6.5 * sd))
-        box.append((lo, hi))
+        box.append((min(min(axis), math.floor(spec.mean[j] - 6.5 * sd)), max(max(axis), math.ceil(spec.mean[j] + 6.5 * sd))))
     ncells = math.prod(hi - lo + 1 for lo, hi in box)
     table = discretized_gaussian(spec, box, tol=max(tol / ncells, 1e-13))
+    # the exact side on the box: n / den, Python's correctly rounded int
+    # division, at each site of the support, and 0.0 elsewhere
     den = s.denominator()
-    half_l1 = 0.0
-    err_sum = 0.0
-    for site, (p, err) in table.cells.items():
-        half_l1 += abs(s.numerator(site) / den - p)
-        err_sum += err
+    exact = np.zeros(table.p.shape)
+    exact[tuple(np.subtract(axis, lo) for axis, (lo, _) in zip(axes, box))] = [n / den for n in s.numerators]
+    # accumulate adds left to right in row-major order, as a loop over the cells would
+    half_l1 = float(np.add.accumulate(np.abs(exact - table.p).ravel())[-1])
+    err_sum = float(np.add.accumulate(table.err.ravel())[-1])
     tail = table.tail_bound
     value = 0.5 * half_l1 + 0.25 * tail
     err = 0.5 * err_sum + 0.25 * tail + _tv_rounding(ncells, err_sum)

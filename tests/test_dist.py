@@ -1,5 +1,6 @@
 """Core distribution type and concentration functionals."""
 
+import builtins
 import functools
 import itertools
 import operator
@@ -611,9 +612,9 @@ def test_the_product_proper_sees_integer_sites_only(monkeypatch):
     seen = []
     real_product = dist._product
 
-    def spy(parts, n, total, dim):
+    def spy(parts, n, total, dim, *ordered):
         seen.extend(s for p in parts for s, _ in p)
-        return real_product(parts, n, total, dim)
+        return real_product(parts, n, total, dim, *ordered)
 
     monkeypatch.setattr(dist, "_product", spy)
     square = LatticeDist(((x, y), F(1, 4)) for x in (0, 1) for y in (0, 1))
@@ -800,3 +801,59 @@ def test_integer_formatting_matches_fraction_formatting(mu):
     assert repr(mu) == text
     if isinstance(mu, IntDist):
         assert mu.to_text() == "".join(f"{s}: {format_fraction(m)}\n" for s, m in mu.atoms)
+
+
+# -- stored site order and the cached hash ------------------------------------
+
+_ORDER_PAIRS = {
+    "int": (IntDist([(5, F(1, 6)), (-3, F(1, 2)), (0, F(1, 3))]), IntDist([(4, F(1, 4)), (-9, F(3, 4))])),
+    "measure": (IntMeasure([(2, F(3)), (-1, F(1, 2))]), IntMeasure([(7, F(2)), (0, F(5))])),
+    "lattice2": (
+        LatticeDist([((1, 0), F(1, 4)), ((0, 2), F(1, 4)), ((-1, 1), F(1, 2))]),
+        LatticeDist([((3, -1), F(2, 3)), ((0, 0), F(1, 3))]),
+    ),
+    "lattice3": (
+        LatticeDist([((0, 0, 1), F(1, 3)), ((1, 0, 0), F(1, 3)), ((0, 1, -2), F(1, 3))]),
+        LatticeDist([((2, 2, 2), F(1, 2)), ((-1, 0, 0), F(1, 2))]),
+    ),
+}
+
+
+@pytest.mark.parametrize("branch", ["pairwise", "packed", "recurrence"])
+@pytest.mark.parametrize("kind", list(_ORDER_PAIRS))
+def test_kernel_results_are_stored_in_site_order(kind, branch, monkeypatch):
+    """Every branch stores its result in site order, and only the pairwise
+    loop's output is sorted on the way in: the Kronecker branches and
+    ``_decode`` already give sites in order."""
+    law, other = _ORDER_PAIRS[kind]
+    sorts = []
+
+    def counting_sorted(items):
+        sorts.append(len(items))
+        return builtins.sorted(items)
+
+    monkeypatch.setattr(dist, "_branch", lambda parts, n, dim: branch)
+    monkeypatch.setattr(dist, "sorted", counting_sorted, raising=False)
+    built = [(convolve_power(law, 4), [law] * 4)]
+    if branch != "recurrence":
+        built += [(convolve(law, other), [law, other]), (convolve_all([other, law, other]), [other, law, other])]
+    assert sorts == ([len(mu) for mu, _ in built] if branch == "pairwise" else [])
+    monkeypatch.undo()
+    for mu, factors in built:
+        assert list(mu.sites) == builtins.sorted(mu.sites)
+        assert mu == functools.reduce(_reference_convolve, factors)
+    if kind in ("int", "measure"):  # negate hands its sites in reversed, so they are sorted
+        assert list(negate(law).sites) == builtins.sorted(negate(law).sites)
+
+
+def test_hash_is_worked_out_once_and_matches_equal_laws():
+    mu = IntDist([(2, F(2, 3)), (0, F(1, 3))])
+    assert not hasattr(mu, "_hash")
+    h = hash(mu)
+    assert h == hash((3, (0, 1), (2, 2))) and mu._hash == h
+    object.__setattr__(mu, "_hash", h + 1)  # a second hash reads the kept value
+    assert hash(mu) == h + 1
+    square = convolve(uniform([0, 1]), uniform([0, 1]))
+    assert hash(square) == hash(IntDist([(1, F(1, 2)), (2, F(1, 4)), (0, F(1, 4))]))
+    lattice = LatticeDist([((1, 0), F(1, 2)), ((0, 1), F(1, 2))])
+    assert hash(lattice) == hash(LatticeDist([((0, 1), F(1, 2)), ((1, 0), F(1, 2))]))

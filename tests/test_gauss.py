@@ -1,6 +1,8 @@
 """Lattice distributions, discretized Gaussian, TV distances, CLT terms."""
 
+import itertools
 import math
+import re
 from decimal import Decimal, localcontext
 from fractions import Fraction as F
 
@@ -657,7 +659,9 @@ def test_cell_table_2d_diagonal_within_err_of_closed_form(mean, var, box, tol):
     spec = GaussSpec(mean, ((var[0], 0.0), (0.0, var[1])))
     table = discretized_gaussian(spec, box, tol=tol).cells
     # with a remainder of 1e-20 the rounding terms carry the bound alone
-    fine = gauss._cell_table_2d(spec, box, epsabs=1e-20)
+    p, err = gauss._cell_table_2d(spec, box, epsabs=1e-20)
+    sites = [(x0, x1) for x0 in range(box[0][0], box[0][1] + 1) for x1 in range(box[1][0], box[1][1] + 1)]
+    fine = dict(zip(sites, zip(p.ravel().tolist(), err.ravel().tolist())))
     for (x0, x1), (p, err) in [*table.items(), *fine.items()]:
         exact = _cell_exact_1d(mean[0], var[0], x0) * _cell_exact_1d(mean[1], var[1], x1)
         assert abs(Decimal(p) - exact) <= Decimal(err), ((x0, x1), p, err, exact)
@@ -784,3 +788,253 @@ def test_cell_table_prob_rejects_float_sites():
     for site in [(0.5, 1), (0.0, 1), (1, 1.0)]:
         with pytest.raises(TypeError):
             table.prob(site)
+
+
+# -- whole-box tables against the loops they replace ---------------------------
+#
+# The references below are the per-column, per-edge and per-cell loops that
+# built each table before the tables became whole-box arrays.  Floats are
+# compared by float.hex, which tells -0.0 from 0.0.
+
+
+def _cells_2d_by_columns(spec, box, epsabs):
+    """The d = 2 table as it was built before the column blocks: one numpy
+    pass per column, and err worked out per column in Python floats."""
+    exp, erf, u = math.exp, math.erf, gauss._U
+    (lo0, hi0), (lo1, hi1) = box
+    m1, m2 = spec.mean
+    s11, s12, s22 = spec.cov[0][0], spec.cov[0][1], spec.cov[1][1]
+    sd1 = math.sqrt(s11)
+    q = s12 * s12 / s11
+    cond_sd = math.sqrt(s22 - q)
+    slope = s12 / s11
+    scale = sd1 * math.sqrt(2 * math.pi)
+    sqrt2 = math.sqrt(2.0)
+    sigma = 1.01 * ((2.01 * u * q / (s22 - q) + 1.01 * u) / 2 + u)
+    if sigma > 1e-6:
+        raise ValueError("covariance too close to singular for certified cells")
+    plan = gauss._gl_plan(sd1 * (1 - 2 * u), abs(slope) / cond_sd * (1 + 2 * sigma + 4 * u), epsabs)
+    nodes = len(plan.offsets)
+    gamma = nodes * u / (1 - nodes * u)
+    underflow = 1.02 * exp(-700.0) / scale
+    edges = np.arange(lo1, hi1 + 2) - 0.5
+    cells = {}
+    for x0 in range(lo0, hi0 + 1):
+        t = x0 + plan.offsets
+        d = t - m1
+        v = d / sd1
+        a = plan.weights * (np.array(list(map(exp, (-0.5 * (v * v)).tolist()))) / scale)
+        z = (edges - (m2 + slope * d)[:, None]) / cond_sd / sqrt2
+        e = np.array(list(map(erf, z.ravel().tolist()))).reshape(z.shape)
+        terms = (0.5 * a)[:, None] * (e[:, 1:] - e[:, :-1])
+        probs = np.add.accumulate(terms, axis=0)[-1]
+        slack = 4 * u * (abs(x0) + abs(m1) + 2)
+        near = max(abs(x0 - m1) - 0.5 - slack, 0.0) / sd1 * (1 - 4 * u)
+        far = abs(x0 - m1) + 0.5 + slack
+        factor = min(1.0, exp(-near * near / 4) * (1 + gauss._LIBM + u * (near * near + 4)))
+        misplaced = plan.deriv * factor * u * (abs(x0) + 6)
+        rho = gauss._LIBM + 6.1 * u + 3.6 * u * min((far / sd1) ** 2 * (1 + 4 * u), 1400.0)
+        c_err = 1.01 * u * (abs(m2) + 4.1 * abs(slope) * far)
+        edge = gauss._ERF_SLOPE * 1.02 * c_err / (cond_sd * sqrt2) + gauss._ERF_REL * (4.1 * u + 1.01 * sigma) + gauss._LIBM
+        diff = 2 * edge + 2.1 * u
+        mass = 1.01 * float(a.sum()) + underflow
+        err = plan.remainder * factor + misplaced + 1.02 * mass * (3.1 * u + 2 * u + rho + diff / 2 + gamma) + underflow
+        for x1, p in zip(range(lo1, hi1 + 1), probs.tolist()):
+            cells[(x0, x1)] = (max(p, 0.0), err)
+    return cells
+
+
+def _cells_by_loops(spec, box, tol, seed=0, samples=None):
+    """discretized_gaussian's cells as its loops built them: d = 1 by one
+    norm_cdf per edge, d = 2 by columns with the per-cell tol check, d = 3
+    by binning and one Python step per cell."""
+    d = spec.dim
+    shape = tuple(hi - lo + 1 for lo, hi in box)
+    cells = {}
+    if d == 1:
+        mu, sigma = spec.mean[0], math.sqrt(spec.cov[0][0])
+        lo, hi = box[0]
+        edges = [norm_cdf((x - 0.5 - mu) / sigma) for x in range(lo, hi + 2)]
+        for x, below, above in zip(range(lo, hi + 1), edges, edges[1:]):
+            cells[(x,)] = (max(above - below, 0.0), gauss._D1_CELL_ERR)
+    elif d == 2:
+        cells = _cells_2d_by_columns(spec, box, epsabs=min(tol / 10, 1e-11))
+        for site, (_, err) in cells.items():
+            if err > tol:
+                raise ValueError(f"quadrature error {err} exceeds tol {tol} at {site}")
+    else:
+        n = samples if samples is not None else int(math.ceil((1.5 / tol) ** 2))
+        draws = gauss._normal_draws(spec.cov, n, seed) + np.asarray(spec.mean)
+        rounded = np.floor(draws + 0.5).astype(int)
+        rounded -= [lo for lo, _ in box]
+        inside = np.all((rounded >= 0) & (rounded < shape), axis=1)
+        counts = np.bincount(np.ravel_multi_index(rounded[inside].T, shape), minlength=math.prod(shape))
+        for cell, hits in zip(itertools.product(*(range(lo, hi + 1) for lo, hi in box)), counts):
+            p = hits / n
+            half = 3 * math.sqrt(max(p * (1 - p), 1.0 / n) / n)
+            cells[cell] = (p, half)
+    return cells
+
+
+def _hex_cells(cells):
+    """The table as (site, p.hex(), err.hex()) in its own order."""
+    return [(site, float(p).hex(), float(err).hex()) for site, (p, err) in cells.items()]
+
+
+def _table_or_error(build):
+    try:
+        return _hex_cells(build())
+    except ValueError as exc:
+        return str(exc)
+
+
+_BLOCKS = st.sampled_from([1, 7, 500, 2**16])  # _BLOCK_VALUES: one column a block, a few, all
+
+
+def _assert_table_matches_loops(spec, box, tol, block, seed=0, samples=None):
+    expected = _table_or_error(lambda: _cells_by_loops(spec, box, tol, seed, samples))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(gauss, "_BLOCK_VALUES", block)
+        table = _table_or_error(lambda: discretized_gaussian(spec, box, tol, seed, samples).cells)
+    assert table == expected
+
+
+@st.composite
+def _box_near(draw, centre, dims):
+    """A box of 1-12 cells an axis whose corner is near centre, a float
+    vector; coordinates stay below 2**52 in magnitude."""
+    box = []
+    for c in centre:
+        lo = max(min(math.floor(c) + draw(st.integers(-8, 2)), 2**52 - 13), -(2**52) + 1)
+        box.append((lo, lo + draw(st.integers(0, 11))))
+    return box[:dims]
+
+
+_ORIGINS = st.one_of(
+    st.just(0.0),
+    st.floats(-40.0, -5.0),  # a negative box
+    st.sampled_from([-(2.0**51), 2.0**51, -(2.0**51) - 7.0, 2.0**51 + 7.0]),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_spd_spec(), _ORIGINS, st.data(), st.sampled_from([1e-6, 1e-9, 1e-13]), _BLOCKS)
+def test_cell_table_2d_matches_the_column_loop(spec, origin, data, tol, block):
+    """Bit for bit, or the same error: every block size, negative boxes and
+    boxes near +-2**51 (where the err of a far column can exceed tol)."""
+    mean = (spec.mean[0] + origin, spec.mean[1] - origin)
+    spec = GaussSpec(mean, spec.cov)
+    box = data.draw(_box_near(mean, 2))
+    _assert_table_matches_loops(spec, box, tol, block)
+    # the table itself, before any cell's err is held against tol
+    expected = _table_or_error(lambda: _cells_2d_by_columns(spec, box, 1e-11))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(gauss, "_BLOCK_VALUES", block)
+        table = _table_or_error(lambda: gauss.CellTable(box, *gauss._cell_table_2d(spec, box, 1e-11), 0.0, spec, "").cells)
+    assert table == expected
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.floats(-1e3, 1e3), st.floats(1e-4, 1e6), _ORIGINS, st.data())
+def test_cell_table_1d_matches_the_edge_loop(mean, var, origin, data):
+    spec = GaussSpec((mean + origin,), ((var,),))
+    box = data.draw(_box_near((mean + origin,), 1))
+    _assert_table_matches_loops(spec, box, 1e-9, 2**16)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 1000), st.data())
+def test_cell_table_3d_matches_the_binning_loop(seed, data):
+    spec = GaussSpec((0.1, -0.2, 0.3), ((1.2, 0.1, 0.0), (0.1, 1.0, -0.2), (0.0, -0.2, 1.4)))
+    box = data.draw(_box_near((-2.5, -1.0, -3.0), 3))
+    _assert_table_matches_loops(spec, box, 1e-2, 2**16, seed=seed, samples=data.draw(st.integers(1, 3000)))
+
+
+@pytest.mark.parametrize("block", [1, 100, 2**16])
+def test_cell_table_2d_blocks_hold_at_most_the_block_values(block):
+    """Every exp and erf map covers at most _BLOCK_VALUES values, or one
+    column when a column alone holds more, and the table is the same."""
+    spec = GaussSpec((0.3, -0.2), ((1.5, 0.4), (0.4, 2.0)))
+    box = [(-9, 9), (-10, 10)]
+    expected = _hex_cells(_cells_2d_by_columns(spec, box, 1e-11))
+    sizes = []
+    real = gauss._map_floats
+
+    def spy(fn, arr):
+        sizes.append((fn, arr.shape))
+        return real(fn, arr)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(gauss, "_BLOCK_VALUES", block)
+        mp.setattr(gauss, "_map_floats", spy)
+        table = discretized_gaussian(spec, box, tol=1e-10)
+    assert _hex_cells(table.cells) == expected
+    blocks = [shape for fn, shape in sizes if fn is math.erf]
+    column = blocks[0][1] * blocks[0][2]  # nodes times row edges
+    assert sum(shape[0] for shape in blocks) == 19
+    for shape in blocks:
+        assert shape[0] == max(1, block // column) or shape is blocks[-1]
+        assert math.prod(shape) <= max(block, column)
+
+
+def test_cell_table_keeps_arrays_and_builds_cells_on_first_use():
+    spec = GaussSpec((0.0, 0.5), ((1.0, 0.2), (0.2, 2.0)))
+    table = discretized_gaussian(spec, [(-2, 3), (-1, 1)], tol=1e-8)
+    assert table.box == ((-2, 3), (-1, 1)) and table.p.shape == table.err.shape == (6, 3)
+    assert "cells" not in vars(table)
+    cells = table.cells
+    assert table.cells is cells and list(cells) == [(x0, x1) for x0 in range(-2, 4) for x1 in range(-1, 2)]
+    for site, (p, err) in cells.items():
+        assert table.prob(site) == (p, err)
+    assert table.prob((4, 0)) == table.prob((0, 2)) == table.prob((0,)) == (0.0, 0.0)
+
+
+@st.composite
+def _tv_law(draw):
+    """A law of dimension 1 or 2 on a few sites whose affine hull is full."""
+    dim = draw(st.integers(1, 2))
+    site = st.tuples(*[st.integers(-6, 6)] * dim)
+    sites = draw(st.lists(site, min_size=dim + 1, max_size=7, unique=True))
+    if gauss._affine_dim(sites) < dim:
+        sites += [tuple(int(i == j) for j in range(dim)) for i in range(dim)] + [(0,) * dim]
+        sites = list(dict.fromkeys(sites))
+    weights = draw(st.lists(st.integers(1, 40), min_size=len(sites), max_size=len(sites)))
+    law = LatticeDist((s, F(w, sum(weights))) for s, w in zip(sites, weights))
+    return pow_conv(law, draw(st.integers(1, 3)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_tv_law(), st.sampled_from([1e-6, 1e-4]))
+def test_tv_to_gaussian_matches_the_cell_loop(law, tol):
+    """The array sums are the loop's left-to-right float sums, bit for bit."""
+    try:
+        expected = _tv_to_gaussian_reference(law, tol)
+    except ValueError as exc:
+        with pytest.raises(ValueError, match=re.escape(str(exc))):
+            tv_to_discretized_gaussian(law, tol)
+        return
+    got = tv_to_discretized_gaussian(law, tol)
+    assert (got.value.hex(), got.err.hex()) == (expected.value.hex(), expected.err.hex())
+    assert got == expected
+
+
+def _moments_by_fractions(s):
+    """Mean and covariance of s summed atom by atom in Fractions."""
+    mean = [sum((m * x[i] for x, m in s.atoms), F(0)) for i in range(s.dim)]
+    cov = [[sum((m * x[i] * x[j] for x, m in s.atoms), F(0)) - mean[i] * mean[j] for j in range(s.dim)] for i in range(s.dim)]
+    return tuple(mean), tuple(map(tuple, cov))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 3).flatmap(lambda d: st.lists(st.tuples(*[st.integers(-9, 9)] * d), min_size=1, max_size=9, unique=True)), st.data())
+def test_moments_and_fit_match_fraction_bodies(sites, data):
+    weights = data.draw(st.lists(st.integers(1, 2**40), min_size=len(sites), max_size=len(sites)))
+    s = LatticeDist((x, F(w, sum(weights))) for x, w in zip(sites, weights))
+    mean, cov = _moments_by_fractions(s)
+    assert s.mean() == mean and s.cov() == cov
+    if gauss._affine_dim(s.sites) < s.dim:
+        with pytest.raises(ValueError, match="degenerate"):
+            fit_gauss_spec(s)
+    else:
+        spec = fit_gauss_spec(s)
+        assert spec == GaussSpec(tuple(map(float, mean)), tuple(tuple(map(float, row)) for row in cov))
