@@ -646,7 +646,11 @@ def run(argv=None) -> int:
     here.  A reader that closes stdout early, as ``head`` does, is not bad
     input: the command stops and exits 141 with nothing on stderr, as a
     shell reports a writer that SIGPIPE ended.  Any other exception is a
-    program fault and stays a traceback."""
+    program fault and stays a traceback.  Exact integers of any length are
+    read and printed: Python 3.11 refuses int/str conversions of more than
+    4,300 digits by default."""
+    if hasattr(sys, "set_int_max_str_digits"):
+        sys.set_int_max_str_digits(0)
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

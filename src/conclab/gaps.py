@@ -121,10 +121,6 @@ def gap_sumset(a: SymGAP, b: SymGAP) -> SymGAP:
     return SymGAP(a.dims + b.dims, a.generators + b.generators)
 
 
-def gap_volume(a: SymGAP) -> int:
-    return a.volume()
-
-
 def gap_is_proper(a: SymGAP) -> bool:
     """All coefficient combinations give distinct elements."""
     return len(a.elements()) == a.volume()
@@ -409,30 +405,6 @@ def integer_span_basis(vectors: Sequence[Sequence[int]]) -> LatticeBasis:
         if basis.apply(c) != v:
             raise RuntimeError(f"basis coordinates {c} do not reproduce {v}")
     return basis
-
-
-@dataclass(frozen=True)
-class VecSpanResult:
-    """Span data for a multivariate support: infinite for a point mass,
-    otherwise the basis of the lattice generated by the support
-    differences."""
-
-    infinite: bool
-    basis: Optional[LatticeBasis]
-
-
-def max_span_vec(mu) -> VecSpanResult:
-    """Vector analogue of the maximum span.
-
-    mu is a LatticeDist, whose sites are validated integer tuples in
-    lexicographic order; differences are taken from the smallest.
-    """
-    sites = mu.sites
-    if len(sites) == 1:
-        return VecSpanResult(True, None)
-    base = sites[0]
-    diffs = [tuple(a - b for a, b in zip(s, base)) for s in sites]
-    return VecSpanResult(False, integer_span_basis(diffs))
 
 
 # -- Rademacher sums ----------------------------------------------------------

@@ -97,10 +97,6 @@ class LatticeDist(FiniteMeasure):
         return tuple(tuple(Fraction(c, den * den) for c in row) for row in second)
 
 
-def lattice_delta(site: Sequence[int]) -> LatticeDist:
-    return LatticeDist([(tuple(site), Fraction(1))])
-
-
 def lconv(a: LatticeDist, b: LatticeDist) -> LatticeDist:
     """Convolution of two lattice distributions.
 

@@ -48,8 +48,9 @@ from conclab.verify import (
     ScanConfig,
     conjecture_scan,
     odlyzko_richmond_check,
-    random_instance,
 )
+
+from instances import random_instance
 
 
 def announce(num: int, name: str, started: float) -> None:

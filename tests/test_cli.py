@@ -370,6 +370,56 @@ def test_enumeration_over_budget_exits_2_promptly(argv):
     assert "enumeration budget" in proc.stderr
 
 
+def test_check_prints_integers_of_any_length(tmp_path, capsys):
+    """The 2000th power of three atoms over 13: the reported lhs is 7,715
+    characters long, more than the 4,300 digits Python 3.11 converts by
+    default."""
+    inst = tmp_path / "inst.json"
+    p = {"atoms": [[0, "4/13"], [1, "5/13"], [3, "4/13"]]}
+    inst.write_text(json.dumps({"p": p, "n": 2000, "delta": "3/10"}))
+    assert run(["check", "odlyzko_richmond", "--instance", str(inst)]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["outcome"] == "pass"
+    assert len(report["lhs"]) == 7715
+
+
+def test_dist_stats_reads_a_denominator_of_5001_digits(tmp_path, capsys):
+    """Built as strings, so the test itself converts no large integer."""
+    den = "1" + "0" * 5000
+    law = tmp_path / "law.json"
+    law.write_text(json.dumps({"atoms": [[0, "1/" + den], [1, "9" * 5000 + "/" + den]]}))
+    assert run(["dist", "stats", str(law)]) == 0
+    assert json.loads(capsys.readouterr().out)["q_max"] == "9" * 5000 + "/" + den
+
+
+def test_power_over_the_budget_exits_2_promptly(tmp_path):
+    """n = 10**30 once ran until killed, computing 13**n before anything
+    else.  It now stops at the power budget before any power is computed.
+    The address-space cap and the timeout turn a regression into a prompt
+    failure instead of a full memory."""
+    import resource
+
+    def cap_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (600 * 2**20, 600 * 2**20))
+
+    inst = tmp_path / "inst.json"
+    p = {"atoms": [[0, "4/13"], [1, "5/13"], [3, "4/13"]]}
+    inst.write_text(json.dumps({"p": p, "n": 10**30, "delta": "3/10"}))
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run(
+        [sys.executable, "-m", "conclab.cli", "check", "odlyzko_richmond", "--instance", str(inst)],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(src)},
+        timeout=20,
+        preexec_fn=cap_memory,
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert len(proc.stderr.splitlines()) == 1 and proc.stderr.startswith("error: ")
+    assert "power budget" in proc.stderr
+
+
 def test_oracle_on_a_wide_window_runs_promptly():
     """The oracle walks one law per translation class: 60 laws of cap 1/2
     on 0..60 instead of 1,830, so three tied caps take well under a second

@@ -7,7 +7,9 @@ from fractions import Fraction as F
 from conclab.dist import convolve_all, negate, q_interval, q_max, shift, uniform
 from conclab.extremal import AlphaSeq, nu, tse
 from conclab.gauss import GaussSpec, discretized_gaussian
-from conclab.verify import ScanConfig, conjecture_scan, random_instance
+from conclab.verify import ScanConfig, conjecture_scan
+
+from instances import random_instance
 
 
 def brute_q_interval(mu, t):

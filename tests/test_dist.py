@@ -44,7 +44,8 @@ from conclab.dist import (
 from conclab.extremal import nu
 from conclab.gauss import LatticeDist
 from conclab.rearrange import IntMeasure
-from conclab.verify import random_instance
+
+from instances import random_instance
 
 
 def q_max_convolve(a, b):
@@ -208,6 +209,26 @@ def test_span_gcd_under_convolution():
 def test_convolve_power_matches_iteration():
     mu = uniform([0, 1, 3])
     assert convolve_power(mu, 5) == convolve_all([mu] * 5)
+
+
+def test_convolve_power_refuses_a_power_over_the_budget_before_computing_it(monkeypatch):
+    """Three atoms over 13 to the 10th power: at least 2 * 10 + 1 atoms over
+    13**10, of 10 * 4 bits, so a size bound of 21 * 40 = 840."""
+    mu = IntDist([(0, F(4, 13)), (1, F(5, 13)), (3, F(4, 13))])
+    monkeypatch.setattr(dist, "POWER_BUDGET", 840)
+    assert convolve_power(mu, 10) == convolve_all([mu] * 10)
+
+    def kernel(*args, **kwargs):
+        raise AssertionError("the power was computed")
+
+    monkeypatch.setattr(dist, "POWER_BUDGET", 839)
+    monkeypatch.setattr(dist, "_convolve_numerators", kernel)
+    with pytest.raises(ValueError, match="size bound 840, over the power budget 839"):
+        convolve_power(mu, 10)
+    square = LatticeDist([((0, 0), F(1, 4)), ((1, 0), F(1, 4)), ((0, 1), F(1, 4)), ((1, 1), F(1, 4))])
+    with pytest.raises(ValueError, match="power budget"):
+        convolve_power(square, 20)  # (20 * 3 + 1) * 20 * 3 = 3660
+    assert convolve_power(mu, 1) is mu
 
 
 def test_json_round_trip():

@@ -9,7 +9,8 @@ import pytest
 from conclab.dist import IntDist, convolve_all, delta, uniform
 from conclab.domination import cor3_check, dominates, hlp_check, mww_check, q_profile
 from conclab.extremal import nu
-from conclab.verify import random_instance
+
+from instances import random_instance
 
 
 def test_q_profile_examples():

@@ -35,7 +35,9 @@ from conclab.gauss import (
     norm_sf,
 )
 from conclab.rearrange import dominating_coupling
-from conclab.verify import _min_profile_slack, random_instance
+from conclab.verify import _min_profile_slack
+
+from instances import random_instance
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 

@@ -24,7 +24,6 @@ from conclab.gauss import (
     fit_gauss_spec,
     gaussian_tail_bound,
     gaussian_tail_check,
-    lattice_delta,
     lconv,
     llt_terms,
     norm_cdf,
@@ -34,6 +33,11 @@ from conclab.gauss import (
     tv_to_discretized_gaussian,
 )
 from conclab.rearrange import IntMeasure
+
+
+def lattice_delta(site):
+    return LatticeDist([(tuple(site), F(1))])
+
 
 SQUARE = LatticeDist(
     [((0, 0), F(1, 4)), ((1, 0), F(1, 4)), ((0, 1), F(1, 4)), ((1, 1), F(1, 4))]

@@ -1,8 +1,10 @@
 """Checks that results depend on are explicit exceptions, not `assert`
 statements, which `python -O` strips; the CLI decides "bad input, exit 2"
-in one place; and each input contract has one owner."""
+in one place; each input contract has one owner; and every top-level
+function and class is reached."""
 
 import ast
+import re
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -100,6 +102,48 @@ def test_no_function_imports_a_module_its_file_imports_at_the_top():
                     if isinstance(node, (ast.Import, ast.ImportFrom)) and _modules(node) & top:
                         found.add(f"{name}:{node.lineno}")
     assert sorted(found) == []
+
+
+def _mentions(node):
+    """The name a node mentions: a name's id, an attribute's name or a
+    string constant; None for any other node."""
+    if isinstance(node, ast.Name):
+        return node.id
+    if isinstance(node, ast.Attribute):
+        return node.attr
+    if isinstance(node, ast.Constant) and isinstance(node.value, str):
+        return node.value
+    return None
+
+
+def test_every_top_level_function_and_class_is_reached():
+    """Each is referenced elsewhere in src (by name or as a string, as the
+    checker table of `cli` names its checkers), exported by the package, or
+    named in backticks in README.md."""
+    trees = dict(_trees())
+    exported = {
+        alias.asname or alias.name
+        for node in trees["__init__.py"].body
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    }
+    readme = re.sub(r"```.*?```", "", (SRC.parents[1] / "README.md").read_text(), flags=re.S)
+    documented = {word for span in re.findall(r"`([^`]+)`", readme) for word in re.findall(r"[A-Za-z_]\w*", span)}
+    unreached = []
+    for name, tree in trees.items():
+        for defn in tree.body:
+            if not isinstance(defn, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                continue
+            if defn.name in exported or defn.name in documented:
+                continue
+            own = {id(node) for node in ast.walk(defn)}
+            if not any(
+                id(node) not in own and _mentions(node) == defn.name
+                for other in trees.values()
+                for node in ast.walk(other)
+            ):
+                unreached.append(f"{name[:-3]}.{defn.name}")
+    assert unreached == []
 
 
 def test_tsebal_raises_when_pairings_disagree(monkeypatch):

@@ -24,7 +24,8 @@ from conclab.rearrange import (
     plus_rearrange,
     sym_rearrange,
 )
-from conclab.verify import random_instance
+
+from instances import random_instance
 
 
 def test_plus_rearrange_examples():

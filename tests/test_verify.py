@@ -1,6 +1,7 @@
 """Lemma checkers, the conjecture scan, and instance generators."""
 
 import dataclasses
+import hashlib
 import json
 import math
 from fractions import Fraction as F
@@ -40,11 +41,12 @@ from conclab.verify import (
     peakedness1_check,
     peakedness2_check,
     quantized_extremal_measures,
-    random_instance,
     scan_mode,
     summarize,
     thm_tse_check,
 )
+
+from instances import random_instance
 
 
 def test_scan_d2_single_instance():
@@ -481,6 +483,30 @@ def test_random_instance_determinism_and_kinds():
         assert str(random_instance(5, kind)) == str(random_instance(5, kind))
     with pytest.raises(ValueError):
         random_instance(0, "no-such-kind")
+
+
+# sha256 of str(random_instance(seed, kind)) for seeds 0..999, one line each:
+# the instances every seeded test draws, fixed
+_INSTANCE_DIGESTS = {
+    "log-concave": "263130b17deb064e38c02f6ebeecbb9c56980695eb7ec39bca943f14368e1c4b",
+    "sharp-log-concave": "15c25c135d181d8e9fdd688bf7cb3dd5be4d41ca85dee39804831ee0ef501e4f",
+    "symmetric-unimodal": "fd5711d9630b6db36ec45a6056caaaeb4641b8c952f95924c0405ff1727ad402",
+    "symmetric-unimodal-chain": "8b1aa6d6cced817144361746e8286e5cc305af3ca91f8623b30c26837b3bb4ea",
+    "alpha-grid": "26a626a7dee1e23b3df71a324a45e1491ff7cdef04c942e641f3c4fa76a91e3b",
+    "coupling-pair": "90bb130cc2948ff70415b60fe3184c73c00dd167362fc38463e12adb0a54bac2",
+    "integer-measure": "6f540bac09a146eea096b2a3077867c269b320309dd06b1a9fbeec07a1d3f0d6",
+    "split-admissible": "84720a01d15c6f995a1b6306b1cf40018e89418b0fc7da5b0a5ac49794685ee5",
+    "distribution": "74768952c487852c7fbd6197c4c137d1b6546dbfb5467385d8235e686bde0951",
+    "integer-matrix": "ec84736d02355d93ee6c5ecf3afdf9734e4a884b0a1f27c32a94ef519e206158",
+}
+
+
+def test_random_instance_digests_are_fixed():
+    for kind, expected in _INSTANCE_DIGESTS.items():
+        digest = hashlib.sha256()
+        for seed in range(1000):
+            digest.update(str(random_instance(seed, kind)).encode() + b"\n")
+        assert digest.hexdigest() == expected, kind
 
 
 def test_random_instance_log_concave_always():
