@@ -5,7 +5,6 @@ Gaussian bridge, and a brute-force verification lab."""
 
 from .dist import (
     IntDist,
-    SpanResult,
     convolve,
     convolve_all,
     convolve_power,
@@ -26,10 +25,9 @@ from .dist import (
     uniform_interval,
     variance,
 )
-from .domination import DominationReport, QProfile, cor3_check, dominates, hlp_check, mww_check, q_profile
+from .domination import DominationReport, cor3_check, dominates, hlp_check, mww_check, q_profile
 from .extremal import (
     AlphaSeq,
-    SESelection,
     extremal_enumerate,
     is_balanced,
     is_extremal,

@@ -25,6 +25,7 @@ import math
 import os
 import re
 import sys
+from collections import Counter
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable
 
@@ -146,7 +147,7 @@ def cmd_dist(args) -> int:
                 "mean": format_fraction(mean(mu)),
                 "variance": format_fraction(variance(mu)),
                 "q_max": format_fraction(q_max(mu)),
-                "max_span": "INFINITE" if span.is_infinite else span.value,
+                "max_span": "INFINITE" if span is None else span,
                 "log_concave": is_log_concave(mu),
                 "unimodal": is_unimodal(mu),
                 "modes": modes(mu),
@@ -171,7 +172,7 @@ def cmd_dist(args) -> int:
         emit(args, result.to_json_obj(), result.to_text())
     elif args.action == "span":
         span = max_span(load_dist(args.input))
-        emit(args, {"max_span": "INFINITE" if span.is_infinite else span.value})
+        emit(args, {"max_span": "INFINITE" if span is None else span})
     return 0
 
 
@@ -369,8 +370,8 @@ def cmd_be_gap(args) -> int:
 
     if args.c_be <= 0:
         raise ValueError(f"--c-be must be positive, got {args.c_be}")
-    mus = [load_dist(p) for p in args.inputs] * args.repeat
-    report = gauss.berry_esseen_gap(mus)
+    counts = Counter(map(load_dist, args.inputs))
+    report = gauss.berry_esseen_gap({mu: c * args.repeat for mu, c in counts.items()})
     holds = report.max_cdf_gap <= args.c_be * report.bound
     emit(
         args,

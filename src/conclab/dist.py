@@ -46,7 +46,6 @@ from __future__ import annotations
 
 import json
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, gcd, inf, lcm
 from typing import Iterable, Iterator, Sequence
@@ -80,24 +79,6 @@ def int_site(value) -> int:
 
 def format_fraction(f: Fraction) -> str:
     return f"{f.numerator}/{f.denominator}"
-
-
-@dataclass(frozen=True)
-class SpanResult:
-    """Maximum span of a distribution: a positive integer, or infinite for a
-    single atom."""
-
-    value: int | None
-
-    @property
-    def is_infinite(self) -> bool:
-        return self.value is None
-
-    def __repr__(self) -> str:
-        return "SpanResult(INFINITE)" if self.is_infinite else f"SpanResult({self.value})"
-
-
-INFINITE_SPAN = SpanResult(None)
 
 
 class FiniteMeasure:
@@ -647,11 +628,12 @@ def convolve_all(dists: Sequence[FiniteMeasure]) -> FiniteMeasure:
 
 
 # The largest power convolve_power computes, by a size bound: the n-th power
-# of k atoms over den has at least n * (k - 1) + 1 atoms (in Z^d too), over
-# den**n of n * bit_length(den) bits, and the bound is their product.  The
-# largest use is 3.2e7 in the tests (three atoms over 13, n = 2000), 2.0e6
-# in tools/kernel_crossover.py and 8.2e5 in the benchmark; at 1e9 that law
-# takes 0.7 s and 170 MB (2-core VM, Python 3.11).
+# of k atoms over den has at least n * (k - 1) + 1 atoms, and C(n + d, d) if
+# its sites span d dimensions, over den**n of n * bit_length(den) bits; the
+# bound is the larger count times the bits.  The largest use is 3.2e7 in the
+# tests (three atoms over 13, n = 2000), 2.0e6 in tools/kernel_crossover.py
+# and 8.2e5 in the benchmark; at 1e9 that law takes 0.7 s and 170 MB (2-core
+# VM, Python 3.11).
 POWER_BUDGET = 10**9
 
 
@@ -668,7 +650,9 @@ def convolve_power(mu: FiniteMeasure, n: int) -> FiniteMeasure:
         raise ValueError("n must be >= 1")
     if n == 1:
         return mu
-    size = (n * (len(mu) - 1) + 1) * n * mu.denominator().bit_length()
+    sites = mu.sites
+    d = _affine_dim(sites) if isinstance(sites[0], tuple) else 0  # the linear count covers d = 1
+    size = max(n * (len(mu) - 1) + 1, comb(n + d, d)) * n * mu.denominator().bit_length()
     if size > POWER_BUDGET:
         raise ValueError(f"the {n}-fold power has size bound {size}, over the power budget {POWER_BUDGET}")
     out, den = _convolve_numerators((mu,), n, ordered=True)
@@ -772,16 +756,16 @@ def modes(mu: IntDist) -> list[int]:
     return [s for s, n in zip(mu.sites, mu.numerators) if n == peak]
 
 
-def max_span(mu: IntDist) -> SpanResult:
-    """gcd of pairwise site differences; infinite for a single atom."""
+def max_span(mu: IntDist) -> int | None:
+    """gcd of pairwise site differences; None (infinite) for a single atom."""
     sites = mu.sites
     if len(sites) == 1:
-        return INFINITE_SPAN
+        return None
     base = sites[0]
     g = 0
     for s in sites[1:]:
         g = gcd(g, s - base)
-    return SpanResult(g)
+    return g
 
 
 def squeeze(mu: IntDist) -> IntDist:

@@ -19,31 +19,20 @@ from .dist import IntDist, as_fraction, convolve_all, format_fraction, is_sharp_
 from .rearrange import is_symmetric_unimodal, minus_rearrange, plus_rearrange, sym_rearrange
 
 
-@dataclass(frozen=True)
-class QProfile:
-    """Partial sums q_1 <= q_2 <= ... <= q_J = 1 of the sorted masses."""
-
-    values: tuple[Fraction, ...]
-
-    def entry(self, j: int) -> Fraction:
-        """Profile entry for any j >= 1; constant 1 beyond the atom count."""
-        if j < 1:
-            raise ValueError("j must be >= 1")
-        return self.values[j - 1] if j <= len(self.values) else Fraction(1)
-
-
-def q_profile(mu: IntDist) -> QProfile:
+def q_profile(mu: IntDist) -> tuple[Fraction, ...]:
+    """Partial sums q_1 <= q_2 <= ... <= q_J = 1 of the masses sorted in
+    decreasing order, one per atom."""
     den = mu.denominator()
-    return QProfile(tuple(Fraction(acc, den) for acc in itertools.accumulate(sorted(mu.numerators, reverse=True))))
+    return tuple(Fraction(acc, den) for acc in itertools.accumulate(sorted(mu.numerators, reverse=True)))
 
 
 def profile_rows(mu1: IntDist, mu2: IntDist, eps) -> Iterator[tuple[int, Fraction, Fraction]]:
     """(j, Q_j(mu1), (1+eps) * Q_j(mu2)) for j = 1 .. max(atom counts).
     Beyond that j both sides are constant (1 and 1+eps), so these rows
     decide eps-domination for every j >= 1."""
-    p1, p2 = q_profile(mu1), q_profile(mu2)
-    for j in range(1, max(len(mu1), len(mu2)) + 1):
-        yield j, p1.entry(j), (1 + eps) * p2.entry(j)
+    rows = itertools.zip_longest(q_profile(mu1), q_profile(mu2), fillvalue=Fraction(1))
+    for j, (q1, q2) in enumerate(rows, 1):
+        yield j, q1, (1 + eps) * q2
 
 
 @dataclass(frozen=True)

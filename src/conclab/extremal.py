@@ -14,7 +14,6 @@ from __future__ import annotations
 import functools
 import itertools
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil, comb
 from typing import Iterable, Iterator, Sequence
@@ -75,21 +74,6 @@ class AlphaSeq:
 
     def __setattr__(self, name, value):
         raise AttributeError("AlphaSeq is immutable")
-
-
-@dataclass(frozen=True)
-class SESelection:
-    """A sign and shift per index, selecting one standard extremal measure
-    for each cap."""
-
-    signs: tuple[int, ...]
-    shifts: tuple[int, ...]
-
-    def __post_init__(self):
-        if len(self.signs) != len(self.shifts):
-            raise ValueError("signs and shifts must have equal length")
-        if any(s not in (-1, 1) for s in self.signs):
-            raise ValueError("signs must be -1 or +1")
 
 
 def _validate_alpha(alpha: Fraction) -> Fraction:
@@ -376,7 +360,7 @@ def _signed_nu(alpha: Fraction) -> tuple[IntDist, IntDist]:
     return negate(law), law
 
 
-def tse(alphas: AlphaSeq) -> tuple[Fraction, SESelection]:
+def tse(alphas: AlphaSeq) -> tuple[Fraction, tuple[int, ...]]:
     """Exact maximum of q_max over sign assignments of the nu measures.
 
     Indices whose cap has an integer inverse are pruned from the sign search
@@ -393,8 +377,7 @@ def tse(alphas: AlphaSeq) -> tuple[Fraction, SESelection]:
     vector has its minus signs first within each run, the tied search
     visits exactly these representatives in lexicographic order, and the
     prune drops only patterns that could not strictly beat an earlier one,
-    so the first maximiser is kept.  Shifts are reported as 0 since the
-    value is translation invariant.
+    so the first maximiser is kept and returned, one -1 or +1 per cap.
     """
     caps = alphas.alphas
     # a cap in (0, 1] in lowest terms has an integer inverse iff its numerator is 1
@@ -405,7 +388,7 @@ def tse(alphas: AlphaSeq) -> tuple[Fraction, SESelection]:
     signs = [1] * len(caps)
     for i, j in zip(free, path[len(levels) - len(free) :]):
         signs[i] = -1 if j == 0 else 1
-    return best, SESelection(tuple(signs), (0,) * len(caps))
+    return best, tuple(signs)
 
 
 # -- windowed oracle -----------------------------------------------------------
@@ -482,11 +465,11 @@ def t_oracle_curve(alphas: AlphaSeq, windows: Sequence[tuple[int, int]]) -> list
 
 def tse_report_json_obj(alphas: AlphaSeq) -> dict:
     """CLI-facing report: alphas, tse value and signs, tsebal when balanced."""
-    value, sel = tse(alphas)
+    value, signs = tse(alphas)
     balanced = is_balanced(alphas)
     return {
         "alphas": [format_fraction(a) for a in alphas],
         "tse": format_fraction(value),
-        "signs": list(sel.signs),
+        "signs": list(signs),
         "tsebal": format_fraction(tsebal(alphas)) if balanced else None,
     }

@@ -17,7 +17,7 @@ from collections import Counter
 from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -464,7 +464,6 @@ class CellTable:
     p: np.ndarray
     err: np.ndarray
     tail_bound: float
-    spec: GaussSpec
     err_kind: str
 
     @functools.cached_property
@@ -547,7 +546,7 @@ def discretized_gaussian(
     else:
         raise ValueError("dimension above 3 unsupported")
     box = tuple((lo, hi) for lo, hi in box)
-    return CellTable(box, p, err, _tail_bound_outside_box(spec, box), spec, "certified" if d <= 2 else "3-sigma")
+    return CellTable(box, p, err, _tail_bound_outside_box(spec, box), "certified" if d <= 2 else "3-sigma")
 
 
 @dataclass(frozen=True)
@@ -558,7 +557,6 @@ class TVResult:
     err: float
     cells: int
     tail_bound: float
-    spec: GaussSpec
     err_kind: str = "certified"
 
 
@@ -608,7 +606,7 @@ def tv_to_discretized_gaussian(s: LatticeDist, tol: float = 1e-6) -> TVResult:
     tail = table.tail_bound
     value = 0.5 * half_l1 + 0.25 * tail
     err = 0.5 * err_sum + 0.25 * tail + _tv_rounding(ncells, err_sum)
-    return TVResult(value, err, ncells, tail, spec, table.err_kind)
+    return TVResult(value, err, ncells, tail, table.err_kind)
 
 
 def _tv_rounding(ncells: int, err_sum: float) -> float:
@@ -739,7 +737,6 @@ class SingularBoundReport:
     bound: float
     sigma_min: float
     holds: bool
-    column_norm_max: float
 
 
 def singular_lower_bound(a) -> SingularBoundReport:
@@ -756,7 +753,7 @@ def singular_lower_bound(a) -> SingularBoundReport:
     bound = (math.sqrt(n) * r) ** (-(n - 1)) if n > 1 else 1.0
     sigma_min = float(np.linalg.svd(mat, compute_uv=False).min())
     slack = 1e-9 * max(1.0, sigma_min)
-    return SingularBoundReport(bound, sigma_min, sigma_min >= bound - slack, r)
+    return SingularBoundReport(bound, sigma_min, sigma_min >= bound - slack)
 
 
 def gaussian_tail_bound(sigma, t: float) -> float:
@@ -778,7 +775,6 @@ class TailCheckReport:
     std_err: float
     holds: bool
     samples: int
-    seed: int
 
 
 def gaussian_tail_check(sigma, t: float, samples: int, seed: int = 0) -> TailCheckReport:
@@ -792,7 +788,7 @@ def gaussian_tail_check(sigma, t: float, samples: int, seed: int = 0) -> TailChe
     draws = _normal_draws(sigma, samples, seed)
     exceed = float((np.sum(draws**2, axis=1) >= t).mean())
     se = math.sqrt(bound * (1 - bound) / samples)
-    return TailCheckReport(bound, exceed, se, exceed <= bound + 3 * se, samples, seed)
+    return TailCheckReport(bound, exceed, se, exceed <= bound + 3 * se, samples)
 
 
 @dataclass(frozen=True)
@@ -806,10 +802,11 @@ class BEGapReport:
     variance: Fraction
 
 
-def berry_esseen_gap(mus: Sequence[IntDist]) -> BEGapReport:
+def berry_esseen_gap(mus: Sequence[IntDist] | Mapping[IntDist, int]) -> BEGapReport:
     """Exact CDF gap of the sum of mus against the normal of its mean and
     variance.  Equal summands are grouped, so that each distinct law costs
-    one convolution power and one third moment."""
+    one convolution power and one third moment; a mapping of laws to counts
+    passes through the grouping unchanged."""
     if not mus:
         raise ValueError("empty summand list")
     groups = Counter(mus)

@@ -549,8 +549,7 @@ def odlyzko_richmond_check(p: IntDist, n: int, delta) -> CheckReport:
         return _na("odlyzko_richmond", instance, "n must be positive")
     if delta <= 0:
         return _na("odlyzko_richmond", instance, "delta must be positive")
-    span = max_span(p)
-    if span.is_infinite or span.value != 1:
+    if max_span(p) != 1:
         return _na("odlyzko_richmond", instance, "maximum span is not 1")
     base = shift(p, -p.sites[0])
     d = base.sites[-1]

@@ -155,7 +155,7 @@ def test_criterion_07_exact_optima():
     assert tsebal(AlphaSeq([F(1, 2)] * 4)) == F(3, 8)
     value, selection = tse(AlphaSeq([F(3, 5), F(3, 5)]))
     assert value == F(13, 25)
-    assert sorted(selection.signs) == [-1, 1]
+    assert sorted(selection) == [-1, 1]
     alphas = AlphaSeq([F(1, 2), F(1, 2)])
     assert t_oracle(alphas, (0, 1))[0] == tsebal(alphas)
     assert time.time() - started < 1.0

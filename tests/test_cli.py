@@ -394,9 +394,12 @@ def test_dist_stats_reads_a_denominator_of_5001_digits(tmp_path, capsys):
 
 def test_power_over_the_budget_exits_2_promptly(tmp_path):
     """n = 10**30 once ran until killed, computing 13**n before anything
-    else.  It now stops at the power budget before any power is computed.
-    The address-space cap and the timeout turn a regression into a prompt
-    failure instead of a full memory."""
+    else.  The square law's 10,000th power has about 10**8 atoms, which a
+    bound linear in n let through.  `be-gap --repeat 10**9` once listed a
+    billion summands before the power budget saw them.  Each now stops at
+    the power budget before any power is computed.  The address-space cap
+    and the timeout turn a regression into a prompt failure instead of a
+    full memory."""
     import resource
 
     def cap_memory():
@@ -405,19 +408,28 @@ def test_power_over_the_budget_exits_2_promptly(tmp_path):
     inst = tmp_path / "inst.json"
     p = {"atoms": [[0, "4/13"], [1, "5/13"], [3, "4/13"]]}
     inst.write_text(json.dumps({"p": p, "n": 10**30, "delta": "3/10"}))
+    square = tmp_path / "square.json"
+    square.write_text(json.dumps({"atoms": [[[x, y], "1/4"] for x in (0, 1) for y in (0, 1)]}))
+    coin = tmp_path / "coin.json"
+    coin.write_text(json.dumps({"atoms": [[0, "1/2"], [1, "1/2"]]}))
     src = Path(__file__).resolve().parents[1] / "src"
-    proc = subprocess.run(
-        [sys.executable, "-m", "conclab.cli", "check", "odlyzko_richmond", "--instance", str(inst)],
-        capture_output=True,
-        text=True,
-        env={**os.environ, "PYTHONPATH": str(src)},
-        timeout=20,
-        preexec_fn=cap_memory,
-    )
-    assert proc.returncode == 2
-    assert proc.stdout == ""
-    assert len(proc.stderr.splitlines()) == 1 and proc.stderr.startswith("error: ")
-    assert "power budget" in proc.stderr
+    for argv in (
+        ["check", "odlyzko_richmond", "--instance", str(inst)],
+        ["gauss", "tv", str(square), "--pow", "10000"],
+        ["be-gap", str(coin), "--repeat", str(10**9)],
+    ):
+        proc = subprocess.run(
+            [sys.executable, "-m", "conclab.cli", *argv],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": str(src)},
+            timeout=20,
+            preexec_fn=cap_memory,
+        )
+        assert proc.returncode == 2, argv
+        assert proc.stdout == ""
+        assert len(proc.stderr.splitlines()) == 1 and proc.stderr.startswith("error: "), proc.stderr
+        assert "power budget" in proc.stderr
 
 
 def test_oracle_on_a_wide_window_runs_promptly():

@@ -34,7 +34,7 @@ def test_tse_invariant_under_representative_shifts():
     # the same sign pattern with arbitrary translations of each factor
     # reproduces the optimum as a concentration value
     factors = []
-    for a, sign, offset in zip(alphas, selection.signs, (7, -4, 11)):
+    for a, sign, offset in zip(alphas, selection, (7, -4, 11)):
         base = nu(a) if sign > 0 else negate(nu(a))
         factors.append(shift(base, offset))
     assert q_max(convolve_all(factors)) == value

@@ -133,9 +133,9 @@ def test_is_unimodal_and_modes():
 
 
 def test_max_span():
-    assert max_span(IntDist([(0, F(1, 2)), (4, F(1, 4)), (6, F(1, 4))])).value == 2
-    assert max_span(uniform([0, 1])).value == 1
-    assert max_span(delta(3)).is_infinite
+    assert max_span(IntDist([(0, F(1, 2)), (4, F(1, 4)), (6, F(1, 4))])) == 2
+    assert max_span(uniform([0, 1])) == 1
+    assert max_span(delta(3)) is None
 
 
 def test_squeeze():
@@ -202,8 +202,8 @@ def test_span_gcd_under_convolution():
         b = random_instance(501 + 2 * seed, "distribution")
         if len(a) < 2 or len(b) < 2:
             continue
-        sa, sb = max_span(a).value, max_span(b).value
-        assert max_span(convolve(a, b)).value == gcd(sa, sb)
+        sa, sb = max_span(a), max_span(b)
+        assert max_span(convolve(a, b)) == gcd(sa, sb)
 
 
 def test_convolve_power_matches_iteration():
@@ -213,7 +213,9 @@ def test_convolve_power_matches_iteration():
 
 def test_convolve_power_refuses_a_power_over_the_budget_before_computing_it(monkeypatch):
     """Three atoms over 13 to the 10th power: at least 2 * 10 + 1 atoms over
-    13**10, of 10 * 4 bits, so a size bound of 21 * 40 = 840."""
+    13**10, of 10 * 4 bits, so a size bound of 21 * 40 = 840.  The square
+    law spans two dimensions, so its 20th power has at least C(22, 2) = 231
+    atoms, not 20 * 3 + 1 = 61: a size bound of 231 * 60 = 13,860."""
     mu = IntDist([(0, F(4, 13)), (1, F(5, 13)), (3, F(4, 13))])
     monkeypatch.setattr(dist, "POWER_BUDGET", 840)
     assert convolve_power(mu, 10) == convolve_all([mu] * 10)
@@ -227,7 +229,10 @@ def test_convolve_power_refuses_a_power_over_the_budget_before_computing_it(monk
         convolve_power(mu, 10)
     square = LatticeDist([((0, 0), F(1, 4)), ((1, 0), F(1, 4)), ((0, 1), F(1, 4)), ((1, 1), F(1, 4))])
     with pytest.raises(ValueError, match="power budget"):
-        convolve_power(square, 20)  # (20 * 3 + 1) * 20 * 3 = 3660
+        convolve_power(square, 20)
+    monkeypatch.setattr(dist, "POWER_BUDGET", 3660)  # the bound through 61 atoms
+    with pytest.raises(ValueError, match="size bound 13860, over the power budget 3660"):
+        convolve_power(square, 20)
     assert convolve_power(mu, 1) is mu
 
 

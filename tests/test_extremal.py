@@ -135,7 +135,7 @@ def test_tse_same_with_cold_and_warm_memo():
         _signed_nu.cache_clear()
         cold.append(tse(AlphaSeq(caps)))
     warm = [tse(AlphaSeq(caps)) for caps in MEMO_CASES]
-    assert [(v, sel.signs) for v, sel in cold] == [(v, sel.signs) for v, sel in warm]
+    assert cold == warm
     assert _signed_nu.cache_info().hits > 0
 
 
@@ -156,8 +156,7 @@ def test_tse_examples():
     assert value == F(3, 5)
     value, sel = tse(AlphaSeq([F(3, 5), F(3, 5)]))
     assert value == F(13, 25)
-    assert sorted(sel.signs) == [-1, 1]
-    assert sel.shifts == (0, 0)
+    assert sorted(sel) == [-1, 1]
 
 
 def test_tsebal_examples():
@@ -248,6 +247,36 @@ def test_t_oracle_monotone_in_each_cap():
         for b in grid:
             if a <= b:
                 assert values[a] <= values[b]
+
+
+def _rearrangement_sum(a, b):
+    """Sum of p_(i) q_(i) over the masses of nu(a) and nu(b), each sorted in
+    decreasing order; the shorter list ends with zeros."""
+    p, q = (sorted(nu(c).masses, reverse=True) for c in (a, b))
+    return sum((x * y for x, y in zip(p, q)), F(0))
+
+
+# every reduced cap j/D in (0, 1) with D <= 12
+CAPS_TO_12 = sorted({F(j, d) for d in range(2, 13) for j in range(1, d)})
+
+
+def test_tse_of_two_caps_is_the_rearrangement_sum():
+    """P(X + Y = x) pairs the masses of X and Y, so by the rearrangement
+    inequality it is at most the sum of products of the sorted masses; the
+    reflected nu of one cap against the plain nu of the other attains it,
+    as both put their masses in decreasing order away from 0.  Exact, with
+    no window, on all 1,035 pairs."""
+    pairs = list(itertools.combinations_with_replacement(CAPS_TO_12, 2))
+    assert (len(CAPS_TO_12), len(pairs)) == (45, 1035)
+    for a, b in pairs:
+        assert tse(AlphaSeq([a, b]))[0] == _rearrangement_sum(a, b), (a, b)
+
+
+@pytest.mark.parametrize("a, b", [(F(2, 5), F(3, 7)), (F(1, 3), F(2, 5)), (F(3, 5), F(2, 7)), (F(1, 2), F(1, 3))])
+def test_t_oracle_of_two_caps_is_the_rearrangement_sum(a, b):
+    """Every extremal law of a cap has the masses of its nu, so the same
+    bound holds over the window, and the window holds nu's arrangement."""
+    assert t_oracle(AlphaSeq([a, b]), (0, 14))[0] == _rearrangement_sum(a, b)
 
 
 def test_ordering_tsebal_tse_oracle():

@@ -499,7 +499,7 @@ def _tv_to_gaussian_reference(s, tol=1e-6):
         err_sum += err
     tail = table.tail_bound
     err = 0.5 * err_sum + 0.25 * tail + gauss._tv_rounding(ncells, err_sum)
-    return TVResult(0.5 * half_l1 + 0.25 * tail, err, ncells, tail, spec)
+    return TVResult(0.5 * half_l1 + 0.25 * tail, err, ncells, tail)
 
 
 def _berry_esseen_reference(mus):
@@ -934,7 +934,7 @@ def test_cell_table_2d_matches_the_column_loop(spec, origin, data, tol, block):
     expected = _table_or_error(lambda: _cells_2d_by_columns(spec, box, 1e-11))
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(gauss, "_BLOCK_VALUES", block)
-        table = _table_or_error(lambda: gauss.CellTable(box, *gauss._cell_table_2d(spec, box, 1e-11), 0.0, spec, "").cells)
+        table = _table_or_error(lambda: gauss.CellTable(box, *gauss._cell_table_2d(spec, box, 1e-11), 0.0, "").cells)
     assert table == expected
 
 

@@ -38,6 +38,8 @@ FILES = {
     "mup.json": _atoms([(-1, "1/4"), (0, "1/2"), (1, "1/4")]),
     "u0123.json": _uniform([0, 1, 2, 3]),
     "skew.txt": "# a text law\n-3: 1/12\n-1: 1/4\n2: 1/3\n5: 1/3\n",
+    "point.json": _atoms([(3, "1")]),
+    "span2.json": {"p": _uniform([0, 2]), "n": 30, "delta": "3/10"},
 }
 
 INSTANCES = {
@@ -80,6 +82,8 @@ ARGVS = [
     ["dist", "rearrange", "{nu.json}", "--kind", "minus"],
     ["dist", "rearrange", "{mup.json}", "--kind", "sym"],
     ["dist", "squeeze", "{skew.txt}"],
+    ["dist", "span", "{point.json}"],
+    ["dist", "stats", "{point.json}"],
     ["extremal", "nu", "--alpha", "2/7"],
     ["extremal", "tse", "--alphas", "3/5,2/5,1/3,1/3"],
     ["extremal", "tsebal", "--alphas", "2/5,2/5,1/3,1/5"],
@@ -90,6 +94,7 @@ ARGVS = [
     ["scan-conjecture", "--denominator", "4", "--window", "0..3", "--n", "2"],
     ["scan-conjecture", "--denominator", "5", "--window", "0..2", "--n", "3", "--budget", "40", "--seed", "9"],
     *(["check", lemma, "--instance", f"{{{lemma}.json}}"] for lemma in sorted(INSTANCES)),
+    ["check", "odlyzko_richmond", "--instance", "{span2.json}"],
 ]
 
 # exit code and stdout sha256 of each argv, recorded before the integer
@@ -111,6 +116,12 @@ GOLDEN = {
         (0, "07325017cbf5f43334904661cb0d21db8af9e48cf6e9391dfd43f2d040bc1cc9"),
     "dist squeeze {skew.txt}":
         (0, "06170ceecfb25f9554e99bea3598c7fbdc481c91176e4d17d79db436843c0513"),
+    # the point.json and span2.json entries were recorded before max_span
+    # returned a plain int
+    "dist span {point.json}":
+        (0, "30a6788542913fcf13ec6d967c0aaf5960e3513e441163b820983b2ba241f5d1"),
+    "dist stats {point.json}":
+        (0, "d9ef7772fd9ea0ac8396552d74127410f850594469d8a2766d89881182b58d1f"),
     "extremal nu --alpha 2/7":
         (0, "a7b4745ddfa33f01abf0edb24d921cbf832729205721f9e016ec9f5aa61ce17c"),
     "extremal tse --alphas 3/5,2/5,1/3,1/3":
@@ -149,6 +160,8 @@ GOLDEN = {
         (0, "eefa4a12cfd8cfcd47614213a47f99f3dce683d01288d0dae6b3038619d7c4ac"),
     "check thm_tse --instance {thm_tse.json}":
         (0, "1ff681f6fdd3552e7b5bbdaa55a3c3ee7477133babbcac5d1329ba3b6d787f0b"),
+    "check odlyzko_richmond --instance {span2.json}":
+        (0, "174cbe4654c7e80ce2de90bfd64a5a9c2a915c050a6d12e90e52b5e3414e54a8"),
 }
 
 
