@@ -301,7 +301,7 @@ def cmd_gauss(args) -> int:
         emit(
             args,
             {
-                "cells": [[list(site), p, err] for site, (p, err) in sorted(table.cells.items())],
+                "cells": [[list(site), p, err] for site, (p, err) in table.cells.items()],
                 "tail_bound": table.tail_bound,
                 "err_kind": table.err_kind,
             },
@@ -321,46 +321,15 @@ def cmd_gauss(args) -> int:
             else:
                 emit(args, {"curve": rows})
         else:
-            result = gauss.tv_to_discretized_gaussian(s, tol=args.tol)
-            emit(
-                args,
-                {
-                    "tv": result.value,
-                    "err": result.err,
-                    "cells": result.cells,
-                    "tail_bound": result.tail_bound,
-                    "err_kind": result.err_kind,
-                },
-            )
+            emit(args, gauss.tv_to_discretized_gaussian(s, tol=args.tol))
     elif args.action == "terms":
-        ys = [load_lattice(p) for p in args.inputs]
-        terms = gauss.llt_terms(ys)
-        emit(
-            args,
-            {
-                "L": terms.L,
-                "chi": terms.chi,
-                "s_tilde": terms.s_tilde,
-                "u": list(terms.u),
-                "applicable": terms.applicable,
-            },
-        )
+        emit(args, gauss.llt_terms([load_lattice(p) for p in args.inputs]))
     elif args.action == "tail":
         cov = load_json(args.cov)
         if args.samples is not None:
             report = gauss.gaussian_tail_check(cov, args.t, args.samples, seed=args.seed or 0)
-            emit(
-                args,
-                {
-                    "bound": report.bound,
-                    "empirical": report.empirical,
-                    "std_err": report.std_err,
-                    "holds": report.holds,
-                    "samples": report.samples,
-                    "err_kind": "3-sigma",
-                },
-            )
-            return 0 if report.holds else CHECK_FAILED
+            emit(args, report)
+            return 0 if report["holds"] else CHECK_FAILED
         emit(args, {"bound": gauss.gaussian_tail_bound(cov, args.t), "err_kind": "certified"})
     return 0
 
@@ -372,14 +341,13 @@ def cmd_be_gap(args) -> int:
         raise ValueError(f"--c-be must be positive, got {args.c_be}")
     counts = Counter(map(load_dist, args.inputs))
     report = gauss.berry_esseen_gap({mu: c * args.repeat for mu, c in counts.items()})
-    holds = report.max_cdf_gap <= args.c_be * report.bound
+    holds = report["max_cdf_gap"] <= args.c_be * report["bound"]
     emit(
         args,
         {
-            "max_cdf_gap": report.max_cdf_gap,
-            "bound": report.bound,
-            "third_moment": format_fraction(report.third_moment),
-            "variance": format_fraction(report.variance),
+            **report,
+            "third_moment": format_fraction(report["third_moment"]),
+            "variance": format_fraction(report["variance"]),
             "c_be": args.c_be,
             "holds": holds,
         },

@@ -549,17 +549,6 @@ def discretized_gaussian(
     return CellTable(box, p, err, _tail_bound_outside_box(spec, box), "certified" if d <= 2 else "3-sigma")
 
 
-@dataclass(frozen=True)
-class TVResult:
-    """TV to the rounded Gaussian; err_kind labels err as CellTable does."""
-
-    value: float
-    err: float
-    cells: int
-    tail_bound: float
-    err_kind: str = "certified"
-
-
 def fit_gauss_spec(s: LatticeDist) -> GaussSpec:
     """The Gaussian with the mean and covariance of s, as floats: each the
     correctly rounded quotient of two integers of one ``_moment_sums`` pass,
@@ -573,9 +562,11 @@ def fit_gauss_spec(s: LatticeDist) -> GaussSpec:
     return GaussSpec(tuple(f / den for f in first), tuple(tuple(c / den2 for c in row) for row in second))
 
 
-def tv_to_discretized_gaussian(s: LatticeDist, tol: float = 1e-6) -> TVResult:
+def tv_to_discretized_gaussian(s: LatticeDist, tol: float = 1e-6) -> dict:
     """Total variation between an exact lattice distribution and the rounded
-    Gaussian with matching mean and covariance, with a certified error.
+    Gaussian with matching mean and covariance, with a certified error:
+    ``{"tv", "err", "cells", "tail_bound", "err_kind"}``, the JSON of
+    ``gauss tv``; err_kind labels err as CellTable does.
 
     The sum runs over the support plus a 6.5-sigma box; outside that set the
     exact side is zero, so the remainder is at most half the Gaussian tail
@@ -604,9 +595,13 @@ def tv_to_discretized_gaussian(s: LatticeDist, tol: float = 1e-6) -> TVResult:
     half_l1 = float(np.add.accumulate(np.abs(exact - table.p).ravel())[-1])
     err_sum = float(np.add.accumulate(table.err.ravel())[-1])
     tail = table.tail_bound
-    value = 0.5 * half_l1 + 0.25 * tail
-    err = 0.5 * err_sum + 0.25 * tail + _tv_rounding(ncells, err_sum)
-    return TVResult(value, err, ncells, tail, table.err_kind)
+    return {
+        "tv": 0.5 * half_l1 + 0.25 * tail,
+        "err": 0.5 * err_sum + 0.25 * tail + _tv_rounding(ncells, err_sum),
+        "cells": ncells,
+        "tail_bound": tail,
+        "err_kind": table.err_kind,
+    }
 
 
 def _tv_rounding(ncells: int, err_sum: float) -> float:
@@ -626,26 +621,16 @@ def _tv_rounding(ncells: int, err_sum: float) -> float:
 # -- local-CLT terms -----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class LLTTerms:
-    """Computable ingredients of the lattice local-CLT total-variation bound.
+def llt_terms(ys: Sequence[LatticeDist]) -> dict:
+    """The computable ingredients of the lattice local-CLT total-variation
+    bound for the summands ys: ``{"L", "chi", "s_tilde", "u", "applicable"}``,
+    the JSON of ``gauss terms``.
 
     u[i] is one minus the smallest-shift total variation of the i-th summand;
     s_tilde is their sum less the largest one; chi is the third absolute
     moment of a uniformly mixed independent difference; L normalizes chi by
     the trace of twice the average covariance, to the 3/2 power.  applicable
     is False when s_tilde vanishes (the bound then says nothing).
-    """
-
-    L: float
-    chi: float
-    s_tilde: float
-    u: tuple[float, ...]
-    applicable: bool
-
-
-def llt_terms(ys: Sequence[LatticeDist]) -> LLTTerms:
-    """The local-CLT terms of the summands ys.
 
     Every exact step depends on the summand alone, so it is worked out once
     per distinct summand: u, the covariance trace and the chi pair terms.
@@ -697,13 +682,13 @@ def llt_terms(ys: Sequence[LatticeDist]) -> LLTTerms:
     big_l = (chi / math.sqrt(m)) / denom if denom > 0 else math.inf
     u_float = [float(x) for x in u_exact]
 
-    return LLTTerms(
-        L=big_l,
-        chi=chi,
-        s_tilde=float(s_tilde_exact),
-        u=tuple(u_float[i] for i in which),
-        applicable=s_tilde_exact > 0,
-    )
+    return {
+        "L": big_l,
+        "chi": chi,
+        "s_tilde": float(s_tilde_exact),
+        "u": [u_float[i] for i in which],
+        "applicable": s_tilde_exact > 0,
+    }
 
 
 def tv_convergence_curve(base: LatticeDist, ms: Sequence[int], tol: float = 1e-6) -> list[dict]:
@@ -719,11 +704,11 @@ def tv_convergence_curve(base: LatticeDist, ms: Sequence[int], tol: float = 1e-6
         rows.append(
             {
                 "m": m,
-                "tv": tv.value,
-                "tv_err": tv.err,
-                "L": terms.L,
-                "chi": terms.chi,
-                "s_tilde": terms.s_tilde,
+                "tv": tv["tv"],
+                "tv_err": tv["err"],
+                "L": terms["L"],
+                "chi": terms["chi"],
+                "s_tilde": terms["s_tilde"],
             }
         )
     return rows
@@ -732,17 +717,11 @@ def tv_convergence_curve(base: LatticeDist, ms: Sequence[int], tol: float = 1e-6
 # -- appendix utilities ---------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SingularBoundReport:
-    bound: float
-    sigma_min: float
-    holds: bool
-
-
-def singular_lower_bound(a) -> SingularBoundReport:
+def singular_lower_bound(a) -> dict:
     """Check the determinant-based lower bound for the smallest singular
     value of an integer matrix of full column rank: (sqrt(n) R)**-(n-1) with
-    R the largest column norm.  The entries must be integers (int_site)."""
+    R the largest column norm.  The entries must be integers (int_site).
+    Returns ``{"bound", "sigma_min", "holds"}``."""
     mat = np.array([[int_site(x) for x in row] for row in a], dtype=float)
     if mat.ndim != 2:
         raise ValueError("need a matrix")
@@ -753,7 +732,7 @@ def singular_lower_bound(a) -> SingularBoundReport:
     bound = (math.sqrt(n) * r) ** (-(n - 1)) if n > 1 else 1.0
     sigma_min = float(np.linalg.svd(mat, compute_uv=False).min())
     slack = 1e-9 * max(1.0, sigma_min)
-    return SingularBoundReport(bound, sigma_min, sigma_min >= bound - slack)
+    return {"bound": bound, "sigma_min": sigma_min, "holds": sigma_min >= bound - slack}
 
 
 def gaussian_tail_bound(sigma, t: float) -> float:
@@ -768,45 +747,37 @@ def gaussian_tail_bound(sigma, t: float) -> float:
     return bound
 
 
-@dataclass(frozen=True)
-class TailCheckReport:
-    bound: float
-    empirical: float
-    std_err: float
-    holds: bool
-    samples: int
-
-
-def gaussian_tail_check(sigma, t: float, samples: int, seed: int = 0) -> TailCheckReport:
-    """Empirical exceedance of the squared-norm tail versus its bound.
+def gaussian_tail_check(sigma, t: float, samples: int, seed: int = 0) -> dict:
+    """Empirical exceedance of the squared-norm tail versus its bound:
+    ``{"bound", "empirical", "std_err", "holds", "samples", "err_kind"}``,
+    the JSON of ``gauss tail --samples``.
 
     Verifies empirical <= bound + 3 binomial standard errors (computed at the
-    bound, the null rate)."""
+    bound, the null rate), so err_kind is "3-sigma"."""
     if samples < 1:
         raise ValueError("samples must be positive")
     bound = gaussian_tail_bound(sigma, t)
     draws = _normal_draws(sigma, samples, seed)
     exceed = float((np.sum(draws**2, axis=1) >= t).mean())
     se = math.sqrt(bound * (1 - bound) / samples)
-    return TailCheckReport(bound, exceed, se, exceed <= bound + 3 * se, samples)
+    return {
+        "bound": bound,
+        "empirical": exceed,
+        "std_err": se,
+        "holds": exceed <= bound + 3 * se,
+        "samples": samples,
+        "err_kind": "3-sigma",
+    }
 
 
-@dataclass(frozen=True)
-class BEGapReport:
-    """Exact CDF-versus-normal gap for a sum, with the third-moment ratio
-    bound (the proportionality constant is configured by the caller)."""
-
-    max_cdf_gap: float
-    bound: float
-    third_moment: Fraction
-    variance: Fraction
-
-
-def berry_esseen_gap(mus: Sequence[IntDist] | Mapping[IntDist, int]) -> BEGapReport:
+def berry_esseen_gap(mus: Sequence[IntDist] | Mapping[IntDist, int]) -> dict:
     """Exact CDF gap of the sum of mus against the normal of its mean and
-    variance.  Equal summands are grouped, so that each distinct law costs
-    one convolution power and one third moment; a mapping of laws to counts
-    passes through the grouping unchanged."""
+    variance, with the third-moment ratio bound (the proportionality
+    constant is the caller's): ``{"max_cdf_gap", "bound", "third_moment",
+    "variance"}``, the last two exact Fractions.  Equal summands are
+    grouped, so that each distinct law costs one convolution power and one
+    third moment; a mapping of laws to counts passes through the grouping
+    unchanged."""
     if not mus:
         raise ValueError("empty summand list")
     groups = Counter(mus)
@@ -826,4 +797,4 @@ def berry_esseen_gap(mus: Sequence[IntDist] | Mapping[IntDist, int]) -> BEGapRep
         gap = max(gap, abs(acc / den - phi))
         acc += n
         gap = max(gap, abs(acc / den - phi))
-    return BEGapReport(gap, bound, m3, var)
+    return {"max_cdf_gap": gap, "bound": bound, "third_moment": m3, "variance": var}

@@ -282,7 +282,8 @@ def conjecture_scan(cfg: ScanConfig, measures: Optional[list[IntDist]] = None) -
     laws_text = [json.dumps(mu.to_json_obj(), sort_keys=True) for mu in measures]
     # class 0 is the largest cap, so sorted class indices list the caps nonincreasing
     classes = sorted(set(caps), reverse=True)
-    class_of = [classes.index(a) for a in caps]
+    index = {a: i for i, a in enumerate(classes)}
+    class_of = [index[a] for a in caps]
     class_text = [json.dumps(format_fraction(a)) for a in classes]
     # sorted class indices -> (caps, sign-search optimum, JSON text of the caps)
     tse_cache: dict[tuple[int, ...], tuple[tuple[Fraction, ...], Fraction, str]] = {}

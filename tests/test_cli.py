@@ -175,6 +175,45 @@ def test_be_gap(files):
     assert run(["be-gap", files["u01.json"], "--repeat", "64"]) == 0
 
 
+def test_gauss_commands_print_the_library_dict(files, tmp_path, capsys):
+    """gauss tv, terms and tail --samples print the dict their library call
+    returns, as returned; be-gap prints berry_esseen_gap's dict with its two
+    exact fields formatted and c_be and holds added."""
+    from conclab import gauss
+    from conclab.dist import format_fraction
+
+    def printed(argv):
+        code = run(argv)
+        return code, capsys.readouterr().out
+
+    def rendered(payload):
+        return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+    base = gauss.LatticeDist.from_json_obj(json.loads(Path(files["base.json"]).read_text()))
+    assert printed(["gauss", "tv", files["base.json"]]) == (0, rendered(gauss.tv_to_discretized_gaussian(base)))
+    terms = gauss.llt_terms([base, base])
+    assert printed(["gauss", "terms", files["base.json"], files["base.json"]]) == (0, rendered(terms))
+    cov = tmp_path / "cov.json"
+    cov.write_text(json.dumps([[1.0, 0.3], [0.3, 0.5]]))
+    report = gauss.gaussian_tail_check([[1.0, 0.3], [0.3, 0.5]], 40.0, 5000, seed=3)
+    # every seeded command echoes its --seed
+    assert printed(["gauss", "tail", "--cov", str(cov), "--t", "40", "--samples", "5000", "--seed", "3"]) == (
+        0 if report["holds"] else 1,
+        rendered({**report, "seed": 3}),
+    )
+    report = gauss.berry_esseen_gap([uniform([0, 1])] * 64)
+    for c_be, code in ((0.56, 0), (0.0001, 1)):
+        expected = {
+            **report,
+            "third_moment": format_fraction(report["third_moment"]),
+            "variance": format_fraction(report["variance"]),
+            "c_be": c_be,
+            "holds": report["max_cdf_gap"] <= c_be * report["bound"],
+        }
+        argv = ["be-gap", files["u01.json"], "--repeat", "64", "--c-be", str(c_be)]
+        assert printed(argv) == (code, rendered(expected))
+
+
 def test_check_command(files, capsys):
     assert run(["check", "few_dropped", "--instance", files["inst.json"]]) == 0
     obj = json.loads(capsys.readouterr().out)
@@ -452,6 +491,25 @@ def test_oracle_on_a_wide_window_runs_promptly():
     assert hashlib.sha256(proc.stdout.encode()).hexdigest() == (
         "854d4ea5c860729b1c999d96f3af86c6fe64a1e94ea972737305f63ca94430d0"
     )
+
+
+def test_sampled_scan_over_many_measures_runs_promptly():
+    """The scan indexes its cap classes with a dict, so a sampled scan over
+    48,324 measures of 7,500 classes (D = 10,000 on 0..3) is quick where
+    one list search per measure took over a minute."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    argv = ["scan-conjecture", "--denominator", "10000", "--window", "0..3", "--n", "2", "--budget", "1"]
+    proc = subprocess.run(
+        [sys.executable, "-m", "conclab.cli", *argv],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(src)},
+        timeout=20,
+    )
+    assert proc.returncode == 0
+    summary = json.loads(proc.stdout.splitlines()[-1])
+    assert (summary["instances"], summary["violations"]) == (1, 0)
+    assert summary["mode"].startswith("sampled(1 of ")
 
 
 @pytest.mark.parametrize(

@@ -308,7 +308,7 @@ def test_tail_check_matches_inline_body(cov, seed):
     draws = rng.standard_normal((samples, mat.shape[0])) @ np.linalg.cholesky(mat).T
     exceed = float((np.sum(draws**2, axis=1) >= t).mean())
     report = gaussian_tail_check(cov, t, samples, seed=seed)
-    assert (report.bound, report.empirical) == (bound, exceed)
+    assert (report["bound"], report["empirical"]) == (bound, exceed)
     assert gaussian_tail_bound(cov, t) == bound
 
 

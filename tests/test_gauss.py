@@ -14,11 +14,8 @@ from hypothesis import strategies as st
 from conclab import gauss
 from conclab.dist import IntDist, convolve, convolve_all, convolve_power, shift, uniform
 from conclab.gauss import (
-    BEGapReport,
     GaussSpec,
     LatticeDist,
-    LLTTerms,
-    TVResult,
     berry_esseen_gap,
     discretized_gaussian,
     fit_gauss_spec,
@@ -153,35 +150,35 @@ def test_tv_to_gaussian_self_consistency():
     coin = LatticeDist([((0,), F(1, 2)), ((1,), F(1, 2))])
     res_small = tv_to_discretized_gaussian(pow_conv(coin, 8))
     res_large = tv_to_discretized_gaussian(pow_conv(coin, 48))
-    assert res_large.value + res_large.err < res_small.value - res_small.err
-    assert res_large.value < 0.02
+    assert res_large["tv"] + res_large["err"] < res_small["tv"] - res_small["err"]
+    assert res_large["tv"] < 0.02
 
 
 def test_tv_to_gaussian_2d_decreasing():
     res4 = tv_to_discretized_gaussian(pow_conv(SQUARE, 4))
     res8 = tv_to_discretized_gaussian(pow_conv(SQUARE, 8))
-    assert res8.value + res8.err < res4.value - res4.err
+    assert res8["tv"] + res8["err"] < res4["tv"] - res4["err"]
 
 
 def test_llt_terms_examples():
     y = LatticeDist([((0,), F(1, 2)), ((1,), F(1, 2))])
     terms = llt_terms([y, y])
-    assert terms.u == (0.5, 0.5)
-    assert terms.s_tilde == 0.5
-    assert terms.applicable
+    assert terms["u"] == [0.5, 0.5]
+    assert terms["s_tilde"] == 0.5
+    assert terms["applicable"]
     # chi: E|Y' - Y|^3 = 1/2 for a fair coin difference
-    assert abs(terms.chi - 0.5) < 1e-12
+    assert abs(terms["chi"] - 0.5) < 1e-12
 
     degenerate = llt_terms([lattice_delta((0,))] * 3)
-    assert degenerate.s_tilde == 0.0
-    assert not degenerate.applicable
+    assert degenerate["s_tilde"] == 0.0
+    assert not degenerate["applicable"]
 
 
 def test_llt_u_shift_invariant():
     y = LatticeDist([((0, 0), F(1, 3)), ((1, 0), F(1, 3)), ((0, 1), F(1, 3))])
     terms = llt_terms([y])
     shifted = llt_terms([shift(y, (5, -7))])
-    assert terms.u == shifted.u
+    assert terms["u"] == shifted["u"]
 
 
 def _shifted_reference(y, v):
@@ -205,11 +202,11 @@ def test_lattice_shift_matches_the_site_by_site_body():
 
 def test_singular_lower_bound_examples():
     rep = singular_lower_bound([[1, 0], [0, 1]])
-    assert rep.holds and abs(rep.bound - 1 / math.sqrt(2)) < 1e-12 and rep.sigma_min == 1.0
+    assert rep["holds"] and abs(rep["bound"] - 1 / math.sqrt(2)) < 1e-12 and rep["sigma_min"] == 1.0
     rep = singular_lower_bound([[1, 0], [0, 3]])
-    assert rep.holds and rep.sigma_min >= 1 / (math.sqrt(2) * 3)
+    assert rep["holds"] and rep["sigma_min"] >= 1 / (math.sqrt(2) * 3)
     rep = singular_lower_bound([[5]])
-    assert rep.holds and rep.bound == 1.0 and rep.sigma_min == 5.0
+    assert rep["holds"] and rep["bound"] == 1.0 and rep["sigma_min"] == 5.0
     with pytest.raises(ValueError):
         singular_lower_bound([[1, 2], [2, 4]])
     for matrix in ([[True, 0], [0, 1]], [[0.5, 0], [0, 1]]):  # entries are integers
@@ -238,18 +235,18 @@ def test_gaussian_tail_bound():
 
 def test_gaussian_tail_check():
     report = gaussian_tail_check([[1.0]], 32.0, 100_000, seed=7)
-    assert report.holds
-    assert report.empirical <= report.bound + 3 * report.std_err
+    assert report["holds"]
+    assert report["empirical"] <= report["bound"] + 3 * report["std_err"]
     again = gaussian_tail_check([[1.0]], 32.0, 100_000, seed=7)
     assert again == report
 
 
 def test_berry_esseen_gap_coins():
     report = berry_esseen_gap([uniform([0, 1])] * 64)
-    assert report.max_cdf_gap <= 0.56 * report.bound
+    assert report["max_cdf_gap"] <= 0.56 * report["bound"]
     # single extreme summand: computed, large relative bound
     single = berry_esseen_gap([uniform([5, 6])])
-    assert single.bound >= single.max_cdf_gap
+    assert single["bound"] >= single["max_cdf_gap"]
 
 
 def test_berry_esseen_pm_one_ratio():
@@ -258,8 +255,8 @@ def test_berry_esseen_pm_one_ratio():
     pm = uniform([-1, 1])
     for n in (4, 9, 25):
         report = berry_esseen_gap([pm] * n)
-        assert report.third_moment == report.variance
-        assert report.bound == pytest.approx(1 / math.sqrt(float(report.variance)))
+        assert report["third_moment"] == report["variance"]
+        assert report["bound"] == pytest.approx(1 / math.sqrt(float(report["variance"])))
 
 
 def test_berry_esseen_zero_variance():
@@ -376,13 +373,13 @@ def _llt_terms_reference(ys):
         trace += sum(c[i][i] for i in range(d))
     denom = (2.0 * float(trace) / m) ** 1.5
     big_l = (chi / math.sqrt(m)) / denom if denom > 0 else math.inf
-    return LLTTerms(
-        L=big_l,
-        chi=chi,
-        s_tilde=float(s_tilde_exact),
-        u=tuple(float(x) for x in u_exact),
-        applicable=s_tilde_exact > 0,
-    )
+    return {
+        "L": big_l,
+        "chi": chi,
+        "s_tilde": float(s_tilde_exact),
+        "u": [float(x) for x in u_exact],
+        "applicable": s_tilde_exact > 0,
+    }
 
 
 @st.composite
@@ -423,7 +420,7 @@ def test_llt_terms_interleaved_laws_match_reference():
     assert len(set(map(id, ys))) == 4 and len(set(ys)) == 3
     terms = llt_terms(ys)
     assert terms == _llt_terms_reference(ys)
-    assert len(terms.u) == 101
+    assert len(terms["u"]) == 101
 
 
 # -- d = 3 Monte Carlo cells binned in one pass --------------------------------
@@ -499,7 +496,7 @@ def _tv_to_gaussian_reference(s, tol=1e-6):
         err_sum += err
     tail = table.tail_bound
     err = 0.5 * err_sum + 0.25 * tail + gauss._tv_rounding(ncells, err_sum)
-    return TVResult(0.5 * half_l1 + 0.25 * tail, err, ncells, tail)
+    return {"tv": 0.5 * half_l1 + 0.25 * tail, "err": err, "cells": ncells, "tail_bound": tail, "err_kind": "certified"}
 
 
 def _berry_esseen_reference(mus):
@@ -519,7 +516,7 @@ def _berry_esseen_reference(mus):
         gap = max(gap, abs(float(acc) - phi))
         acc += mass
         gap = max(gap, abs(float(acc) - phi))
-    return BEGapReport(gap, float(m3) / float(var) ** 1.5, m3, var)
+    return {"max_cdf_gap": gap, "bound": float(m3) / float(var) ** 1.5, "third_moment": m3, "variance": var}
 
 
 @st.composite
@@ -1018,7 +1015,7 @@ def test_tv_to_gaussian_matches_the_cell_loop(law, tol):
             tv_to_discretized_gaussian(law, tol)
         return
     got = tv_to_discretized_gaussian(law, tol)
-    assert (got.value.hex(), got.err.hex()) == (expected.value.hex(), expected.err.hex())
+    assert (got["tv"].hex(), got["err"].hex()) == (expected["tv"].hex(), expected["err"].hex())
     assert got == expected
 
 

@@ -4,6 +4,7 @@ import dataclasses
 import hashlib
 import json
 import math
+from collections import defaultdict
 from fractions import Fraction as F
 
 import pytest
@@ -21,7 +22,7 @@ from conclab.dist import (
     uniform,
     variance,
 )
-from conclab.extremal import AlphaSeq, nu, tsebal
+from conclab.extremal import AlphaSeq, nu, t_oracle, tse, tsebal
 from conclab.roots import Interval
 from conclab.verify import (
     FAIL,
@@ -108,6 +109,24 @@ def test_scan_json_built_once_per_measure(cfg, monkeypatch):
         bare = dataclasses.replace(r, json_text=None)
         assert r.to_json_line() == bare.to_json_line() == json.dumps(r.to_json_obj(), sort_keys=True)
         assert r == bare
+
+
+@pytest.mark.parametrize(
+    "denominator, window, n",
+    [(4, (0, 3), 2), (4, (0, 3), 3), (5, (0, 4), 2), (5, (0, 4), 3), (6, (0, 3), 3), (5, (-2, 2), 3)],
+)
+def test_exhaustive_scan_matches_the_oracle_per_cap_class(denominator, window, n):
+    """Per cap class, the per-tuple scan's largest lhs is the oracle's value
+    on the scan's window, and its smallest margin is tse less that value."""
+    cfg = ScanConfig(denominator, window, n)
+    assert scan_mode(cfg) == "exhaustive"
+    by_class = defaultdict(list)
+    for record in conjecture_scan(cfg):
+        by_class[record.alphas].append(record)
+    for alphas, records in by_class.items():
+        value = t_oracle(AlphaSeq(alphas), window)[0]
+        assert max(r.lhs for r in records) == value, alphas
+        assert min(r.rhs - r.lhs for r in records) == tse(AlphaSeq(alphas))[0] - value, alphas
 
 
 def test_scan_budget_sampling_deterministic():
