@@ -15,7 +15,7 @@ import functools
 import itertools
 from collections import Counter
 from fractions import Fraction
-from math import ceil, comb
+from math import ceil, comb, prod
 from typing import Iterable, Iterator, Sequence
 
 from .dist import (
@@ -24,6 +24,7 @@ from .dist import (
     _product,
     _same_container,
     as_fraction,
+    convolve,
     convolve_all,
     format_fraction,
     negate,
@@ -360,6 +361,50 @@ def _signed_nu(alpha: Fraction) -> tuple[IntDist, IntDist]:
     return negate(law), law
 
 
+# The largest sign search tse runs, by a size bound: its sign patterns (the
+# product of c + 1 over the runs of c equal free caps, the first run's
+# floor(c/2) + 1) times the atoms of the whole sum times the bits of the
+# product of the denominators.  The run options are built from laws no larger
+# than the whole sum, so the bound covers them too.  16 distinct caps j/(2j+1)
+# (7.2e7) take 0.7 s and a run of 300 caps of 3/4 (2.7e7) 0.9 s; a run of
+# 1,000 caps of 3/4 (1.0e9) would take a minute (2-core VM, Python 3.11).
+TSE_BUDGET = 2 * 10**8
+
+
+def _check_tse_size(count: int, atoms: int, bits: int) -> None:
+    """ValueError when count sign patterns of a sum with that many atoms over
+    a denominator of that many bits exceed TSE_BUDGET."""
+    size = count * atoms * bits
+    if size > TSE_BUDGET:
+        raise ValueError(
+            f"tse would search {count} sign patterns of a sum of up to {atoms} atoms over {bits} bits: "
+            f"size bound {size}, over the tse budget {TSE_BUDGET}"
+        )
+
+
+def _run_options(alpha: Fraction, c: int, first: bool) -> list[IntDist]:
+    """The laws of r reflected and c - r plain copies of nu(alpha) for
+    r = c, c - 1, ..., 0, the lexicographic order of the run's sign vectors
+    with their minus signs first; on the first run only r >= c/2.  The r
+    reflected copies are the reflection of the r-th partial power of
+    nu(alpha), and each option with both signs is one ``convolve`` of two
+    partial powers.  For c >= 3: ``tse`` keeps shorter runs as per-cap
+    levels."""
+    minus, plus = _signed_nu(alpha)
+    powers = [None, plus]  # powers[s]: the law of s plain copies
+    for _ in range(c - 1):
+        powers.append(convolve(powers[-1], plus))
+    options = []
+    for r in range(c, (c + 1) // 2 - 1 if first else -1, -1):
+        if r == 0:
+            options.append(powers[c])
+        elif r == c:
+            options.append(negate(powers[c]))
+        else:
+            options.append(convolve(minus if r == 1 else negate(powers[r]), powers[c - r]))
+    return options
+
+
 def tse(alphas: AlphaSeq) -> tuple[Fraction, tuple[int, ...]]:
     """Exact maximum of q_max over sign assignments of the nu measures.
 
@@ -368,27 +413,85 @@ def tse(alphas: AlphaSeq) -> tuple[Fraction, tuple[int, ...]]:
     translating any summand does not change the concentration of the sum);
     their sum is convolved once and enters the search as a one-option first
     level.  Summands with equal caps commute, so in a run of c equal free
-    caps only the number of minus signs matters: each free cap chooses
-    between its reflected and its plain nu, and equal caps have equal option
-    lists, which the walker ties.  So the search ranges over prod(c + 1)
-    sign patterns over the runs, not 2**free, and ``_max_q_search`` skips
-    every partial pattern whose fill bound cannot beat the best pattern so
-    far.  Ties resolve to the lexicographically smallest sign vector.  That
-    vector has its minus signs first within each run, the tied search
-    visits exactly these representatives in lexicographic order, and the
-    prune drops only patterns that could not strictly beat an earlier one,
-    so the first maximiser is kept and returned, one -1 or +1 per cap.
+    caps (``AlphaSeq`` sorts equal caps next to each other) only the number
+    r of minus signs matters.  A run of c >= 3 caps is one level of c + 1
+    options, the law of r reflected and c - r plain copies of nu, in the
+    order r = c, c - 1, ..., 0 (``_run_options``).  A run of one or two
+    caps keeps one level per cap, the ``_signed_nu`` pair, which the walker
+    ties: it walks the run's patterns with at most five products, where one
+    level would first build three laws.
+
+    Ties resolve to the lexicographically smallest sign vector, which has
+    its minus signs first within each run; the levels visit exactly these
+    representatives in lexicographic order.  Reflecting every summand
+    reflects the sum, and the uniform level is its own reflection up to a
+    translate, so a pattern and its mirror image (each r replaced by c - r)
+    have the same q_max.  The mirror of a pattern whose first run has
+    r < c - r has more minus signs at the front, so it comes first, and the
+    first maximiser has r >= c/2 on the first run: the first free run keeps
+    only those options, and its first cap only its reflected law when the
+    run is per-cap.  So the search ranges over prod(c + 1) patterns with
+    the first factor floor(c/2) + 1, and ``_max_q_search`` skips every
+    partial pattern whose fill bound cannot beat the best pattern so far,
+    which only drops patterns that could not strictly beat an earlier one.
+    The first maximiser is kept and returned, one -1 or +1 per cap.
+
+    A search whose size bound exceeds TSE_BUDGET is a ValueError, raised
+    before any law is built (``_check_tse_size``).
     """
     caps = alphas.alphas
+    runs = []  # [cap, count] per run of equal caps
+    for a in caps:
+        if runs and runs[-1][0] == a:
+            runs[-1][1] += 1
+        else:
+            runs.append([a, 1])
     # a cap in (0, 1] in lowest terms has an integer inverse iff its numerator is 1
+    free = [(a, c) for a, c in runs if a.numerator != 1]
+    count = prod(c + 1 for _, c in free[1:]) * (free[0][1] // 2 + 1 if free else 1)
+    # nu(a) has ceil(1/a) atoms on consecutive sites, so the sum has one more than their spans
+    atoms = 1 + sum(c * ((a.denominator - 1) // a.numerator) for a, c in runs)
+    _check_tse_size(count, atoms, prod(a.denominator**c for a, c in runs).bit_length())
     uniforms = [_signed_nu(a)[1] for a in caps if a.numerator == 1]
-    free = [i for i, a in enumerate(caps) if a.numerator != 1]
-    levels = ([[convolve_all(uniforms)]] if uniforms else []) + [_signed_nu(caps[i]) for i in free]
+    levels = [[convolve_all(uniforms)]] if uniforms else []
+    root = len(levels)
+    for k, (a, c) in enumerate(free):
+        if c >= 3:
+            levels.append(_run_options(a, c, k == 0))
+        else:
+            pair = _signed_nu(a)
+            levels += [pair[:1] if k == 0 else pair] + [pair] * (c - 1)
     best, path = _max_q_search(levels)
-    signs = [1] * len(caps)
-    for i, j in zip(free, path[len(levels) - len(free) :]):
-        signs[i] = -1 if j == 0 else 1
+    chosen = iter(path[root:])
+    signs = []
+    for a, c in runs:
+        if a.numerator == 1:
+            signs += [1] * c
+        elif c >= 3:
+            r = c - next(chosen)
+            signs += [-1] * r + [1] * (c - r)
+        else:
+            signs += [-1 if next(chosen) == 0 else 1 for _ in range(c)]
     return best, tuple(signs)
+
+
+def check_tse_classes(caps: Sequence[Fraction], n: int) -> None:
+    """ValueError unless ``tse`` fits TSE_BUDGET on every n caps drawn, with
+    repeats, from the distinct caps ``caps``.  With f of the n free, among
+    m free caps, the sign patterns are at most the product of c + 1 over
+    the most even split of f into min(m, f) runs, the sum has at most
+    1 + f (a - 1) + (n - f) (u - 1) atoms, a and u the most atoms of a free
+    and of a uniform nu, and its denominator at most the largest one to the
+    n-th power."""
+    free = [a for a in caps if a.numerator != 1]
+    uniform = [a for a in caps if a.numerator == 1]
+    a = max((ceil(1 / x) for x in free), default=1)
+    u = max((ceil(1 / x) for x in uniform), default=1)
+    bits = (max((x.denominator for x in caps), default=1) ** n).bit_length()
+    for f in range(0 if uniform else n, (n if free else 0) + 1):
+        runs = min(len(free), f)
+        q, rem = divmod(f, runs) if runs else (0, 0)
+        _check_tse_size((q + 2) ** rem * (q + 1) ** (runs - rem), 1 + f * (a - 1) + (n - f) * (u - 1), bits)
 
 
 # -- windowed oracle -----------------------------------------------------------

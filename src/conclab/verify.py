@@ -43,6 +43,7 @@ from .extremal import (
     AlphaSeq,
     _walk,
     balanced_sequence,
+    check_tse_classes,
     is_balanced,
     is_strongly_balanced,
     nu,
@@ -266,6 +267,9 @@ def conjecture_scan(cfg: ScanConfig, measures: Optional[list[IntDist]] = None) -
     index tuples, lexicographically, each prefix convolved once); sampled,
     each draw is one kernel call.  Records stream in instance-index order.
     Any violation is a counterexample candidate and must fail the build loudly.
+    Before the first record, ``check_tse_classes`` raises ValueError unless
+    the sign search fits its budget on every class of n caps the measures
+    can give, so a scan is refused whole or never on the way.
 
     ``measures`` is ``quantized_extremal_measures(cfg.denominator,
     cfg.window)`` when the caller has already built it.  Tuples are drawn as
@@ -282,6 +286,7 @@ def conjecture_scan(cfg: ScanConfig, measures: Optional[list[IntDist]] = None) -
     laws_text = [json.dumps(mu.to_json_obj(), sort_keys=True) for mu in measures]
     # class 0 is the largest cap, so sorted class indices list the caps nonincreasing
     classes = sorted(set(caps), reverse=True)
+    check_tse_classes(classes, n)  # before the first record, so a refused scan prints none
     index = {a: i for i, a in enumerate(classes)}
     class_of = [index[a] for a in caps]
     class_text = [json.dumps(format_fraction(a)) for a in classes]
@@ -333,8 +338,8 @@ def thm_tse_check(alphas: AlphaSeq, delta, window: tuple[int, int]) -> CheckRepo
     instance = {"alphas": alphas, "delta": delta, "window": list(window)}
     if delta < 0:
         return _na("thm_tse", instance, "delta must be nonnegative")
+    rhs = (1 + delta) * tse(alphas)[0]  # first, so a search over the tse budget is refused before the oracle runs
     lhs = t_oracle(alphas, window)[0]
-    rhs = (1 + delta) * tse(alphas)[0]
     return _exact("thm_tse", instance, lhs, rhs, {"window": list(window)})
 
 

@@ -34,8 +34,27 @@ def test_wins_ties_and_iqr():
     # lower is better: two pairs fall, one rises, two tie
     assert (wall["change_wins"], wall["parent_wins"]) == (2, 1)
     assert wall["parent_iqr"] == 2.0  # quartiles 2 and 4 of 1..5
-    assert not wall["worse"]
+    assert wall["change_iqr"] == 1.5  # quartiles 2 and 3.5 of 0.9, 2, 3, 3.5, 5
+    assert not wall["worse"] and not wall["gain"]
     assert (ok["change_wins"], ok["parent_wins"], ok["parent_iqr"], ok["worse"]) == (0, 0, 0.0, False)
+    assert (ok["change_iqr"], ok["gain"]) == (0.0, False)
+
+
+def test_the_gain_rule_needs_nine_tenths_of_the_pairs_and_a_gap_over_the_parent_iqr():
+    parent = [1.0, 1.1, 1.2, 1.3, 1.4, 1.5, 1.6, 1.7, 1.8, 1.9]  # median 1.45, IQR 0.45
+    nine = [p - 0.5 for p in parent[:9]] + [2.0]
+    assert ab.summarize(_pairs(parent, nine), SPEC)[0]["gain"]
+    eight = [p - 0.5 for p in parent[:8]] + [2.0, 2.0]
+    row = ab.summarize(_pairs(parent, eight), SPEC)[0]
+    assert row["change_wins"] == 8 and not row["gain"]
+    # every pair won, but the medians differ by 0.4, inside the parent's IQR of 0.45
+    close = [p - 0.4 for p in parent]
+    row = ab.summarize(_pairs(parent, close), SPEC)[0]
+    assert row["change_wins"] == 10 and row["parent_iqr"] == pytest.approx(0.45) and not row["gain"]
+    # higher is better: the rule follows the direction
+    flat = [1.0] * 10
+    assert ab.summarize(_pairs(flat, flat, [0.9] * 10, [1.0] * 10), SPEC)[1]["gain"]
+    assert not ab.summarize(_pairs(flat, flat, [1.0] * 10, [0.9] * 10), SPEC)[1]["gain"]
 
 
 def test_the_bound_flag_follows_the_direction_of_better():
@@ -70,7 +89,7 @@ def test_metrics_and_bounds_come_from_the_benchmark_file():
     assert not any(row["worse"] for row in rows)
 
 
-def test_runs_alternate_and_keep_their_side_when_both_trees_are_one(monkeypatch, tmp_path):
+def test_runs_alternate_and_keep_their_side_when_both_trees_are_one(monkeypatch, tmp_path, capsys):
     # an A/A run: both sides are the same checkout, so a pair must still hold two runs
     declared = json.loads((ROOT / "BENCHMARK.json").read_text())
     calls, seen = [], []
@@ -95,3 +114,8 @@ def test_runs_alternate_and_keep_their_side_when_both_trees_are_one(monkeypatch,
     ] * 2
     # seed 1: parent ran first (run 1), change second (run 2); seed 2: change first (run 3)
     assert [(p["wall_s"], c["wall_s"]) for p, c in seen] == [(1.0, 2.0), (4.0, 3.0)]
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "clt, 2 pairs"
+    wall = next(line for line in lines if line.startswith("wall_s"))
+    assert "parent IQR 1.5  change IQR 0.5  no gain  within bound" in wall
+    assert lines[-2:] == ["stdout_sha256 equal in every pair: yes", "every run correct: yes"]

@@ -512,6 +512,61 @@ def test_sampled_scan_over_many_measures_runs_promptly():
     assert summary["mode"].startswith("sampled(1 of ")
 
 
+def run_cli(argv: list[str], timeout: float) -> subprocess.CompletedProcess:
+    src = Path(__file__).resolve().parents[1] / "src"
+    return subprocess.run(
+        [sys.executable, "-m", "conclab.cli", *argv],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(src)},
+        timeout=timeout,
+    )
+
+
+TSE_OVER_BUDGET = {
+    "20_distinct_caps": ["extremal", "tse", "--alphas", ",".join(f"{j}/{2 * j + 1}" for j in range(2, 22))],
+    "1000_caps_of_3/4": ["extremal", "tse", "--alphas", ",".join(["3/4"] * 1000)],
+}
+
+
+@pytest.mark.parametrize("argv", TSE_OVER_BUDGET.values(), ids=TSE_OVER_BUDGET.keys())
+def test_tse_over_budget_exits_2_promptly(argv):
+    """20 distinct caps ran 38 s and 1,000 equal caps past a minute before
+    the tse budget; both now stop at it before any law is built."""
+    proc = run_cli(argv, timeout=10)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert len(proc.stderr.splitlines()) == 1 and "tse budget" in proc.stderr
+
+
+def test_scan_of_300_caps_runs_promptly():
+    """Each sampled class holds a run of about 100 caps of 3/4, which took
+    58 s in all as tied levels; as one level per run it takes a few
+    seconds, with the stdout the tied walk printed."""
+    argv = ["scan-conjecture", "--denominator", "4", "--window", "0..3", "--n", "300", "--budget", "20"]
+    proc = run_cli(argv, timeout=30)
+    assert proc.returncode == 0
+    summary = json.loads(proc.stdout.splitlines()[-1])
+    assert (summary["instances"], summary["violations"]) == (20, 0)
+    assert hashlib.sha256(proc.stdout.encode()).hexdigest() == (
+        "6c8377912a1078f71fc872c8b3429dbabc0c06a9184066791975ddab687847f2"
+    )
+
+
+def test_check_and_scan_share_the_tse_refusal(tmp_path, capsys):
+    """check thm_tse refuses the caps that extremal tse refuses, before the
+    window oracle runs.  A scan whose classes could reach the budget is
+    refused before its first record: n = 1000 caps of 3/4 is one class."""
+    inst = tmp_path / "inst.json"
+    caps = [f"{j}/{2 * j + 1}" for j in range(2, 22)]
+    inst.write_text(json.dumps({"alphas": caps, "delta": "0", "window": [0, 3]}))
+    scan = ["scan-conjecture", "--denominator", "4", "--window", "0..3", "--n", "1000", "--budget", "5"]
+    for argv in (["check", "thm_tse", "--instance", str(inst)], scan):
+        assert run(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "tse budget" in err
+
+
 @pytest.mark.parametrize(
     "argv",
     [["dist", "stats", "{u}"], ["scan-conjecture", "--denominator", "4", "--window", "0..2", "--n", "2"]],

@@ -292,6 +292,40 @@ def test_ordering_tsebal_tse_oracle():
         assert low <= mid <= high
 
 
+# the balanced classes of caps j/D, 2 <= D <= 8, n <= 5, where tse > tsebal:
+# (caps, tse, tsebal), in the census's order
+TSE_ABOVE_TSEBAL = [
+    ("4/5 4/5 2/5 2/5 1/5", F(612, 3125), F(609, 3125)),
+    ("5/6 5/6 2/3 2/3 1/3", F(103, 324), F(76, 243)),
+    ("5/6 5/6 5/6 5/6 1/3", F(425, 1296), F(623, 1944)),
+    ("3/7 3/7 2/7 2/7 1/7", F(2307, 16807), F(2305, 16807)),
+    ("6/7 6/7 2/7 2/7 1/7", F(2384, 16807), F(2377, 16807)),
+    ("3/7 3/7 3/7 3/7 1/7", F(2388, 16807), F(2383, 16807)),
+]
+
+
+def test_balanced_census_tse_equals_tsebal_but_six():
+    """Every sorted class of n <= 5 caps j/D, 0 < j < D, per D from 2 to 8:
+    1,708 classes, 182 balanced.  tse is at least tsebal on each, and
+    equal on all but six; on those a run of four minus signs and one plus
+    beats the balanced pairing.  The first run of each class is halved."""
+    classes, above = [], []
+    for d in range(2, 9):
+        caps = [F(j, d) for j in range(1, d)]
+        for n in range(1, 6):
+            classes += [AlphaSeq(c) for c in itertools.combinations_with_replacement(caps, n)]
+    balanced = [alphas for alphas in classes if is_balanced(alphas)]
+    assert (len(classes), len(balanced)) == (1708, 182)
+    for alphas in balanced:
+        value, signs = tse(alphas)
+        low = tsebal(alphas)
+        assert value >= low, alphas
+        if value > low:
+            above.append((" ".join(map(str, alphas)), value, low))
+            assert signs == (-1, -1, -1, -1, 1), alphas
+    assert above == TSE_ABOVE_TSEBAL
+
+
 def test_t_oracle_curve_reports_windows():
     from conclab.extremal import t_oracle_curve
 

@@ -15,7 +15,7 @@ from fractions import Fraction as F
 from math import comb
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conclab import dist, extremal
@@ -99,6 +99,21 @@ def brute_tse(alphas: AlphaSeq) -> tuple[F, tuple[int, ...]]:
         if best is None or value > best:
             best, best_signs = value, tuple(signs)
     return best, best_signs
+
+
+def reference_tse(alphas: AlphaSeq) -> tuple[F, tuple[int, ...]]:
+    """tse as it was before runs were merged: one level of the signed pair
+    per free cap, equal caps tied by the walker, and no reflection halving.
+    The same value and signs as ``tse`` on every input."""
+    caps = alphas.alphas
+    uniforms = [extremal._signed_nu(a)[1] for a in caps if a.numerator == 1]
+    free = [i for i, a in enumerate(caps) if a.numerator != 1]
+    levels = ([[convolve_all(uniforms)]] if uniforms else []) + [extremal._signed_nu(caps[i]) for i in free]
+    best, path = _max_q_search(levels)
+    signs = [1] * len(caps)
+    for i, j in zip(free, path[len(levels) - len(free) :]):
+        signs[i] = -1 if j == 0 else 1
+    return best, tuple(signs)
 
 
 def brute_t_oracle(alphas: AlphaSeq, window: tuple[int, int]) -> tuple[F, list[IntDist]]:
@@ -255,6 +270,41 @@ def test_tse_matches_brute_force_six_distinct_caps():
 @given(st.lists(st.tuples(st.integers(1, 8), st.integers(1, 8)), min_size=1, max_size=6))
 def test_tse_matches_brute_force_property(pairs):
     assert_tse_matches(AlphaSeq(F(min(j, d), d) for j, d in pairs))
+
+
+# caps j/D with D <= 13: integer inverses, runs and distinct caps mixed
+CAPS_TO_13 = st.integers(2, 13).flatmap(lambda d: st.integers(1, d - 1).map(lambda j: F(j, d)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.lists(
+        st.one_of(
+            st.tuples(CAPS_TO_13, st.integers(1, 12)),  # a run of up to 12 equal caps
+            st.tuples(st.integers(2, 13).map(lambda k: F(1, k)), st.integers(1, 3)),  # integer inverses
+            st.tuples(CAPS_TO_13, st.just(1)),  # a lone cap
+        ),
+        min_size=1,
+        max_size=4,
+    )
+)
+def test_tse_matches_the_per_cap_search(groups):
+    """Runs merged into one level and the first run halved give the value
+    and signs of the search with one level per cap."""
+    assume(sum(c for _, c in groups) <= 16)
+    alphas = AlphaSeq(a for a, c in groups for _ in range(c))
+    assert tse(alphas) == reference_tse(alphas), alphas
+
+
+@pytest.mark.parametrize("alpha", [F(3, 4), F(2, 5), F(5, 7), F(3, 13)])
+@pytest.mark.parametrize("c", [3, 4, 7])
+def test_run_options_are_the_signed_sums(alpha, c):
+    """Option i of a run is the law of c - i reflected and i plain copies of
+    nu, from the reference builder; the first run keeps r >= c/2."""
+    plain = reference_nu(alpha)
+    sums = [convolve_all([negate(plain)] * r + [plain] * (c - r)) for r in range(c, -1, -1)]
+    assert extremal._run_options(alpha, c, first=False) == sums
+    assert extremal._run_options(alpha, c, first=True) == sums[: c // 2 + 1]
 
 
 def test_max_q_search_tie_keeps_first_maximiser():
@@ -600,11 +650,20 @@ def unpruned_max(levels) -> tuple[F, tuple[int, ...]]:
 
 def tse_levels(alphas: list[F]) -> list[list[IntDist]]:
     """The levels tse searches: the integer-inverse caps' uniforms as one
-    fixed summand, then (-nu, nu) per other cap, in canonical order."""
+    fixed summand, then, in canonical order, one level per run of three or
+    more equal other caps and (-nu, nu) per cap of a shorter run, the first
+    run halved."""
     ordered = AlphaSeq(alphas).alphas
     uniforms = [nu(a) for a in ordered if a.numerator == 1]
-    root = [[convolve_all(uniforms)]] if uniforms else []
-    return root + [[negate(nu(a)), nu(a)] for a in ordered if a.numerator != 1]
+    levels = [[convolve_all(uniforms)]] if uniforms else []
+    runs = [(a, len(list(g))) for a, g in itertools.groupby(ordered) if a.numerator != 1]
+    for k, (a, c) in enumerate(runs):
+        if c >= 3:
+            levels.append(extremal._run_options(a, c, k == 0))
+        else:
+            pairs = [[negate(nu(a)), nu(a)] for _ in range(c)]
+            levels += [pairs[0][:1] if k == 0 else pairs[0]] + pairs[1:]
+    return levels
 
 
 def oracle_levels(alphas: list[F], window: tuple[int, int]) -> list[list[IntDist]]:
@@ -625,6 +684,7 @@ PRUNE_ORACLE_CASES = [
 ]
 PRUNE_TSE_CASES = [
     [F(2, 5)] * 4 + [F(3, 7)] * 2,
+    [F(3, 7)] * 2 + [F(2, 5)] * 3 + [F(1, 3)],  # a halved per-cap run, then a run level
     [F(1, 2), F(1, 3), F(2, 5), F(3, 7), F(5, 12)],  # a one-option root, then free caps
     [F(3, 4), F(2, 3), F(5, 8), F(2, 5)],
     [F(7, 12), F(5, 12), F(5, 12), F(1, 4)],
@@ -690,3 +750,83 @@ def test_pruned_search_takes_probability_laws():
     measure = IntMeasure([(0, 1), (1, 2)])
     with pytest.raises(ValueError, match="probability laws"):
         _max_q_search([[measure], [measure]])
+
+
+# -- the tse budget ---------------------------------------------------------------
+
+
+def record_tse_sizes(monkeypatch) -> list[tuple[int, int, int]]:
+    """The (count, atoms, bits) of every budget check, which then passes."""
+    sizes = []
+    monkeypatch.setattr(extremal, "_check_tse_size", lambda *size: sizes.append(size))
+    return sizes
+
+
+TSE_BUDGET_CASES = [
+    [F(2, 5)] * 4 + [F(3, 7)] * 2,
+    [F(3, 7)] * 2 + [F(2, 5)] * 3,
+    [F(1, 2), F(1, 3), F(2, 5), F(3, 7), F(5, 12)],
+    [F(3, 4)] * 5,
+    [F(3, 4)] * 6 + [F(1, 4)] * 2 + [F(5, 7)],
+    [F(1, 2), F(1, 2)],
+    [F(j, 2 * j + 1) for j in range(2, 8)],
+]
+
+
+@pytest.mark.parametrize("alphas", TSE_BUDGET_CASES)
+def test_tse_budget_counts_the_walk_and_the_whole_sum(alphas, monkeypatch):
+    """The pattern count is the number of sums the unpruned walk over tse's
+    levels visits, the atoms those of the whole sum, and the bits at least
+    its denominator's; a budget one below the size raises before any law is
+    built, and the size itself passes."""
+    sizes = record_tse_sizes(monkeypatch)
+    tse(AlphaSeq(alphas))
+    monkeypatch.undo()
+    [(count, atoms, bits)] = sizes
+    assert count == len(list(_walk(tse_levels(alphas))))
+    whole = convolve_all([nu(a) for a in alphas])
+    assert atoms == len(whole) and bits >= whole.denominator().bit_length()
+    monkeypatch.setattr(extremal, "TSE_BUDGET", count * atoms * bits)
+    tse(AlphaSeq(alphas))
+    monkeypatch.setattr(extremal, "TSE_BUDGET", count * atoms * bits - 1)
+    for builder in ("_run_options", "convolve_all", "_signed_nu"):  # no law is built before the refusal
+        monkeypatch.setattr(extremal, builder, None)
+    with pytest.raises(ValueError, match=f"search {count} sign patterns.*tse budget"):
+        tse(AlphaSeq(alphas))
+
+
+def test_tse_budget_refuses_20_distinct_caps_and_1000_equal_ones(monkeypatch):
+    """20 distinct caps j/(2j+1) and 1,000 caps of 3/4 ran for half a
+    minute or more; 16 distinct caps and a run of 300 equal ones, under a
+    second each, stay under the budget."""
+    for alphas in ([F(j, 2 * j + 1) for j in range(2, 22)], [F(3, 4)] * 1000):
+        with pytest.raises(ValueError, match="tse budget"):
+            tse(AlphaSeq(alphas))
+    check, sizes = extremal._check_tse_size, []
+
+    def record_and_stop(*size):
+        sizes.append(size)
+        raise LookupError  # stop before the search
+
+    monkeypatch.setattr(extremal, "_check_tse_size", record_and_stop)
+    for alphas in ([F(j, 2 * j + 1) for j in range(2, 18)], [F(3, 4)] * 300):
+        with pytest.raises(LookupError):
+            tse(AlphaSeq(alphas))
+    assert sizes == [(2**15, 33, 67), (151, 301, 601)]
+    for size in sizes:
+        check(*size)
+
+
+@pytest.mark.parametrize("denominator, n", [(4, 3), (5, 3), (6, 2), (7, 2), (3, 5)])
+def test_tse_class_bound_covers_every_class(denominator, n, monkeypatch):
+    """check_tse_classes bounds the size of tse on every class of n caps
+    j/D, free, uniform and mixed, so a scan that passes it never meets a
+    class that tse refuses."""
+    caps_d = [F(j, denominator) for j in range(1, denominator)]
+    sizes = record_tse_sizes(monkeypatch)
+    extremal.check_tse_classes(caps_d, n)
+    bound = max(c * a * b for c, a, b in sizes)
+    sizes.clear()
+    for combo in itertools.combinations_with_replacement(caps_d, n):
+        tse(AlphaSeq(combo))
+    assert max(c * a * b for c, a, b in sizes) <= bound

@@ -7,8 +7,11 @@ For each seed, runs each tree's own ``bench/run.py`` once for the
 (on a shared machine the side that runs first tends to read faster).  For
 each end-to-end metric of ``BENCHMARK.json`` it prints
 both medians, the change's relative change, the paired wins (a tie counts
-for neither side), the parent's interquartile range, and whether the
-change's median is worse than the parent's by more than the metric's bound.
+for neither side), the parent's and the change's interquartile ranges,
+whether the row meets the gain rule (the change wins at least nine tenths of
+the pairs, and its median is better than the parent's by more than the
+parent's interquartile range), and whether the change's median is worse
+than the parent's by more than the metric's bound.
 Then it says whether every pair printed equal ``stdout_sha256`` and whether
 every run was ``correct``, and exits 1 if either is not so.
 
@@ -51,8 +54,9 @@ def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
 
 def summarize(pairs: list[tuple[dict, dict]], spec: list[dict]) -> list[dict]:
     """One row per metric of spec over (parent, change) pairs of
-    ``{metric: value}``: medians, relative change, wins, parent IQR and
-    whether the change is worse than the parent by more than the bound."""
+    ``{metric: value}``: medians, relative change, wins, both IQRs, whether
+    the gain rule is met and whether the change is worse than the parent by
+    more than the bound."""
     rows = []
     for metric in spec:
         name, sign = metric["name"], 1 if metric["better"] == "lower" else -1
@@ -60,20 +64,31 @@ def summarize(pairs: list[tuple[dict, dict]], spec: list[dict]) -> list[dict]:
         change = [c[name] for _, c in pairs]
         p_med, c_med = statistics.median(parent), statistics.median(change)
         rel = (c_med - p_med) / p_med if p_med else (0.0 if c_med == p_med else float("inf"))
-        q1, _, q3 = statistics.quantiles(parent, n=4, method="inclusive") if len(parent) > 1 else (0, 0, 0)
+        change_wins = sum(sign * (c - p) < 0 for p, c in zip(parent, change))
+        parent_iqr = iqr(parent)
         rows.append(
             {
                 "name": name,
                 "parent": p_med,
                 "change": c_med,
                 "rel": rel,
-                "change_wins": sum(sign * (c - p) < 0 for p, c in zip(parent, change)),
+                "change_wins": change_wins,
                 "parent_wins": sum(sign * (c - p) > 0 for p, c in zip(parent, change)),
-                "parent_iqr": q3 - q1,
+                "parent_iqr": parent_iqr,
+                "change_iqr": iqr(change),
+                "gain": 10 * change_wins >= 9 * len(pairs) and sign * (p_med - c_med) > parent_iqr,
                 "worse": sign * rel > metric["bound"],
             }
         )
     return rows
+
+
+def iqr(values: list[float]) -> float:
+    """Distance between the quartiles; 0 for a single value."""
+    if len(values) < 2:
+        return 0
+    q1, _, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return q3 - q1
 
 
 def main() -> int:
@@ -99,6 +114,7 @@ def main() -> int:
         print(
             f"{row['name']:<12} parent {row['parent']:.4g}  change {row['change']:.4g}  {row['rel']:+.1%}  "
             f"wins {row['change_wins']}-{row['parent_wins']}  parent IQR {row['parent_iqr']:.3g}  "
+            f"change IQR {row['change_iqr']:.3g}  {'gain rule met' if row['gain'] else 'no gain'}  "
             f"{'WORSE than bound' if row['worse'] else 'within bound'}"
         )
     same = all(p["stdout_sha256"] == c["stdout_sha256"] for p, c in runs)
