@@ -5,8 +5,10 @@ convergence experiment, or plain text for distributions.  Exit codes: 0 on
 success or all-pass, 1 when a check fails or the scan finds a violation, 2 on
 usage or validation errors.  A fixed --seed yields byte-identical output.
 
-Only the gauss and be-gap commands import the Gaussian layer, and with it
-numpy; no command imports scipy.  The gauss commands label their error
+Each command imports the layers it uses when it runs, and ``import
+conclab.cli`` imports none, so a command compiles only its own layers.  Only
+the gauss and be-gap commands import the Gaussian layer, and with it numpy;
+no command imports scipy.  The gauss commands label their error
 terms with err_kind: "certified" for bounds that are not statistical (the
 d <= 2 cells and TV, the tail bound), "3-sigma" for Monte Carlo half-widths
 (the d = 3 cells, the tail check).  The parser is built once per process.
@@ -16,8 +18,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import csv
-import dataclasses
 import functools
 import io
 import json
@@ -29,29 +29,9 @@ from collections import Counter
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable
 
-from . import gaps, verify
-from .dist import (
-    IntDist,
-    as_fraction,
-    convolve_all,
-    format_fraction,
-    is_log_concave,
-    is_unimodal,
-    json_int,
-    max_span,
-    mean,
-    modes,
-    q_max,
-    squeeze,
-    variance,
-)
-from .domination import dominates
-from .extremal import AlphaSeq, nu, t_oracle, t_oracle_curve, tse_report_json_obj, tsebal
-from .gaps import SymGAP, connected_decomposition, gap_cover, gap_fit_rank1, gap_is_proper, gap_sumset
-from .rearrange import dominating_coupling, minus_rearrange, plus_rearrange, sym_rearrange
-from .verify import ScanConfig, conjecture_scan, quantized_extremal_measures, scan_mode
-
 if TYPE_CHECKING:
+    from .dist import IntDist
+    from .gaps import SymGAP
     from .gauss import GaussSpec, LatticeDist
 
 USAGE_ERROR = 2
@@ -94,6 +74,8 @@ def _load(path: str, parse):
 
 
 def load_dist(path: str) -> IntDist:
+    from .dist import IntDist
+
     return _load(
         path, lambda raw: IntDist.from_json(raw) if raw.lstrip().startswith("{") else IntDist.from_text(raw)
     )
@@ -135,6 +117,19 @@ def _write(args, chunks: Iterable[str]) -> None:
 
 
 def cmd_dist(args) -> int:
+    from .dist import (
+        convolve_all,
+        format_fraction,
+        is_log_concave,
+        is_unimodal,
+        max_span,
+        mean,
+        modes,
+        q_max,
+        squeeze,
+        variance,
+    )
+
     if args.action == "conv":
         result = convolve_all([load_dist(p) for p in args.inputs])
         emit(args, result.to_json_obj(), result.to_text())
@@ -155,6 +150,8 @@ def cmd_dist(args) -> int:
             },
         )
     elif args.action == "rearrange":
+        from .rearrange import minus_rearrange, plus_rearrange, sym_rearrange
+
         mu = load_dist(args.input)
         if args.kind == "plus":
             result = plus_rearrange(mu)
@@ -180,6 +177,9 @@ def cmd_dist(args) -> int:
 
 
 def cmd_extremal(args) -> int:
+    from .dist import format_fraction
+    from .extremal import AlphaSeq, nu, t_oracle, t_oracle_curve, tse_report_json_obj, tsebal
+
     if args.action == "nu":
         result = nu(args.alpha)
         emit(args, result.to_json_obj(), result.to_text())
@@ -212,12 +212,17 @@ def cmd_extremal(args) -> int:
 
 
 def cmd_dominate(args) -> int:
+    from .domination import dominates
+
     report = dominates(load_dist(args.mu1), load_dist(args.mu2), args.eps)
     emit(args, report.to_json_obj())
     return 0 if report.holds else CHECK_FAILED
 
 
 def cmd_couple(args) -> int:
+    from .dist import format_fraction
+    from .rearrange import dominating_coupling
+
     coupling = dominating_coupling(load_dist(args.mu), load_dist(args.mu_prime), args.eps)
     payload = coupling.to_json_obj()
     payload["prob_A"] = format_fraction(coupling.prob_a())
@@ -226,6 +231,8 @@ def cmd_couple(args) -> int:
 
 
 def cmd_decompose(args) -> int:
+    from .gaps import connected_decomposition
+
     decomposition = connected_decomposition(load_dist(args.mu))
     payload = decomposition.to_json_obj()
     payload["connected"] = decomposition.is_connected()
@@ -237,10 +244,15 @@ def cmd_decompose(args) -> int:
 
 
 def _load_gap(path: str) -> SymGAP:
+    from .gaps import SymGAP
+
     return _load(path, lambda raw: SymGAP.from_json_obj(json.loads(raw)))
 
 
 def cmd_gap(args) -> int:
+    from .dist import format_fraction
+    from .gaps import gap_cover, gap_fit_rank1, gap_is_proper, gap_sumset
+
     if args.action == "sumset":
         emit(args, gap_sumset(*map(_load_gap, args.inputs)).to_json_obj())
     elif args.action == "proper":
@@ -265,11 +277,13 @@ def _int_vectors(obj) -> list:
 
 
 def cmd_lattice_basis(args) -> int:
+    from .gaps import integer_span_basis
+
     if args.vectors_file is not None:
         vectors = _int_vectors(load_json(args.vectors_file))
     else:
         vectors = [[int(v) for v in part.split(",")] for part in args.vectors.split(";")]
-    basis = gaps.integer_span_basis(vectors)
+    basis = integer_span_basis(vectors)
     emit(
         args,
         {
@@ -313,6 +327,8 @@ def cmd_gauss(args) -> int:
         if args.pow is not None:
             rows = gauss.tv_convergence_curve(s, [int(m) for m in args.pow.split(",")], tol=args.tol)
             if args.format == "csv":
+                import csv
+
                 buf = io.StringIO()
                 writer = csv.DictWriter(buf, fieldnames=["m", "tv", "tv_err", "L", "chi", "s_tilde"])
                 writer.writeheader()
@@ -336,6 +352,7 @@ def cmd_gauss(args) -> int:
 
 def cmd_be_gap(args) -> int:
     from . import gauss
+    from .dist import format_fraction
 
     if args.c_be <= 0:
         raise ValueError(f"--c-be must be positive, got {args.c_be}")
@@ -367,19 +384,46 @@ def _json_list(value, length: int | None = None) -> list:
 
 
 def _json_ints(value, length: int | None = None) -> list[int]:
+    from .dist import json_int
+
     return [json_int(v) for v in _json_list(value, length)]
 
 
+def _json_int(value) -> int:
+    from .dist import json_int
+
+    return json_int(value)
+
+
+def _fraction(value):
+    from .dist import as_fraction
+
+    return as_fraction(value)
+
+
+def _alphas(value):
+    from .extremal import AlphaSeq
+
+    return AlphaSeq(_json_list(value))
+
+
+def _law(value) -> IntDist:
+    from .dist import IntDist
+
+    return IntDist.from_json_obj(value)
+
+
 # instance field -> parser of its JSON value; a value of the wrong JSON type is
-# a TypeError, which cmd_check reports as a bad instance
+# a TypeError, which cmd_check reports as a bad instance.  Each parser imports
+# its layer when called, so importing this module imports none.
 _FIELD_PARSERS = {
-    **dict.fromkeys(("alphas", "alphas_prime"), lambda value: AlphaSeq(_json_list(value))),
-    **dict.fromkeys(("alpha", "alpha_prime", "delta", "eps", "gamma"), as_fraction),
+    **dict.fromkeys(("alphas", "alphas_prime"), _alphas),
+    **dict.fromkeys(("alpha", "alpha_prime", "delta", "eps", "gamma"), _fraction),
     "window": lambda value: tuple(_json_ints(value, 2)),
     **dict.fromkeys(("signs", "ks"), _json_ints),
-    **dict.fromkeys(("i", "k", "K", "n"), json_int),
-    **dict.fromkeys(("mu", "p", "x", "y", "z", "x_prime", "y_prime"), IntDist.from_json_obj),
-    "ys": lambda value: [IntDist.from_json_obj(y) for y in _json_list(value)],
+    **dict.fromkeys(("i", "k", "K", "n"), _json_int),
+    **dict.fromkeys(("mu", "p", "x", "y", "z", "x_prime", "y_prime"), _law),
+    "ys": lambda value: [_law(y) for y in _json_list(value)],
 }
 
 # lemma -> (checker in conclab.verify, instance fields in argument order).
@@ -401,6 +445,8 @@ _OPTIONAL_FIELDS = {"signs"}
 
 
 def cmd_check(args) -> int:
+    from . import verify
+
     inst = load_json(args.instance)
     checker, fields = _LEMMAS[args.lemma]
     if not isinstance(inst, dict):
@@ -422,6 +468,10 @@ def cmd_check(args) -> int:
 
 
 def cmd_scan(args) -> int:
+    from dataclasses import asdict
+
+    from .verify import ScanConfig, conjecture_scan, quantized_extremal_measures, scan_mode
+
     cfg = ScanConfig(
         denominator=args.denominator,
         window=parse_window(args.window),
@@ -444,7 +494,7 @@ def cmd_scan(args) -> int:
                 violations += 1
                 sys.stderr.write(f"VIOLATION: {line}\n")
         summary = {
-            "config": dataclasses.asdict(cfg),
+            "config": asdict(cfg),
             "mode": scan_mode(cfg, measures),
             "instances": count,
             "violations": violations,
@@ -474,6 +524,8 @@ def _report_results(path: str):
 
 
 def cmd_report(args) -> int:
+    from . import verify
+
     counts = verify.summarize(_report_results(args.input))
     emit(args, counts)
     failed = any(bucket[verify.FAIL] for bucket in counts.values())

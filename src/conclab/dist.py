@@ -636,6 +636,11 @@ def convolve_all(dists: Sequence[FiniteMeasure]) -> FiniteMeasure:
 # VM, Python 3.11).
 POWER_BUDGET = 10**9
 
+# The most elements an enumeration may visit: a GAP's coefficient box, the
+# trial divisions of gaps.gap_fit_rank1, and the extremal laws on a window
+# (extremal._check_layout_count).
+ENUM_BUDGET = 10**6
+
 
 def convolve_power(mu: FiniteMeasure, n: int) -> FiniteMeasure:
     """n-fold self-convolution.

@@ -19,6 +19,7 @@ from math import ceil, comb, prod
 from typing import Iterable, Iterator, Sequence
 
 from .dist import (
+    ENUM_BUDGET,
     IntDist,
     _operand,
     _product,
@@ -30,7 +31,6 @@ from .dist import (
     negate,
     shift,
 )
-from .gaps import ENUM_BUDGET
 
 
 class AlphaSeq:

@@ -17,9 +17,7 @@ from fractions import Fraction
 from math import ceil, comb, isqrt
 from typing import Optional, Sequence
 
-from .dist import IntDist, as_fraction, convolve_all, format_fraction, int_site, q_max
-
-ENUM_BUDGET = 10**6
+from .dist import ENUM_BUDGET, IntDist, as_fraction, convolve_all, format_fraction, int_site, q_max
 
 
 @dataclass(frozen=True)
