@@ -4,28 +4,21 @@ slower, structurally different computation."""
 import math
 from fractions import Fraction as F
 
-from conclab.dist import convolve_all, negate, q_interval, q_max, shift, uniform
+from conclab.dist import convolve_all, negate, q_interval, q_max, shift
 from conclab.extremal import AlphaSeq, nu, tse
 from conclab.gauss import GaussSpec, discretized_gaussian
 from conclab.verify import ScanConfig, conjecture_scan
 
+import brute
+from brute import reference
 from instances import random_instance
-
-
-def brute_q_interval(mu, t):
-    sites = mu.sites
-    best = F(0)
-    for anchor in range(sites[0] - t, sites[-1] + 1):
-        window = sum((m for s, m in mu.atoms if anchor <= s < anchor + t), F(0))
-        best = max(best, window)
-    return best
 
 
 def test_q_interval_matches_window_enumeration():
     for seed in range(40):
         mu = random_instance(seed, "distribution")
         for t in (1, 2, 3, 5):
-            assert q_interval(mu, t) == brute_q_interval(mu, t)
+            assert q_interval(mu, t) == brute.q_interval(dict(mu.atoms), t)
 
 
 def test_tse_invariant_under_representative_shifts():
@@ -118,25 +111,13 @@ def test_balanced_value_equals_self_convolution_symmetry():
         assert tsebal(AlphaSeq([a, a])) == direct
 
 
-def brute_convolve(a, b):
-    """Naive Fraction-accumulation convolution (reference for the
-    integer-numerator fast path)."""
-    from conclab.dist import IntDist
-
-    out = {}
-    for sa, ma in a.atoms:
-        for sb, mb in b.atoms:
-            out[sa + sb] = out.get(sa + sb, F(0)) + ma * mb
-    return IntDist(out.items())
-
-
 def test_convolve_matches_naive_accumulation():
     from conclab.dist import convolve
 
     for seed in range(30):
         a = random_instance(800 + 2 * seed, "distribution")
         b = random_instance(801 + 2 * seed, "distribution")
-        assert convolve(a, b) == brute_convolve(a, b)
+        assert dict(convolve(a, b).atoms) == reference.convolve(dict(a.atoms), dict(b.atoms))
 
 
 def brute_coupling_cells(mu, mu_prime, eps, big_n, big_k):

@@ -45,6 +45,8 @@ from conclab.extremal import nu
 from conclab.gauss import LatticeDist
 from conclab.rearrange import IntMeasure
 
+import brute
+from brute import reference
 from instances import random_instance
 
 
@@ -692,40 +694,12 @@ def test_exact_results_are_reduced_once_and_sign_checked():
 # -- functionals on the integer view against their Fraction bodies ----------
 
 
-def _q_max_reference(mu):
-    return max(mu.masses)
-
-
 def _q_k_reference(mu, k):
     return sum(sorted(mu.masses, reverse=True)[:k], F(0))
 
 
-def _q_interval_reference(mu, t):
-    sites, masses = mu.sites, mu.masses
-    best = window = F(0)
-    j = 0
-    for i in range(len(sites)):
-        window += masses[i]
-        while sites[i] - sites[j] >= t:
-            window -= masses[j]
-            j += 1
-        if window > best:
-            best = window
-    return best
-
-
 def _mean_reference(mu):
     return sum((F(s) * m for s, m in mu.atoms), F(0))
-
-
-def _variance_reference(mu):
-    mu1 = _mean_reference(mu)
-    return sum((m * (F(s) - mu1) ** 2 for s, m in mu.atoms), F(0))
-
-
-def _third_abs_moment_reference(mu):
-    mu1 = _mean_reference(mu)
-    return sum((m * abs(F(s) - mu1) ** 3 for s, m in mu.atoms), F(0))
 
 
 def _is_log_concave_reference(mu):
@@ -750,7 +724,7 @@ def _is_unimodal_reference(mu):
 
 
 def _modes_reference(mu):
-    peak = _q_max_reference(mu)
+    peak = reference.q_max(dict(mu.atoms))
     return [s for s, m in mu.atoms if m == peak]
 
 
@@ -778,12 +752,13 @@ def _int_law(draw):
 @settings(max_examples=300, deadline=None)
 @given(_int_law(), st.integers(1, 9), st.integers(-20, 20))
 def test_functionals_match_fraction_bodies(mu, k, c):
-    assert q_max(mu) == _q_max_reference(mu)
+    law = dict(mu.atoms)
+    assert q_max(mu) == reference.q_max(law)
     assert q_k(mu, k) == _q_k_reference(mu, k)
-    assert q_interval(mu, k) == _q_interval_reference(mu, k)
+    assert q_interval(mu, k) == brute.q_interval(law, k)
     assert mean(mu) == _mean_reference(mu)
-    assert variance(mu) == _variance_reference(mu)
-    assert third_abs_moment(mu) == _third_abs_moment_reference(mu)
+    assert variance(mu) == reference.variance(law)
+    assert third_abs_moment(mu) == reference.third_abs_moment(law)
     assert is_log_concave(mu) == _is_log_concave_reference(mu)
     assert is_unimodal(mu) == _is_unimodal_reference(mu)
     assert modes(mu) == _modes_reference(mu)
@@ -799,8 +774,8 @@ def test_functionals_match_fraction_bodies_on_seeded_laws():
             assert is_log_concave(mu) == _is_log_concave_reference(mu)
             assert is_unimodal(mu) == _is_unimodal_reference(mu)
             assert is_sharp_log_concave(mu) == _is_log_concave_reference(_squeeze_reference(mu))
-            assert variance(mu) == _variance_reference(mu)
-            assert third_abs_moment(mu) == _third_abs_moment_reference(mu)
+            assert variance(mu) == reference.variance(dict(mu.atoms))
+            assert third_abs_moment(mu) == reference.third_abs_moment(dict(mu.atoms))
 
 
 # -- JSON, text and repr from the integers against the Fraction formatting ----

@@ -10,6 +10,7 @@ from conclab.dist import IntDist, convolve_all, delta, uniform
 from conclab.domination import cor3_check, dominates, hlp_check, mww_check, q_profile
 from conclab.extremal import nu
 
+from brute import reference
 from instances import random_instance
 
 
@@ -19,21 +20,11 @@ def test_q_profile_examples():
     assert q_profile(uniform([0, 1, 2, 3])) == (F(1, 4), F(1, 2), F(3, 4), F(1))
 
 
-def _q_profile_reference(mu):
-    """q_profile's Fraction body: partial sums of the sorted masses."""
-    acc = F(0)
-    values = []
-    for m in sorted(mu.masses, reverse=True):
-        acc += m
-        values.append(acc)
-    return tuple(values)
-
-
 def test_q_profile_matches_fraction_body():
     for seed in range(60):
         for kind in ("distribution", "log-concave", "symmetric-unimodal"):
             mu = random_instance(seed, kind)
-            assert q_profile(mu) == _q_profile_reference(mu)
+            assert q_profile(mu) == tuple(reference.profile(dict(mu.atoms)))
 
 
 def test_q_profile_concave_differences():

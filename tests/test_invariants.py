@@ -1,10 +1,12 @@
 """Checks that results depend on are explicit exceptions, not `assert`
 statements, which `python -O` strips; the CLI decides "bad input, exit 2"
-in one place; each input contract has one owner; and every top-level
-function and class is reached."""
+in one place; each input contract has one owner; every top-level
+function and class is reached; and the brute-force references of the
+tests stand apart from `conclab`."""
 
 import ast
 import re
+import sys
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -16,6 +18,7 @@ from conclab.dist import delta, uniform
 from conclab.extremal import AlphaSeq, tsebal
 
 SRC = Path(conclab.__file__).resolve().parent
+REFERENCES = (SRC.parents[1] / "bench" / "reference.py", Path(__file__).resolve().parent / "brute.py")
 
 
 def test_no_assert_statements_in_src():
@@ -150,3 +153,32 @@ def test_tsebal_raises_when_pairings_disagree(monkeypatch):
     monkeypatch.setattr(extremal, "balanced_sequence", fake)
     with pytest.raises(RuntimeError):
         tsebal(AlphaSeq([F(1, 2), F(1, 2)]))
+
+
+def _defined_names(tree: ast.Module) -> set[str]:
+    """The names a module binds at its top level by def, class or assignment."""
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names |= {n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)}
+    return names
+
+
+def test_brute_force_references_stand_alone():
+    """bench/reference.py and tests/brute.py import only the standard
+    library, so no fault of conclab reaches the values the tests expect,
+    and brute.py defines none of reference.py's names again."""
+    trees = [ast.parse(path.read_text(), str(path)) for path in REFERENCES]
+    outside = [
+        f"{path.name}:{node.lineno} {module}"
+        for path, tree in zip(REFERENCES, trees)
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        for module in _modules(node)
+        if module.split(".")[0] not in sys.stdlib_module_names
+    ]
+    assert outside == []
+    assert _defined_names(trees[1]) & _defined_names(trees[0]) == set()

@@ -1,18 +1,19 @@
 """The prefix-shared, symmetry-reduced searches against brute force.
 
-`brute_tse` and `brute_t_oracle` are the plain enumerations over
-itertools.product that `tse` and `t_oracle` replace.  The fast paths must
-return the same value and the same tie-broken witness on every case.  The
-brute-force searches build their laws with the `reference_*` builders: the
-Fraction bodies of `nu`, `extremal_enumerate` and
-`quantized_extremal_measures`, through the validating constructor.
+`brute.tse` and `brute.t_oracle` are the plain enumerations over
+itertools.product that `tse` and `t_oracle` replace, and `brute.scan`
+recomputes every record of `conjecture_scan`.  The fast paths must return
+the same value and the same tie-broken witness on every case.  The brute-force searches compute on
+`{site: Fraction}` dicts with the benchmark's references in
+`bench/reference.py` and import nothing from `conclab`, so a fault in its
+kernel or builders shows as a mismatch here; laws cross over as
+`dict(law.atoms)`.
 """
 
 import itertools
 import math
 import random
 from fractions import Fraction as F
-from math import comb
 
 import pytest
 from hypothesis import assume, given, settings
@@ -33,72 +34,14 @@ from conclab.dist import (
 from conclab.extremal import AlphaSeq, _extremal_law, _max_q_search, _walk, extremal_enumerate, nu, t_oracle, tse
 from conclab.gauss import LatticeDist
 from conclab.rearrange import IntMeasure
-from conclab.verify import ScanConfig, ScanRecord, conjecture_scan, quantized_extremal_measures
+from conclab.verify import ScanConfig, conjecture_scan, quantized_extremal_measures
+
+import brute
+from brute import reference
 
 
-def reference_nu(alpha: F) -> IntDist:
-    k = int(F(1) / alpha)
-    atoms = [(i, alpha) for i in range(k)]
-    residue = 1 - k * alpha
-    if residue > 0:
-        atoms.append((k, residue))
-    return IntDist(atoms)
-
-
-def reference_extremal_enumerate(alpha: F, window: tuple[int, int]) -> list[IntDist]:
-    k = int(F(1) / alpha)
-    residue = 1 - k * alpha
-    sites = list(range(window[0], window[1] + 1))
-    if len(sites) < k + (1 if residue > 0 else 0):
-        raise ValueError("window too small")
-    out = []
-    for support in itertools.combinations(sites, k):
-        if residue == 0:
-            out.append(IntDist((s, alpha) for s in support))
-            continue
-        for b in sites:
-            if b not in support:
-                out.append(IntDist([*((s, alpha) for s in support), (b, residue)]))
-    return out
-
-
-def reference_quantized_extremal_measures(denominator: int, window: tuple[int, int]) -> list[IntDist]:
-    lo, hi = window
-    width = hi - lo
-    out = []
-    for j in range(1, denominator):
-        alpha = F(j, denominator)
-        k = int(F(1) / alpha)
-        residue = 1 - k * alpha
-        if k + (1 if residue > 0 else 0) > width + 1:
-            continue
-        offsets = range(width + 1)
-        if residue == 0:
-            for support in itertools.combinations(offsets, k):
-                if support[0] == 0:
-                    out.append(IntDist((lo + s, alpha) for s in support))
-        else:
-            for support in itertools.combinations(offsets, k):
-                for b in offsets:
-                    if b in support or min(support[0], b) != 0:
-                        continue
-                    out.append(IntDist([*((lo + s, alpha) for s in support), (lo + b, residue)]))
-    return out
-
-
-def brute_tse(alphas: AlphaSeq) -> tuple[F, tuple[int, ...]]:
-    """Every sign pattern of the free caps, first strict maximum wins."""
-    base = [reference_nu(a) for a in alphas]
-    free = [i for i, a in enumerate(alphas) if (1 / a).denominator != 1]
-    best, best_signs = None, ()
-    for pattern in itertools.product((-1, 1), repeat=len(free)):
-        signs = [1] * len(base)
-        for i, s in zip(free, pattern):
-            signs[i] = s
-        value = q_max(convolve_all([negate(d) if s < 0 else d for d, s in zip(base, signs)]))
-        if best is None or value > best:
-            best, best_signs = value, tuple(signs)
-    return best, best_signs
+def as_dicts(laws) -> list[dict]:
+    return [dict(law.atoms) for law in laws]
 
 
 def reference_tse(alphas: AlphaSeq) -> tuple[F, tuple[int, ...]]:
@@ -114,34 +57,6 @@ def reference_tse(alphas: AlphaSeq) -> tuple[F, tuple[int, ...]]:
     for i, j in zip(free, path[len(levels) - len(free) :]):
         signs[i] = -1 if j == 0 else 1
     return best, tuple(signs)
-
-
-def brute_t_oracle(alphas: AlphaSeq, window: tuple[int, int]) -> tuple[F, list[IntDist]]:
-    """Every tuple of window-supported extremal measures, first strict
-    maximum wins."""
-    choices = [reference_extremal_enumerate(a, window) for a in alphas]
-    best, witness = None, []
-    for combo in itertools.product(*choices):
-        value = q_max(convolve_all(list(combo)))
-        if best is None or value > best:
-            best, witness = value, list(combo)
-    return best, witness
-
-
-def brute_scan(cfg: ScanConfig) -> list[ScanRecord]:
-    measures = reference_quantized_extremal_measures(cfg.denominator, cfg.window)
-    if comb(len(measures) + cfg.n - 1, cfg.n) <= cfg.budget:
-        items = enumerate(itertools.combinations_with_replacement(measures, cfg.n))
-    else:
-        rng = random.Random(cfg.seed)
-        items = ((i, tuple(rng.choice(measures) for _ in range(cfg.n))) for i in range(cfg.budget))
-    out = []
-    for idx, combo in items:
-        alphas = tuple(sorted((q_max(m) for m in combo), reverse=True))
-        rhs = brute_tse(AlphaSeq(alphas))[0]
-        lhs = q_max(convolve_all(list(combo)))
-        out.append(ScanRecord(idx, alphas, lhs, rhs, lhs > rhs, combo))
-    return out
 
 
 def q_max_pair(a: IntDist, b: IntDist) -> tuple[int, int]:
@@ -160,7 +75,7 @@ def caps(denominator: int) -> list[F]:
     return [F(j, denominator) for j in range(1, denominator + 1)]
 
 
-# -- the integer builders against their Fraction bodies -------------------------
+# -- the integer builders against the dict references ---------------------------
 
 
 BUILDER_WINDOWS = [(offset, offset + width) for width in range(7) for offset in (0, -3)]
@@ -169,20 +84,19 @@ BUILDER_WINDOWS = [(offset, offset + width) for width in range(7) for offset in 
 def test_nu_matches_reference():
     for d in range(1, 13):
         for a in caps(d):
-            assert nu(a) == reference_nu(a), a
+            assert dict(nu(a).atoms) == reference.nu(a), a
 
 
 def test_extremal_enumerate_matches_reference():
     for d in range(1, 13):
         for a in caps(d):
             for window in BUILDER_WINDOWS:
-                try:
-                    expected = reference_extremal_enumerate(a, window)
-                except ValueError:
+                expected = reference.extremal_in_window(a, *window)
+                if not expected:  # the window is too small for a law of a
                     with pytest.raises(ValueError):
                         extremal_enumerate(a, window)
                     continue
-                assert extremal_enumerate(a, window) == expected, (a, window)
+                assert as_dicts(extremal_enumerate(a, window)) == expected, (a, window)
 
 
 def test_extremal_law_checks_its_numerators():
@@ -195,7 +109,7 @@ def test_extremal_law_checks_its_numerators():
 def test_quantized_extremal_measures_match_reference():
     for d in range(2, 13):
         for window in BUILDER_WINDOWS:
-            assert quantized_extremal_measures(d, window) == reference_quantized_extremal_measures(d, window), (d, window)
+            assert as_dicts(quantized_extremal_measures(d, window)) == brute.anchored_laws(d, window), (d, window)
 
 
 def translation_shape(law: IntDist) -> tuple:
@@ -222,11 +136,12 @@ def test_anchored_laws_are_one_per_translation_class(alpha, lo, width):
 
 def assert_tse_matches(alphas: AlphaSeq) -> None:
     value, sel = tse(alphas)
-    assert (value, sel) == brute_tse(alphas), alphas
+    assert (value, sel) == brute.tse(alphas.alphas), alphas
 
 
 def assert_oracle_matches(alphas: AlphaSeq, window: tuple[int, int]) -> None:
-    assert t_oracle(alphas, window) == brute_t_oracle(alphas, window), (alphas, window)
+    value, witness = t_oracle(alphas, window)
+    assert (value, as_dicts(witness)) == brute.t_oracle(alphas.alphas, window), (alphas, window)
 
 
 # -- tse -----------------------------------------------------------------------
@@ -272,6 +187,19 @@ def test_tse_matches_brute_force_property(pairs):
     assert_tse_matches(AlphaSeq(F(min(j, d), d) for j, d in pairs))
 
 
+def test_brute_tse_does_not_move_with_conclab_negate(monkeypatch):
+    """With conclab's negate the identity, tse stops reflecting and reads
+    the q_max of nu + nu; the brute force keeps the README's value."""
+    extremal._signed_nu.cache_clear()
+    monkeypatch.setattr(dist, "negate", lambda mu: mu)
+    monkeypatch.setattr(extremal, "negate", lambda mu: mu)  # bound by name at import
+    try:
+        assert tse(AlphaSeq([F(3, 5), F(3, 5)])) == (F(12, 25), (-1, -1))
+        assert brute.tse((F(3, 5), F(3, 5))) == (F(13, 25), (-1, 1))
+    finally:
+        extremal._signed_nu.cache_clear()
+
+
 # caps j/D with D <= 13: integer inverses, runs and distinct caps mixed
 CAPS_TO_13 = st.integers(2, 13).flatmap(lambda d: st.integers(1, d - 1).map(lambda j: F(j, d)))
 
@@ -301,10 +229,10 @@ def test_tse_matches_the_per_cap_search(groups):
 def test_run_options_are_the_signed_sums(alpha, c):
     """Option i of a run is the law of c - i reflected and i plain copies of
     nu, from the reference builder; the first run keeps r >= c/2."""
-    plain = reference_nu(alpha)
-    sums = [convolve_all([negate(plain)] * r + [plain] * (c - r)) for r in range(c, -1, -1)]
-    assert extremal._run_options(alpha, c, first=False) == sums
-    assert extremal._run_options(alpha, c, first=True) == sums[: c // 2 + 1]
+    plain = reference.nu(alpha)
+    sums = [reference.convolve_all([reference.negate(plain)] * r + [plain] * (c - r)) for r in range(c, -1, -1)]
+    assert as_dicts(extremal._run_options(alpha, c, first=False)) == sums
+    assert as_dicts(extremal._run_options(alpha, c, first=True)) == sums[: c // 2 + 1]
 
 
 def test_max_q_search_tie_keeps_first_maximiser():
@@ -427,7 +355,8 @@ def test_exhaustive_walk_visits_combinations_with_replacement_order():
 
 @pytest.mark.parametrize("cfg", SCAN_CONFIGS)
 def test_conjecture_scan_matches_brute_force(cfg):
-    assert list(conjecture_scan(cfg)) == brute_scan(cfg)
+    records = [(r.index, r.alphas, r.lhs, r.rhs, r.violation, as_dicts(r.instance)) for r in conjecture_scan(cfg)]
+    assert records == brute.scan(cfg.denominator, cfg.window, cfg.n, cfg.seed, cfg.budget)
 
 
 def test_searches_bypass_the_validating_constructor(monkeypatch):
