@@ -133,10 +133,25 @@ def _check_layout_count(alphas: Iterable[Fraction], width: int) -> None:
             raise ValueError(f"more than {ENUM_BUDGET} extremal laws on {width} sites: over the enumeration budget")
 
 
+def _check_law_atoms(atoms: int) -> None:
+    """ValueError, before any law is built, when the laws to build hold more
+    than ENUM_BUDGET atoms in all."""
+    if atoms > ENUM_BUDGET:
+        raise ValueError(f"laws of {atoms} atoms in all: over the enumeration budget {ENUM_BUDGET}")
+
+
+def _nu_atoms(alpha: Fraction) -> int:
+    """ceil(1/alpha), the atoms of nu(alpha), in integers: cheaper than the
+    Fraction 1/alpha on the many small laws of the checks."""
+    return -(-alpha.denominator // alpha.numerator)
+
+
 def nu(alpha) -> IntDist:
     """Mass alpha on 0..k-1 plus the residue 1 - k*alpha at k (when positive),
-    k = floor(1/alpha): the first layout on the sites 0..k."""
+    k = floor(1/alpha): the first layout on the sites 0..k.  A law of more
+    than ENUM_BUDGET atoms, ceil(1/alpha), is a ValueError."""
     alpha = _validate_alpha(as_fraction(alpha))
+    _check_law_atoms(_nu_atoms(alpha))
     return _extremal_law(alpha, *next(_layouts(alpha, range(inverse_floor(alpha) + 1))))
 
 
@@ -208,10 +223,12 @@ def balanced_sequence(alphas: AlphaSeq, flip: bool = False) -> list[IntDist]:
     inverse contributes its centered uniform, which is its own reflection.
     With flip=True the roles inside each pair are swapped and even groups of
     odd-inverse caps use centered uniforms — a genuinely different balanced
-    sequence used to cross-check pairing independence.
+    sequence used to cross-check pairing independence.  Laws of more than
+    ENUM_BUDGET atoms in all, the sum of ceil(1/alpha), are a ValueError.
     """
     if not is_balanced(alphas):
         raise ValueError("alpha sequence is not balanced")
+    _check_law_atoms(sum(map(_nu_atoms, alphas)))
     out: list[IntDist] = []
     for a, count in sorted(Counter(alphas.alphas).items(), reverse=True):
         pairs, leftover = divmod(count, 2)
@@ -382,14 +399,16 @@ def _check_tse_size(count: int, atoms: int, bits: int) -> None:
         )
 
 
-def _run_options(alpha: Fraction, c: int, first: bool) -> list[IntDist]:
+@functools.lru_cache(maxsize=256)
+def _run_options(alpha: Fraction, c: int, first: bool) -> tuple[IntDist, ...]:
     """The laws of r reflected and c - r plain copies of nu(alpha) for
     r = c, c - 1, ..., 0, the lexicographic order of the run's sign vectors
     with their minus signs first; on the first run only r >= c/2.  The r
     reflected copies are the reflection of the r-th partial power of
     nu(alpha), and each option with both signs is one ``convolve`` of two
-    partial powers.  For c >= 3: ``tse`` keeps shorter runs as per-cap
-    levels."""
+    partial powers.  Memoised like ``_signed_nu``, per (cap, count, first):
+    the scan's many ``tse`` calls meet the same few runs, and the laws are
+    immutable, so each tuple of options is built once."""
     minus, plus = _signed_nu(alpha)
     powers = [None, plus]  # powers[s]: the law of s plain copies
     for _ in range(c - 1):
@@ -402,7 +421,7 @@ def _run_options(alpha: Fraction, c: int, first: bool) -> list[IntDist]:
             options.append(negate(powers[c]))
         else:
             options.append(convolve(minus if r == 1 else negate(powers[r]), powers[c - r]))
-    return options
+    return tuple(options)
 
 
 def tse(alphas: AlphaSeq) -> tuple[Fraction, tuple[int, ...]]:
@@ -414,12 +433,10 @@ def tse(alphas: AlphaSeq) -> tuple[Fraction, tuple[int, ...]]:
     their sum is convolved once and enters the search as a one-option first
     level.  Summands with equal caps commute, so in a run of c equal free
     caps (``AlphaSeq`` sorts equal caps next to each other) only the number
-    r of minus signs matters.  A run of c >= 3 caps is one level of c + 1
-    options, the law of r reflected and c - r plain copies of nu, in the
-    order r = c, c - 1, ..., 0 (``_run_options``).  A run of one or two
-    caps keeps one level per cap, the ``_signed_nu`` pair, which the walker
-    ties: it walks the run's patterns with at most five products, where one
-    level would first build three laws.
+    r of minus signs matters.  Each run is one level of c + 1 options, the
+    law of r reflected and c - r plain copies of nu, in the order
+    r = c, c - 1, ..., 0 (``_run_options``, memoised per run), so no two
+    levels are tied.
 
     Ties resolve to the lexicographically smallest sign vector, which has
     its minus signs first within each run; the levels visit exactly these
@@ -429,8 +446,7 @@ def tse(alphas: AlphaSeq) -> tuple[Fraction, tuple[int, ...]]:
     have the same q_max.  The mirror of a pattern whose first run has
     r < c - r has more minus signs at the front, so it comes first, and the
     first maximiser has r >= c/2 on the first run: the first free run keeps
-    only those options, and its first cap only its reflected law when the
-    run is per-cap.  So the search ranges over prod(c + 1) patterns with
+    only those options.  So the search ranges over prod(c + 1) patterns with
     the first factor floor(c/2) + 1, and ``_max_q_search`` skips every
     partial pattern whose fill bound cannot beat the best pattern so far,
     which only drops patterns that could not strictly beat an earlier one.
@@ -440,12 +456,7 @@ def tse(alphas: AlphaSeq) -> tuple[Fraction, tuple[int, ...]]:
     before any law is built (``_check_tse_size``).
     """
     caps = alphas.alphas
-    runs = []  # [cap, count] per run of equal caps
-    for a in caps:
-        if runs and runs[-1][0] == a:
-            runs[-1][1] += 1
-        else:
-            runs.append([a, 1])
+    runs = [(a, len(list(group))) for a, group in itertools.groupby(caps)]
     # a cap in (0, 1] in lowest terms has an integer inverse iff its numerator is 1
     free = [(a, c) for a, c in runs if a.numerator != 1]
     count = prod(c + 1 for _, c in free[1:]) * (free[0][1] // 2 + 1 if free else 1)
@@ -455,23 +466,13 @@ def tse(alphas: AlphaSeq) -> tuple[Fraction, tuple[int, ...]]:
     uniforms = [_signed_nu(a)[1] for a in caps if a.numerator == 1]
     levels = [[convolve_all(uniforms)]] if uniforms else []
     root = len(levels)
-    for k, (a, c) in enumerate(free):
-        if c >= 3:
-            levels.append(_run_options(a, c, k == 0))
-        else:
-            pair = _signed_nu(a)
-            levels += [pair[:1] if k == 0 else pair] + [pair] * (c - 1)
+    levels += [_run_options(a, c, k == 0) for k, (a, c) in enumerate(free)]
     best, path = _max_q_search(levels)
     chosen = iter(path[root:])
     signs = []
     for a, c in runs:
-        if a.numerator == 1:
-            signs += [1] * c
-        elif c >= 3:
-            r = c - next(chosen)
-            signs += [-1] * r + [1] * (c - r)
-        else:
-            signs += [-1 if next(chosen) == 0 else 1 for _ in range(c)]
+        r = 0 if a.numerator == 1 else c - next(chosen)
+        signs += [-1] * r + [1] * (c - r)
     return best, tuple(signs)
 
 

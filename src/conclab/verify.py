@@ -41,6 +41,8 @@ from .dist import (
 from .domination import dominates, profile_rows
 from .extremal import (
     AlphaSeq,
+    _check_law_atoms,
+    _nu_atoms,
     _walk,
     balanced_sequence,
     check_tse_classes,
@@ -216,9 +218,9 @@ class ScanConfig:
 
 @dataclass(frozen=True)
 class ScanRecord:
-    """One tuple of a conjecture scan.  ``json_text``, when given, holds the
-    JSON texts of ``alphas`` and of the instance, joined from texts the scan
-    renders once per cap class and once per law; it takes no part in ==."""
+    """One tuple of a conjecture scan.  ``json_text`` holds the JSON texts
+    of ``alphas`` and of the instance, joined from texts the scan renders
+    once per cap class and once per law; it takes no part in ==."""
 
     index: int
     alphas: tuple[Fraction, ...]
@@ -226,7 +228,7 @@ class ScanRecord:
     rhs: Fraction
     violation: bool
     instance: tuple[IntDist, ...]
-    json_text: Optional[tuple[str, str]] = field(default=None, compare=False, repr=False)
+    json_text: tuple[str, str] = field(compare=False, repr=False)
 
     def to_json_obj(self) -> dict:
         return {
@@ -241,13 +243,9 @@ class ScanRecord:
 
     def to_json_line(self) -> str:
         """``json.dumps(self.to_json_obj(), sort_keys=True)``, written from
-        ``json_text`` (rendered here when absent), with lhs, rhs and margin
-        formatted from their integers."""
-        if self.json_text is None:
-            obj = self.to_json_obj()
-            alphas, instance = json.dumps(obj["alphas"]), json.dumps(obj["instance"], sort_keys=True)
-        else:
-            alphas, instance = self.json_text
+        ``json_text``, with lhs, rhs and margin formatted from their
+        integers."""
+        alphas, instance = self.json_text
         ln, ld, rn, rd = self.lhs.numerator, self.lhs.denominator, self.rhs.numerator, self.rhs.denominator
         mn, md = rn * ld - ln * rd, rd * ld
         g = gcd(mn, md)
@@ -383,7 +381,9 @@ def few_dropped_check(alphas: AlphaSeq, k: int, big_k: int, delta, signs=None) -
     """Dropping the first k high-cap terms costs at most a (1 - delta)
     factor, given enough total variance.  ``signs``, when given, holds one
     sign per cap in the order the caps were given; the instance keeps them
-    in the order of ``alphas``, so the listing order changes no report."""
+    in the order of ``alphas``, so the listing order changes no report.
+    Laws of more than ENUM_BUDGET atoms in all, the sum of ceil(1/alpha),
+    are a ValueError."""
     delta = as_fraction(delta)
     if signs is not None:
         if len(signs) != len(alphas) or any(s not in (-1, 1) for s in signs):
@@ -401,6 +401,7 @@ def few_dropped_check(alphas: AlphaSeq, k: int, big_k: int, delta, signs=None) -
     total_var = sum((variance_nu(a) for a in caps), Fraction(0))
     if total_var < Fraction(70) / delta**3 * k * big_k**2:
         return _na("few_dropped", instance, "variance below the lemma threshold")
+    _check_law_atoms(sum(map(_nu_atoms, caps)))
     seq = [negate(nu(a)) if s < 0 else nu(a) for a, s in zip(caps, signs or [1] * n)]
     rhs = q_max(convolve_all(seq))
     # k < n here: a cap of at least 1/K gives nu a variance below K**2, so with
@@ -463,7 +464,9 @@ def midsize_continuity_check(
 
 def large_continuity_check(big_k: int, ks: Sequence[int], y: IntDist) -> CheckReport:
     """Replacing centered uniforms on k_i points by ones on k_i + 2 points
-    costs at most a 14 K^(-1/5) fraction (and never gains)."""
+    costs at most a 14 K^(-1/5) fraction (and never gains).  Uniforms of
+    more than ENUM_BUDGET atoms in all, the sum of 2k + 2, are a
+    ValueError."""
     instance = {"K": big_k, "ks": list(ks), "y": y}
     if big_k < 1:
         return _na("balanced_continuity_large", instance, "K must be positive")
@@ -473,6 +476,7 @@ def large_continuity_check(big_k: int, ks: Sequence[int], y: IntDist) -> CheckRe
         return _na("balanced_continuity_large", instance, "each k must be an odd integer >= K")
     if not (is_symmetric_unimodal(y) and is_log_concave(y)):
         return _na("balanced_continuity_large", instance, "y not symmetric log-concave")
+    _check_law_atoms(sum(2 * k + 2 for k in ks))
     xs = [uniform_interval(-(k - 1) // 2, (k - 1) // 2) for k in ks]
     xs_prime = [uniform_interval(-(k + 1) // 2, (k + 1) // 2) for k in ks]
     p = convolve_all([*xs, y]).mass(0)

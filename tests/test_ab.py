@@ -70,6 +70,19 @@ def test_the_bound_flag_follows_the_direction_of_better():
     assert ok["worse"] and (ok["change_wins"], ok["parent_wins"]) == (0, 3)
 
 
+def test_a_spread_wider_than_the_bound_is_unresolved_unless_every_run_is_better():
+    parent = [1.0, 1.2, 1.4, 1.6, 1.8]  # median 1.4, IQR 0.4 over 0.25 * 1.4
+    row = ab.summarize(_pairs(parent, [p + 0.1 for p in parent]), SPEC)[0]
+    assert row["unresolved"] and not row["worse"]
+    row = ab.summarize(_pairs(parent, [p + 0.5 for p in parent]), SPEC)[0]
+    assert row["unresolved"] and row["worse"]
+    row = ab.summarize(_pairs(parent, [0.9, 0.8, 0.7, 0.6, 0.5]), SPEC)[0]
+    assert not row["unresolved"] and not row["worse"]
+    # the same shift over a narrow parent spread is resolved
+    narrow = [1.40, 1.41, 1.42, 1.43, 1.44]
+    assert not ab.summarize(_pairs(narrow, [p + 0.1 for p in narrow]), SPEC)[0]["unresolved"]
+
+
 def test_one_pair_has_no_spread():
     (wall, _) = ab.summarize(_pairs([2.0], [1.0]), SPEC)
     assert wall["parent_iqr"] == 0 and wall["rel"] == -0.5
@@ -117,5 +130,6 @@ def test_runs_alternate_and_keep_their_side_when_both_trees_are_one(monkeypatch,
     lines = capsys.readouterr().out.splitlines()
     assert lines[0] == "clt, 2 pairs"
     wall = next(line for line in lines if line.startswith("wall_s"))
-    assert "parent IQR 1.5  change IQR 0.5  no gain  within bound" in wall
+    # parent runs 1.0 and 4.0: an IQR of 1.5 over 0.25 times the median of 2.5
+    assert "parent IQR 1.5  change IQR 0.5  no gain  unresolved" in wall
     assert lines[-2:] == ["stdout_sha256 equal in every pair: yes", "every run correct: yes"]

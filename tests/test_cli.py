@@ -306,15 +306,6 @@ def test_scan_lines_match_reference_serializer_with_violations(monkeypatch, caps
     assert json.loads(summary)["violations"] == sum(m < 0 for m in margins)
 
 
-def test_scan_line_without_prerendered_text():
-    """A record built without the scan's texts renders them itself."""
-    laws = (uniform([0, 1]), IntDist([(0, F(2, 3)), (5, F(1, 3))]))
-    record = verify.ScanRecord(4, (F(2, 3), F(1, 2)), F(1, 3), F(3, 7), False, laws)
-    assert record.to_json_line() == json.dumps(record.to_json_obj(), sort_keys=True)
-    violating = verify.ScanRecord(0, (F(1, 2),), F(1, 2), F(0), True, laws[:1])
-    assert violating.to_json_line() == json.dumps(violating.to_json_obj(), sort_keys=True)
-
-
 @pytest.mark.parametrize("window", ["0..0", "-3..-3"])
 def test_scan_one_site_window_exits_2(window, capsys):
     """A one-site window holds only point masses, which the scan excludes:
@@ -407,6 +398,44 @@ def test_enumeration_over_budget_exits_2_promptly(argv):
     assert proc.stdout == ""
     assert len(proc.stderr.splitlines()) == 1 and proc.stderr.startswith("error: ")
     assert "enumeration budget" in proc.stderr
+
+
+def test_laws_over_the_enumeration_budget_exit_2_promptly(tmp_path):
+    """One number of the input sets the size of the laws built: nu(1/4,000,000)
+    took 15 s and 2.1 GB, and uniforms on 3,000,001 and 3,000,003 points
+    23 s and 1.3 GB.  Each input below now stops at the enumeration budget
+    before any law is built; the address-space cap and the timeout turn a
+    regression into a prompt failure instead of a full memory."""
+    import resource
+
+    def cap_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (600 * 2**20, 600 * 2**20))
+
+    y = {"atoms": [[-1, "1/4"], [0, "1/2"], [1, "1/4"]]}
+    large = tmp_path / "large.json"
+    large.write_text(json.dumps({"K": 3, "ks": [3000001], "y": y}))
+    dropped = tmp_path / "dropped.json"
+    dropped.write_text(json.dumps({"alphas": ["1/999999", "1/999999"], "k": 0, "K": 1, "delta": "1/2"}))
+    src = Path(__file__).resolve().parents[1] / "src"
+    for argv in (
+        ["extremal", "nu", "--alpha", "1/4000000"],
+        ["extremal", "tse", "--alphas", "1/2000000"],
+        ["extremal", "tsebal", "--alphas", "1/999999,1/999999"],
+        ["check", "balanced_continuity_large", "--instance", str(large)],
+        ["check", "few_dropped", "--instance", str(dropped)],
+    ):
+        proc = subprocess.run(
+            [sys.executable, "-m", "conclab.cli", *argv],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": str(src)},
+            timeout=20,
+            preexec_fn=cap_memory,
+        )
+        assert proc.returncode == 2, argv
+        assert proc.stdout == ""
+        assert len(proc.stderr.splitlines()) == 1 and proc.stderr.startswith("error: laws of "), proc.stderr
+        assert "enumeration budget" in proc.stderr
 
 
 def test_check_prints_integers_of_any_length(tmp_path, capsys):

@@ -27,7 +27,6 @@ from conclab.dist import (
     convolve,
     convolve_all,
     delta,
-    negate,
     q_max,
     uniform,
 )
@@ -189,15 +188,20 @@ def test_tse_matches_brute_force_property(pairs):
 
 def test_brute_tse_does_not_move_with_conclab_negate(monkeypatch):
     """With conclab's negate the identity, tse stops reflecting and reads
-    the q_max of nu + nu; the brute force keeps the README's value."""
-    extremal._signed_nu.cache_clear()
+    the q_max of nu + nu; the brute force keeps the README's value.  Both
+    memos are cleared on the way in and out, so no law built with either
+    negate crosses over."""
+    memos = (extremal._signed_nu, extremal._run_options)
+    for memo in memos:
+        memo.cache_clear()
     monkeypatch.setattr(dist, "negate", lambda mu: mu)
     monkeypatch.setattr(extremal, "negate", lambda mu: mu)  # bound by name at import
     try:
         assert tse(AlphaSeq([F(3, 5), F(3, 5)])) == (F(12, 25), (-1, -1))
         assert brute.tse((F(3, 5), F(3, 5))) == (F(13, 25), (-1, 1))
     finally:
-        extremal._signed_nu.cache_clear()
+        for memo in memos:
+            memo.cache_clear()
 
 
 # caps j/D with D <= 13: integer inverses, runs and distinct caps mixed
@@ -225,7 +229,7 @@ def test_tse_matches_the_per_cap_search(groups):
 
 
 @pytest.mark.parametrize("alpha", [F(3, 4), F(2, 5), F(5, 7), F(3, 13)])
-@pytest.mark.parametrize("c", [3, 4, 7])
+@pytest.mark.parametrize("c", [1, 2, 3, 4, 7])
 def test_run_options_are_the_signed_sums(alpha, c):
     """Option i of a run is the law of c - i reflected and i plain copies of
     nu, from the reference builder; the first run keeps r >= c/2."""
@@ -233,6 +237,42 @@ def test_run_options_are_the_signed_sums(alpha, c):
     sums = [reference.convolve_all([reference.negate(plain)] * r + [plain] * (c - r)) for r in range(c, -1, -1)]
     assert as_dicts(extremal._run_options(alpha, c, first=False)) == sums
     assert as_dicts(extremal._run_options(alpha, c, first=True)) == sums[: c // 2 + 1]
+
+
+@pytest.mark.parametrize(
+    "alphas",
+    [
+        [F(3, 5), F(3, 5)],  # one run of two: one level, not two tied
+        [F(2, 3), F(2, 3), F(4, 9)],  # nu(2/3) + nu(2/3) is nu(4/9)
+        [F(1, 2), F(3, 7), F(2, 5), F(2, 5), F(1, 3), F(3, 10)],
+        [F(1), F(3, 4)] + [F(5, 8)] * 4,
+        [F(1, 4)] * 3,  # the root alone
+    ],
+)
+def test_tse_searches_one_level_per_run(alphas, monkeypatch):
+    """tse hands ``_max_q_search`` the uniforms' root and then one level per
+    run of equal free caps, the run's memoised options, and no level is
+    tied to the one before it."""
+    seen = []
+    search = extremal._max_q_search
+
+    def recording(levels):
+        seen.append(levels)
+        return search(levels)
+
+    monkeypatch.setattr(extremal, "_max_q_search", recording)
+    assert tse(AlphaSeq(alphas)) == reference_tse(AlphaSeq(alphas))
+    [levels] = seen
+    ordered = AlphaSeq(alphas).alphas
+    uniforms = [nu(a) for a in ordered if a.numerator == 1]
+    root = [[convolve_all(uniforms)]] if uniforms else []
+    runs = [(a, len(list(g))) for a, g in itertools.groupby(ordered) if a.numerator != 1]
+    assert len(levels) == len(root) + len(runs)
+    assert [list(options) for options in levels[: len(root)]] == root
+    assert all(
+        options is extremal._run_options(a, c, k == 0) for k, (options, (a, c)) in enumerate(zip(levels[len(root) :], runs))
+    )
+    assert not any(list(levels[k]) == list(levels[k - 1]) for k in range(1, len(levels)))
 
 
 def test_max_q_search_tie_keeps_first_maximiser():
@@ -579,20 +619,13 @@ def unpruned_max(levels) -> tuple[F, tuple[int, ...]]:
 
 def tse_levels(alphas: list[F]) -> list[list[IntDist]]:
     """The levels tse searches: the integer-inverse caps' uniforms as one
-    fixed summand, then, in canonical order, one level per run of three or
-    more equal other caps and (-nu, nu) per cap of a shorter run, the first
-    run halved."""
+    fixed summand, then, in canonical order, one level per run of equal
+    other caps, the first run halved."""
     ordered = AlphaSeq(alphas).alphas
     uniforms = [nu(a) for a in ordered if a.numerator == 1]
     levels = [[convolve_all(uniforms)]] if uniforms else []
     runs = [(a, len(list(g))) for a, g in itertools.groupby(ordered) if a.numerator != 1]
-    for k, (a, c) in enumerate(runs):
-        if c >= 3:
-            levels.append(extremal._run_options(a, c, k == 0))
-        else:
-            pairs = [[negate(nu(a)), nu(a)] for _ in range(c)]
-            levels += [pairs[0][:1] if k == 0 else pairs[0]] + pairs[1:]
-    return levels
+    return levels + [extremal._run_options(a, c, k == 0) for k, (a, c) in enumerate(runs)]
 
 
 def oracle_levels(alphas: list[F], window: tuple[int, int]) -> list[list[IntDist]]:
@@ -613,7 +646,7 @@ PRUNE_ORACLE_CASES = [
 ]
 PRUNE_TSE_CASES = [
     [F(2, 5)] * 4 + [F(3, 7)] * 2,
-    [F(3, 7)] * 2 + [F(2, 5)] * 3 + [F(1, 3)],  # a halved per-cap run, then a run level
+    [F(3, 7)] * 2 + [F(2, 5)] * 3 + [F(1, 3)],  # a halved run of two, then a run of three
     [F(1, 2), F(1, 3), F(2, 5), F(3, 7), F(5, 12)],  # a one-option root, then free caps
     [F(3, 4), F(2, 3), F(5, 8), F(2, 5)],
     [F(7, 12), F(5, 12), F(5, 12), F(1, 4)],

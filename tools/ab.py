@@ -11,7 +11,11 @@ for neither side), the parent's and the change's interquartile ranges,
 whether the row meets the gain rule (the change wins at least nine tenths of
 the pairs, and its median is better than the parent's by more than the
 parent's interquartile range), and whether the change's median is worse
-than the parent's by more than the metric's bound.
+than the parent's by more than the metric's bound.  Where the parent's
+interquartile range is wider than the bound times the parent's median, the
+runs cannot tell a change within the bound from one beyond it, so the row
+reads ``unresolved`` instead, unless every change run is better than every
+parent run.
 Then it says whether every pair printed equal ``stdout_sha256`` and whether
 every run was ``correct``, and exits 1 if either is not so.
 
@@ -55,8 +59,9 @@ def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
 def summarize(pairs: list[tuple[dict, dict]], spec: list[dict]) -> list[dict]:
     """One row per metric of spec over (parent, change) pairs of
     ``{metric: value}``: medians, relative change, wins, both IQRs, whether
-    the gain rule is met and whether the change is worse than the parent by
-    more than the bound."""
+    the gain rule is met, whether the change is worse than the parent by
+    more than the bound, and whether the parent's spread leaves that
+    unresolved."""
     rows = []
     for metric in spec:
         name, sign = metric["name"], 1 if metric["better"] == "lower" else -1
@@ -78,6 +83,8 @@ def summarize(pairs: list[tuple[dict, dict]], spec: list[dict]) -> list[dict]:
                 "change_iqr": iqr(change),
                 "gain": 10 * change_wins >= 9 * len(pairs) and sign * (p_med - c_med) > parent_iqr,
                 "worse": sign * rel > metric["bound"],
+                "unresolved": parent_iqr > metric["bound"] * p_med
+                and max(sign * c for c in change) >= min(sign * p for p in parent),
             }
         )
     return rows
@@ -115,7 +122,7 @@ def main() -> int:
             f"{row['name']:<12} parent {row['parent']:.4g}  change {row['change']:.4g}  {row['rel']:+.1%}  "
             f"wins {row['change_wins']}-{row['parent_wins']}  parent IQR {row['parent_iqr']:.3g}  "
             f"change IQR {row['change_iqr']:.3g}  {'gain rule met' if row['gain'] else 'no gain'}  "
-            f"{'WORSE than bound' if row['worse'] else 'within bound'}"
+            f"{'unresolved' if row['unresolved'] else 'WORSE than bound' if row['worse'] else 'within bound'}"
         )
     same = all(p["stdout_sha256"] == c["stdout_sha256"] for p, c in runs)
     correct = all(run["correct"] for pair in runs for run in pair)
