@@ -470,7 +470,7 @@ def cmd_check(args) -> int:
 def cmd_scan(args) -> int:
     from dataclasses import asdict
 
-    from .verify import ScanConfig, conjecture_scan, quantized_extremal_measures, scan_mode
+    from .conjecture import ScanConfig, conjecture_scan, scan_mode
 
     cfg = ScanConfig(
         denominator=args.denominator,
@@ -479,13 +479,12 @@ def cmd_scan(args) -> int:
         seed=args.seed or 0,
         budget=args.budget,
     )
-    measures = quantized_extremal_measures(cfg.denominator, cfg.window)
     violations = 0
 
     def lines():
         nonlocal violations
         count = 0
-        for record in conjecture_scan(cfg, measures):
+        for record in conjecture_scan(cfg):
             count += 1
             if record.violation or not args.violations_only:
                 line = record.to_json_line()
@@ -495,7 +494,7 @@ def cmd_scan(args) -> int:
                 sys.stderr.write(f"VIOLATION: {line}\n")
         summary = {
             "config": asdict(cfg),
-            "mode": scan_mode(cfg, measures),
+            "mode": scan_mode(cfg),
             "instances": count,
             "violations": violations,
         }

@@ -483,7 +483,10 @@ def check_tse_classes(caps: Sequence[Fraction], n: int) -> None:
     the most even split of f into min(m, f) runs, the sum has at most
     1 + f (a - 1) + (n - f) (u - 1) atoms, a and u the most atoms of a free
     and of a uniform nu, and its denominator at most the largest one to the
-    n-th power."""
+    n-th power.  Caps below 1 give every class at least n + 1 atoms over
+    at least n + 1 bits, so a large n is refused before any power is taken."""
+    if caps and max(caps) < 1 and (n + 1) ** 2 > TSE_BUDGET:
+        raise ValueError(f"tse on {n} caps below 1: size bound at least {(n + 1) ** 2}, over the tse budget {TSE_BUDGET}")
     free = [a for a in caps if a.numerator != 1]
     uniform = [a for a in caps if a.numerator == 1]
     a = max((ceil(1 / x) for x in free), default=1)
@@ -529,11 +532,12 @@ def quantized_extremal_measures(denominator: int, window: tuple[int, int]) -> li
     """``_anchored_laws`` of each cap j/D, 0 < j < D, on the window.  Point
     masses (cap 1) are left out: they only translate a sum.  More than
     ENUM_BUDGET laws on the window in all, translates included, is a
-    ValueError."""
+    ValueError, counted from the largest cap down: each cap above 1/2 has
+    w(w - 1) laws on w sites, so a large D is refused before most caps are
+    built."""
     sites = range(window[0], window[1] + 1)
-    caps = [Fraction(j, denominator) for j in range(1, denominator)]
-    _check_layout_count(caps, len(sites))
-    return [law for alpha in caps for law in _anchored_laws(alpha, sites)]
+    _check_layout_count((Fraction(j, denominator) for j in range(denominator - 1, 0, -1)), len(sites))
+    return [law for j in range(1, denominator) for law in _anchored_laws(Fraction(j, denominator), sites)]
 
 
 def t_oracle(alphas: AlphaSeq, window: tuple[int, int]) -> tuple[Fraction, list[IntDist]]:

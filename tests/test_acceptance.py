@@ -11,6 +11,7 @@ import json
 import time
 from fractions import Fraction as F
 
+from conclab.conjecture import ScanConfig, conjecture_scan
 from conclab.dist import (
     IntDist,
     convolve,
@@ -44,11 +45,7 @@ from conclab.rearrange import (
     nested_medians,
     plus_rearrange,
 )
-from conclab.verify import (
-    ScanConfig,
-    conjecture_scan,
-    odlyzko_richmond_check,
-)
+from conclab.verify import odlyzko_richmond_check
 
 from instances import random_instance
 

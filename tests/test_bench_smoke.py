@@ -46,19 +46,22 @@ def test_tracer_patches_names_that_exist(bench_module):
     """install() looks up every function it wraps, so a renamed or moved
     name raises here; uninstall() puts the originals back.  It sets an
     inherited method back as the class's own attribute, which would shadow
-    later patches of the base class in this process, so those are dropped."""
-    from conclab import dist, extremal, gauss, verify
+    later patches of the base class in this process, so those are dropped.
+    The scan is wrapped where ``scan-conjecture`` looks it up, in
+    ``conclab.conjecture``, although the tracer finds it on ``verify``."""
+    from conclab import conjecture, dist, extremal, gauss, verify
 
     classes = (dist.IntDist, gauss.LatticeDist)
     own = [set(vars(cls)) for cls in classes]
-    originals = (verify.quantized_extremal_measures, extremal.t_oracle, cli.run)
+    originals = (verify.quantized_extremal_measures, conjecture.conjecture_scan, extremal.t_oracle, cli.run)
     tracer = bench_module("tracer").Tracer()
     try:
         tracer.install()
         assert verify.quantized_extremal_measures is not originals[0]
+        assert conjecture.conjecture_scan is verify.conjecture_scan is not originals[1]
     finally:
         tracer.uninstall()
         for cls, names in zip(classes, own):
             for name in set(vars(cls)) - names:
                 delattr(cls, name)
-    assert (verify.quantized_extremal_measures, extremal.t_oracle, cli.run) == originals
+    assert (verify.quantized_extremal_measures, conjecture.conjecture_scan, extremal.t_oracle, cli.run) == originals

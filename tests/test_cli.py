@@ -7,6 +7,7 @@ import io
 import json
 import math
 import os
+import resource
 import shlex
 import subprocess
 import sys
@@ -18,7 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conclab import verify
+from conclab import conjecture, verify
 from conclab.cli import _FIELD_PARSERS, _LEMMAS, build_parser, run
 from conclab.dist import IntDist, uniform
 
@@ -249,7 +250,7 @@ def test_scan_conjecture_and_report(files, tmp_path, capsys):
 
 
 def test_scan_violation_exits_1_with_one_stderr_line_per_record(monkeypatch, capsys):
-    monkeypatch.setattr(verify, "tse", lambda alphas: (F(0), None))  # every right-hand side 0
+    monkeypatch.setattr(conjecture, "tse", lambda alphas: (F(0), None))  # every right-hand side 0
     argv = ["scan-conjecture", "--denominator", "3", "--window", "0..2", "--n", "2"]
     assert run(argv) == 1
     captured = capsys.readouterr()
@@ -266,7 +267,7 @@ def scan_reference_lines(argv: list[str]) -> list[str]:
     serializer writes them: json.dumps of each record's to_json_obj."""
     flags = dict(zip(argv[1::2], argv[2::2]))
     lo, hi = map(int, flags["--window"].split(".."))
-    cfg = verify.ScanConfig(
+    cfg = conjecture.ScanConfig(
         denominator=int(flags["--denominator"]),
         window=(lo, hi),
         n=int(flags["--n"]),
@@ -274,7 +275,8 @@ def scan_reference_lines(argv: list[str]) -> list[str]:
         budget=int(flags.get("--budget", 200_000)),
     )
     only = "--violations-only" in argv
-    return [json.dumps(r.to_json_obj(), sort_keys=True) for r in verify.conjecture_scan(cfg) if r.violation or not only]
+    records = conjecture.conjecture_scan(cfg)
+    return [json.dumps(r.to_json_obj(), sort_keys=True) for r in records if r.violation or not only]
 
 
 SCAN_SERIALIZER_CASES = {
@@ -295,7 +297,7 @@ def test_scan_lines_match_reference_serializer(argv, capsys):
 def test_scan_lines_match_reference_serializer_with_violations(monkeypatch, capsys, only):
     """A constant right-hand side of 1/3: records with lhs > 1/3 violate,
     with a negative margin, and the others do not."""
-    monkeypatch.setattr(verify, "tse", lambda alphas: (F(1, 3), None))
+    monkeypatch.setattr(conjecture, "tse", lambda alphas: (F(1, 3), None))
     argv = ["scan-conjecture", "--denominator", "6", "--window", "0..4", "--n", "2", *only]
     assert run(argv) == 1
     *lines, summary = capsys.readouterr().out.splitlines()
@@ -406,17 +408,11 @@ def test_laws_over_the_enumeration_budget_exit_2_promptly(tmp_path):
     23 s and 1.3 GB.  Each input below now stops at the enumeration budget
     before any law is built; the address-space cap and the timeout turn a
     regression into a prompt failure instead of a full memory."""
-    import resource
-
-    def cap_memory():
-        resource.setrlimit(resource.RLIMIT_AS, (600 * 2**20, 600 * 2**20))
-
     y = {"atoms": [[-1, "1/4"], [0, "1/2"], [1, "1/4"]]}
     large = tmp_path / "large.json"
     large.write_text(json.dumps({"K": 3, "ks": [3000001], "y": y}))
     dropped = tmp_path / "dropped.json"
     dropped.write_text(json.dumps({"alphas": ["1/999999", "1/999999"], "k": 0, "K": 1, "delta": "1/2"}))
-    src = Path(__file__).resolve().parents[1] / "src"
     for argv in (
         ["extremal", "nu", "--alpha", "1/4000000"],
         ["extremal", "tse", "--alphas", "1/2000000"],
@@ -424,14 +420,7 @@ def test_laws_over_the_enumeration_budget_exit_2_promptly(tmp_path):
         ["check", "balanced_continuity_large", "--instance", str(large)],
         ["check", "few_dropped", "--instance", str(dropped)],
     ):
-        proc = subprocess.run(
-            [sys.executable, "-m", "conclab.cli", *argv],
-            capture_output=True,
-            text=True,
-            env={**os.environ, "PYTHONPATH": str(src)},
-            timeout=20,
-            preexec_fn=cap_memory,
-        )
+        proc = run_cli(argv, timeout=20, capped=True)
         assert proc.returncode == 2, argv
         assert proc.stdout == ""
         assert len(proc.stderr.splitlines()) == 1 and proc.stderr.startswith("error: laws of "), proc.stderr
@@ -468,11 +457,6 @@ def test_power_over_the_budget_exits_2_promptly(tmp_path):
     the power budget before any power is computed.  The address-space cap
     and the timeout turn a regression into a prompt failure instead of a
     full memory."""
-    import resource
-
-    def cap_memory():
-        resource.setrlimit(resource.RLIMIT_AS, (600 * 2**20, 600 * 2**20))
-
     inst = tmp_path / "inst.json"
     p = {"atoms": [[0, "4/13"], [1, "5/13"], [3, "4/13"]]}
     inst.write_text(json.dumps({"p": p, "n": 10**30, "delta": "3/10"}))
@@ -480,20 +464,12 @@ def test_power_over_the_budget_exits_2_promptly(tmp_path):
     square.write_text(json.dumps({"atoms": [[[x, y], "1/4"] for x in (0, 1) for y in (0, 1)]}))
     coin = tmp_path / "coin.json"
     coin.write_text(json.dumps({"atoms": [[0, "1/2"], [1, "1/2"]]}))
-    src = Path(__file__).resolve().parents[1] / "src"
     for argv in (
         ["check", "odlyzko_richmond", "--instance", str(inst)],
         ["gauss", "tv", str(square), "--pow", "10000"],
         ["be-gap", str(coin), "--repeat", str(10**9)],
     ):
-        proc = subprocess.run(
-            [sys.executable, "-m", "conclab.cli", *argv],
-            capture_output=True,
-            text=True,
-            env={**os.environ, "PYTHONPATH": str(src)},
-            timeout=20,
-            preexec_fn=cap_memory,
-        )
+        proc = run_cli(argv, timeout=20, capped=True)
         assert proc.returncode == 2, argv
         assert proc.stdout == ""
         assert len(proc.stderr.splitlines()) == 1 and proc.stderr.startswith("error: "), proc.stderr
@@ -541,7 +517,14 @@ def test_sampled_scan_over_many_measures_runs_promptly():
     assert summary["mode"].startswith("sampled(1 of ")
 
 
-def run_cli(argv: list[str], timeout: float) -> subprocess.CompletedProcess:
+def _cap_memory() -> None:
+    resource.setrlimit(resource.RLIMIT_AS, (600 * 2**20, 600 * 2**20))
+
+
+def run_cli(argv: list[str], timeout: float, capped: bool = False) -> subprocess.CompletedProcess:
+    """The command in a fresh interpreter; ``capped`` limits its address
+    space to 600 MB, so a regression that builds a huge object fails
+    promptly instead of filling the memory."""
     src = Path(__file__).resolve().parents[1] / "src"
     return subprocess.run(
         [sys.executable, "-m", "conclab.cli", *argv],
@@ -549,6 +532,7 @@ def run_cli(argv: list[str], timeout: float) -> subprocess.CompletedProcess:
         text=True,
         env={**os.environ, "PYTHONPATH": str(src)},
         timeout=timeout,
+        preexec_fn=_cap_memory if capped else None,
     )
 
 
@@ -594,6 +578,37 @@ def test_check_and_scan_share_the_tse_refusal(tmp_path, capsys):
         assert run(argv) == 2
         out, err = capsys.readouterr()
         assert out == "" and "tse budget" in err
+
+
+HUGE_SCANS = {
+    "n_1e11": (["--denominator", "4", "--window", "0..3", "--n", str(10**11), "--budget", "5"], "tse budget"),
+    "denominator_3e7": (["--denominator", str(3 * 10**7), "--window", "0..3", "--n", "2"], "enumeration budget"),
+}
+
+
+@pytest.mark.parametrize("flags, budget", HUGE_SCANS.values(), ids=HUGE_SCANS.keys())
+def test_huge_scans_exit_2_promptly(flags, budget):
+    """The tse bound of n = 10**11 caps once built 4**n, a 25 GB integer, to
+    read its bit length, and D = 3*10**7 built all D - 1 caps before
+    counting their laws: under the cap, a MemoryError traceback after 4
+    to 7 s.  Both are now refused from their first numbers.  Never run
+    them uncapped."""
+    proc = run_cli(["scan-conjecture", *flags], timeout=20, capped=True)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert len(proc.stderr.splitlines()) == 1 and proc.stderr.startswith("error: "), proc.stderr
+    assert budget in proc.stderr and "Traceback" not in proc.stderr
+
+
+def test_scan_builds_its_measures_once(monkeypatch, capsys):
+    """The config builds the measures for the scan and both reads of its
+    mode, in the records and in the summary."""
+    calls = []
+    real = conjecture.quantized_extremal_measures
+    monkeypatch.setattr(conjecture, "quantized_extremal_measures", lambda *args: calls.append(args) or real(*args))
+    assert run(["scan-conjecture", "--denominator", "4", "--window", "0..3", "--n", "3", "--budget", "5"]) == 0
+    assert json.loads(capsys.readouterr().out.splitlines()[-1])["mode"] == "sampled(5 of 220)"
+    assert calls == [(4, (0, 3))]
 
 
 @pytest.mark.parametrize(

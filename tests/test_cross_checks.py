@@ -7,7 +7,7 @@ from fractions import Fraction as F
 from conclab.dist import convolve_all, negate, q_interval, q_max, shift
 from conclab.extremal import AlphaSeq, nu, tse
 from conclab.gauss import GaussSpec, discretized_gaussian
-from conclab.verify import ScanConfig, conjecture_scan
+from conclab.conjecture import ScanConfig, conjecture_scan
 
 import brute
 from brute import reference

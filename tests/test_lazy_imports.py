@@ -71,12 +71,19 @@ def test_extremal_tse_loads_only_dist_and_extremal():
     assert loaded == ["conclab", "conclab.cli", "conclab.dist", "conclab.extremal"]
 
 
+def test_scan_loads_only_the_conjecture_layer():
+    """The scan needs no checker, so it loads neither verify nor the
+    domination, rearrange and roots layers that only the checkers use."""
+    loaded = _layers_after(RUN_ARGV, "scan-conjecture", "--denominator", "4", "--window", "0..3", "--n", "3")
+    assert loaded == ["conclab", "conclab.cli", "conclab.conjecture", "conclab.dist", "conclab.extremal"]
+
+
 def test_dist_stats_loads_no_checker_gap_or_gaussian_layer(tmp_path):
     law = tmp_path / "law.json"
     law.write_text(uniform([0, 1, 3]).to_json())
     loaded = set(_layers_after(RUN_ARGV, "dist", "stats", str(law)))
     assert "conclab.dist" in loaded
-    assert loaded.isdisjoint({"conclab.verify", "conclab.gaps", "conclab.gauss"})
+    assert loaded.isdisjoint({"conclab.conjecture", "conclab.verify", "conclab.gaps", "conclab.gauss"})
 
 
 def test_cli_import_loads_neither_numpy_nor_scipy():

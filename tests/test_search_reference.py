@@ -33,7 +33,7 @@ from conclab.dist import (
 from conclab.extremal import AlphaSeq, _extremal_law, _max_q_search, _walk, extremal_enumerate, nu, t_oracle, tse
 from conclab.gauss import LatticeDist
 from conclab.rearrange import IntMeasure
-from conclab.verify import ScanConfig, conjecture_scan, quantized_extremal_measures
+from conclab.conjecture import ScanConfig, conjecture_scan, quantized_extremal_measures
 
 import brute
 from brute import reference

@@ -9,6 +9,7 @@ from fractions import Fraction as F
 import pytest
 
 from conclab import extremal, verify
+from conclab.conjecture import ScanConfig, conjecture_scan, quantized_extremal_measures, scan_mode
 from conclab.dist import (
     IntDist,
     convolve,
@@ -28,9 +29,7 @@ from conclab.verify import (
     INDETERMINATE,
     NOT_APPLICABLE,
     PASS,
-    ScanConfig,
     balanced_continuous_check,
-    conjecture_scan,
     few_dropped_check,
     instance_digest,
     large_continuity_check,
@@ -40,8 +39,6 @@ from conclab.verify import (
     odlyzko_richmond_check,
     peakedness1_check,
     peakedness2_check,
-    quantized_extremal_measures,
-    scan_mode,
     summarize,
     thm_tse_check,
 )
@@ -97,11 +94,11 @@ def test_scan_d4_exhaustive_no_violation():
 def test_scan_json_built_once_per_measure(cfg, monkeypatch):
     """A scan formats each measure's JSON once, and each record's line,
     joined from those texts, is the bytes of the per-record formatting."""
-    measures = quantized_extremal_measures(cfg.denominator, cfg.window)
+    measures = cfg.measures
     formatted = []
     real = IntDist.to_json_obj
     monkeypatch.setattr(IntDist, "to_json_obj", lambda mu: formatted.append(mu) or real(mu))
-    records = list(conjecture_scan(cfg, measures))
+    records = list(conjecture_scan(cfg))
     assert formatted == measures
     monkeypatch.undo()
     for r in records:
