@@ -103,14 +103,18 @@ def emit(args, payload, text: str | None = None) -> None:
 
 
 def _write(args, chunks: Iterable[str]) -> None:
-    """Write each chunk to stdout and to --out when given.  The file is
-    opened before the first chunk is drawn, so an unwritable path fails
-    before anything is written, and each chunk is written as it comes."""
+    """Write each chunk to stdout and to --out when given, as it comes.  The
+    first chunk is drawn before the file is opened, so a command refused on
+    its first step leaves the file as it was, and the file is opened before
+    anything is written, so an unwritable path fails with nothing written."""
+    chunks = iter(chunks)
+    chunk = next(chunks, None)
     with open(args.out, "w") if args.out else contextlib.nullcontext() as out:
-        for chunk in chunks:
+        while chunk is not None:
             sys.stdout.write(chunk)
             if out is not None:
                 out.write(chunk)
+            chunk = next(chunks, None)
 
 
 # -- dist ------------------------------------------------------------------
@@ -383,48 +387,28 @@ def _json_list(value, length: int | None = None) -> list:
     return value
 
 
-def _json_ints(value, length: int | None = None) -> list[int]:
-    from .dist import json_int
-
-    return [json_int(v) for v in _json_list(value, length)]
-
-
-def _json_int(value) -> int:
-    from .dist import json_int
-
-    return json_int(value)
-
-
-def _fraction(value):
-    from .dist import as_fraction
-
-    return as_fraction(value)
-
-
-def _alphas(value):
+@functools.cache
+def _field_parsers() -> dict:
+    """Instance field -> parser of its JSON value; a value of the wrong JSON
+    type is a TypeError, which cmd_check reports as a bad instance.  Built
+    once, on the first check, after cmd_check has imported verify and with
+    it these layers."""
+    from .dist import IntDist, as_fraction, json_int
     from .extremal import AlphaSeq
 
-    return AlphaSeq(_json_list(value))
+    def ints(value, length: int | None = None) -> list[int]:
+        return [json_int(v) for v in _json_list(value, length)]
 
+    return {
+        **dict.fromkeys(("alphas", "alphas_prime"), lambda value: AlphaSeq(_json_list(value))),
+        **dict.fromkeys(("alpha", "alpha_prime", "delta", "eps", "gamma"), as_fraction),
+        "window": lambda value: tuple(ints(value, 2)),
+        **dict.fromkeys(("signs", "ks"), ints),
+        **dict.fromkeys(("i", "k", "K", "n"), json_int),
+        **dict.fromkeys(("mu", "p", "x", "y", "z", "x_prime", "y_prime"), IntDist.from_json_obj),
+        "ys": lambda value: [IntDist.from_json_obj(y) for y in _json_list(value)],
+    }
 
-def _law(value) -> IntDist:
-    from .dist import IntDist
-
-    return IntDist.from_json_obj(value)
-
-
-# instance field -> parser of its JSON value; a value of the wrong JSON type is
-# a TypeError, which cmd_check reports as a bad instance.  Each parser imports
-# its layer when called, so importing this module imports none.
-_FIELD_PARSERS = {
-    **dict.fromkeys(("alphas", "alphas_prime"), _alphas),
-    **dict.fromkeys(("alpha", "alpha_prime", "delta", "eps", "gamma"), _fraction),
-    "window": lambda value: tuple(_json_ints(value, 2)),
-    **dict.fromkeys(("signs", "ks"), _json_ints),
-    **dict.fromkeys(("i", "k", "K", "n"), _json_int),
-    **dict.fromkeys(("mu", "p", "x", "y", "z", "x_prime", "y_prime"), _law),
-    "ys": lambda value: [_law(y) for y in _json_list(value)],
-}
 
 # lemma -> (checker in conclab.verify, instance fields in argument order).
 # The README's "Checker instance files" table lists the same fields; a
@@ -454,9 +438,10 @@ def cmd_check(args) -> int:
     unknown = sorted(inst.keys() - fields)
     if unknown:
         raise ValueError(f"bad instance: unknown field {unknown[0]!r}")
+    parsers = _field_parsers()
     try:
         values = [
-            None if field in _OPTIONAL_FIELDS and field not in inst else _FIELD_PARSERS[field](inst[field])
+            None if field in _OPTIONAL_FIELDS and field not in inst else parsers[field](inst[field])
             for field in fields
         ]
     except (KeyError, TypeError) as exc:

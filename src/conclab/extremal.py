@@ -15,7 +15,7 @@ import functools
 import itertools
 from collections import Counter
 from fractions import Fraction
-from math import ceil, comb, prod
+from math import comb, prod
 from typing import Iterable, Iterator, Sequence
 
 from .dist import (
@@ -155,14 +155,6 @@ def nu(alpha) -> IntDist:
     return _extremal_law(alpha, *next(_layouts(alpha, range(inverse_floor(alpha) + 1))))
 
 
-def nu_centered(alpha) -> IntDist:
-    """nu(alpha) for alpha = 1/k with k odd, translated to be symmetric."""
-    alpha = as_fraction(alpha)
-    if not _has_odd_integer_inverse(alpha):
-        raise ValueError("centered form needs alpha = 1/k with k odd")
-    return shift(nu(alpha), -(inverse_floor(alpha) - 1) // 2)
-
-
 def variance_nu(alpha) -> Fraction:
     """Closed-form variance of nu(alpha):
     (-3 a^2 k^2 (k+1)^2 + 2 a k (k+1) (2k+1)) / 12 with k = floor(1/a)."""
@@ -192,14 +184,14 @@ def is_standard_extremal(mu: IntDist, alpha) -> bool:
     alpha = as_fraction(alpha)
     if not (0 < alpha <= 1):
         return False
-    base = nu(alpha)
+    minus, plus = _run_options(alpha, 1, False)
     lo = mu.sites[0]
-    return mu == shift(base, lo) or mu == shift(negate(base), lo - negate(base).sites[0])
+    return mu == shift(plus, lo) or mu == shift(minus, lo - minus.sites[0])
 
 
 def _has_odd_integer_inverse(alpha: Fraction) -> bool:
-    inv = 1 / alpha
-    return inv.denominator == 1 and inv.numerator % 2 == 1
+    # a cap in (0, 1] in lowest terms has an integer inverse iff its numerator is 1
+    return alpha.numerator == 1 and alpha.denominator % 2 == 1
 
 
 def is_balanced(alphas: AlphaSeq) -> bool:
@@ -223,8 +215,9 @@ def balanced_sequence(alphas: AlphaSeq, flip: bool = False) -> list[IntDist]:
     inverse contributes its centered uniform, which is its own reflection.
     With flip=True the roles inside each pair are swapped and even groups of
     odd-inverse caps use centered uniforms — a genuinely different balanced
-    sequence used to cross-check pairing independence.  Laws of more than
-    ENUM_BUDGET atoms in all, the sum of ceil(1/alpha), are a ValueError.
+    sequence used to cross-check pairing independence.  Each distinct cap's
+    pair is one ``_run_options`` lookup.  Laws of more than ENUM_BUDGET atoms
+    in all, the sum of ceil(1/alpha), are a ValueError.
     """
     if not is_balanced(alphas):
         raise ValueError("alpha sequence is not balanced")
@@ -232,14 +225,14 @@ def balanced_sequence(alphas: AlphaSeq, flip: bool = False) -> list[IntDist]:
     out: list[IntDist] = []
     for a, count in sorted(Counter(alphas.alphas).items(), reverse=True):
         pairs, leftover = divmod(count, 2)
-        if flip and _has_odd_integer_inverse(a):
-            out.extend(nu_centered(a) for _ in range(count))
+        minus, plus = _run_options(a, 1, False)
+        # the uniform on k sites, k odd, translated to be symmetric: its own reflection
+        centered = [shift(plus, -(a.denominator - 1) // 2)] if _has_odd_integer_inverse(a) else []
+        if flip and centered:
+            out += centered * count
             continue
-        for _ in range(pairs):
-            first, second = (negate(nu(a)), nu(a)) if flip else (nu(a), negate(nu(a)))
-            out.extend((first, second))
-        if leftover:
-            out.append(nu_centered(a))
+        out += ((minus, plus) if flip else (plus, minus)) * pairs
+        out += centered * leftover  # a balanced sequence leaves only such caps over
     return out
 
 
@@ -368,16 +361,6 @@ def _max_q_search(levels: Sequence[Sequence[IntDist]]) -> tuple[Fraction, tuple[
     return Fraction(best_num, best_den), best_path
 
 
-@functools.lru_cache(maxsize=256)
-def _signed_nu(alpha: Fraction) -> tuple[IntDist, IntDist]:
-    """(negate(nu(alpha)), nu(alpha)) for a validated cap: the sign options of
-    one cap in ``tse``.  The laws are immutable, so a bounded per-process
-    memo keyed by the reduced cap lets the scan's many ``tse`` calls over
-    the same few caps build each pair once."""
-    law = nu(alpha)
-    return negate(law), law
-
-
 # The largest sign search tse runs, by a size bound: its sign patterns (the
 # product of c + 1 over the runs of c equal free caps, the first run's
 # floor(c/2) + 1) times the atoms of the whole sum times the bits of the
@@ -399,17 +382,32 @@ def _check_tse_size(count: int, atoms: int, bits: int) -> None:
         )
 
 
-@functools.lru_cache(maxsize=256)
+# A run of at most this many atoms, c * ceil(1/alpha), is kept by the memo of
+# ``_run_options``: the searches meet the same few small runs again and again
+# (at most 15 atoms in the search benchmark), while a long run of a large scan
+# is rarely met again and holds c + 1 laws over big denominators.
+RUN_MEMO_ATOMS = 64
+
+
 def _run_options(alpha: Fraction, c: int, first: bool) -> tuple[IntDist, ...]:
     """The laws of r reflected and c - r plain copies of nu(alpha) for
     r = c, c - 1, ..., 0, the lexicographic order of the run's sign vectors
-    with their minus signs first; on the first run only r >= c/2.  The r
+    with their minus signs first; on the first run only r >= c/2, and for
+    c = 1 the signed pair (-nu, nu) of the searches and checks.  The r
     reflected copies are the reflection of the r-th partial power of
     nu(alpha), and each option with both signs is one ``convolve`` of two
-    partial powers.  Memoised like ``_signed_nu``, per (cap, count, first):
-    the scan's many ``tse`` calls meet the same few runs, and the laws are
-    immutable, so each tuple of options is built once."""
-    minus, plus = _signed_nu(alpha)
+    partial powers.  The laws are immutable, so a run of at most
+    RUN_MEMO_ATOMS atoms is kept in a memo of 256 runs, keyed by (cap,
+    count, first); a larger one is built on every call."""
+    if c * _nu_atoms(alpha) > RUN_MEMO_ATOMS:
+        return _run_memo.__wrapped__(alpha, c, first)
+    return _run_memo(alpha, c, first)
+
+
+@functools.lru_cache(maxsize=256)
+def _run_memo(alpha: Fraction, c: int, first: bool) -> tuple[IntDist, ...]:
+    """``_run_options``, built: nu(alpha) once and its partial powers."""
+    plus = nu(alpha)
     powers = [None, plus]  # powers[s]: the law of s plain copies
     for _ in range(c - 1):
         powers.append(convolve(powers[-1], plus))
@@ -420,7 +418,7 @@ def _run_options(alpha: Fraction, c: int, first: bool) -> tuple[IntDist, ...]:
         elif r == c:
             options.append(negate(powers[c]))
         else:
-            options.append(convolve(minus if r == 1 else negate(powers[r]), powers[c - r]))
+            options.append(convolve(negate(powers[r]), powers[c - r]))
     return tuple(options)
 
 
@@ -435,8 +433,8 @@ def tse(alphas: AlphaSeq) -> tuple[Fraction, tuple[int, ...]]:
     caps (``AlphaSeq`` sorts equal caps next to each other) only the number
     r of minus signs matters.  Each run is one level of c + 1 options, the
     law of r reflected and c - r plain copies of nu, in the order
-    r = c, c - 1, ..., 0 (``_run_options``, memoised per run), so no two
-    levels are tied.
+    r = c, c - 1, ..., 0 (``_run_options``, also the source of each nu), so
+    no two levels are tied.
 
     Ties resolve to the lexicographically smallest sign vector, which has
     its minus signs first within each run; the levels visit exactly these
@@ -461,9 +459,9 @@ def tse(alphas: AlphaSeq) -> tuple[Fraction, tuple[int, ...]]:
     free = [(a, c) for a, c in runs if a.numerator != 1]
     count = prod(c + 1 for _, c in free[1:]) * (free[0][1] // 2 + 1 if free else 1)
     # nu(a) has ceil(1/a) atoms on consecutive sites, so the sum has one more than their spans
-    atoms = 1 + sum(c * ((a.denominator - 1) // a.numerator) for a, c in runs)
+    atoms = 1 + sum(c * (_nu_atoms(a) - 1) for a, c in runs)
     _check_tse_size(count, atoms, prod(a.denominator**c for a, c in runs).bit_length())
-    uniforms = [_signed_nu(a)[1] for a in caps if a.numerator == 1]
+    uniforms = [_run_options(a, 1, False)[1] for a in caps if a.numerator == 1]
     levels = [[convolve_all(uniforms)]] if uniforms else []
     root = len(levels)
     levels += [_run_options(a, c, k == 0) for k, (a, c) in enumerate(free)]
@@ -489,8 +487,8 @@ def check_tse_classes(caps: Sequence[Fraction], n: int) -> None:
         raise ValueError(f"tse on {n} caps below 1: size bound at least {(n + 1) ** 2}, over the tse budget {TSE_BUDGET}")
     free = [a for a in caps if a.numerator != 1]
     uniform = [a for a in caps if a.numerator == 1]
-    a = max((ceil(1 / x) for x in free), default=1)
-    u = max((ceil(1 / x) for x in uniform), default=1)
+    a = max(map(_nu_atoms, free), default=1)
+    u = max(map(_nu_atoms, uniform), default=1)
     bits = (max((x.denominator for x in caps), default=1) ** n).bit_length()
     for f in range(0 if uniform else n, (n if free else 0) + 1):
         runs = min(len(free), f)
@@ -507,7 +505,7 @@ def _window_sites(alpha: Fraction, window: tuple[int, int]) -> range:
     sites = range(window[0], window[1] + 1)
     if not sites:
         raise ValueError("empty window")
-    needed = ceil(1 / alpha)  # atoms
+    needed = _nu_atoms(alpha)
     if len(sites) < needed:
         raise ValueError(f"window holds {len(sites)} sites; {needed} needed for alpha={alpha}")
     _check_layout_count([alpha], len(sites))
@@ -553,10 +551,12 @@ def t_oracle(alphas: AlphaSeq, window: tuple[int, int]) -> tuple[Fraction, list[
     translate and re-sorting its run would give a maximiser visited earlier,
     so that maximiser is anchored, and the anchored lists keep their order.
     ``_max_q_search``'s fill prune keeps the first maximiser.  The checks and
-    the budget, which counts translates, are ``extremal_enumerate``'s.  Exact
-    only relative to the window class; callers report the window with it.
+    the budget, which counts translates, are ``extremal_enumerate``'s.  Equal
+    caps share one list.  Exact only relative to the window class; callers
+    report the window with it.
     """
-    choices = [_anchored_laws(a, _window_sites(a, window)) for a in alphas]
+    anchored = {a: _anchored_laws(a, _window_sites(a, window)) for a in dict.fromkeys(alphas)}
+    choices = [anchored[a] for a in alphas]
     best, path = _max_q_search(choices)
     return best, [options[j] for options, j in zip(choices, path)]
 

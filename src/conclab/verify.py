@@ -30,7 +30,6 @@ from .dist import (
     is_log_concave,
     max_span,
     modes,
-    negate,
     q_max,
     shift,
     uniform_interval,
@@ -41,10 +40,10 @@ from .extremal import (
     AlphaSeq,
     _check_law_atoms,
     _nu_atoms,
+    _run_options,
     balanced_sequence,
     is_balanced,
     is_strongly_balanced,
-    nu,
     t_oracle,
     tse,
     tsebal,
@@ -254,7 +253,7 @@ def few_dropped_check(alphas: AlphaSeq, k: int, big_k: int, delta, signs=None) -
     if total_var < Fraction(70) / delta**3 * k * big_k**2:
         return _na("few_dropped", instance, "variance below the lemma threshold")
     _check_law_atoms(sum(map(_nu_atoms, caps)))
-    seq = [negate(nu(a)) if s < 0 else nu(a) for a, s in zip(caps, signs or [1] * n)]
+    seq = [_run_options(a, 1, False)[s > 0] for a, s in zip(caps, signs or [1] * n)]  # (-nu, nu)[s > 0]
     rhs = q_max(convolve_all(seq))
     # k < n here: a cap of at least 1/K gives nu a variance below K**2, so with
     # k = n the total variance is below n * K**2 and fails the threshold above

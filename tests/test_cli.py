@@ -20,7 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conclab import conjecture, verify
-from conclab.cli import _FIELD_PARSERS, _LEMMAS, build_parser, run
+from conclab.cli import _LEMMAS, _field_parsers, build_parser, run
 from conclab.dist import IntDist, uniform
 
 
@@ -388,14 +388,7 @@ def test_enumeration_over_budget_exits_2_promptly(argv):
     """Each input once ran for minutes; it now stops at the enumeration
     budget before any work.  The timeout turns a regression into a failure
     instead of a hung suite."""
-    src = Path(__file__).resolve().parents[1] / "src"
-    proc = subprocess.run(
-        [sys.executable, "-m", "conclab.cli", *argv],
-        capture_output=True,
-        text=True,
-        env={**os.environ, "PYTHONPATH": str(src)},
-        timeout=20,
-    )
+    proc = run_cli(argv, timeout=20)
     assert proc.returncode == 2
     assert proc.stdout == ""
     assert len(proc.stderr.splitlines()) == 1 and proc.stderr.startswith("error: ")
@@ -481,14 +474,7 @@ def test_oracle_on_a_wide_window_runs_promptly():
     on 0..60 instead of 1,830, so three tied caps take well under a second
     where walking every translate took several.  The stdout is the one the
     full walk printed, witness included."""
-    src = Path(__file__).resolve().parents[1] / "src"
-    proc = subprocess.run(
-        [sys.executable, "-m", "conclab.cli", "extremal", "oracle", "--alphas", "1/2,1/2,1/2", "--window", "0..60"],
-        capture_output=True,
-        text=True,
-        env={**os.environ, "PYTHONPATH": str(src)},
-        timeout=20,
-    )
+    proc = run_cli(["extremal", "oracle", "--alphas", "1/2,1/2,1/2", "--window", "0..60"], timeout=20)
     assert proc.returncode == 0
     half = {"atoms": [[0, "1/2"], [1, "1/2"]]}
     expected = {"alphas": ["1/2"] * 3, "value": "3/8", "window": [0, 60], "witness": [half] * 3}
@@ -502,15 +488,8 @@ def test_sampled_scan_over_many_measures_runs_promptly():
     """The scan indexes its cap classes with a dict, so a sampled scan over
     48,324 measures of 7,500 classes (D = 10,000 on 0..3) is quick where
     one list search per measure took over a minute."""
-    src = Path(__file__).resolve().parents[1] / "src"
     argv = ["scan-conjecture", "--denominator", "10000", "--window", "0..3", "--n", "2", "--budget", "1"]
-    proc = subprocess.run(
-        [sys.executable, "-m", "conclab.cli", *argv],
-        capture_output=True,
-        text=True,
-        env={**os.environ, "PYTHONPATH": str(src)},
-        timeout=20,
-    )
+    proc = run_cli(argv, timeout=20)
     assert proc.returncode == 0
     summary = json.loads(proc.stdout.splitlines()[-1])
     assert (summary["instances"], summary["violations"]) == (1, 0)
@@ -521,13 +500,31 @@ def _cap_memory() -> None:
     resource.setrlimit(resource.RLIMIT_AS, (600 * 2**20, 600 * 2**20))
 
 
-def run_cli(argv: list[str], timeout: float, capped: bool = False) -> subprocess.CompletedProcess:
+# runs the command in sys.argv[1:] as `python -m conclab.cli` does, then
+# writes the interpreter's own peak RSS in KiB (Linux's VmHWM) to stderr as
+# its last line
+PEAK_RSS_RUN = (
+    "import sys\n"
+    "from conclab.cli import run\n"
+    "code = run(sys.argv[1:])\n"
+    "sys.stdout.flush()\n"
+    "print(next(line.split()[1] for line in open('/proc/self/status') if line.startswith('VmHWM:')), file=sys.stderr)\n"
+    "sys.exit(code)"
+)
+
+
+def run_cli(
+    argv: list[str], timeout: float, capped: bool = False, peak_rss: bool = False
+) -> subprocess.CompletedProcess:
     """The command in a fresh interpreter; ``capped`` limits its address
     space to 600 MB, so a regression that builds a huge object fails
-    promptly instead of filling the memory."""
+    promptly instead of filling the memory.  ``peak_rss`` runs it through
+    PEAK_RSS_RUN, so the child reads the peak of its own address space:
+    ``RUSAGE_CHILDREN`` keeps the largest peak of every earlier child, and
+    the child's ``ru_maxrss`` that of this process, which it starts from."""
     src = Path(__file__).resolve().parents[1] / "src"
     return subprocess.run(
-        [sys.executable, "-m", "conclab.cli", *argv],
+        [sys.executable, *(["-c", PEAK_RSS_RUN] if peak_rss else ["-m", "conclab.cli"]), *argv],
         capture_output=True,
         text=True,
         env={**os.environ, "PYTHONPATH": str(src)},
@@ -555,10 +552,13 @@ def test_tse_over_budget_exits_2_promptly(argv):
 def test_scan_of_300_caps_runs_promptly():
     """Each sampled class holds a run of about 100 caps of 3/4, which took
     58 s in all as tied levels; as one level per run it takes a few
-    seconds, with the stdout the tied walk printed."""
+    seconds, with the stdout the tied walk printed.  Such runs are too
+    large for the run memo, which kept them until the scan peaked at 49 MB;
+    the scan now stays within 35 MB."""
     argv = ["scan-conjecture", "--denominator", "4", "--window", "0..3", "--n", "300", "--budget", "20"]
-    proc = run_cli(argv, timeout=30)
+    proc = run_cli(argv, timeout=30, peak_rss=True)
     assert proc.returncode == 0
+    assert int(proc.stderr.splitlines()[-1]) <= 35 * 1024  # KiB
     summary = json.loads(proc.stdout.splitlines()[-1])
     assert (summary["instances"], summary["violations"]) == (20, 0)
     assert hashlib.sha256(proc.stdout.encode()).hexdigest() == (
@@ -609,6 +609,25 @@ def test_scan_builds_its_measures_once(monkeypatch, capsys):
     assert run(["scan-conjecture", "--denominator", "4", "--window", "0..3", "--n", "3", "--budget", "5"]) == 0
     assert json.loads(capsys.readouterr().out.splitlines()[-1])["mode"] == "sampled(5 of 220)"
     assert calls == [(4, (0, 3))]
+
+
+REFUSED_SCANS = {
+    "tse_budget": (["--denominator", "4", "--window", "0..3", "--n", "1000", "--budget", "5"], "tse budget"),
+    "enumeration_budget": (["--denominator", "3000000", "--window", "0..3", "--n", "2"], "enumeration budget"),
+}
+
+
+@pytest.mark.parametrize("flags, budget", REFUSED_SCANS.values(), ids=REFUSED_SCANS.keys())
+def test_refused_scan_leaves_out_as_it_was(flags, budget, tmp_path, capsys):
+    """The scan's refusals run on its first step, which is drawn before
+    --out is opened, so a refused scan leaves an existing file byte for
+    byte instead of truncating it."""
+    target = tmp_path / "o.json"
+    target.write_bytes(b"keep\n")
+    assert run(["scan-conjecture", *flags, "--out", str(target)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and budget in captured.err
+    assert target.read_bytes() == b"keep\n"
 
 
 @pytest.mark.parametrize(
@@ -1006,7 +1025,7 @@ FILE_COMMANDS = [
 ]
 
 # Keys the loaders and the instance parsers look up, so random objects get past them.
-FUZZ_KEYS = sorted({"atoms", "dims", "generators", "mean", "cov", "name", "outcome", *_FIELD_PARSERS})
+FUZZ_KEYS = sorted({"atoms", "dims", "generators", "mean", "cov", "name", "outcome", *_field_parsers()})
 
 # Small values only, so that no example can start a long computation.
 JSON_VALUES = st.recursive(

@@ -152,7 +152,7 @@ def test_check_rejects_what_it_does_not_read(lemma, instance, message, tmp_path,
 
 
 def test_readme_instance_table_matches_the_parsers():
-    from conclab.cli import _FIELD_PARSERS, _LEMMAS, _OPTIONAL_FIELDS
+    from conclab.cli import _LEMMAS, _OPTIONAL_FIELDS, _field_parsers
 
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     section = readme.split("### Checker instance files", 1)[1]
@@ -161,4 +161,4 @@ def test_readme_instance_table_matches_the_parsers():
     assert documented == {lemma: list(fields) for lemma, (_, fields) in _LEMMAS.items()}
     optional = {name for _, fields in rows for name in re.findall(r"optional `(\w+)`", fields)}
     assert optional == _OPTIONAL_FIELDS
-    assert {name for _, fields in _LEMMAS.values() for name in fields} == set(_FIELD_PARSERS)
+    assert {name for _, fields in _LEMMAS.values() for name in fields} == set(_field_parsers())

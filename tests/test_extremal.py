@@ -11,7 +11,9 @@ from conclab.extremal import (
     AlphaSeq,
     _check_layout_count,
     _layouts,
-    _signed_nu,
+    _run_memo,
+    _run_options,
+    balanced_sequence,
     extremal_enumerate,
     is_balanced,
     is_extremal,
@@ -128,25 +130,61 @@ MEMO_CASES = [
 
 
 def test_tse_same_with_cold_and_warm_memo():
-    """The memo of signed laws only saves work: values and signs are equal
+    """The memo of run options only saves work: values and signs are equal
     with the memo cleared before every call and with it warm."""
     cold = []
     for caps in MEMO_CASES:
-        _signed_nu.cache_clear()
+        _run_memo.cache_clear()
         cold.append(tse(AlphaSeq(caps)))
     warm = [tse(AlphaSeq(caps)) for caps in MEMO_CASES]
     assert cold == warm
-    assert _signed_nu.cache_info().hits > 0
+    assert _run_memo.cache_info().hits > 0
 
 
 def test_signed_nu_memo_matches_fresh_laws():
-    _signed_nu.cache_clear()
+    _run_memo.cache_clear()
     caps = {a for case in MEMO_CASES for a in case}
     for a in sorted(caps):
         for _ in range(2):  # the miss, then the hit
-            minus, plus = _signed_nu(a)
+            minus, plus = _run_options(a, 1, False)
             assert plus == nu(a) and minus == negate(nu(a))
-    assert _signed_nu.cache_info().maxsize is not None  # bounded
+    assert _run_memo.cache_info().maxsize is not None  # bounded
+
+
+def test_memo_keeps_runs_up_to_the_atom_limit():
+    """A run of c caps of alpha holds c * ceil(1/alpha) atoms: one over
+    RUN_MEMO_ATOMS is built on every call and never kept, and one of a
+    search's size is kept on the first call and found on the second."""
+    assert extremal.RUN_MEMO_ATOMS == 64
+    _run_memo.cache_clear()
+    big = (F(3, 4), 33, False)  # 33 * 2 = 66 atoms
+    first = _run_options(*big)
+    assert _run_options(*big) is not first and _run_options(*big) == first
+    assert _run_memo.cache_info().currsize == 0
+    assert _run_options(F(1, 65), 1, False)[1] == nu(F(1, 65))  # one law over the limit
+    assert _run_memo.cache_info().currsize == 0
+    kept = (F(3, 4), 32, True)  # 32 * 2 = 64 atoms
+    first = _run_options(*kept)
+    info = _run_memo.cache_info()
+    assert (info.currsize, info.misses, info.hits) == (1, 1, 0)
+    assert _run_options(*kept) is first
+    assert _run_memo.cache_info().hits == 1
+
+
+def test_balanced_sequence_builds_nu_once_per_distinct_cap(monkeypatch):
+    """Each distinct cap's (-nu, nu) is one memo lookup, so with the memo
+    cleared nu runs once per distinct cap, in both pairings."""
+    calls = []
+    real = extremal.nu
+    monkeypatch.setattr(extremal, "nu", lambda a: calls.append(a) or real(a))
+    caps = AlphaSeq([F(2, 5)] * 4 + [F(1, 3)] * 3 + [F(1, 5)] * 2 + [F(3, 7)] * 2)
+    for flip in (False, True):
+        _run_memo.cache_clear()
+        calls.clear()
+        seq = balanced_sequence(caps, flip=flip)
+        assert sorted(calls) == [F(1, 5), F(1, 3), F(2, 5), F(3, 7)]
+        assert len(seq) == len(caps)
+    _run_memo.cache_clear()
 
 
 def test_tse_examples():

@@ -48,9 +48,9 @@ def reference_tse(alphas: AlphaSeq) -> tuple[F, tuple[int, ...]]:
     per free cap, equal caps tied by the walker, and no reflection halving.
     The same value and signs as ``tse`` on every input."""
     caps = alphas.alphas
-    uniforms = [extremal._signed_nu(a)[1] for a in caps if a.numerator == 1]
+    uniforms = [extremal._run_options(a, 1, False)[1] for a in caps if a.numerator == 1]
     free = [i for i, a in enumerate(caps) if a.numerator != 1]
-    levels = ([[convolve_all(uniforms)]] if uniforms else []) + [extremal._signed_nu(caps[i]) for i in free]
+    levels = ([[convolve_all(uniforms)]] if uniforms else []) + [extremal._run_options(caps[i], 1, False) for i in free]
     best, path = _max_q_search(levels)
     signs = [1] * len(caps)
     for i, j in zip(free, path[len(levels) - len(free) :]):
@@ -188,20 +188,17 @@ def test_tse_matches_brute_force_property(pairs):
 
 def test_brute_tse_does_not_move_with_conclab_negate(monkeypatch):
     """With conclab's negate the identity, tse stops reflecting and reads
-    the q_max of nu + nu; the brute force keeps the README's value.  Both
-    memos are cleared on the way in and out, so no law built with either
+    the q_max of nu + nu; the brute force keeps the README's value.  The
+    memo is cleared on the way in and out, so no law built with either
     negate crosses over."""
-    memos = (extremal._signed_nu, extremal._run_options)
-    for memo in memos:
-        memo.cache_clear()
+    extremal._run_memo.cache_clear()
     monkeypatch.setattr(dist, "negate", lambda mu: mu)
     monkeypatch.setattr(extremal, "negate", lambda mu: mu)  # bound by name at import
     try:
         assert tse(AlphaSeq([F(3, 5), F(3, 5)])) == (F(12, 25), (-1, -1))
         assert brute.tse((F(3, 5), F(3, 5))) == (F(13, 25), (-1, 1))
     finally:
-        for memo in memos:
-            memo.cache_clear()
+        extremal._run_memo.cache_clear()
 
 
 # caps j/D with D <= 13: integer inverses, runs and distinct caps mixed
@@ -751,7 +748,7 @@ def test_tse_budget_counts_the_walk_and_the_whole_sum(alphas, monkeypatch):
     monkeypatch.setattr(extremal, "TSE_BUDGET", count * atoms * bits)
     tse(AlphaSeq(alphas))
     monkeypatch.setattr(extremal, "TSE_BUDGET", count * atoms * bits - 1)
-    for builder in ("_run_options", "convolve_all", "_signed_nu"):  # no law is built before the refusal
+    for builder in ("_run_options", "convolve_all", "_run_memo"):  # no law is built before the refusal
         monkeypatch.setattr(extremal, builder, None)
     with pytest.raises(ValueError, match=f"search {count} sign patterns.*tse budget"):
         tse(AlphaSeq(alphas))

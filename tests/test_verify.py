@@ -307,7 +307,7 @@ ATOM_BUDGET_CASES = {
     "few_dropped": (
         lambda: few_dropped_check(AlphaSeq([F(3, 7), F(1, 4), F(2, 5)]), 0, 1, F(1, 2)),
         3 + 4 + 3,
-        [(verify, "nu")],
+        [(verify, "_run_options")],
     ),
     "balanced_continuity_large": (
         lambda: large_continuity_check(3, [3, 5], SYMMETRIC_Y),
